@@ -35,6 +35,12 @@
 //!   `bad_request` error instead of buffering without bound, and the
 //!   connection stays usable.
 //!
+//! Every line-protocol reply leaves in a single write — the JSON line
+//! and its `\n` together — and accepted TCP sockets set `TCP_NODELAY`.
+//! A reply split across two writes has its second, tiny segment held
+//! back by Nagle's algorithm until the client's delayed ACK arrives,
+//! which put a ~44 ms floor under every request on Linux loopback.
+//!
 //! A `{"op":"shutdown"}` request over *any* transport stops the whole
 //! server after the response is flushed (as does EOF on stdin in stdio
 //! mode): the shared [`ShutdownSignal`] wakes every accept loop
@@ -174,25 +180,34 @@ fn parse_args(mut args: Vec<String>) -> Result<Options, String> {
     })
 }
 
-/// One bounded line read: a complete line (≤ limit bytes of content),
-/// end of input, or an over-limit line (drained so the stream stays
-/// aligned on the next request).
+/// A line-protocol buffer keeps at most this much capacity between
+/// requests, so one rare huge request does not pin its memory for the
+/// rest of the connection.
+const RETAINED_BUFFER_BYTES: usize = 64 * 1024;
+
+/// One bounded line read: a complete line (≤ limit bytes of content,
+/// left in the caller's buffer without its `\n` or `\r\n`), end of
+/// input, or an over-limit line (drained so the stream stays aligned on
+/// the next request).
 enum LineRead {
-    Line(String),
+    Line,
     Eof,
     TooLong,
 }
 
-fn read_bounded_line<R: BufRead>(input: &mut R, limit: usize) -> std::io::Result<LineRead> {
-    let mut buf = Vec::new();
-    input
-        .by_ref()
-        .take(limit as u64 + 1)
-        .read_until(b'\n', &mut buf)?;
+fn read_bounded_line<R: BufRead>(
+    input: &mut R,
+    limit: usize,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<LineRead> {
+    buf.clear();
+    // Room for `limit` bytes of content plus a `\r\n` terminator.
+    let cap = (limit as u64).saturating_add(2);
+    input.by_ref().take(cap).read_until(b'\n', buf)?;
     if buf.is_empty() {
         return Ok(LineRead::Eof);
     }
-    if buf.last() != Some(&b'\n') && buf.len() > limit {
+    if buf.last() != Some(&b'\n') && buf.len() as u64 == cap {
         // The cap cut the line off mid-way: discard the rest of it so
         // the next read starts on the next request, not on this line's
         // tail masquerading as one.
@@ -202,7 +217,11 @@ fn read_bounded_line<R: BufRead>(input: &mut R, limit: usize) -> std::io::Result
     while matches!(buf.last(), Some(b'\n' | b'\r')) {
         buf.pop();
     }
-    Ok(LineRead::Line(String::from_utf8_lossy(&buf).into_owned()))
+    Ok(if buf.len() > limit {
+        LineRead::TooLong
+    } else {
+        LineRead::Line
+    })
 }
 
 /// Discards input until (and including) the next newline, in O(1)
@@ -235,15 +254,20 @@ fn serve<R: BufRead, W: Write>(
     mut output: W,
     max_request_bytes: usize,
 ) -> bool {
+    let mut buf = Vec::new();
     loop {
-        let reply = match read_bounded_line(&mut input, max_request_bytes) {
+        buf.shrink_to(RETAINED_BUFFER_BYTES);
+        let reply = match read_bounded_line(&mut input, max_request_bytes, &mut buf) {
             Err(_) => return false, // peer vanished mid-line
             Ok(LineRead::Eof) => return false,
             Ok(LineRead::TooLong) => ServiceReply::error(
                 "bad_request",
                 &format!("request line exceeds the {max_request_bytes}-byte limit"),
             ),
-            Ok(LineRead::Line(line)) => {
+            Ok(LineRead::Line) => {
+                // Borrows the buffer when it is valid UTF-8 (the usual
+                // case); only a malformed request is copied.
+                let line = String::from_utf8_lossy(&buf);
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -260,13 +284,19 @@ fn serve<R: BufRead, W: Write>(
                     })
             }
         };
-        if writeln!(output, "{}", reply.line)
+        // The line and its newline leave in one write: split in two, the
+        // second would wait in Nagle's algorithm for the peer's ACK.
+        let shutdown = reply.shutdown;
+        let mut bytes = reply.line.into_bytes();
+        bytes.push(b'\n');
+        if output
+            .write_all(&bytes)
             .and_then(|_| output.flush())
             .is_err()
         {
             return false;
         }
-        if reply.shutdown {
+        if shutdown {
             return true;
         }
     }
@@ -297,6 +327,9 @@ fn serve_tcp(
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Replies are whole lines in one write, so there is nothing for
+        // Nagle's algorithm to coalesce — only a delayed ACK to wait on.
+        let _ = stream.set_nodelay(true);
         let service = Arc::clone(service);
         let shutdown = Arc::clone(shutdown);
         std::thread::spawn(move || {
@@ -418,4 +451,133 @@ fn main() -> ExitCode {
         let _ = thread.join();
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use warlock::config_file::{demo_config, render_config};
+
+    const PING: &str = r#"{"v":2,"id":1,"op":"ping"}"#;
+
+    fn demo_service() -> Service {
+        let config = render_config(&demo_config());
+        Service::new(Warlock::from_config_str(&config).unwrap())
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Event {
+        Write(String),
+        Flush,
+    }
+
+    /// A `Write` that records every `write` and `flush` call.
+    #[derive(Default)]
+    struct Recorder(Vec<Event>);
+
+    impl Write for Recorder {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0
+                .push(Event::Write(String::from_utf8(bytes.to_vec()).unwrap()));
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.push(Event::Flush);
+            Ok(())
+        }
+    }
+
+    /// Serves `input`, returning `serve`'s result and the calls it made.
+    fn drive(service: &Service, input: &str, limit: usize) -> (bool, Vec<Event>) {
+        let mut output = Recorder::default();
+        let stopped = serve(service, input.as_bytes(), &mut output, limit);
+        (stopped, output.0)
+    }
+
+    /// The calls that frame `replies`: one write of line + `\n`, then a
+    /// flush, per reply.
+    fn framed(replies: &[String]) -> Vec<Event> {
+        replies
+            .iter()
+            .flat_map(|line| [Event::Write(format!("{line}\n")), Event::Flush])
+            .collect()
+    }
+
+    #[test]
+    fn each_reply_is_one_write_of_the_line_and_its_newline() {
+        let service = demo_service();
+        let pong = service.handle_line(PING).line;
+        let (stopped, events) = drive(&service, &format!("{PING}\n{PING}\r\n"), 1024);
+        assert!(!stopped, "end of input is not a shutdown");
+        assert_eq!(events, framed(&[pong.clone(), pong]));
+    }
+
+    #[test]
+    fn an_over_limit_line_is_answered_in_one_write() {
+        let service = demo_service();
+        let long = format!(r#"{{"v":2,"id":"{}","op":"ping"}}"#, "x".repeat(64));
+        let (_, events) = drive(&service, &format!("{long}\n{PING}\n"), 32);
+        let rejected = ServiceReply::error("bad_request", "request line exceeds the 32-byte limit");
+        assert_eq!(
+            events,
+            framed(&[rejected.line, service.handle_line(PING).line])
+        );
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_without_a_write() {
+        let service = demo_service();
+        let (_, events) = drive(&service, &format!("\n\r\n   \n{PING}\n\n"), 1024);
+        assert_eq!(events, framed(&[service.handle_line(PING).line]));
+    }
+
+    #[test]
+    fn shutdown_is_written_and_flushed_before_serve_returns() {
+        let service = demo_service();
+        let shutdown = r#"{"v":2,"id":9,"op":"shutdown"}"#;
+        let (stopped, events) = drive(&service, &format!("{shutdown}\n{PING}\n"), 1024);
+        assert!(stopped);
+        // The request after the shutdown is never answered.
+        assert_eq!(events, framed(&[service.handle_line(shutdown).line]));
+    }
+
+    /// Every line of `input` read with `limit`: `Some(content)`, or
+    /// `None` for an over-limit line.
+    fn read_lines(input: &str, limit: usize) -> Vec<Option<String>> {
+        let mut input = input.as_bytes();
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        loop {
+            match read_bounded_line(&mut input, limit, &mut buf).unwrap() {
+                LineRead::Eof => return lines,
+                LineRead::TooLong => lines.push(None),
+                LineRead::Line => lines.push(Some(String::from_utf8(buf.clone()).unwrap())),
+            }
+        }
+    }
+
+    #[test]
+    fn the_limit_counts_content_not_the_terminator() {
+        const LIMIT: usize = 8;
+        for terminator in ["\n", "\r\n"] {
+            for len in [LIMIT - 1, LIMIT, LIMIT + 1] {
+                let content = "x".repeat(len);
+                let lines = read_lines(&format!("{content}{terminator}next{terminator}"), LIMIT);
+                let first = (len <= LIMIT).then(|| content.clone());
+                assert_eq!(
+                    lines,
+                    [first, Some("next".to_owned())],
+                    "{len} content bytes + {terminator:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_off_line_is_drained_to_the_next_request() {
+        let lines = read_lines(&format!("{}\r\nnext\nlast", "x".repeat(100)), 8);
+        let expected = [None, Some("next".to_owned()), Some("last".to_owned())];
+        assert_eq!(lines, expected);
+    }
 }

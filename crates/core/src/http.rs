@@ -26,7 +26,7 @@
 //! `warlockd` — is woken deterministically by a self-connect instead of
 //! blocking in `accept` until a next client happens to arrive.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -148,12 +148,12 @@ pub fn serve_http(
 
 /// Handles one connection (one request); returns `true` when the client
 /// asked the whole server to shut down.
-fn handle_connection(service: &Service, mut stream: TcpStream, max_request_bytes: usize) -> bool {
+fn handle_connection(service: &Service, stream: TcpStream, max_request_bytes: usize) -> bool {
     // A stuck or malicious client must not pin the thread forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    match read_request(&mut stream, max_request_bytes) {
+    match read_request(&mut BufReader::new(&stream), max_request_bytes) {
         Err(e) => {
-            write_response(&mut stream, e.status, &e.reply.line);
+            write_response(&stream, e.status, &e.reply.line);
             false
         }
         Ok(request) => {
@@ -172,7 +172,7 @@ fn handle_connection(service: &Service, mut stream: TcpStream, max_request_bytes
                 Ok(reply) => reply,
                 Err(e) => e.reply,
             };
-            write_response(&mut stream, status, &reply.line);
+            write_response(&stream, status, &reply.line);
             reply.shutdown
         }
     }
@@ -235,21 +235,24 @@ fn dispatch(service: &Service, request: &HttpRequest) -> Result<ServiceReply, Ht
 }
 
 /// Reads one HTTP request: a bounded head, then a `Content-Length`
-/// body bounded by `max_request_bytes`.
-fn read_request(
-    stream: &mut TcpStream,
+/// body bounded by `max_request_bytes`. The body comes from the same
+/// buffered reader as the head, so bytes read ahead past the head are
+/// not lost.
+fn read_request<R: BufRead>(
+    reader: &mut R,
     max_request_bytes: usize,
 ) -> Result<HttpRequest, HttpError> {
     let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    // Single-byte reads are fine here: heads are tiny and this keeps
-    // the code free of buffered-reader lookahead bookkeeping before the
-    // body starts.
     while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
+        let room = MAX_HEAD_BYTES - head.len();
+        if room == 0 {
             return Err(HttpError::new(431, "bad_request", "request head too large"));
         }
-        match stream.read(&mut byte) {
+        match reader
+            .by_ref()
+            .take(room as u64)
+            .read_until(b'\n', &mut head)
+        {
             Ok(0) => {
                 return Err(HttpError::new(
                     400,
@@ -257,7 +260,7 @@ fn read_request(
                     "connection closed mid-request",
                 ))
             }
-            Ok(_) => head.push(byte[0]),
+            Ok(_) => {}
             Err(e) => {
                 return Err(HttpError::new(
                     400,
@@ -298,7 +301,7 @@ fn read_request(
         // must not pin this thread streaming bytes at us; past the cap
         // we answer and close, unread data or not.
         let drain = content_length.min(max_request_bytes.max(64 * 1024)) as u64;
-        let _ = std::io::copy(&mut stream.take(drain), &mut std::io::sink());
+        let _ = std::io::copy(&mut reader.by_ref().take(drain), &mut std::io::sink());
         return Err(HttpError::new(
             413,
             "bad_request",
@@ -308,13 +311,13 @@ fn read_request(
         ));
     }
     let mut body = vec![0u8; content_length];
-    stream
+    reader
         .read_exact(&mut body)
         .map_err(|e| HttpError::new(400, "bad_request", &format!("short request body: {e}")))?;
     Ok(HttpRequest { method, path, body })
 }
 
-fn write_response(stream: &mut TcpStream, status: u16, body: &str) {
+fn write_response(mut stream: &TcpStream, status: u16, body: &str) {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -486,6 +489,61 @@ mod tests {
         );
         assert!(body.render().contains("exceeds"));
         // The server survives and keeps answering.
+        let (status, _) = server.post("/v2/ping", "");
+        assert_eq!(status, 200);
+    }
+
+    #[test]
+    fn head_and_body_in_one_segment_reach_the_handler() {
+        let server = Server::start(1 << 20);
+        let body = r#"{"id":42,"warehouse":"eu"}"#;
+        let raw = format!(
+            "POST /v2/ping HTTP/1.1\r\nHost: warlockd\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let mut stream = TcpStream::connect(server.addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+        // The body the head's buffered read pulled in along with it is
+        // still the body the request handler sees.
+        let reply = warlock_json::parse(response.split("\r\n\r\n").nth(1).unwrap()).unwrap();
+        assert_eq!(reply.get("id").and_then(Json::as_i64), Some(42));
+        let warehouse = reply.get("result").and_then(|r| r.get("warehouse"));
+        assert_eq!(warehouse.and_then(Json::as_str), Some("eu"));
+    }
+
+    #[test]
+    fn heads_over_the_limit_are_refused_with_431() {
+        // A head of exactly the limit is read; one byte more is refused.
+        let head = |len: usize| {
+            let start = "POST /v2/ping HTTP/1.1\r\nX-Pad: ";
+            let pad = "p".repeat(len - start.len() - "\r\n\r\n".len());
+            format!("{start}{pad}\r\n\r\n")
+        };
+        let exact = head(MAX_HEAD_BYTES);
+        assert!(read_request(&mut exact.as_bytes(), 1 << 20).is_ok());
+        let over = head(MAX_HEAD_BYTES + 1);
+        let refused = read_request(&mut over.as_bytes(), 1 << 20).err().unwrap();
+        assert_eq!(refused.status, 431);
+
+        // Over the wire, the refusal reaches the client.
+        let server = Server::start(1 << 20);
+        let mut stream = TcpStream::connect(server.addr).unwrap();
+        let _ = stream.write_all(head(MAX_HEAD_BYTES + 1024).as_bytes());
+        // The server closes with the head's tail unread, which may reset
+        // the connection after the response: keep what arrived.
+        let mut response = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while let Ok(n @ 1..) = stream.read(&mut chunk) {
+            response.extend_from_slice(&chunk[..n]);
+        }
+        let response = String::from_utf8(response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+        assert!(response.contains("request head too large"));
+        // The server keeps answering.
         let (status, _) = server.post("/v2/ping", "");
         assert_eq!(status, 200);
     }

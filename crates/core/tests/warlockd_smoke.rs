@@ -69,10 +69,10 @@ fn announced_addr(stderr: &mut impl BufRead, label: &str) -> String {
 }
 
 /// One request/response round-trip over an established line-protocol
-/// stream.
+/// stream. The request and its newline go out in one write, as a
+/// latency-sensitive client should send them.
 fn round_trip(stream: &mut TcpStream, request: &str) -> String {
-    writeln!(stream, "{request}").unwrap();
-    stream.flush().unwrap();
+    stream.write_all(format!("{request}\n").as_bytes()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
@@ -294,6 +294,46 @@ fn warlockd_tcp_two_warehouses_reload_and_clean_shutdown() {
 
     let _ = std::fs::remove_file(us_path);
     let _ = std::fs::remove_file(eu_path);
+}
+
+#[test]
+fn warlockd_tcp_requests_do_not_wait_on_delayed_acks() {
+    let config_path = write_cfg("latency", 16);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_warlockd"))
+        .arg(&config_path)
+        .args(["--listen", "127.0.0.1:0"])
+        .args(["-j", "1"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("warlockd spawns");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let addr = announced_addr(&mut stderr, "listening");
+
+    // 200 sequential pings on one persistent connection. A reply split
+    // across two writes stalls each one ~40 ms behind the client's
+    // delayed ACK (~8.8 s in all); one write per reply takes
+    // milliseconds.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let started = Instant::now();
+    for id in 0..200 {
+        let pong = parse_ok(&round_trip(
+            &mut stream,
+            &format!(r#"{{"v":2,"id":{id},"op":"ping"}}"#),
+        ));
+        assert_eq!(pong.get("id").and_then(Json::as_i64), Some(id));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 pings took {elapsed:?}"
+    );
+
+    parse_ok(&round_trip(&mut stream, r#"{"v":2,"op":"shutdown"}"#));
+    let status = wait_with_timeout(&mut child, Duration::from_secs(10));
+    assert_eq!(status.code(), Some(0));
+    let _ = std::fs::remove_file(config_path);
 }
 
 #[test]
