@@ -12,8 +12,8 @@ use std::hint::black_box;
 use warlock_bench::alloc_probe::{self, CountingAlloc};
 use warlock_bench::Fixture;
 use warlock_cost::{
-    evaluate_chunk_kernel, evaluate_chunk_with, AlignedF64Col, ChunkBatch, CostModel,
-    CostPassInput, CostPassOutput, CostTables, KernelBackend, KernelChoice, PerQueryDetail, LANES,
+    evaluate_chunk_kernel, evaluate_chunk_with, yao_pass, AlignedF64Col, ChunkBatch, CostModel,
+    CostPassInput, CostPassOutput, CostTables, KernelBackend, PerQueryDetail, LANES,
 };
 use warlock_fragment::{enumerate_candidates_ranged, FragmentLayout, Fragmentation, LayoutScratch};
 
@@ -116,16 +116,12 @@ fn batched_sweep_kernel(
 }
 
 /// The kernel backends worth timing on this machine: the scalar
-/// reference, the portable lane path, and — where it resolves to
-/// something distinct — the AVX2 backend.
+/// reference and, where distinct, the one this CPU runs.
 fn backends() -> Vec<KernelBackend> {
-    let mut v = vec![
-        KernelBackend::resolve(KernelChoice::Scalar),
-        KernelBackend::resolve(KernelChoice::Lanes),
-    ];
-    let avx2 = KernelBackend::resolve(KernelChoice::Avx2);
-    if !v.contains(&avx2) {
-        v.push(avx2);
+    let mut v = vec![KernelBackend::Scalar];
+    let detected = KernelBackend::detect();
+    if detected != KernelBackend::Scalar {
+        v.push(detected);
     }
     v
 }
@@ -205,7 +201,6 @@ fn pass_fixture() -> PassFixture {
 
 /// One arithmetic (`cost_pass`) run over the synthetic columns.
 fn cost_pass_once(f: &mut PassFixture, backend: KernelBackend) -> f64 {
-    let kernel = backend.kernel();
     let inp = CostPassInput {
         fragments: &f.cols[0],
         touched: &f.cols[1],
@@ -239,15 +234,13 @@ fn cost_pass_once(f: &mut PassFixture, backend: KernelBackend) -> f64 {
         acc_ios: a2,
         acc_pages: a3,
     };
-    kernel.cost_pass(&inp, &mut out);
+    backend.cost_pass(&inp, &mut out);
     out.acc_io_ms[0] + out.out_response_ms[PASS_N - 1]
 }
 
 /// One lane-batched Yao miss-block run.
-fn yao_pass_once(f: &mut PassFixture, backend: KernelBackend) -> f64 {
-    backend
-        .kernel()
-        .yao_pass(&f.miss_rows, &f.miss_pages, &f.miss_k, &mut f.miss_hits);
+fn yao_pass_once(f: &mut PassFixture) -> f64 {
+    yao_pass(&f.miss_rows, &f.miss_pages, &f.miss_k, &mut f.miss_hits);
     f.miss_hits[0] + f.miss_hits[PASS_N - 1]
 }
 
@@ -299,8 +292,8 @@ fn bench_sweeps(c: &mut Criterion) {
     });
 
     // Per-backend axes: the full demo sweep pinned to each kernel, and
-    // the isolated arithmetic / Yao passes where the backends actually
-    // differ (matching and gather stages are backend-independent).
+    // the isolated arithmetic pass where the backends actually differ
+    // (matching, gather and the one Yao pass are backend-independent).
     for backend in backends() {
         c.bench_function(format!("eval/batched_sweep/{}", backend.name()), |b| {
             b.iter(|| {
@@ -320,10 +313,10 @@ fn bench_sweeps(c: &mut Criterion) {
         c.bench_function(format!("kernel/cost_pass/{}", backend.name()), |b| {
             b.iter(|| black_box(cost_pass_once(&mut pass, backend)))
         });
-        c.bench_function(format!("kernel/yao_pass/{}", backend.name()), |b| {
-            b.iter(|| black_box(yao_pass_once(&mut pass, backend)))
-        });
     }
+    c.bench_function("kernel/yao_pass", |b| {
+        b.iter(|| black_box(yao_pass_once(&mut pass)))
+    });
 }
 
 /// Bounded-runtime criterion config: benchmark sweeps stay meaningful but

@@ -5,7 +5,7 @@
 //! advisor session, and prints the requested outputs.
 //!
 //! ```text
-//! warlock [-j N | --parallelism N] [--max-candidates N] [--chunk-size N] [--kernel NAME] <config-file> [command]
+//! warlock [-j N | --parallelism N] [--max-candidates N] [--chunk-size N] <config-file> [command]
 //!
 //! commands:
 //!   rank              ranked fragmentation candidates (default)
@@ -18,9 +18,8 @@
 //!
 //! `-j`/`--parallelism` overrides the configuration file's evaluation
 //! worker count (0 = auto, 1 = serial); `--chunk-size` overrides the
-//! streaming evaluation chunk (0 = auto); `--kernel` pins the costing
-//! kernel backend (`auto`, `scalar`, `lanes` or `avx2`); any value of
-//! these yields identical advice. `--max-candidates` overrides the
+//! streaming evaluation chunk (0 = auto); any value of these yields
+//! identical advice. `--max-candidates` overrides the
 //! candidate-space budget (0 = unlimited): runs whose exact predicted
 //! space exceeds it fail up front instead of grinding.
 //! ```
@@ -41,7 +40,7 @@ use warlock::report::{
 };
 use warlock::Warlock;
 
-const USAGE: &str = "usage: warlock [-j N | --parallelism N] [--max-candidates N] [--chunk-size N] [--kernel NAME] <config-file> [rank|analyze [N]|allocate [N]|recommend|excluded|csv|json]\n       warlock init   (print a starter configuration)";
+const USAGE: &str = "usage: warlock [-j N | --parallelism N] [--max-candidates N] [--chunk-size N] <config-file> [rank|analyze [N]|allocate [N]|recommend|excluded|csv|json]\n       warlock init   (print a starter configuration)";
 
 /// Extracts every occurrence of a `--flag VALUE` pair from `args`,
 /// returning the last parsed value. `Ok(None)` when the flag is absent;
@@ -87,13 +86,6 @@ fn main() -> ExitCode {
     let Ok(chunk_size) = take_flag::<usize>(&mut args, &["--chunk-size"], "a chunk size") else {
         return ExitCode::from(2);
     };
-    let Ok(kernel) = take_flag::<warlock::KernelChoice>(
-        &mut args,
-        &["--kernel"],
-        "a kernel backend (auto, scalar, lanes or avx2)",
-    ) else {
-        return ExitCode::from(2);
-    };
     // `warlock init` emits the APB-1-like starter configuration.
     if args.first().map(String::as_str) == Some("init") {
         print!("{}", render_config(&demo_config()));
@@ -129,8 +121,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if parallelism.is_some() || max_candidates.is_some() || chunk_size.is_some() || kernel.is_some()
-    {
+    if parallelism.is_some() || max_candidates.is_some() || chunk_size.is_some() {
         let mut config = session.config().clone();
         if let Some(workers) = parallelism {
             config.parallelism = workers;
@@ -140,9 +131,6 @@ fn main() -> ExitCode {
         }
         if let Some(chunk) = chunk_size {
             config.chunk_size = chunk;
-        }
-        if let Some(choice) = kernel {
-            config.kernel = choice;
         }
         if let Err(e) = session.set_config(config) {
             eprintln!("warlock: {e}");

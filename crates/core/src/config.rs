@@ -48,12 +48,9 @@ pub struct AdvisorConfig {
     /// produces bit-identical reports; the knob only trades pipeline
     /// memory against fan-out batching.
     pub chunk_size: usize,
-    /// Costing kernel backend for the batched evaluator: `Auto`
-    /// resolves via the `WARLOCK_KERNEL` environment variable and then
-    /// CPU feature detection; explicit `Scalar`/`Lanes`/`Avx2` pin a
-    /// backend (`Avx2` degrades cleanly to `Lanes` off AVX2 hardware).
-    /// Every setting produces bit-identical reports; the knob only
-    /// trades instruction throughput.
+    /// The legacy `kernel =` config key, which has no effect: the
+    /// costing backend is chosen by the CPU alone
+    /// ([`KernelBackend::detect`](warlock_cost::KernelBackend::detect)).
     pub kernel: KernelChoice,
     /// Extra MDHF attribute range sizes to enumerate alongside the
     /// point candidates (empty = the paper's point-only space). Each

@@ -46,7 +46,7 @@
 //! parallelism = auto                  # evaluation workers; 1 = serial
 //! max_candidates = unlimited          # or a candidate-space budget
 //! chunk_size = auto                   # streaming evaluation chunk
-//! kernel = auto                       # costing backend: scalar | lanes | avx2
+//! kernel = auto                       # legacy, ignored: the CPU picks the backend
 //! range_options = 2, 3, 5             # extra MDHF range sizes (optional)
 //! auto_advise = off                   # resident optimizer: on | off
 //! drift_enter = 0.25                  # drift score entering `Drifting`
@@ -833,12 +833,6 @@ pub fn render_config(parsed: &ParsedConfig) -> String {
             let _ = writeln!(out, "chunk_size = {n}");
         }
     }
-    // Rendered only when pinned: the default (`auto`) stays implicit so
-    // configs rendered before the knob existed — and the scenario-fleet
-    // fingerprint hashed over them — stay byte-identical.
-    if adv.kernel != warlock_cost::KernelChoice::Auto {
-        let _ = writeln!(out, "kernel = {}", adv.kernel);
-    }
     if !adv.range_options.is_empty() {
         let rendered: Vec<String> = adv.range_options.iter().map(u64::to_string).collect();
         let _ = writeln!(out, "range_options = {}", rendered.join(", "));
@@ -993,27 +987,26 @@ top_n = 5
 
     #[test]
     fn kernel_key_parses_and_round_trips() {
-        use warlock_cost::KernelChoice;
-        // Default (absent key) is auto, left implicit on render so
-        // pre-knob configs stay byte-identical.
-        let parsed = parse_config(SAMPLE).unwrap();
-        assert_eq!(parsed.advisor.kernel, KernelChoice::Auto);
-        assert!(!render_config(&parsed).contains("kernel ="));
-        for (spelled, choice) in [
-            ("auto", KernelChoice::Auto),
-            ("scalar", KernelChoice::Scalar),
-            ("lanes", KernelChoice::Lanes),
-            ("avx2", KernelChoice::Avx2),
-        ] {
+        // The legacy key still parses, has no effect and is never
+        // rendered: every former spelling advises exactly like none.
+        let plain = crate::Warlock::from_config_str(SAMPLE).unwrap();
+        let baseline = plain.rank().unwrap();
+        assert!(!render_config(&parse_config(SAMPLE).unwrap()).contains("kernel"));
+        for spelled in ["auto", "scalar", "lanes", "avx2"] {
             let with = SAMPLE.replace("top_n = 5", &format!("top_n = 5\nkernel = {spelled}"));
             let parsed = parse_config(&with).unwrap();
-            assert_eq!(parsed.advisor.kernel, choice);
-            let reparsed = parse_config(&render_config(&parsed)).unwrap();
-            assert_eq!(reparsed.advisor.kernel, choice);
+            assert!(!render_config(&parsed).contains("kernel"));
+            let session = crate::Warlock::from_config_str(&with).unwrap();
+            assert_eq!(session.rank().unwrap(), baseline, "kernel = {spelled}");
         }
         let bad = SAMPLE.replace("top_n = 5", "top_n = 5\nkernel = sse9");
         let err = parse_config(&bad).unwrap_err().to_string();
         assert!(err.contains("sse9"), "unhelpful error: {err}");
+        let line = bad.lines().position(|l| l.contains("sse9")).unwrap() + 1;
+        assert!(
+            err.contains(&format!("line {line}")),
+            "no line number: {err}"
+        );
     }
 
     #[test]

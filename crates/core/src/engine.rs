@@ -1,8 +1,8 @@
 //! The prediction pipeline internals: validate → generate → exclude →
 //! cost → rank, as a **bounded-memory streaming pipeline**.
 //!
-//! The owned [`crate::Warlock`] session facade, [`crate::TuningSession`]
-//! and the `warlockd` service all delegate here, so the pipeline has
+//! The owned [`crate::Warlock`] session facade and the `warlockd`
+//! service both delegate here, so the pipeline has
 //! exactly one implementation. Candidates are pulled lazily from a
 //! [`CandidateSource`] in fixed-size chunks (never materializing the
 //! space): each chunk is resolved against the [`EvalCache`], cheap
@@ -357,10 +357,10 @@ pub(crate) fn run(
     // Current mix shares, in mix order — the order the per-class memo
     // rows are gathered in, so a `Classes` hit recombines positionally.
     let shares: Vec<f64> = mix.iter().map(|(_, share)| share).collect();
-    // Resolve the costing kernel backend once per run (resolution reads
-    // the environment); every backend is bit-identical, so the choice
-    // never participates in cache fingerprints.
-    let backend = KernelBackend::resolve(config.kernel);
+    // Detect the costing kernel backend once per run; both backends are
+    // bit-identical, so the choice never participates in cache
+    // fingerprints.
+    let backend = KernelBackend::detect();
     // Precomputed cost tables for the batched evaluator, built lazily on
     // the first cache-miss candidate — a fully warm run never pays for
     // the build.
@@ -574,8 +574,7 @@ fn clamped_label(what: &str, requested: u32, effective: u32, unit: &str) -> Stri
 }
 
 /// What-if variation: `num_disks` disks. Returns the variation label and
-/// the re-run report; shared by [`crate::Warlock::what_if_disks`] and
-/// [`crate::TuningSession::with_disks`].
+/// the re-run report, for [`crate::Warlock::what_if_disks`].
 pub(crate) fn vary_disks(
     schema: &StarSchema,
     system: &SystemConfig,

@@ -223,7 +223,7 @@ unsafe impl<U: Send> Sync for Slot<U> {}
 
 /// A persistent, multi-submitter evaluation pool. See the [module
 /// docs](self). Owned by the shared state of a [`crate::Warlock`]
-/// session (all clones reuse it) and by each [`crate::TuningSession`].
+/// session (all clones reuse it).
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     threads: Mutex<Vec<JoinHandle<()>>>,

@@ -72,7 +72,7 @@
 //! this crate contributes the session facade ([`Warlock`]), the advisor
 //! pipeline, the twofold ranking ([`ranking`]), the Fig.-2-style
 //! analyses ([`analysis`]), the physical allocation plan
-//! ([`allocation_plan`]), what-if tuning ([`tuning`]), the service
+//! ([`allocation_plan`]), what-if deltas ([`tuning`]), the service
 //! layer ([`service`]) and report rendering/serialization ([`report`],
 //! [`serial`]).
 
@@ -114,7 +114,7 @@ pub use registry::{Registry, Warehouse, WarehouseStats};
 pub use serial::SessionReport;
 pub use service::{Service, ServiceReply, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 pub use session::{Snapshot, Warlock, WarlockBuilder};
-pub use tuning::{TuningDelta, TuningSession};
+pub use tuning::TuningDelta;
 pub use warlock_cost::{KernelBackend, KernelChoice};
 pub use warlock_workload::{ClassObservation, DriftState};
 

@@ -10,7 +10,7 @@ pub use crate::registry::{Registry, Warehouse, WarehouseStats};
 pub use crate::serial::SessionReport;
 pub use crate::service::Service;
 pub use crate::session::{Snapshot, Warlock, WarlockBuilder};
-pub use crate::tuning::{TuningDelta, TuningSession};
+pub use crate::tuning::TuningDelta;
 pub use crate::{AdvisorReport, AllocationPlan, FragmentationAnalysis, RankedCandidate};
 
 pub use warlock_fragment::Fragmentation;

@@ -49,7 +49,7 @@
 use std::sync::{Arc, OnceLock};
 
 use warlock_bitmap::BitmapScheme;
-use warlock_cost::{CandidateCost, KernelChoice};
+use warlock_cost::CandidateCost;
 use warlock_fragment::Fragmentation;
 use warlock_schema::StarSchema;
 use warlock_skew::SkewModel;
@@ -201,7 +201,6 @@ pub struct WarlockBuilder {
     parallelism: Option<usize>,
     max_candidates: Option<u64>,
     chunk_size: Option<usize>,
-    kernel: Option<KernelChoice>,
     allocation_policy: Option<warlock_alloc::AllocationPolicy>,
 }
 
@@ -257,16 +256,6 @@ impl WarlockBuilder {
         self
     }
 
-    /// Sets the costing kernel backend ([`KernelChoice::Auto`] resolves
-    /// via the `WARLOCK_KERNEL` environment variable and then CPU
-    /// feature detection). Every choice yields bit-identical reports.
-    /// Takes precedence over [`AdvisorConfig::kernel`] regardless of
-    /// the order it is combined with [`config`](Self::config).
-    pub fn kernel(mut self, choice: KernelChoice) -> Self {
-        self.kernel = Some(choice);
-        self
-    }
-
     /// Sets the fragment placement policy (e.g.
     /// [`AllocationPolicy::GraphPartition`] for the co-access graph
     /// partitioner). Takes precedence over
@@ -305,9 +294,6 @@ impl WarlockBuilder {
         }
         if let Some(chunk) = self.chunk_size {
             config.chunk_size = chunk;
-        }
-        if let Some(choice) = self.kernel {
-            config.kernel = choice;
         }
         if let Some(policy) = self.allocation_policy {
             config.allocation_policy = policy;

@@ -5,23 +5,11 @@
 //! can be interactively adapted to examine the performance variations they
 //! imply." (§3.3)
 //!
-//! A [`TuningSession`] owns copies of the advisor inputs so each variation
-//! can be applied and re-evaluated without touching the originals, and
-//! reports the deltas against the baseline run. Clones share the
-//! evaluation memo and worker pool, like [`crate::Warlock`] clones.
-
-use std::sync::Arc;
-
-use warlock_bitmap::BitmapScheme;
-use warlock_schema::{DimensionId, StarSchema};
-use warlock_storage::SystemConfig;
-use warlock_workload::QueryMix;
+//! The variations run as [`crate::Warlock`]'s `what_if_*` methods; each
+//! returns its report together with the [`TuningDelta`] against the
+//! session's baseline ranking.
 
 use crate::advisor::AdvisorReport;
-use crate::config::AdvisorConfig;
-use crate::engine;
-use crate::error::WarlockError;
-use crate::session::Shared;
 
 /// Summary of one what-if variation against the baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,161 +47,36 @@ impl TuningDelta {
     }
 }
 
-/// An interactive tuning session over owned copies of the inputs.
-///
-/// [`crate::Warlock`] exposes the same variations as `what_if_*`
-/// methods; this standalone type remains for callers that want a
-/// dedicated tuning handle with a pinned baseline.
-#[derive(Debug, Clone)]
-pub struct TuningSession {
-    schema: StarSchema,
-    system: SystemConfig,
-    mix: QueryMix,
-    config: AdvisorConfig,
-    scheme: BitmapScheme,
-    baseline: AdvisorReport,
-    /// Memoized candidate evaluations across variations plus the
-    /// persistent worker pool (same semantics as on [`crate::Warlock`];
-    /// clones share both).
-    shared: Arc<Shared>,
-}
-
-impl TuningSession {
-    /// Starts a session: runs the baseline advisor once.
-    pub fn new(
-        schema: StarSchema,
-        system: SystemConfig,
-        mix: QueryMix,
-        config: AdvisorConfig,
-    ) -> Result<Self, WarlockError> {
-        let (scheme, _skew) = engine::validate(&schema, &system, &mix, &config)?;
-        let shared = Arc::new(Shared::default());
-        let baseline = engine::run(&schema, &system, &mix, &config, &scheme, shared.env())?;
-        Ok(Self {
-            schema,
-            system,
-            mix,
-            config,
-            scheme,
-            baseline,
-            shared,
-        })
-    }
-
-    /// The baseline report.
-    #[inline]
-    pub fn baseline(&self) -> &AdvisorReport {
-        &self.baseline
-    }
-
-    fn with_delta(
-        &self,
-        (variation, report): (String, AdvisorReport),
-    ) -> (AdvisorReport, TuningDelta) {
-        let delta = TuningDelta::between(variation, &self.baseline, &report);
-        (report, delta)
-    }
-
-    /// What if the system had `num_disks` disks?
-    pub fn with_disks(&self, num_disks: u32) -> Result<(AdvisorReport, TuningDelta), WarlockError> {
-        Ok(self.with_delta(engine::vary_disks(
-            &self.schema,
-            &self.system,
-            &self.mix,
-            &self.config,
-            &self.scheme,
-            num_disks,
-            self.shared.env(),
-        )?))
-    }
-
-    /// What if prefetching were fixed at `pages` for both fact tables and
-    /// bitmaps?
-    pub fn with_fixed_prefetch(
-        &self,
-        pages: u32,
-    ) -> Result<(AdvisorReport, TuningDelta), WarlockError> {
-        Ok(self.with_delta(engine::vary_fixed_prefetch(
-            &self.schema,
-            &self.system,
-            &self.mix,
-            &self.config,
-            &self.scheme,
-            pages,
-            self.shared.env(),
-        )?))
-    }
-
-    /// What if the bitmap indexes of `dimension` were dropped (space
-    /// limiting)?
-    pub fn without_bitmap_dimension(
-        &self,
-        dimension: DimensionId,
-    ) -> Result<(AdvisorReport, TuningDelta), WarlockError> {
-        Ok(self.with_delta(engine::vary_without_bitmap_dimension(
-            &self.schema,
-            &self.system,
-            &self.mix,
-            &self.config,
-            &self.scheme,
-            dimension,
-            self.shared.env(),
-        )?))
-    }
-
-    /// What if query class `name` vanished from the workload?
-    ///
-    /// # Errors
-    ///
-    /// [`WarlockError::UnknownClass`] when the name is unknown or
-    /// removing the class would empty the mix.
-    pub fn without_class(&self, name: &str) -> Result<(AdvisorReport, TuningDelta), WarlockError> {
-        Ok(self.with_delta(engine::vary_without_class(
-            &self.schema,
-            &self.system,
-            &self.mix,
-            &self.config,
-            name,
-            self.shared.env(),
-        )?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use warlock_schema::{apb1_like_schema, Apb1Config};
-    use warlock_workload::apb1_like_mix;
+    use crate::prelude::*;
+    use warlock_schema::DimensionId;
 
-    fn session() -> TuningSession {
-        TuningSession::new(
-            apb1_like_schema(Apb1Config::default()).unwrap(),
-            SystemConfig::default_2001(16),
-            apb1_like_mix().unwrap(),
-            AdvisorConfig::default(),
-        )
-        .unwrap()
+    fn session() -> Warlock {
+        Warlock::builder()
+            .schema(apb1_like_schema(Apb1Config::default()).unwrap())
+            .system(SystemConfig::default_2001(16))
+            .mix(apb1_like_mix().unwrap())
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn more_disks_cut_response() {
-        let s = session();
-        let (_, delta) = s.with_disks(64).unwrap();
+        let (_, delta) = session().what_if_disks(64).unwrap();
         assert!(delta.variation_response_ms < delta.baseline_response_ms);
         assert!(delta.variation.contains("64"));
     }
 
     #[test]
     fn fewer_disks_hurt() {
-        let s = session();
-        let (_, delta) = s.with_disks(2).unwrap();
+        let (_, delta) = session().what_if_disks(2).unwrap();
         assert!(delta.variation_response_ms > delta.baseline_response_ms);
     }
 
     #[test]
     fn tiny_fixed_prefetch_hurts() {
-        let s = session();
-        let (_, delta) = s.with_fixed_prefetch(1).unwrap();
+        let (_, delta) = session().what_if_fixed_prefetch(1).unwrap();
         assert!(
             delta.variation_response_ms > delta.baseline_response_ms,
             "1-page granule {} should be worse than auto {}",
@@ -225,55 +88,48 @@ mod tests {
     #[test]
     fn dropping_bitmaps_never_helps() {
         let s = session();
-        let (_, delta) = s.without_bitmap_dimension(DimensionId(0)).unwrap();
+        let (_, delta) = s.what_if_without_bitmap_dimension(DimensionId(0)).unwrap();
         assert!(delta.variation_response_ms >= delta.baseline_response_ms * 0.999);
     }
 
     #[test]
     fn removing_a_class_reweights() {
         let s = session();
-        let (report, delta) = s.without_class("q01_month_store_code").unwrap();
+        let (report, delta) = s.what_if_without_class("q01_month_store_code").unwrap();
         assert!(!report.ranked.is_empty());
         assert!(delta.variation.contains("q01"));
         assert!(matches!(
-            s.without_class("nonexistent"),
+            s.what_if_without_class("nonexistent"),
             Err(WarlockError::UnknownClass { .. })
         ));
     }
 
     #[test]
     fn zero_disks_label_reports_the_effective_value() {
-        // `0` disks is clamped to 1 — the label used to claim "disks = 0"
-        // while the run actually modeled one disk.
+        // `0` disks is clamped to 1: the label must name the modeled
+        // value and expose the clamp.
         let s = session();
-        let (_, delta) = s.with_disks(0).unwrap();
+        let (zero_disk, delta) = s.what_if_disks(0).unwrap();
         assert!(
-            delta.variation.contains("disks = 1"),
-            "label `{}` must report the effective disk count",
+            delta.variation.contains("disks = 1") && delta.variation.contains("requested 0"),
+            "label `{}` hides the clamp",
             delta.variation
         );
-        assert!(
-            delta.variation.contains("requested 0"),
-            "label `{}` must expose the clamp",
-            delta.variation
-        );
-        // The clamped run is exactly the 1-disk run.
-        let (one_disk, _) = s.with_disks(1).unwrap();
-        let (zero_disk, _) = s.with_disks(0).unwrap();
+        let (one_disk, _) = s.what_if_disks(1).unwrap();
         assert_eq!(zero_disk, one_disk);
     }
 
     #[test]
     fn zero_prefetch_label_reports_the_effective_value() {
         let s = session();
-        let (report_zero, delta) = s.with_fixed_prefetch(0).unwrap();
+        let (report_zero, delta) = s.what_if_fixed_prefetch(0).unwrap();
         assert!(
             delta.variation.contains("prefetch = 1 pages")
                 && delta.variation.contains("requested 0"),
             "label `{}` hides the clamp",
             delta.variation
         );
-        let (report_one, one) = s.with_fixed_prefetch(1).unwrap();
+        let (report_one, one) = s.what_if_fixed_prefetch(1).unwrap();
         assert!(
             one.variation.contains("prefetch = 1 pages") && !one.variation.contains("requested")
         );
@@ -282,25 +138,20 @@ mod tests {
 
     #[test]
     fn baseline_is_stable() {
-        let s = session();
-        assert!(s.baseline().top().is_some());
-        let (_, delta) = s.with_disks(16).unwrap();
-        // Same system → same recommendation.
+        // Same system → same recommendation and response.
+        let (_, delta) = session().what_if_disks(16).unwrap();
         assert!(!delta.recommendation_changed);
-        assert!((delta.variation_response_ms - delta.baseline_response_ms).abs() < 1e-9);
+        assert_eq!(delta.variation_response_ms, delta.baseline_response_ms);
     }
 
     #[test]
     fn clones_share_the_warm_cache() {
         let s1 = session();
-        let (r1, _) = s1.with_disks(64).unwrap();
-        let misses = {
-            let stats = s1.shared.cache.stats();
-            stats.misses
-        };
+        let (r1, _) = s1.what_if_disks(64).unwrap();
+        let misses = s1.cache_stats().misses;
         let s2 = s1.clone();
-        let (r2, _) = s2.with_disks(64).unwrap();
+        let (r2, _) = s2.what_if_disks(64).unwrap();
         assert_eq!(r1, r2);
-        assert_eq!(s2.shared.cache.stats().misses, misses);
+        assert_eq!(s2.cache_stats().misses, misses);
     }
 }

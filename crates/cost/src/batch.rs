@@ -6,15 +6,16 @@
 //! [`CostTables`] in three phases per query class: an irregular matching
 //! pass that resolves predicates through the precomputed tables, a Yao
 //! stage that resolves page-hit curves through two memos (gathering the
-//! misses for one lane-batched kernel call), and a straight-line
-//! arithmetic pass over the `f64` columns, dispatched to a
-//! [`CostKernel`] backend (scalar reference, portable lane arrays, or
-//! runtime-detected AVX2 — see [`crate::kernel`]). The expression
-//! sequence per (candidate, class) is exactly the scalar
+//! misses for one lane-batched [`yao_pass`] call), and a straight-line
+//! arithmetic pass over the `f64` columns, run by a [`KernelBackend`]
+//! (the scalar reference, or AVX2 where the CPU has it — see
+//! [`crate::kernel`]). The expression sequence per (candidate, class)
+//! is exactly the scalar
 //! [`estimate_query`](crate::access::estimate_query) path, so batched
-//! results are bit-identical to [`CostModel::evaluate_layout`]
-//! (crate::CostModel::evaluate_layout) on every backend — pinned by the
-//! `batched_equivalence` proptest in `xtests`.
+//! results are bit-identical to
+//! [`CostModel::evaluate_layout`](crate::CostModel::evaluate_layout) on
+//! both backends — pinned by the `batched_equivalence` proptest in
+//! `xtests`.
 //!
 //! Compared to the scalar path, a chunk of N candidates × C classes
 //! performs the class-independent geometry (Yao/Cardenas inputs, prefetch
@@ -45,9 +46,7 @@ use warlock_fragment::{FragmentLayout, Fragmentation, LayoutScratch};
 use warlock_schema::DimensionId;
 
 use crate::access::{AccessPath, QueryCost};
-use crate::kernel::{
-    AlignedF64Col, CostKernel, CostPassInput, CostPassOutput, KernelBackend, KernelChoice, LANES,
-};
+use crate::kernel::{yao_pass, AlignedF64Col, CostPassInput, CostPassOutput, KernelBackend, LANES};
 use crate::model::{CandidateCost, ClassCost};
 use crate::prefetch::effective_prefetch;
 use crate::tables::{BitmapContrib, CostTables};
@@ -245,26 +244,19 @@ pub fn evaluate_chunk(tables: &CostTables, batch: &mut ChunkBatch) -> Vec<Candid
 }
 
 /// [`evaluate_chunk`] with an explicit per-class detail level; see
-/// [`PerQueryDetail`]. Uses the automatically resolved kernel backend
-/// ([`KernelChoice::Auto`]: the `WARLOCK_KERNEL` environment variable,
-/// then CPU detection); hot paths that run many chunks resolve the
-/// backend once and call [`evaluate_chunk_kernel`] instead.
+/// [`PerQueryDetail`]. Uses the backend this CPU supports
+/// ([`KernelBackend::detect`]); hot paths that run many chunks detect
+/// it once and call [`evaluate_chunk_kernel`] instead.
 pub fn evaluate_chunk_with(
     tables: &CostTables,
     batch: &mut ChunkBatch,
     detail: PerQueryDetail,
 ) -> Vec<CandidateCost> {
-    evaluate_chunk_kernel(
-        tables,
-        batch,
-        detail,
-        KernelBackend::resolve(KernelChoice::Auto),
-    )
+    evaluate_chunk_kernel(tables, batch, detail, KernelBackend::detect())
 }
 
-/// [`evaluate_chunk_with`] on an explicitly resolved kernel backend.
-/// Every backend produces bit-identical results; the choice only trades
-/// instruction throughput (see [`crate::kernel`]).
+/// [`evaluate_chunk_with`] on an explicit kernel backend. Both backends
+/// produce bit-identical results (see [`crate::kernel`]).
 pub fn evaluate_chunk_kernel(
     tables: &CostTables,
     batch: &mut ChunkBatch,
@@ -308,7 +300,6 @@ fn evaluate_chunk_impl(
         batch.clear();
         return Vec::new();
     }
-    let kernel: &dyn CostKernel = backend.kernel();
     let n_padded = n.next_multiple_of(LANES);
 
     // --- Stage A: class-independent geometry, once per candidate -------
@@ -508,7 +499,7 @@ fn evaluate_chunk_impl(
             batch.miss_k.resize(m_padded, 0.0);
             batch.miss_hits.clear();
             batch.miss_hits.resize(m_padded, 0.0);
-            kernel.yao_pass(
+            yao_pass(
                 &batch.miss_rows,
                 &batch.miss_pages,
                 &batch.miss_k,
@@ -564,7 +555,7 @@ fn evaluate_chunk_impl(
             acc_ios: &mut batch.acc_ios,
             acc_pages: &mut batch.acc_pages,
         };
-        kernel.cost_pass(&inp, &mut out);
+        backend.cost_pass(&inp, &mut out);
 
         // Gather the unweighted per-class rows before the next class
         // overwrites the output columns. `pages` performs the same
@@ -708,11 +699,7 @@ mod tests {
             .iter()
             .map(|frag| model.evaluate(frag))
             .collect();
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Lanes,
-            KernelBackend::detect(),
-        ] {
+        for backend in [KernelBackend::Scalar, KernelBackend::detect()] {
             let mut scratch = LayoutScratch::new();
             let mut batch = ChunkBatch::new();
             for frag in candidates() {
@@ -737,11 +724,7 @@ mod tests {
         let f = fixture();
         let model = CostModel::new(&f.schema, &f.system, &f.scheme, &f.mix);
         let tables = model.tables();
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Lanes,
-            KernelBackend::detect(),
-        ] {
+        for backend in [KernelBackend::Scalar, KernelBackend::detect()] {
             let mut scratch = LayoutScratch::new();
             let mut batch = ChunkBatch::new();
             // Deliberately ragged sizes (1, 2, 3, 5, 6) so every pad
@@ -869,11 +852,7 @@ mod tests {
             CostModel::new(&f.schema, &f.system, &f.scheme, &reweighted).fingerprint()
         );
 
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Lanes,
-            KernelBackend::detect(),
-        ] {
+        for backend in [KernelBackend::Scalar, KernelBackend::detect()] {
             let mut scratch = LayoutScratch::new();
             let mut batch = ChunkBatch::new();
             for frag in candidates() {

@@ -1,4 +1,4 @@
-//! Lane-structured costing kernels with runtime-dispatched backends.
+//! Lane-structured costing kernels, one backend per CPU.
 //!
 //! The batched evaluator ([`evaluate_chunk_with`](crate::batch::evaluate_chunk_with))
 //! prices a chunk in two phases per query class: an irregular matching
@@ -8,55 +8,39 @@
 //! **elementwise** (no cross-lane reduction ever happens in a different
 //! order than the scalar path), so results are bit-identical at any lane
 //! width *by construction* — plus the lane-batched Yao/Cardenas page-hit
-//! evaluation that feeds it.
+//! evaluation ([`yao_pass`]) that feeds it.
 //!
-//! Three interchangeable backends implement the [`CostKernel`] trait:
+//! Two [`KernelBackend`]s run the arithmetic pass, chosen by the CPU
+//! alone ([`KernelBackend::detect`]):
 //!
 //! * **scalar** — the reference implementation: the exact per-candidate
 //!   expression sequence of the scalar
 //!   [`estimate_query`](crate::access::estimate_query) path, branches
-//!   and all.
-//! * **lanes** — branch-free select form over `[f64; LANES]` blocks,
-//!   written so the autovectorizer can keep whole blocks in vector
-//!   registers on any architecture.
-//! * **avx2** — explicit `std::arch` AVX2 intrinsics (x86_64 only),
-//!   selected at runtime via `is_x86_feature_detected!`. Uses separate
+//!   and all. Runs everywhere and is the test oracle.
+//! * **avx2** — explicit `std::arch` AVX2 intrinsics (x86_64 only), used
+//!   when `is_x86_feature_detected!("avx2")` holds. Uses separate
 //!   multiply and add everywhere (never FMA — fusing changes rounding),
 //!   ordered comparisons plus blends for the select form, and
-//!   `vroundpd` only for `ceil` (exact). On non-AVX2 hardware the
-//!   request falls back cleanly to **lanes**.
+//!   `vroundpd` only for `ceil` (exact).
 //!
-//! Backend choice threads through [`AdvisorConfig`] / config files / the
-//! CLI as [`KernelChoice`]; `Auto` consults the [`KERNEL_ENV`]
-//! environment variable (`WARLOCK_KERNEL=scalar|lanes|avx2`) and then
-//! detects the best available backend. Equivalence across all backends
-//! is pinned bit-for-bit by the `batched_equivalence` proptests in
-//! `xtests`.
+//! Both backends share the one Yao pass. Equivalence is pinned
+//! bit-for-bit by the unit tests here and the `batched_equivalence`
+//! proptests in `xtests`.
 //!
 //! # Why elementwise blending is bit-safe here
 //!
-//! The kernels replace `f64::min`/`f64::max` and branches with compare +
-//! select. That is only bit-identical when no NaN and no `-0.0` can
-//! reach a tie: every input column is a product/sum of non-negative
-//! finite quantities (page counts, milliseconds, selectivities in
-//! `[0, 1]`), `disks`/`processors` are clamped `>= 1`, and padded tail
-//! lanes hold inert zeros — so the domain contains neither, and
-//! `vminpd`-style "return b on tie" semantics coincide with
+//! The AVX2 kernel replaces `f64::min`/`f64::max` and branches with
+//! compare + select. That is only bit-identical when no NaN and no
+//! `-0.0` can reach a tie: every input column is a product/sum of
+//! non-negative finite quantities (page counts, milliseconds,
+//! selectivities in `[0, 1]`), `disks`/`processors` are clamped `>= 1`,
+//! and padded tail lanes hold inert zeros — so the domain contains
+//! neither, and `vminpd`-style "return b on tie" semantics coincide with
 //! `f64::min`/`max` exactly.
-//!
-//! [`AdvisorConfig`]: https://docs.rs/warlock/latest/warlock/struct.AdvisorConfig.html
-
-use crate::yao::yao_page_hits;
 
 /// Fixed lane width of the blocked kernels. Columns are padded to a
 /// multiple of this; AVX2 operates on exactly one block per vector.
 pub const LANES: usize = 4;
-
-/// Environment variable overriding the automatic kernel backend choice
-/// (only consulted when the configured [`KernelChoice`] is `Auto`).
-/// CI uses it to pin a forced-`scalar` lane without editing
-/// configurations, mirroring `WARLOCK_CHUNK_SIZE`.
-pub const KERNEL_ENV: &str = "WARLOCK_KERNEL";
 
 // ---------------------------------------------------------------------
 // Aligned column storage
@@ -158,34 +142,22 @@ impl std::ops::DerefMut for AlignedF64Col {
 // Backend choice and resolution
 // ---------------------------------------------------------------------
 
-/// The configuration-facing kernel knob: which costing backend the
-/// evaluator should use. Spelled `auto | scalar | lanes | avx2` in
-/// config files and on the CLI. Every choice produces bit-identical
-/// reports; the knob only trades instruction throughput.
+/// The legacy `kernel =` config-file key, kept so existing files parse.
+///
+/// The backend is chosen by the CPU alone, so the only value is `Auto`.
+/// Parsing still accepts the former spellings `auto | scalar | lanes |
+/// avx2` (all mapping to `Auto`) and rejects anything else.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelChoice {
-    /// Resolve via the [`KERNEL_ENV`] environment variable if set,
-    /// otherwise detect the best backend for this CPU.
+    /// Use [`KernelBackend::detect`].
     #[default]
     Auto,
-    /// The scalar reference path.
-    Scalar,
-    /// The autovectorizer-friendly lane-array path.
-    Lanes,
-    /// The explicit AVX2 path; falls back to `lanes` off x86_64 or when
-    /// the CPU lacks AVX2.
-    Avx2,
 }
 
 impl KernelChoice {
     /// The config-file spelling.
     pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Auto => "auto",
-            Self::Scalar => "scalar",
-            Self::Lanes => "lanes",
-            Self::Avx2 => "avx2",
-        }
+        "auto"
     }
 }
 
@@ -199,10 +171,7 @@ impl std::str::FromStr for KernelChoice {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, String> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(Self::Auto),
-            "scalar" => Ok(Self::Scalar),
-            "lanes" => Ok(Self::Lanes),
-            "avx2" => Ok(Self::Avx2),
+            "auto" | "scalar" | "lanes" | "avx2" => Ok(Self::Auto),
             other => Err(format!(
                 "unknown kernel `{other}` (expected auto, scalar, lanes or avx2)"
             )),
@@ -210,91 +179,107 @@ impl std::str::FromStr for KernelChoice {
     }
 }
 
-/// A resolved, runnable backend — the outcome of feature detection and
-/// overrides applied to a [`KernelChoice`]. Resolve once per run and
-/// thread the copy through; resolution reads the environment.
+/// A runnable arithmetic-pass backend. Both produce bit-identical
+/// results; [`detect`](Self::detect) picks the fastest this CPU runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelBackend {
-    /// Scalar reference kernels.
+    /// Scalar reference kernel.
     Scalar,
-    /// Lane-array kernels (portable).
-    Lanes,
-    /// AVX2 intrinsic kernels (x86_64 with AVX2 only).
+    /// AVX2 intrinsic kernel. Runs the scalar kernel instead on a CPU
+    /// (or target) without AVX2.
     Avx2,
 }
 
 impl KernelBackend {
-    /// Resolves a configured choice to a runnable backend: an explicit
-    /// choice wins (with `avx2` degrading to `lanes` when unavailable);
-    /// `Auto` consults [`KERNEL_ENV`] and then detects.
-    pub fn resolve(choice: KernelChoice) -> Self {
-        match choice {
-            KernelChoice::Scalar => Self::Scalar,
-            KernelChoice::Lanes => Self::Lanes,
-            KernelChoice::Avx2 => Self::avx2_or_lanes(),
-            KernelChoice::Auto => Self::resolve_auto(),
-        }
-    }
-
-    fn resolve_auto() -> Self {
-        if let Ok(v) = std::env::var(KERNEL_ENV) {
-            if let Ok(choice) = v.parse::<KernelChoice>() {
-                if choice != KernelChoice::Auto {
-                    return Self::resolve(choice);
-                }
-            }
-        }
+    /// The backend for a configured choice: always [`detect`](Self::detect).
+    pub fn resolve(_choice: KernelChoice) -> Self {
         Self::detect()
     }
 
-    /// The best backend this CPU supports (ignoring the environment).
+    /// The best backend this CPU supports.
     pub fn detect() -> Self {
-        Self::avx2_or_lanes()
-    }
-
-    fn avx2_or_lanes() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx2") {
                 return Self::Avx2;
             }
         }
-        Self::Lanes
-    }
-
-    /// The kernel implementation for this backend.
-    pub fn kernel(self) -> &'static dyn CostKernel {
-        match self {
-            Self::Scalar => &ScalarKernel,
-            Self::Lanes => &LanesKernel,
-            #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => &Avx2Kernel,
-            // Unreachable through `resolve`, but a hand-built value must
-            // still run correctly off x86_64.
-            #[cfg(not(target_arch = "x86_64"))]
-            Self::Avx2 => &LanesKernel,
-        }
+        Self::Scalar
     }
 
     /// Stable lowercase name (for logs, benches, reports).
     pub fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
-            Self::Lanes => "lanes",
             Self::Avx2 => "avx2",
+        }
+    }
+
+    /// Runs the arithmetic pass for one query class over all (padded)
+    /// candidates.
+    ///
+    /// # Panics
+    ///
+    /// Unless every column of `inp` and `out` has one length, and that
+    /// length is a multiple of [`LANES`].
+    pub fn cost_pass(self, inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>) {
+        let n = inp.fragments.len();
+        let lens = [
+            inp.touched.len(),
+            inp.indexable.len(),
+            inp.scan_ms.len(),
+            inp.scan_ios.len(),
+            inp.fragment_pages.len(),
+            inp.vector_ms.len(),
+            inp.vector_ios.len(),
+            inp.vector_pages.len(),
+            inp.bitmap_vectors.len(),
+            out.out_use_scan.len(),
+            out.out_per_fragment_ms.len(),
+            out.out_busy_ms.len(),
+            out.out_response_ms.len(),
+            out.out_fact_pages.len(),
+            out.out_bitmap_pages.len(),
+            out.out_total_ios.len(),
+            out.acc_io_ms.len(),
+            out.acc_response_ms.len(),
+            out.acc_ios.len(),
+            out.acc_pages.len(),
+        ];
+        assert!(
+            n.is_multiple_of(LANES) && lens.iter().all(|&len| len == n),
+            "cost pass columns must share one length that is a multiple of {LANES}"
+        );
+        match self {
+            Self::Scalar => scalar_cost_pass(inp, out),
+            Self::Avx2 => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if is_x86_feature_detected!("avx2") {
+                        // SAFETY: the CPU supports AVX2 (checked just
+                        // above), and every column holds `n` elements
+                        // with `n` a multiple of `LANES` (asserted
+                        // above), so each 4-lane load and store is in
+                        // bounds.
+                        unsafe { avx2_cost_pass(inp, out) };
+                        return;
+                    }
+                }
+                scalar_cost_pass(inp, out);
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Kernel interface
+// Pass columns
 // ---------------------------------------------------------------------
 
 /// Input columns and hoisted per-class scalars of one arithmetic pass.
 ///
-/// All slices have the same padded length (a multiple of [`LANES`] for
-/// the blocked backends); padded tail lanes hold inert zeros that
-/// produce finite, ignored outputs. The scalar fields are pre-clamped
+/// All slices have the same padded length, a multiple of [`LANES`];
+/// padded tail lanes hold inert zeros that produce finite, ignored
+/// outputs. The scalar fields are pre-clamped
 /// exactly as the scalar path clamps them
 /// (`disks = max(num_disks, 1)`, `processors = max(processors, 1)`,
 /// `overhead = max(overhead, 1.0)`), so hoisting changes no bits.
@@ -365,226 +350,80 @@ pub struct CostPassOutput<'a> {
     pub acc_pages: &'a mut [f64],
 }
 
-/// One costing backend: the straight-line arithmetic pass over the SoA
-/// columns plus the lane-batched Yao page-hit evaluation. All
-/// implementations are bit-identical on the evaluator's input domain;
-/// see the module docs for the argument.
-pub trait CostKernel: Sync {
-    /// Stable lowercase backend name.
-    fn name(&self) -> &'static str;
-
-    /// Runs the arithmetic pass for one query class over all (padded)
-    /// candidates. Every column of `inp` and `out` must share one
-    /// length; blocked backends additionally require it to be a
-    /// multiple of [`LANES`].
-    fn cost_pass(&self, inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>);
-
-    /// Evaluates `hits[j] = yao_page_hits(rows[j], pages[j], k[j])` for
-    /// a gathered block of memo misses. Elementwise per lane — entries
-    /// are independent, so any evaluation order is bit-identical.
-    /// Padded tail entries use `rows = 0` (inert: yields `0.0`).
-    fn yao_pass(&self, rows: &[u64], pages: &[u64], k: &[f64], hits: &mut [f64]) {
-        yao_pass_lanes(rows, pages, k, hits);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Scalar backend (reference)
 // ---------------------------------------------------------------------
 
-/// The reference backend: the exact expression sequence (branches and
-/// all) of the scalar `estimate_query` path, one candidate at a time.
-struct ScalarKernel;
-
-impl CostKernel for ScalarKernel {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn cost_pass(&self, inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>) {
-        let n = inp.fragments.len();
-        for i in 0..n {
-            let fragments = inp.fragments[i];
-            let touched = inp.touched[i];
-            let indexable = inp.indexable[i] != 0.0;
-            let fetch_ms = touched * inp.random_page_ms;
-            let bitmap_ms = inp.bitmap_vectors[i] * inp.vector_ms[i] + fetch_ms;
-            let use_scan = !indexable || inp.scan_ms[i] <= bitmap_ms;
-            let (per_fragment_ms, ios_pf, fact_pages_pf, bitmap_pages_pf) = if use_scan {
-                (inp.scan_ms[i], inp.scan_ios[i], inp.fragment_pages[i], 0.0)
-            } else {
-                let bitmap_ios = inp.bitmap_vectors[i] * inp.vector_ios[i] + touched;
-                let bitmap_pages_pf = inp.bitmap_vectors[i] * inp.vector_pages[i];
-                (bitmap_ms, bitmap_ios, touched, bitmap_pages_pf)
-            };
-            let busy_ms = fragments * per_fragment_ms;
-            let response_ms = if fragments <= 0.0 || per_fragment_ms <= 0.0 {
-                0.0
-            } else {
-                let disks_hit = fragments.min(inp.disks).max(1.0);
-                let waves = (fragments / disks_hit).ceil().min(fragments);
-                let rt_io = waves * per_fragment_ms;
-                let total_busy = fragments * per_fragment_ms;
-                let rt_proc = total_busy / inp.processors;
-                rt_io.max(rt_proc) * inp.overhead
-            };
-            let fact_pages = fragments * fact_pages_pf;
-            let bitmap_pages = fragments * bitmap_pages_pf;
-            let total_ios = fragments * ios_pf;
-            out.out_use_scan[i] = if use_scan { 1.0 } else { 0.0 };
-            out.out_per_fragment_ms[i] = per_fragment_ms;
-            out.out_busy_ms[i] = busy_ms;
-            out.out_response_ms[i] = response_ms;
-            out.out_fact_pages[i] = fact_pages;
-            out.out_bitmap_pages[i] = bitmap_pages;
-            out.out_total_ios[i] = total_ios;
-            out.acc_io_ms[i] += inp.share * busy_ms;
-            out.acc_response_ms[i] += inp.share * response_ms;
-            out.acc_ios[i] += inp.share * total_ios;
-            out.acc_pages[i] += inp.share * (fact_pages + bitmap_pages);
-        }
-    }
-
-    fn yao_pass(&self, rows: &[u64], pages: &[u64], k: &[f64], hits: &mut [f64]) {
-        for j in 0..rows.len() {
-            hits[j] = yao_page_hits(rows[j], pages[j], k[j]);
-        }
+/// The reference arithmetic pass: the exact expression sequence (branches
+/// and all) of the scalar `estimate_query` path, one candidate at a time.
+fn scalar_cost_pass(inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>) {
+    let n = inp.fragments.len();
+    for i in 0..n {
+        let fragments = inp.fragments[i];
+        let touched = inp.touched[i];
+        let indexable = inp.indexable[i] != 0.0;
+        let fetch_ms = touched * inp.random_page_ms;
+        let bitmap_ms = inp.bitmap_vectors[i] * inp.vector_ms[i] + fetch_ms;
+        let use_scan = !indexable || inp.scan_ms[i] <= bitmap_ms;
+        let (per_fragment_ms, ios_pf, fact_pages_pf, bitmap_pages_pf) = if use_scan {
+            (inp.scan_ms[i], inp.scan_ios[i], inp.fragment_pages[i], 0.0)
+        } else {
+            let bitmap_ios = inp.bitmap_vectors[i] * inp.vector_ios[i] + touched;
+            let bitmap_pages_pf = inp.bitmap_vectors[i] * inp.vector_pages[i];
+            (bitmap_ms, bitmap_ios, touched, bitmap_pages_pf)
+        };
+        let busy_ms = fragments * per_fragment_ms;
+        let response_ms = if fragments <= 0.0 || per_fragment_ms <= 0.0 {
+            0.0
+        } else {
+            let disks_hit = fragments.min(inp.disks).max(1.0);
+            let waves = (fragments / disks_hit).ceil().min(fragments);
+            let rt_io = waves * per_fragment_ms;
+            let total_busy = fragments * per_fragment_ms;
+            let rt_proc = total_busy / inp.processors;
+            rt_io.max(rt_proc) * inp.overhead
+        };
+        let fact_pages = fragments * fact_pages_pf;
+        let bitmap_pages = fragments * bitmap_pages_pf;
+        let total_ios = fragments * ios_pf;
+        out.out_use_scan[i] = if use_scan { 1.0 } else { 0.0 };
+        out.out_per_fragment_ms[i] = per_fragment_ms;
+        out.out_busy_ms[i] = busy_ms;
+        out.out_response_ms[i] = response_ms;
+        out.out_fact_pages[i] = fact_pages;
+        out.out_bitmap_pages[i] = bitmap_pages;
+        out.out_total_ios[i] = total_ios;
+        out.acc_io_ms[i] += inp.share * busy_ms;
+        out.acc_response_ms[i] += inp.share * response_ms;
+        out.acc_ios[i] += inp.share * total_ios;
+        out.acc_pages[i] += inp.share * (fact_pages + bitmap_pages);
     }
 }
 
 // ---------------------------------------------------------------------
-// Lane-array backend (portable, autovectorizer-friendly)
+// Yao pass (shared by both backends)
 // ---------------------------------------------------------------------
 
-/// Select-form `min`: identical to `f64::min` for non-NaN inputs
-/// without a negative-zero tie — the kernels' whole domain.
-#[inline(always)]
-fn sel_min(a: f64, b: f64) -> f64 {
-    if a < b {
-        a
-    } else {
-        b
-    }
-}
-
-/// Select-form `max`; same domain argument as [`sel_min`].
-#[inline(always)]
-fn sel_max(a: f64, b: f64) -> f64 {
-    if a > b {
-        a
-    } else {
-        b
-    }
-}
-
-/// Branch-free lane-array backend: processes `[f64; LANES]` blocks with
-/// purely elementwise compare + select, the shape LLVM turns into
-/// `vcmppd`/`vblendvpd` sequences on its own.
-struct LanesKernel;
-
-impl CostKernel for LanesKernel {
-    fn name(&self) -> &'static str {
-        "lanes"
-    }
-
-    fn cost_pass(&self, inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>) {
-        let n = inp.fragments.len();
-        debug_assert_eq!(n % LANES, 0, "blocked kernels require padded columns");
-        let mut base = 0;
-        while base < n {
-            let mut frag = [0.0f64; LANES];
-            let mut touched = [0.0f64; LANES];
-            let mut scan_ms = [0.0f64; LANES];
-            let mut scan_ios = [0.0f64; LANES];
-            let mut fpages = [0.0f64; LANES];
-            let mut vms = [0.0f64; LANES];
-            let mut vios = [0.0f64; LANES];
-            let mut vpages = [0.0f64; LANES];
-            let mut bv = [0.0f64; LANES];
-            let mut idx = [0.0f64; LANES];
-            let block = base..base + LANES;
-            frag.copy_from_slice(&inp.fragments[block.clone()]);
-            touched.copy_from_slice(&inp.touched[block.clone()]);
-            scan_ms.copy_from_slice(&inp.scan_ms[block.clone()]);
-            scan_ios.copy_from_slice(&inp.scan_ios[block.clone()]);
-            fpages.copy_from_slice(&inp.fragment_pages[block.clone()]);
-            vms.copy_from_slice(&inp.vector_ms[block.clone()]);
-            vios.copy_from_slice(&inp.vector_ios[block.clone()]);
-            vpages.copy_from_slice(&inp.vector_pages[block.clone()]);
-            bv.copy_from_slice(&inp.bitmap_vectors[block.clone()]);
-            idx.copy_from_slice(&inp.indexable[block]);
-            let mut bitmap_ms = [0.0f64; LANES];
-            let mut use_scan = [false; LANES];
-            for l in 0..LANES {
-                // Separate mul + add on purpose: fusing would change
-                // rounding vs the scalar reference.
-                bitmap_ms[l] = bv[l] * vms[l] + touched[l] * inp.random_page_ms;
-                use_scan[l] = idx[l] == 0.0 || scan_ms[l] <= bitmap_ms[l];
-            }
-            let mut pf = [0.0f64; LANES];
-            let mut ios_pf = [0.0f64; LANES];
-            let mut fact_pf = [0.0f64; LANES];
-            let mut bpages_pf = [0.0f64; LANES];
-            for l in 0..LANES {
-                pf[l] = if use_scan[l] {
-                    scan_ms[l]
-                } else {
-                    bitmap_ms[l]
-                };
-                ios_pf[l] = if use_scan[l] {
-                    scan_ios[l]
-                } else {
-                    bv[l] * vios[l] + touched[l]
-                };
-                fact_pf[l] = if use_scan[l] { fpages[l] } else { touched[l] };
-                bpages_pf[l] = if use_scan[l] { 0.0 } else { bv[l] * vpages[l] };
-            }
-            let mut busy = [0.0f64; LANES];
-            let mut resp = [0.0f64; LANES];
-            for l in 0..LANES {
-                busy[l] = frag[l] * pf[l];
-                let disks_hit = sel_max(sel_min(frag[l], inp.disks), 1.0);
-                let waves = sel_min((frag[l] / disks_hit).ceil(), frag[l]);
-                let rt_io = waves * pf[l];
-                let rt_proc = busy[l] / inp.processors;
-                let expr = sel_max(rt_io, rt_proc) * inp.overhead;
-                resp[l] = if frag[l] > 0.0 && pf[l] > 0.0 {
-                    expr
-                } else {
-                    0.0
-                };
-            }
-            for l in 0..LANES {
-                let i = base + l;
-                let fact_pages = frag[l] * fact_pf[l];
-                let bitmap_pages = frag[l] * bpages_pf[l];
-                let total_ios = frag[l] * ios_pf[l];
-                out.out_use_scan[i] = if use_scan[l] { 1.0 } else { 0.0 };
-                out.out_per_fragment_ms[i] = pf[l];
-                out.out_busy_ms[i] = busy[l];
-                out.out_response_ms[i] = resp[l];
-                out.out_fact_pages[i] = fact_pages;
-                out.out_bitmap_pages[i] = bitmap_pages;
-                out.out_total_ios[i] = total_ios;
-                out.acc_io_ms[i] += inp.share * busy[l];
-                out.acc_response_ms[i] += inp.share * resp[l];
-                out.acc_ios[i] += inp.share * total_ios;
-                out.acc_pages[i] += inp.share * (fact_pages + bitmap_pages);
-            }
-            base += LANES;
-        }
-    }
-}
-
-/// The shared lane-blocked Yao pass: classification, rounding and
-/// clamping run per lane; the Cardenas `m · (1 − (1 − 1/m)^k)` scaffold
-/// is elementwise over the block; the transcendental `powf` and the
-/// exact-Yao product recurrence stay per element (they are inherently
-/// sequential per lane and dominate regardless of ISA — which is also
-/// why the AVX2 backend shares this implementation).
-fn yao_pass_lanes(rows: &[u64], pages: &[u64], k: &[f64], hits: &mut [f64]) {
+/// Evaluates `hits[j] = yao_page_hits(rows[j], pages[j], k[j])` for a
+/// gathered block of memo misses, bit-identically.
+///
+/// Classification, rounding and clamping run per lane; the Cardenas
+/// `m · (1 − (1 − 1/m)^k)` scaffold is elementwise over the block; the
+/// transcendental `powf` and the exact-Yao product recurrence stay per
+/// element (they are inherently sequential per lane and dominate
+/// regardless of ISA — which is why both backends share this pass).
+/// Padded tail entries use `rows = 0` (inert: yields `0.0`).
+///
+/// # Panics
+///
+/// Unless all four slices have one length that is a multiple of
+/// [`LANES`].
+pub fn yao_pass(rows: &[u64], pages: &[u64], k: &[f64], hits: &mut [f64]) {
     let n = rows.len();
-    debug_assert_eq!(n % LANES, 0, "blocked kernels require padded miss arrays");
+    assert!(
+        n.is_multiple_of(LANES) && pages.len() == n && k.len() == n && hits.len() == n,
+        "Yao pass columns must share one length that is a multiple of {LANES}"
+    );
     let mut base = 0;
     while base < n {
         let mut cardenas = [false; LANES];
@@ -624,37 +463,23 @@ fn yao_pass_lanes(rows: &[u64], pages: &[u64], k: &[f64], hits: &mut [f64]) {
 // AVX2 backend (x86_64)
 // ---------------------------------------------------------------------
 
-/// Explicit AVX2 backend. Constructed only behind
-/// `is_x86_feature_detected!("avx2")` (see [`KernelBackend::resolve`]).
-#[cfg(target_arch = "x86_64")]
-struct Avx2Kernel;
-
-#[cfg(target_arch = "x86_64")]
-impl CostKernel for Avx2Kernel {
-    fn name(&self) -> &'static str {
-        "avx2"
-    }
-
-    fn cost_pass(&self, inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>) {
-        // SAFETY: `Avx2Kernel` is only reachable through
-        // `KernelBackend::kernel`, whose `Avx2` value is only produced
-        // by `resolve` after `is_x86_feature_detected!("avx2")`.
-        unsafe { avx2_cost_pass(inp, out) }
-    }
-}
-
 /// The AVX2 arithmetic pass: one 4-lane block per iteration, separate
 /// `vmulpd` + `vaddpd` (never FMA), ordered compares + `vblendvpd` for
 /// the selects, `vroundpd`-based `ceil` (exact), and mask-AND for the
 /// zero-response early-out (`x & 0 == +0.0`, the scalar early-return
 /// value).
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and every column of `inp` and `out` must
+/// hold `inp.fragments.len()` elements, a multiple of [`LANES`]
+/// ([`KernelBackend::cost_pass`] checks both).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn avx2_cost_pass(inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>) {
     use std::arch::x86_64::*;
 
     let n = inp.fragments.len();
-    debug_assert_eq!(n % LANES, 0, "blocked kernels require padded columns");
     let zero = _mm256_setzero_pd();
     let one = _mm256_set1_pd(1.0);
     let rpms = _mm256_set1_pd(inp.random_page_ms);
@@ -742,6 +567,7 @@ unsafe fn avx2_cost_pass(inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::yao::yao_page_hits;
 
     /// Deterministic pseudo-random stream (splitmix64) for synthesizing
     /// kernel inputs without a dev-dependency.
@@ -827,7 +653,7 @@ mod tests {
                 acc_ios: &mut a2[0],
                 acc_pages: &mut a3[0],
             };
-            backend.kernel().cost_pass(&inp, &mut out);
+            backend.cost_pass(&inp, &mut out);
         }
         outs.extend(accs);
         outs
@@ -835,10 +661,12 @@ mod tests {
 
     #[test]
     fn lane_backends_match_scalar_bit_for_bit() {
+        // `Avx2` is also built by hand here: off AVX2 hardware it must
+        // fall back to the scalar kernel rather than fault.
         for seed in 0..8u64 {
             let cols = synth_input(seed, 64);
             let reference = run_backend(KernelBackend::Scalar, &cols, 0.37);
-            for backend in [KernelBackend::Lanes, KernelBackend::detect()] {
+            for backend in [KernelBackend::detect(), KernelBackend::Avx2] {
                 let got = run_backend(backend, &cols, 0.37);
                 for (c, (a, b)) in reference.iter().zip(&got).enumerate() {
                     for i in 0..a.len() {
@@ -854,6 +682,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn unpadded(backend: KernelBackend) {
+        run_backend(backend, &synth_input(1, 5), 0.5);
+    }
+
+    fn mismatched(backend: KernelBackend) {
+        let mut cols = synth_input(1, 8);
+        cols[9].truncate(LANES);
+        run_backend(backend, &cols, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of 4")]
+    fn scalar_rejects_unpadded_columns() {
+        unpadded(KernelBackend::Scalar);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of 4")]
+    fn avx2_rejects_unpadded_columns() {
+        unpadded(KernelBackend::Avx2);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one length")]
+    fn scalar_rejects_mismatched_columns() {
+        mismatched(KernelBackend::Scalar);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one length")]
+    fn avx2_rejects_mismatched_columns() {
+        mismatched(KernelBackend::Avx2);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of 4")]
+    fn yao_pass_rejects_unpadded_columns() {
+        yao_pass(&[1; 5], &[1; 5], &[1.0; 5], &mut [0.0; 5]);
     }
 
     #[test]
@@ -876,62 +744,36 @@ mod tests {
             k.push(rng.f(300.0) - 1.0);
         }
         let mut got = vec![0.0; 64];
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::Lanes,
-            KernelBackend::detect(),
-        ] {
-            backend.kernel().yao_pass(&rows, &pages, &k, &mut got);
-            for j in 0..64 {
-                let want = yao_page_hits(rows[j], pages[j], k[j]);
-                assert_eq!(
-                    got[j].to_bits(),
-                    want.to_bits(),
-                    "backend {} j={j}",
-                    backend.name()
-                );
-            }
+        yao_pass(&rows, &pages, &k, &mut got);
+        for j in 0..64 {
+            let want = yao_page_hits(rows[j], pages[j], k[j]);
+            assert_eq!(got[j].to_bits(), want.to_bits(), "j={j}");
         }
     }
 
     #[test]
     fn choice_parses_and_displays() {
-        for (s, c) in [
-            ("auto", KernelChoice::Auto),
-            ("scalar", KernelChoice::Scalar),
-            ("lanes", KernelChoice::Lanes),
-            ("avx2", KernelChoice::Avx2),
-        ] {
-            assert_eq!(s.parse::<KernelChoice>().unwrap(), c);
-            assert_eq!(c.to_string(), s);
-            assert_eq!(c.as_str().parse::<KernelChoice>().unwrap(), c);
+        for s in ["auto", "scalar", "lanes", "avx2", "  AVX2 "] {
+            assert_eq!(s.parse::<KernelChoice>().unwrap(), KernelChoice::Auto);
         }
-        assert_eq!(
-            "  AVX2 ".parse::<KernelChoice>().unwrap(),
-            KernelChoice::Avx2
-        );
+        assert_eq!(KernelChoice::Auto.to_string(), "auto");
         assert!("sse9".parse::<KernelChoice>().is_err());
     }
 
     #[test]
     fn explicit_choices_resolve_cleanly() {
-        assert_eq!(
-            KernelBackend::resolve(KernelChoice::Scalar),
-            KernelBackend::Scalar
-        );
-        assert_eq!(
-            KernelBackend::resolve(KernelChoice::Lanes),
-            KernelBackend::Lanes
-        );
-        // avx2 resolves to itself where supported and degrades to
-        // lanes everywhere else — never an error.
-        let avx2 = KernelBackend::resolve(KernelChoice::Avx2);
-        assert!(matches!(avx2, KernelBackend::Avx2 | KernelBackend::Lanes));
-        assert_eq!(avx2, KernelBackend::detect());
-        // Backend names are stable.
-        for b in [KernelBackend::Scalar, KernelBackend::Lanes, avx2] {
-            assert_eq!(b.kernel().name(), b.name());
+        // Every former explicit choice resolves to the CPU's backend.
+        let backend = KernelBackend::detect();
+        for s in ["scalar", "lanes", "avx2"] {
+            assert_eq!(KernelBackend::resolve(s.parse().unwrap()), backend);
         }
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            backend == KernelBackend::Avx2,
+            is_x86_feature_detected!("avx2")
+        );
+        assert_eq!(KernelBackend::Scalar.name(), "scalar");
+        assert_eq!(KernelBackend::Avx2.name(), "avx2");
     }
 
     #[test]

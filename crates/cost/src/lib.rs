@@ -27,9 +27,9 @@
 //! * [`batch`] — SoA batched evaluation of whole candidate chunks
 //!   ([`evaluate_chunk`](batch::evaluate_chunk)), bit-identical to the
 //!   scalar path,
-//! * [`kernel`] — lane-structured costing kernels behind runtime
-//!   backend dispatch (scalar reference / portable lane arrays /
-//!   AVX2), all bit-identical by construction.
+//! * [`kernel`] — lane-structured costing kernels: the scalar
+//!   reference and, where the CPU has it, AVX2, bit-identical by
+//!   construction.
 
 //!
 //! # Example
@@ -72,8 +72,7 @@ pub use batch::{
 };
 pub use contention::{contention_estimate, load_curve, ContentionEstimate, LoadPoint};
 pub use kernel::{
-    AlignedF64Col, CostKernel, CostPassInput, CostPassOutput, KernelBackend, KernelChoice,
-    KERNEL_ENV, LANES,
+    yao_pass, AlignedF64Col, CostPassInput, CostPassOutput, KernelBackend, KernelChoice, LANES,
 };
 pub use model::{combine_class_costs, fingerprint128, CandidateCost, ClassCost, CostModel};
 pub use prefetch::effective_prefetch;

@@ -87,20 +87,19 @@ fn what_if_tuning_survives_random_inputs() {
     for seed in 0..10u64 {
         let schema = random_schema(seed, RandomSchemaConfig::default()).unwrap();
         let mix = WorkloadGenerator::new(seed, GeneratorConfig::default()).mix(&schema);
-        let session = TuningSession::new(
-            schema,
-            SystemConfig::default_2001(8),
-            mix,
-            AdvisorConfig::default(),
-        )
-        .unwrap();
+        let session = Warlock::builder()
+            .schema(schema)
+            .system(SystemConfig::default_2001(8))
+            .mix(mix)
+            .build()
+            .unwrap();
         // Note: more disks do NOT guarantee a better *recommendation* —
         // the full-declustering threshold excludes candidates with fewer
         // fragments than disks, which can strand small schemas on the
         // baseline. Monotonicity holds per fixed fragmentation (covered in
         // advisor_pipeline.rs); here we only require well-formed results.
-        let (more_report, more) = session.with_disks(32).unwrap();
-        let (fewer_report, fewer) = session.with_disks(2).unwrap();
+        let (more_report, more) = session.what_if_disks(32).unwrap();
+        let (fewer_report, fewer) = session.what_if_disks(2).unwrap();
         assert!(!more_report.ranked.is_empty() && !fewer_report.ranked.is_empty());
         assert!(more.variation_response_ms.is_finite() && more.variation_response_ms > 0.0);
         assert!(fewer.variation_response_ms.is_finite() && fewer.variation_response_ms > 0.0);
@@ -109,7 +108,7 @@ fn what_if_tuning_survives_random_inputs() {
         if more.variation_top == fewer.variation_top {
             assert!(more.variation_response_ms <= fewer.variation_response_ms * 1.0000001);
         }
-        let (_, fixed) = session.with_fixed_prefetch(4).unwrap();
+        let (_, fixed) = session.what_if_fixed_prefetch(4).unwrap();
         assert!(fixed.variation_response_ms.is_finite());
     }
 }
