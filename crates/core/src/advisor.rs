@@ -82,18 +82,6 @@ impl ExcludedSummary {
         }
     }
 
-    /// Whether [`record`](Self::record) would still invoke the sample
-    /// closure for `reason`. Sample lists only grow, so once this
-    /// returns `false` a caller staging data for the sample record may
-    /// drop it early.
-    pub fn wants_sample(&self, reason: &Exclusion) -> bool {
-        let kind = reason.kind();
-        match self.groups.iter().find(|g| g.kind == kind) {
-            Some(group) => group.samples.len() < Self::SAMPLES_PER_REASON,
-            None => true,
-        }
-    }
-
     /// Total number of excluded candidates (exact, not capped).
     #[inline]
     pub fn total(&self) -> usize {

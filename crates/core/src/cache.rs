@@ -4,58 +4,40 @@
 //! perturbed input set, and interactive sessions issue the same
 //! variations repeatedly. Re-costing a candidate is only necessary when
 //! an input that feeds the cost model actually changed, so [`EvalCache`]
-//! memoizes per-candidate pipeline outcomes keyed by
-//! `(fingerprint of system/mix/scheme/thresholds, fragmentation)`.
+//! memoizes every ranking run as one immutable **memo column**: the
+//! run's candidate outcomes in enumeration order, one `Slot` per
+//! candidate (its exclusion, or its fragment count and the position of
+//! its unweighted per-class cost rows in one flat row buffer). A column
+//! is keyed by the run fingerprint (system, mix structure, scheme,
+//! thresholds, range options) and the run's `max_dimensionality`; a
+//! cold run writes it in its merge loop without hashing or storing
+//! candidates and commits it under one lock, and a warm run reads slot
+//! `i` for its `i`-th candidate. A column of another
+//! `max_dimensionality` under the same fingerprint is read by walking
+//! its own enumeration alongside the run's (the smaller space is an
+//! in-order subsequence of the larger one). Single-candidate
+//! [`Warlock::evaluate`](crate::Warlock::evaluate) calls keep a keyed
+//! map, since they are on no ranking path.
 //!
-//! The fingerprint (see `CostModel::fingerprint`) covers *every* input
-//! the outcome depends on, so entries from different what-if variations
-//! — and from different snapshots of the same session family — coexist
-//! without invalidating one another: `what_if_disks(64)` twice re-costs
-//! nothing the second time, returning to the baseline after a sweep is
-//! free, and a what-if priced on one `Warlock` clone is warm on every
-//! other clone. Mutating a session handle (`set_system`/`set_mix`/
-//! `set_config`) swaps in a new snapshot with a new fingerprint and
-//! leaves the shared cache untouched, so sibling clones stay warm;
-//! `invalidate()` clears it explicitly, and the entry cap bounds memory
-//! across long reconfiguration histories.
+//! The fingerprint covers *every* input the outcomes depend on, so
+//! columns from different what-if variations — and from different
+//! snapshots of the same session family — coexist: `what_if_disks(64)`
+//! twice re-costs nothing the second time, returning to the baseline
+//! after a sweep is free, and a what-if priced on one `Warlock` clone is
+//! warm on every other clone. The memo holds at most `MAX_ENTRIES`
+//! slots plus evaluate entries; past that it evicts whole
+//! least-recently-used columns, and a single run longer than the budget
+//! keeps a prefix column. `invalidate()` clears it explicitly.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use warlock_cost::{CandidateCost, ClassCost};
-use warlock_fragment::{Exclusion, Fragmentation};
+use warlock_fragment::{CandidateSource, Exclusion, Fragmentation};
 
-/// One memoized pipeline outcome for a candidate: the exclusion the
-/// thresholds raised, an evaluated (weighted) cost, or the unweighted
-/// per-class cost rows. Payloads are shared (`Arc`), so a cache hit —
-/// and the insert right after a fresh evaluation — is a
-/// reference-count bump, never a deep copy of the candidate's cost
-/// breakdown.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum CachedOutcome {
-    /// The thresholds excluded the candidate.
-    Excluded(Exclusion),
-    /// The candidate survived and was costed under a specific mix
-    /// weighting (the single-candidate `evaluate` path).
-    Cost(Arc<CandidateCost>),
-    /// The candidate survived; its per-class costs are memoized
-    /// **unweighted** (classes in configured-mix order), so a pure
-    /// re-weight of the mix recombines them under the new shares
-    /// instead of re-costing — the ranking pipeline's memo under its
-    /// weight-free structure fingerprint.
-    Classes {
-        /// The candidate's fragment count (not reconstructible from
-        /// the rows alone).
-        num_fragments: u64,
-        /// Per-class unweighted cost rows, in configured-mix order.
-        rows: Arc<Vec<ClassCost>>,
-    },
-}
-
-/// FNV-1a. Candidate keys are a handful of bytes and probed twice per
-/// cold evaluation, where SipHash's finalization dominates; FNV keeps
-/// the probe cost proportional to the key size.
+/// FNV-1a. Candidate keys are a handful of bytes; FNV keeps the probe
+/// cost of the `evaluate` map proportional to the key size.
 #[derive(Debug, Clone)]
 struct FnvHasher(u64);
 
@@ -92,42 +74,319 @@ pub struct EvalCacheStats {
     pub misses: u64,
 }
 
+/// Memo budget: column slots plus `evaluate` entries. A full
+/// APB-1-like run memoizes ~170 outcomes, so this holds hundreds of
+/// distinct what-if variations before whole columns are evicted.
+const MAX_ENTRIES: usize = 1 << 16;
+
+/// One candidate's memoized pipeline outcome, at its enumeration
+/// ordinal in a [`Column`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Slot {
+    /// The thresholds excluded the candidate.
+    Excluded(Exclusion),
+    /// The candidate survived; its unweighted class rows are
+    /// [`Column::rows`]`(row)`.
+    Costed {
+        /// The candidate's fragment count (not reconstructible from
+        /// the rows alone).
+        num_fragments: u64,
+        /// Index of the candidate among the column's costed ones.
+        row: u32,
+    },
+}
+
+/// The memo of one ranking run: a slot per enumerated candidate in
+/// enumeration order, and the `k` unweighted class rows (classes in
+/// configured-mix order) of each costed candidate, candidate by
+/// candidate. Weight-free, so a pure re-weight recombines the rows
+/// under the new shares instead of re-costing. Shared as an `Arc` and
+/// never mutated after commit.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Column {
+    max_dimensionality: usize,
+    classes: usize,
+    slots: Vec<Slot>,
+    rows: Vec<ClassCost>,
+}
+
+impl Column {
+    /// An empty column for a run over `space` candidates with `classes`
+    /// mix classes. Slots are pre-sized (up to the budget); pushes past
+    /// [`MAX_ENTRIES`] slots are dropped, leaving a prefix column.
+    pub(crate) fn new(max_dimensionality: usize, classes: usize, space: u128) -> Self {
+        let capacity = usize::try_from(space).map_or(MAX_ENTRIES, |s| s.min(MAX_ENTRIES));
+        Self {
+            max_dimensionality,
+            classes,
+            slots: Vec::with_capacity(capacity),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Slots held.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The class rows of the `row`-th costed candidate.
+    pub(crate) fn rows(&self, row: u32) -> &[ClassCost] {
+        let start = row as usize * self.classes;
+        &self.rows[start..start + self.classes]
+    }
+
+    /// Appends the next candidate as excluded.
+    pub(crate) fn push_excluded(&mut self, reason: Exclusion) {
+        if self.slots.len() < MAX_ENTRIES {
+            self.slots.push(Slot::Excluded(reason));
+        }
+    }
+
+    /// Appends the next candidate as costed, with its `k` class rows.
+    pub(crate) fn push_costed(&mut self, num_fragments: u64, rows: &[ClassCost]) {
+        debug_assert_eq!(rows.len(), self.classes);
+        if self.slots.len() < MAX_ENTRIES {
+            let row = (self.rows.len() / self.classes.max(1)) as u32;
+            self.slots.push(Slot::Costed { num_fragments, row });
+            self.rows.extend_from_slice(rows);
+        }
+    }
+
+    /// Keeps only the first `len` slots (and the rows they reference).
+    fn truncate(&mut self, len: usize) {
+        self.slots.truncate(len);
+        let costed = self
+            .slots
+            .iter()
+            .rev()
+            .find_map(|slot| match slot {
+                Slot::Costed { row, .. } => Some(*row as usize + 1),
+                Slot::Excluded(_) => None,
+            })
+            .unwrap_or(0);
+        self.rows.truncate(costed * self.classes);
+        self.rows.shrink_to_fit();
+        self.slots.shrink_to_fit();
+    }
+}
+
+/// Serves a run's candidates, in enumeration order, from a committed
+/// [`Column`]. Obtained from [`EvalCache::open`].
+#[derive(Debug)]
+pub(crate) struct ColumnReader {
+    column: Arc<Column>,
+    /// Column ordinal of the next slot to serve (the slot the walk's
+    /// source currently stands on).
+    next: usize,
+    walk: Option<Walk>,
+}
+
+/// The cross-dimensionality read: the column's own candidate source,
+/// stepped alongside the run's.
+#[derive(Debug)]
+struct Walk {
+    source: CandidateSource,
+    /// Whether the column's space contains the run's (skip forward to
+    /// each run candidate) rather than the other way round (serve only
+    /// exact matches, never skipping).
+    wider: bool,
+    /// Whether the source still stands on a candidate.
+    live: bool,
+}
+
+impl ColumnReader {
+    /// Whether the column was written under the run's own key, so the
+    /// run need not write a new one.
+    pub(crate) fn is_exact(&self) -> bool {
+        self.walk.is_none()
+    }
+
+    /// The memoized slot of the run's next candidate, `candidate`, or
+    /// `None` on a miss. Must be called once per run candidate, in
+    /// enumeration order.
+    pub(crate) fn next(&mut self, candidate: &Fragmentation) -> Option<Slot> {
+        let Some(walk) = &mut self.walk else {
+            let slot = self.column.slots.get(self.next).copied();
+            self.next += 1;
+            return slot;
+        };
+        loop {
+            if !walk.live || self.next >= self.column.len() {
+                return None;
+            }
+            let here = walk.source.current_is(candidate);
+            if !here && !walk.wider {
+                return None;
+            }
+            let slot = self.column.slots[self.next];
+            self.next += 1;
+            walk.live = walk.source.advance();
+            if here {
+                return Some(slot);
+            }
+        }
+    }
+
+    /// The class rows a [`Slot::Costed`] from this reader points at.
+    pub(crate) fn rows(&self, row: u32) -> &[ClassCost] {
+        self.column.rows(row)
+    }
+}
+
+/// A committed column and its recency stamp.
+#[derive(Debug, Clone)]
+struct Held {
+    fingerprint: u128,
+    column: Arc<Column>,
+    last_used: u64,
+}
+
 #[derive(Debug, Clone, Default)]
 struct Inner {
-    /// Outcomes grouped by input fingerprint, then candidate — the
+    columns: Vec<Held>,
+    /// `evaluate` outcomes by input fingerprint, then candidate — the
     /// two-level shape lets a probe borrow the candidate instead of
     /// cloning it into a tuple key.
-    map: HashMap<u128, HashMap<Fragmentation, CachedOutcome, FnvBuild>, FnvBuild>,
-    entries: usize,
+    evaluated: HashMap<u128, HashMap<Fragmentation, Arc<CandidateCost>, FnvBuild>, FnvBuild>,
+    evaluated_entries: usize,
+    clock: u64,
     hits: u64,
     misses: u64,
 }
 
+impl Inner {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Column slots plus `evaluate` entries.
+    fn entries(&self) -> usize {
+        let slots: usize = self.columns.iter().map(|held| held.column.len()).sum();
+        slots + self.evaluated_entries
+    }
+
+    /// Evicts least-recently-used columns until `needed` more entries
+    /// fit the budget (or no column is left); returns how many fit.
+    fn make_room(&mut self, needed: usize) -> usize {
+        while self.entries() + needed > MAX_ENTRIES && !self.columns.is_empty() {
+            let lru = (0..self.columns.len())
+                .min_by_key(|&i| self.columns[i].last_used)
+                .unwrap_or(0);
+            self.columns.swap_remove(lru);
+        }
+        MAX_ENTRIES.saturating_sub(self.entries())
+    }
+}
+
 /// The candidate-evaluation memo shared by every clone of a session.
 /// Interior-mutable and lock-protected, so concurrent clones can serve
-/// `&self` evaluations from several threads; the lock is held only for
-/// individual probes/inserts, never across an evaluation.
+/// `&self` evaluations from several threads; a ranking run takes the
+/// lock once to open a column and once to commit, never across an
+/// evaluation.
 #[derive(Debug, Default)]
 pub(crate) struct EvalCache {
     inner: Mutex<Inner>,
 }
 
-/// Entry cap: a full APB-1-like run memoizes ~170 outcomes, so this
-/// allows hundreds of distinct what-if variations before the cache
-/// resets rather than growing without bound.
-const MAX_ENTRIES: usize = 1 << 16;
-
 impl EvalCache {
-    /// Returns the memoized outcome for `(fingerprint, fragmentation)`,
-    /// updating the hit/miss counters.
+    /// The memo's state. A panic while the lock was held poisons it;
+    /// the memo can always be rebuilt, so a poisoned one is reset to
+    /// empty (counters included) instead of failing every later request.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            let mut inner = poisoned.into_inner();
+            *inner = Inner::default();
+            self.inner.clear_poison();
+            inner
+        })
+    }
+
+    /// Opens the column a run keyed `(fingerprint, max_dimensionality)`
+    /// reads from: its own if held, else — walked through `source_at`,
+    /// which builds the candidate source at a given dimensionality —
+    /// the held column of the same fingerprint with the closest wider
+    /// dimensionality, or failing that the widest narrower one.
+    pub(crate) fn open(
+        &self,
+        fingerprint: u128,
+        max_dimensionality: usize,
+        source_at: impl FnOnce(usize) -> CandidateSource,
+    ) -> Option<ColumnReader> {
+        let mut inner = self.lock();
+        let best = inner
+            .columns
+            .iter()
+            .enumerate()
+            .filter(|(_, held)| held.fingerprint == fingerprint)
+            .min_by_key(|(_, held)| {
+                // Exact first, then the closest wider, then the closest
+                // narrower.
+                let d = held.column.max_dimensionality;
+                (d < max_dimensionality, d.abs_diff(max_dimensionality))
+            })
+            .map(|(i, _)| i)?;
+        let stamp = inner.tick();
+        let held = &mut inner.columns[best];
+        held.last_used = stamp;
+        let column = Arc::clone(&held.column);
+        drop(inner);
+        let walk = (column.max_dimensionality != max_dimensionality).then(|| {
+            let mut source = source_at(column.max_dimensionality);
+            Walk {
+                live: source.advance(),
+                wider: column.max_dimensionality > max_dimensionality,
+                source,
+            }
+        });
+        Some(ColumnReader {
+            column,
+            next: 0,
+            walk,
+        })
+    }
+
+    /// Ends a ranking run: counts its `hits` and `misses` and, when the
+    /// run wrote one, commits its column — unless a column under the
+    /// same key is already held (a racing clone committed first).
+    /// Evicts whole least-recently-used columns to make room, and keeps
+    /// only a prefix of a column that still does not fit.
+    pub(crate) fn commit(&self, fingerprint: u128, column: Option<Column>, hits: u64, misses: u64) {
+        let mut inner = self.lock();
+        inner.hits += hits;
+        inner.misses += misses;
+        let Some(mut column) = column else { return };
+        if inner.columns.iter().any(|held| {
+            held.fingerprint == fingerprint
+                && held.column.max_dimensionality == column.max_dimensionality
+        }) {
+            return;
+        }
+        let fits = inner.make_room(column.len());
+        if column.len() > fits {
+            column.truncate(fits);
+        }
+        if column.len() == 0 {
+            return;
+        }
+        let last_used = inner.tick();
+        inner.columns.push(Held {
+            fingerprint,
+            column: Arc::new(column),
+            last_used,
+        });
+    }
+
+    /// The memoized `evaluate` outcome for `(fingerprint,
+    /// fragmentation)`, updating the hit/miss counters.
     pub(crate) fn lookup(
         &self,
         fingerprint: u128,
         fragmentation: &Fragmentation,
-    ) -> Option<CachedOutcome> {
-        let mut inner = self.inner.lock().expect("eval cache poisoned");
+    ) -> Option<Arc<CandidateCost>> {
+        let mut inner = self.lock();
         let found = inner
-            .map
+            .evaluated
             .get(&fingerprint)
             .and_then(|per_fp| per_fp.get(fragmentation))
             .cloned();
@@ -138,86 +397,58 @@ impl EvalCache {
         found
     }
 
-    /// Memoizes `outcome`; resets the map first if it is at capacity.
+    /// Memoizes an `evaluate` outcome, evicting columns first when the
+    /// memo is at its budget (and dropping the other `evaluate`
+    /// entries when no column is left to evict).
     pub(crate) fn insert(
         &self,
         fingerprint: u128,
         fragmentation: Fragmentation,
-        outcome: CachedOutcome,
+        cost: Arc<CandidateCost>,
     ) {
-        self.insert_batch(fingerprint, std::iter::once((fragmentation, outcome)));
-    }
-
-    /// Memoizes a batch of outcomes under one lock acquisition — the
-    /// streaming pipeline uses this once per evaluated chunk instead of
-    /// locking per candidate.
-    pub(crate) fn insert_batch(
-        &self,
-        fingerprint: u128,
-        entries: impl Iterator<Item = (Fragmentation, CachedOutcome)>,
-    ) {
-        let mut inner = self.inner.lock().expect("eval cache poisoned");
-        let expected = entries.size_hint().0;
-        if expected > 1 {
-            inner.map.entry(fingerprint).or_default().reserve(expected);
+        let mut inner = self.lock();
+        if inner.make_room(1) == 0 {
+            inner.evaluated_entries = 0;
+            inner.evaluated.clear();
         }
-        for (fragmentation, outcome) in entries {
-            if inner.entries >= MAX_ENTRIES {
-                inner.map.clear();
-                inner.entries = 0;
-            }
-            if inner
-                .map
-                .entry(fingerprint)
-                .or_default()
-                .insert(fragmentation, outcome)
-                .is_none()
-            {
-                inner.entries += 1;
-            }
+        if inner
+            .evaluated
+            .entry(fingerprint)
+            .or_default()
+            .insert(fragmentation, cost)
+            .is_none()
+        {
+            inner.evaluated_entries += 1;
         }
-    }
-
-    /// Whether any outcome is memoized under `fingerprint`. A run whose
-    /// fingerprint bucket is empty at the start can skip per-candidate
-    /// probes entirely: enumeration never repeats a candidate, so its
-    /// own inserts can never be hit within the same run. Lookups skipped
-    /// this way are accounted through [`Self::record_misses`].
-    pub(crate) fn has_entries(&self, fingerprint: u128) -> bool {
-        let inner = self.inner.lock().expect("eval cache poisoned");
-        inner.map.get(&fingerprint).is_some_and(|m| !m.is_empty())
-    }
-
-    /// Counts `n` cache misses without probing — the statistics
-    /// complement of the skipped lookups described on
-    /// [`Self::has_entries`].
-    pub(crate) fn record_misses(&self, n: u64) {
-        let mut inner = self.inner.lock().expect("eval cache poisoned");
-        inner.misses += n;
     }
 
     /// Drops every entry and resets the counters.
     pub(crate) fn clear(&self) {
-        let mut inner = self.inner.lock().expect("eval cache poisoned");
-        *inner = Inner::default();
+        *self.lock() = Inner::default();
     }
 
     /// Current counters.
     pub(crate) fn stats(&self) -> EvalCacheStats {
-        let inner = self.inner.lock().expect("eval cache poisoned");
+        let inner = self.lock();
         EvalCacheStats {
-            entries: inner.entries,
+            entries: inner.entries(),
             hits: inner.hits,
             misses: inner.misses,
         }
+    }
+
+    /// Panics while holding the lock, poisoning it.
+    #[cfg(test)]
+    pub(crate) fn panic_while_locked(&self) {
+        let _held = self.inner.lock();
+        panic!("panic while holding the eval cache lock");
     }
 }
 
 impl Clone for EvalCache {
     fn clone(&self) -> Self {
-        let inner = self.inner.lock().expect("eval cache poisoned").clone();
         Self {
-            inner: Mutex::new(inner),
+            inner: Mutex::new(self.lock().clone()),
         }
     }
 }
@@ -225,9 +456,53 @@ impl Clone for EvalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use warlock_schema::{apb1_like_schema, Apb1Config};
 
     fn frag(pairs: &[(u16, u16)]) -> Fragmentation {
         Fragmentation::from_pairs(pairs).unwrap()
+    }
+
+    fn cost(f: &Fragmentation) -> Arc<CandidateCost> {
+        Arc::new(warlock_cost::combine_class_costs(f.clone(), 1, &[], &[]))
+    }
+
+    const EXCLUDED: Exclusion = Exclusion::FewerFragmentsThanDisks {
+        fragments: 1,
+        disks: 2,
+    };
+
+    /// A column of `len` slots, every third costed with `classes` rows
+    /// whose fields carry the slot ordinal.
+    fn column(max_dimensionality: usize, len: usize, classes: usize) -> Column {
+        let mut column = Column::new(max_dimensionality, classes, len as u128);
+        for i in 0..len {
+            if i % 3 == 0 {
+                let row = ClassCost {
+                    busy_ms: i as f64,
+                    ..ClassCost::default()
+                };
+                column.push_costed(i as u64, &vec![row; classes]);
+            } else {
+                column.push_excluded(EXCLUDED);
+            }
+        }
+        column
+    }
+
+    fn no_source(_: usize) -> CandidateSource {
+        unreachable!("an exact column needs no walk")
+    }
+
+    /// Reads a run of `len` candidates at `max_dimensionality` from
+    /// whatever `fingerprint` holds; returns the hit count.
+    fn read(cache: &EvalCache, fingerprint: u128, max_dimensionality: usize, len: usize) -> u64 {
+        let Some(mut reader) = cache.open(fingerprint, max_dimensionality, no_source) else {
+            return 0;
+        };
+        let none = Fragmentation::none();
+        let hits = (0..len).filter(|_| reader.next(&none).is_some()).count() as u64;
+        cache.commit(fingerprint, None, hits, len as u64 - hits);
+        hits
     }
 
     #[test]
@@ -235,14 +510,7 @@ mod tests {
         let cache = EvalCache::default();
         let f = frag(&[(0, 1)]);
         assert_eq!(cache.lookup(7, &f), None);
-        cache.insert(
-            7,
-            f.clone(),
-            CachedOutcome::Excluded(Exclusion::FewerFragmentsThanDisks {
-                fragments: 1,
-                disks: 2,
-            }),
-        );
+        cache.insert(7, f.clone(), cost(&f));
         assert!(cache.lookup(7, &f).is_some());
         // Same candidate under a different fingerprint is a different entry.
         assert_eq!(cache.lookup(8, &f), None);
@@ -256,14 +524,7 @@ mod tests {
     fn clear_resets_everything() {
         let cache = EvalCache::default();
         let f = frag(&[]);
-        cache.insert(
-            1,
-            f.clone(),
-            CachedOutcome::Excluded(Exclusion::FewerFragmentsThanDisks {
-                fragments: 1,
-                disks: 2,
-            }),
-        );
+        cache.insert(1, f.clone(), cost(&f));
         let _ = cache.lookup(1, &f);
         cache.clear();
         assert_eq!(cache.stats(), EvalCacheStats::default());
@@ -279,14 +540,8 @@ mod tests {
                     for i in 0..50u16 {
                         let f = frag(&[(t, i % 4)]);
                         let _ = cache.lookup(u128::from(i % 7), &f);
-                        cache.insert(
-                            u128::from(i % 7),
-                            f,
-                            CachedOutcome::Excluded(Exclusion::FewerFragmentsThanDisks {
-                                fragments: 1,
-                                disks: 2,
-                            }),
-                        );
+                        cache.insert(u128::from(i % 7), f.clone(), cost(&f));
+                        cache.commit(u128::from(t), Some(column(1, 5, 2)), 0, 0);
                     }
                 });
             }
@@ -294,20 +549,19 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 4 * 50);
         assert!(stats.entries > 0);
+        // One column per distinct key, however many runs raced it.
+        assert_eq!(cache.lock().columns.len(), 4);
     }
 
     #[test]
     fn entries_count_distinct_outcomes_across_fingerprints() {
         let cache = EvalCache::default();
         let f = frag(&[(0, 0)]);
-        let outcome = CachedOutcome::Excluded(Exclusion::FewerFragmentsThanDisks {
-            fragments: 1,
-            disks: 2,
-        });
-        cache.insert(1, f.clone(), outcome.clone());
-        cache.insert(1, f.clone(), outcome.clone()); // overwrite, not a new entry
-        cache.insert(2, f.clone(), outcome.clone());
-        cache.insert(2, frag(&[(0, 1)]), outcome);
+        cache.insert(1, f.clone(), cost(&f));
+        cache.insert(1, f.clone(), cost(&f)); // overwrite, not a new entry
+        cache.insert(2, f.clone(), cost(&f));
+        let g = frag(&[(0, 1)]);
+        cache.insert(2, g.clone(), cost(&g));
         assert_eq!(cache.stats().entries, 3);
     }
 
@@ -315,17 +569,198 @@ mod tests {
     fn clone_is_a_deep_copy() {
         let cache = EvalCache::default();
         let f = frag(&[(0, 0)]);
-        cache.insert(
-            1,
-            f.clone(),
-            CachedOutcome::Excluded(Exclusion::FewerFragmentsThanDisks {
-                fragments: 1,
-                disks: 2,
-            }),
-        );
+        cache.insert(1, f.clone(), cost(&f));
         let copy = cache.clone();
         cache.clear();
         assert_eq!(copy.stats().entries, 1);
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn a_column_reads_back_by_ordinal() {
+        let cache = EvalCache::default();
+        assert!(cache.open(1, 2, no_source).is_none());
+        cache.commit(1, Some(column(2, 10, 3)), 0, 10);
+        let mut reader = cache.open(1, 2, no_source).unwrap();
+        assert!(reader.is_exact());
+        let none = Fragmentation::none();
+        for i in 0..10 {
+            match reader.next(&none).unwrap() {
+                Slot::Excluded(reason) => {
+                    assert_ne!(i % 3, 0);
+                    assert_eq!(reason, EXCLUDED);
+                }
+                Slot::Costed { num_fragments, row } => {
+                    assert_eq!(num_fragments, i as u64);
+                    let rows = reader.rows(row);
+                    assert_eq!(rows.len(), 3);
+                    assert!(rows.iter().all(|r| r.busy_ms == i as f64));
+                }
+            }
+        }
+        assert_eq!(reader.next(&none), None, "past the column's end");
+        // Another fingerprint holds nothing.
+        assert!(cache.open(2, 2, no_source).is_none());
+    }
+
+    #[test]
+    fn a_column_for_a_held_key_is_not_committed_twice() {
+        let cache = EvalCache::default();
+        cache.commit(1, Some(column(2, 10, 1)), 0, 10);
+        cache.commit(1, Some(column(2, 10, 1)), 0, 10);
+        cache.commit(1, Some(column(3, 12, 1)), 0, 12);
+        assert_eq!(cache.stats().entries, 22);
+        assert_eq!(cache.stats().misses, 32);
+    }
+
+    #[test]
+    fn columns_that_fit_the_budget_all_stay_warm() {
+        // Seven fingerprints that together fit the budget, as a
+        // what-if cycle over a baseline and six variations.
+        let cache = EvalCache::default();
+        let len = MAX_ENTRIES / 7;
+        for fp in 0..7 {
+            cache.commit(fp, Some(column(3, len, 4)), 0, len as u64);
+        }
+        for _ in 0..3 {
+            for fp in 0..7 {
+                assert_eq!(read(&cache, fp, 3, len), len as u64, "fingerprint {fp}");
+            }
+        }
+        assert_eq!(cache.stats().entries, 7 * len);
+    }
+
+    #[test]
+    fn overflow_evicts_whole_least_recently_used_columns() {
+        let cache = EvalCache::default();
+        let len = MAX_ENTRIES / 4;
+        for fp in 0..4 {
+            cache.commit(fp, Some(column(3, len, 2)), 0, 0);
+        }
+        assert_eq!(cache.stats().entries, MAX_ENTRIES);
+        // Touch 0 so 1 becomes the least recently used.
+        assert_eq!(read(&cache, 0, 3, len), len as u64);
+        cache.commit(4, Some(column(3, len / 2, 2)), 0, 0);
+        for (fp, warm) in [(0, true), (1, false), (2, true), (3, true), (4, true)] {
+            let want = match (warm, fp) {
+                (false, _) => 0,
+                (true, 4) => len / 2,
+                (true, _) => len,
+            };
+            assert_eq!(read(&cache, fp, 3, len), want as u64, "fingerprint {fp}");
+        }
+        assert_eq!(cache.stats().entries, 3 * len + len / 2);
+        // A column needing room for two evicts the two coldest whole.
+        cache.commit(5, Some(column(3, 2 * len, 2)), 0, 0);
+        let held: Vec<usize> = (0..6)
+            .map(|fp| read(&cache, fp, 3, 2 * len) as usize)
+            .collect();
+        assert_eq!(held, [0, 0, 0, len, len / 2, 2 * len]);
+    }
+
+    #[test]
+    fn an_oversized_run_keeps_a_prefix_and_a_rerun_hits_exactly_it() {
+        let cache = EvalCache::default();
+        let f = frag(&[(0, 0)]);
+        cache.insert(9, f.clone(), cost(&f));
+        let run = MAX_ENTRIES + 100;
+        // The writer stops at the budget…
+        let written = column(3, run, 2);
+        assert_eq!(written.len(), MAX_ENTRIES);
+        cache.commit(1, Some(written), 0, run as u64);
+        // …and the commit trims it to what fits next to the evaluate
+        // entry.
+        assert_eq!(cache.stats().entries, MAX_ENTRIES);
+        let before = cache.stats();
+        assert_eq!(read(&cache, 1, 3, run), (MAX_ENTRIES - 1) as u64);
+        let after = cache.stats();
+        assert_eq!(after.hits - before.hits, (MAX_ENTRIES - 1) as u64);
+        assert_eq!(after.misses - before.misses, 101);
+        // The kept prefix is intact: rows end at the last kept costed slot.
+        let held = Arc::clone(&cache.lock().columns[0].column);
+        assert_eq!(held.rows.len(), (MAX_ENTRIES - 1).div_ceil(3) * 2);
+        assert_eq!(held.slots[..], column(3, MAX_ENTRIES - 1, 2).slots[..]);
+    }
+
+    #[test]
+    fn entries_count_slots_plus_evaluate_entries_and_invalidate_clears_both() {
+        let cache = EvalCache::default();
+        cache.commit(1, Some(column(2, 40, 3)), 0, 40);
+        cache.commit(2, Some(column(2, 25, 3)), 0, 25);
+        for pairs in [&[(0, 0)][..], &[(0, 1)], &[(1, 0)]] {
+            let f = frag(pairs);
+            cache.insert(1, f.clone(), cost(&f));
+        }
+        assert_eq!(cache.stats().entries, 40 + 25 + 3);
+        cache.clear();
+        assert_eq!(cache.stats(), EvalCacheStats::default());
+        assert!(cache.open(1, 2, no_source).is_none());
+        let f = frag(&[(0, 0)]);
+        assert!(cache.lookup(1, &f).is_none());
+    }
+
+    #[test]
+    fn a_poisoned_memo_is_reset_and_keeps_serving() {
+        let cache = EvalCache::default();
+        let f = frag(&[(0, 0)]);
+        cache.insert(1, f.clone(), cost(&f));
+        let _ = cache.lookup(1, &f);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.panic_while_locked();
+        }));
+        assert!(panicked.is_err());
+        assert!(cache.inner.is_poisoned());
+        assert_eq!(cache.stats(), EvalCacheStats::default());
+        assert!(!cache.inner.is_poisoned());
+        cache.insert(1, f.clone(), cost(&f));
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn a_column_of_another_dimensionality_is_walked_in_order() {
+        let schema = apb1_like_schema(Apb1Config::default()).unwrap();
+        let source_at = |d: usize| CandidateSource::point(&schema, d);
+        let narrow: Vec<_> = source_at(1).collect();
+        let wide: Vec<_> = source_at(2).collect();
+        // Slot `i` records its own ordinal as a fragment count.
+        let ordinal_column = |d: usize, len: usize| {
+            let mut column = Column::new(d, 1, len as u128);
+            for i in 0..len {
+                column.push_costed(i as u64, &[ClassCost::default()]);
+            }
+            column
+        };
+        let cache = EvalCache::default();
+        cache.commit(1, Some(ordinal_column(2, wide.len())), 0, 0);
+        // Narrow run over a wide column: every candidate hits, at its
+        // ordinal in the wide space.
+        let mut reader = cache.open(1, 1, source_at).unwrap();
+        assert!(!reader.is_exact());
+        for candidate in &narrow {
+            let want = wide.iter().position(|w| w == candidate).unwrap() as u64;
+            assert_eq!(
+                reader.next(candidate),
+                Some(Slot::Costed {
+                    num_fragments: want,
+                    row: want as u32
+                })
+            );
+        }
+        // Wide run over a narrow column: exactly the narrow candidates
+        // hit, in order.
+        let cache = EvalCache::default();
+        cache.commit(1, Some(ordinal_column(1, narrow.len())), 0, 0);
+        let mut reader = cache.open(1, 2, source_at).unwrap();
+        let mut served = Vec::new();
+        for candidate in &wide {
+            if let Some(Slot::Costed { num_fragments, .. }) = reader.next(candidate) {
+                assert_eq!(&narrow[num_fragments as usize], candidate);
+                served.push(num_fragments);
+            }
+        }
+        assert_eq!(served, (0..narrow.len() as u64).collect::<Vec<_>>());
+        // The exact key wins over any other dimensionality.
+        cache.commit(1, Some(ordinal_column(2, 3)), 0, 0);
+        assert!(cache.open(1, 2, source_at).unwrap().is_exact());
     }
 }

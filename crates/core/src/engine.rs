@@ -5,16 +5,19 @@
 //! service both delegate here, so the pipeline has
 //! exactly one implementation. Candidates are pulled lazily from a
 //! [`CandidateSource`] in fixed-size chunks (never materializing the
-//! space): each chunk is resolved against the [`EvalCache`], cheap
-//! structural pre-exclusion culls candidates whose fragment count
-//! already disqualifies them before any layout or cost work, and the
-//! rest fan out over a persistent [`exec::WorkerPool`]. Chunk results
-//! merge in enumeration order into a
-//! [`StreamingRank`](crate::ranking::StreamingRank) accumulator (which
-//! retains only the phase-1 survivors) and a bounded
-//! [`ExcludedSummary`], so the report is **bit-identical** to the
-//! historical materialized pass at any worker count and chunk size
-//! while peak memory is O(chunk + survivors).
+//! space): each chunk is resolved by ordinal against the run's memo
+//! column from the [`EvalCache`] (one enumeration-ordered column per
+//! run, not a per-candidate keyed map), cheap structural pre-exclusion
+//! culls candidates whose fragment count already disqualifies them
+//! before any layout or cost work, and the rest fan out over a
+//! persistent [`exec::WorkerPool`]. Chunk results merge in enumeration
+//! order into a [`StreamingRank`](crate::ranking::StreamingRank)
+//! accumulator (which retains only the phase-1 survivors), a bounded
+//! [`ExcludedSummary`] and — on a run without a column of its own — the
+//! column it commits once at the end, so the report is
+//! **bit-identical** to the historical materialized pass at any worker
+//! count and chunk size while peak memory is O(chunk + survivors +
+//! column).
 //!
 //! [`AdvisorConfig::max_candidates`] turns an over-broad run into a
 //! typed [`WarlockError::CandidateBudget`] up front (the source
@@ -42,7 +45,7 @@ use warlock_workload::QueryMix;
 use crate::advisor::{AdvisorReport, ExcludedCandidate, ExcludedSummary, RankedCandidate};
 use crate::allocation_plan::AllocationPlan;
 use crate::analysis::FragmentationAnalysis;
-use crate::cache::{CachedOutcome, EvalCache};
+use crate::cache::{Column, ColumnReader, EvalCache, Slot};
 use crate::config::AdvisorConfig;
 use crate::error::WarlockError;
 use crate::ranking::StreamingRank;
@@ -58,7 +61,7 @@ pub(crate) const CHUNK_SIZE_ENV: &str = "WARLOCK_CHUNK_SIZE";
 /// Default evaluation chunk size under `chunk_size = 0`: large enough
 /// to keep every worker of a wide pool busy per round, small enough
 /// that pipeline memory stays a rounding error next to the survivors.
-const DEFAULT_CHUNK_SIZE: usize = 256;
+const DEFAULT_CHUNK_SIZE: usize = 4096;
 
 /// Resolves the configured chunk-size knob: `n >= 1` is taken
 /// literally; `0` means auto — the `WARLOCK_CHUNK_SIZE` environment
@@ -82,7 +85,7 @@ pub(crate) fn effective_chunk_size(requested: usize) -> usize {
 /// the shared evaluation memo and the persistent worker pool.
 #[derive(Clone, Copy)]
 pub(crate) struct EvalEnv<'a> {
-    /// Per-candidate outcome memo; `None` disables memoization.
+    /// The run memo (one column per run); `None` disables memoization.
     pub cache: Option<&'a EvalCache>,
     /// The persistent evaluation pool work fans out over.
     pub pool: &'a exec::WorkerPool,
@@ -155,9 +158,12 @@ fn cost_model<'a>(
         .map_err(|e| WarlockError::internal(format!("validated fact index rejected: {e}")))
 }
 
-/// The fingerprint of every input that determines a candidate's
-/// *pipeline* outcome — an exclusion or the unweighted per-class cost
-/// rows — plus the exclusion thresholds. Deliberately built on
+/// The fingerprint of every input that determines a run's memo column
+/// — each candidate's *pipeline* outcome, an exclusion or the
+/// unweighted per-class cost rows — plus the exclusion thresholds and
+/// the range options (which shape the enumeration the column's
+/// ordinals follow; the column key adds `max_dimensionality`, see
+/// [`EvalCache::open`]). Deliberately built on
 /// [`CostModel::structure_fingerprint`] rather than the weighted
 /// [`CostModel::fingerprint`]: exclusions and per-class rows are both
 /// independent of the mix *weights* (weights enter only at
@@ -171,6 +177,7 @@ fn run_fingerprint(model: &CostModel<'_>, config: &AdvisorConfig) -> u128 {
         "run",
         model.structure_fingerprint(),
         format!("{:?}", config.thresholds),
+        &config.range_options,
     ))
 }
 
@@ -219,23 +226,32 @@ struct EvalScratch {
     layout: LayoutScratch,
     batch: ChunkBatch,
     staged: Vec<usize>,
-    class_rows: Vec<Vec<ClassCost>>,
 }
 
-/// One worker-side result: the weighted outcome the merge loop ranks
-/// with, plus (when the run is memoizing) the ready-to-insert
-/// weight-free [`CachedOutcome::Classes`] memo entry for the candidate.
+/// How the pipeline resolved one candidate.
+enum Outcome {
+    /// Excluded, structurally or by the thresholds.
+    Excluded(Exclusion),
+    /// Served from the run's memo column: the candidate's fragment
+    /// count and the index of its class rows in the column.
+    Memo { num_fragments: u64, row: u32 },
+    /// Costed fresh under the run's mix.
+    Fresh(CandidateCost),
+}
+
+/// One worker group's results: an outcome per group entry, in group
+/// order, and — when the run writes a memo column — the unweighted
+/// class rows of its costed entries, flat and in the same order.
 struct GroupEval {
-    outcome: CachedOutcome,
-    memo: Option<CachedOutcome>,
+    outcomes: Vec<Option<Outcome>>,
+    rows: Vec<ClassCost>,
 }
 
 /// The worker-side pipeline step for one group of candidates: layout →
 /// thresholds per candidate (layouts built into the recycled scratch),
 /// then a single batched costing pass over every survivor. Pure in its
-/// inputs, so it can run on any worker; returns one outcome per group
-/// entry, in group order. Callers must have passed every candidate
-/// through [`pre_exclude`] first (the layout would panic on a
+/// inputs, so it can run on any worker. Callers must have passed every
+/// candidate through [`pre_exclude`] first (the layout would panic on a
 /// `u64`-overflowing fragment count otherwise).
 #[allow(clippy::too_many_arguments)]
 fn evaluate_group(
@@ -248,8 +264,8 @@ fn evaluate_group(
     group: &[usize],
     gather_classes: bool,
     scratch: &mut EvalScratch,
-) -> Vec<Option<GroupEval>> {
-    let mut outcomes: Vec<Option<GroupEval>> = Vec::with_capacity(group.len());
+) -> GroupEval {
+    let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(group.len());
     outcomes.resize_with(group.len(), || None);
     scratch.staged.clear();
     for (slot, &i) in group.iter().enumerate() {
@@ -262,10 +278,7 @@ fn evaluate_group(
         match config.thresholds.check(&layout, ctx) {
             Err(reason) => {
                 let _ = layout.recycle(&mut scratch.layout);
-                outcomes[slot] = Some(GroupEval {
-                    outcome: CachedOutcome::Excluded(reason),
-                    memo: None,
-                });
+                outcomes[slot] = Some(Outcome::Excluded(reason));
             }
             Ok(()) => {
                 scratch.batch.push(layout, &mut scratch.layout);
@@ -277,46 +290,40 @@ fn evaluate_group(
     // the aggregates, and the final report re-derives detail for the
     // ranked handful (see `run`). A memoizing run additionally gathers
     // the unweighted per-class rows: the merge loop still ranks the
-    // kernel-accumulated weighted cost (bit-identical to before), while
-    // the memo stores the rows so a re-weighted run can recombine them
-    // without re-costing.
+    // kernel-accumulated weighted cost, while the memo column stores
+    // the rows so a re-weighted run can recombine them without
+    // re-costing.
+    let mut rows = Vec::new();
     let costs = if gather_classes {
         evaluate_chunk_rows(
             tables,
             &mut scratch.batch,
             PerQueryDetail::Omit,
             backend,
-            &mut scratch.class_rows,
+            &mut rows,
         )
     } else {
         evaluate_chunk_kernel(tables, &mut scratch.batch, PerQueryDetail::Omit, backend)
     };
-    for (pos, (slot, cost)) in scratch.staged.drain(..).zip(costs).enumerate() {
-        let memo = gather_classes.then(|| CachedOutcome::Classes {
-            num_fragments: cost.num_fragments,
-            rows: Arc::new(std::mem::take(&mut scratch.class_rows[pos])),
-        });
-        outcomes[slot] = Some(GroupEval {
-            outcome: CachedOutcome::Cost(Arc::new(cost)),
-            memo,
-        });
+    for (slot, cost) in scratch.staged.drain(..).zip(costs) {
+        outcomes[slot] = Some(Outcome::Fresh(cost));
     }
-    outcomes
+    GroupEval { outcomes, rows }
 }
 
 /// Runs the full prediction pipeline as a streaming pass.
 ///
 /// Candidates are pulled lazily from the enumeration source in chunks
 /// of [`AdvisorConfig::chunk_size`]; each chunk is resolved against the
-/// memo, structurally pre-excluded, fanned out over the environment's
-/// persistent worker pool (up to `config.parallelism` workers, see
-/// [`exec`]) and merged **in enumeration order** into the streaming
-/// rank accumulator and the bounded exclusion summary — so the report
-/// is bit-identical at any worker count and chunk size, and pipeline
-/// memory is O(chunk + phase-1 survivors), never O(candidate space).
-/// When the environment carries a cache, per-candidate outcomes are
-/// memoized under the input fingerprint and re-runs with unchanged
-/// inputs skip re-evaluation.
+/// run's memo column, structurally pre-excluded, fanned out over the
+/// environment's persistent worker pool (up to `config.parallelism`
+/// workers, see [`exec`]) and merged **in enumeration order** into the
+/// streaming rank accumulator and the bounded exclusion summary — so
+/// the report is bit-identical at any worker count and chunk size, and
+/// pipeline memory is O(chunk + phase-1 survivors), never O(candidate
+/// space). When the environment carries a cache, a run without a
+/// column of its own writes one in the merge loop and commits it once
+/// at the end, so re-runs with unchanged inputs skip re-evaluation.
 ///
 /// # Errors
 ///
@@ -331,8 +338,10 @@ pub(crate) fn run(
     scheme: &BitmapScheme,
     env: EvalEnv<'_>,
 ) -> Result<AdvisorReport, WarlockError> {
-    let mut source =
-        CandidateSource::ranged(schema, config.max_dimensionality, &config.range_options);
+    let source_at = |max_dimensionality: usize| {
+        CandidateSource::ranged(schema, max_dimensionality, &config.range_options)
+    };
+    let mut source = source_at(config.max_dimensionality);
     let space = source.space_size();
     if config.max_candidates > 0 && space > u128::from(config.max_candidates) {
         return Err(WarlockError::CandidateBudget {
@@ -342,21 +351,23 @@ pub(crate) fn run(
     }
     let ctx = threshold_context(schema, system, config);
     let model = cost_model(schema, system, scheme, mix, config)?;
+    // The memo column this run reads (its own from an earlier run, or
+    // one of another `max_dimensionality`), and the one it writes unless
+    // its own is already held.
     let fingerprint = env.cache.map(|_| run_fingerprint(&model, config));
-    // Probe the memo per candidate only when this fingerprint already
-    // holds outcomes. Enumeration never repeats a candidate, so a cold
-    // run can never hit its own inserts — skipping the probes saves two
-    // map walks per candidate; the skipped lookups are still accounted
-    // as misses (`record_misses`) so the observable hit rate is
-    // unchanged.
-    let probe_cache = match (env.cache, fingerprint) {
-        (Some(cache), Some(fp)) => cache.has_entries(fp),
-        _ => false,
+    let mut reader = match (env.cache, fingerprint) {
+        (Some(cache), Some(fp)) => cache.open(fp, config.max_dimensionality, source_at),
+        _ => None,
     };
-    let workers = exec::effective_parallelism(config.parallelism);
-    // Current mix shares, in mix order — the order the per-class memo
-    // rows are gathered in, so a `Classes` hit recombines positionally.
+    // Current mix shares, in mix order — the order the memo's class
+    // rows are gathered in, so a memo hit recombines positionally.
     let shares: Vec<f64> = mix.iter().map(|(_, share)| share).collect();
+    let classes = shares.len();
+    let mut writer = (fingerprint.is_some()
+        && !reader.as_ref().is_some_and(ColumnReader::is_exact))
+    .then(|| Column::new(config.max_dimensionality, classes, space));
+    let mut hits = 0u64;
+    let workers = exec::effective_parallelism(config.parallelism);
     // Detect the costing kernel backend once per run; both backends are
     // bit-identical, so the choice never participates in cache
     // fingerprints.
@@ -376,11 +387,11 @@ pub(crate) fn run(
     let mut enumerated = 0usize;
     let mut evaluated = 0usize;
     let mut chunk: Vec<Fragmentation> = Vec::with_capacity(chunk_size);
-    let mut outcomes: Vec<Option<CachedOutcome>> = Vec::with_capacity(chunk_size);
+    let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(chunk_size);
     let mut todo: Vec<usize> = Vec::new();
-    // Outcomes staged for one `insert_batch` per chunk (one lock
-    // acquisition instead of one per candidate).
-    let mut pending: Vec<(Fragmentation, CachedOutcome)> = Vec::new();
+    // The class rows of the chunk's freshly costed candidates, in
+    // enumeration order (filled only while writing a column).
+    let mut fresh_rows: Vec<ClassCost> = Vec::new();
 
     loop {
         // Pull the next chunk from the lazy source.
@@ -399,38 +410,19 @@ pub(crate) fn run(
         // Resolve each candidate: memo hit, structural pre-exclusion,
         // or fresh work for the pool.
         outcomes.clear();
-        outcomes.resize(chunk.len(), None);
+        outcomes.resize_with(chunk.len(), || None);
         todo.clear();
-        if let Some(cache) = env.cache {
-            if !probe_cache {
-                cache.record_misses(chunk.len() as u64);
+        for (i, candidate) in chunk.iter().enumerate() {
+            if let Some(slot) = reader.as_mut().and_then(|r| r.next(candidate)) {
+                hits += 1;
+                outcomes[i] = Some(match slot {
+                    Slot::Excluded(reason) => Outcome::Excluded(reason),
+                    Slot::Costed { num_fragments, row } => Outcome::Memo { num_fragments, row },
+                });
+                continue;
             }
-        }
-        for i in 0..chunk.len() {
-            if probe_cache {
-                if let (Some(cache), Some(fp)) = (env.cache, fingerprint) {
-                    if let Some(outcome) = cache.lookup(fp, &chunk[i]) {
-                        outcomes[i] = Some(outcome);
-                        continue;
-                    }
-                }
-            }
-            match pre_exclude(schema, config, &chunk[i]) {
-                Some(reason) => {
-                    if fingerprint.is_some() {
-                        // The merge loop reads the drained chunk slot
-                        // only while the reason's sample list has room,
-                        // so past that point the slot can be moved out
-                        // as the memo key instead of cloned.
-                        let key = if excluded.wants_sample(&reason) {
-                            chunk[i].clone()
-                        } else {
-                            std::mem::replace(&mut chunk[i], Fragmentation::none())
-                        };
-                        pending.push((key, CachedOutcome::Excluded(reason)));
-                    }
-                    outcomes[i] = Some(CachedOutcome::Excluded(reason));
-                }
+            match pre_exclude(schema, config, candidate) {
+                Some(reason) => outcomes[i] = Some(Outcome::Excluded(reason)),
                 None => todo.push(i),
             }
         }
@@ -439,6 +431,7 @@ pub(crate) fn run(
         // groups (one SoA batch per group, costed through the shared
         // tables); results come back in `todo` order regardless of
         // worker scheduling.
+        fresh_rows.clear();
         if !todo.is_empty() {
             let tables = tables.get_or_init(|| CostTables::build(&model, &config.range_options));
             let group_size = todo.len().div_ceil(workers).clamp(1, MAX_GROUP_SIZE);
@@ -453,85 +446,76 @@ pub(crate) fn run(
                         backend,
                         &chunk,
                         group,
-                        fingerprint.is_some(),
+                        writer.is_some(),
                         scratch,
                     )
                 })
             });
-            for (group, group_outcomes) in groups.iter().zip(fresh) {
-                for (&i, eval) in group.iter().zip(group_outcomes) {
-                    let GroupEval { outcome, memo } = eval.ok_or_else(|| {
-                        WarlockError::internal("group evaluation left no outcome")
-                    })?;
-                    if fingerprint.is_some() {
-                        // The merge loop reads the drained chunk slot
-                        // only for exclusions still collecting sample
-                        // records; a costed candidate carries its
-                        // fragmentation in the cost itself. Everywhere
-                        // else the slot is moved out as the memo key
-                        // instead of cloned.
-                        let key = match &outcome {
-                            CachedOutcome::Cost(_) | CachedOutcome::Classes { .. } => {
-                                std::mem::replace(&mut chunk[i], Fragmentation::none())
-                            }
-                            CachedOutcome::Excluded(reason) if !excluded.wants_sample(reason) => {
-                                std::mem::replace(&mut chunk[i], Fragmentation::none())
-                            }
-                            CachedOutcome::Excluded(_) => chunk[i].clone(),
-                        };
-                        // Costed candidates are memoized as their
-                        // weight-free class rows; exclusions memoize
-                        // as themselves.
-                        pending.push((key, memo.unwrap_or_else(|| outcome.clone())));
-                    }
-                    outcomes[i] = Some(outcome);
+            for (group, eval) in groups.iter().zip(fresh) {
+                for (&i, outcome) in group.iter().zip(eval.outcomes) {
+                    outcomes[i] = outcome;
                 }
-            }
-        }
-        if let (Some(cache), Some(fp)) = (env.cache, fingerprint) {
-            if !pending.is_empty() {
-                cache.insert_batch(fp, pending.drain(..));
+                fresh_rows.extend_from_slice(&eval.rows);
             }
         }
 
-        // Merge in enumeration order. The rank accumulator's horizon is
-        // every candidate not yet merged (the rest of this chunk plus
-        // whatever the source still holds) — an upper bound on future
-        // costs, which keeps the streaming ranking exact.
+        // Merge in enumeration order, appending each outcome to the
+        // column being written. The rank accumulator's horizon is every
+        // candidate not yet merged (the rest of this chunk plus whatever
+        // the source still holds) — an upper bound on future costs,
+        // which keeps the streaming ranking exact.
         let after_chunk = source.remaining();
         let chunk_len = chunk.len();
+        let mut fresh_row = 0usize;
         for (i, (fragmentation, outcome)) in chunk.drain(..).zip(outcomes.drain(..)).enumerate() {
             let outcome = outcome
                 .ok_or_else(|| WarlockError::internal("candidate evaluation left no outcome"))?;
-            match outcome {
-                CachedOutcome::Excluded(reason) => {
+            let cost = match outcome {
+                Outcome::Excluded(reason) => {
+                    if let Some(column) = &mut writer {
+                        column.push_excluded(reason);
+                    }
                     excluded.record(reason, || ExcludedCandidate {
                         label: fragmentation.label(schema),
                         fragmentation,
                         reason,
                     });
-                }
-                CachedOutcome::Cost(cost) => {
-                    evaluated += 1;
-                    let remaining = after_chunk + (chunk_len - 1 - i) as u128;
-                    rank.push_shared(cost, remaining);
+                    continue;
                 }
                 // A memo hit from an earlier run of the same structure:
                 // recombine the unweighted rows under the current
                 // shares. Bit-identical to a fresh evaluation at this
-                // mix (the kernels accumulate exactly
-                // `share * row` per class, in the same order).
-                CachedOutcome::Classes {
-                    num_fragments,
-                    rows,
-                } => {
-                    evaluated += 1;
-                    let cost = combine_class_costs(fragmentation, num_fragments, &rows, &shares);
-                    let remaining = after_chunk + (chunk_len - 1 - i) as u128;
-                    rank.push_shared(Arc::new(cost), remaining);
+                // mix (the kernels accumulate exactly `share * row` per
+                // class, in the same order).
+                Outcome::Memo { num_fragments, row } => {
+                    let rows = reader
+                        .as_ref()
+                        .ok_or_else(|| WarlockError::internal("memo hit without a column"))?
+                        .rows(row);
+                    if let Some(column) = &mut writer {
+                        column.push_costed(num_fragments, rows);
+                    }
+                    combine_class_costs(fragmentation, num_fragments, rows, &shares)
                 }
-            }
+                Outcome::Fresh(cost) => {
+                    if let Some(column) = &mut writer {
+                        let rows = fresh_rows
+                            .get(fresh_row * classes..(fresh_row + 1) * classes)
+                            .ok_or_else(|| {
+                                WarlockError::internal("costed candidate without rows")
+                            })?;
+                        column.push_costed(cost.num_fragments, rows);
+                        fresh_row += 1;
+                    }
+                    cost
+                }
+            };
+            evaluated += 1;
+            rank.push(cost, after_chunk + (chunk_len - 1 - i) as u128);
         }
+    }
+    if let (Some(cache), Some(fp)) = (env.cache, fingerprint) {
+        cache.commit(fp, writer, hits, enumerated as u64 - hits);
     }
 
     let mut ranked_costs = rank.finish();
@@ -691,15 +675,11 @@ pub(crate) fn evaluate(
         Some(memo) => *memo.get_or_init(|| evaluate_fingerprint(&model)),
         None => evaluate_fingerprint(&model),
     };
-    if let Some(CachedOutcome::Cost(cost)) = cache.lookup(fp, fragmentation) {
+    if let Some(cost) = cache.lookup(fp, fragmentation) {
         return Ok(Arc::try_unwrap(cost).unwrap_or_else(|shared| (*shared).clone()));
     }
     let cost = model.evaluate(fragmentation);
-    cache.insert(
-        fp,
-        fragmentation.clone(),
-        CachedOutcome::Cost(Arc::new(cost.clone())),
-    );
+    cache.insert(fp, fragmentation.clone(), Arc::new(cost.clone()));
     Ok(cost)
 }
 

@@ -11,8 +11,8 @@
 //! the drift score crosses the hysteresis threshold, emitting a typed
 //! [`AdviceEvent`] into a bounded per-session log.
 //!
-//! The re-rank is *incremental*: the ranking pipeline memoizes
-//! per-candidate outcomes under a weight-free structure fingerprint
+//! The re-rank is *incremental*: the ranking pipeline memoizes each
+//! run's candidate outcomes under a weight-free structure fingerprint
 //! (see `CostModel::structure_fingerprint`), so adopting a re-weighted
 //! mix recombines the memoized per-class cost rows under the new
 //! shares instead of re-costing a single candidate — and the result is

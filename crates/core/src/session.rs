@@ -540,8 +540,8 @@ impl Warlock {
     }
 
     /// Runs the prediction pipeline, ignoring and leaving untouched the
-    /// snapshot's cached *ranking* (the shared per-candidate evaluation
-    /// memo is still consulted and extended — see
+    /// snapshot's cached *ranking* (the shared evaluation memo is still
+    /// read, and gains this run's column if it held none — see
     /// [`Warlock::cache_stats`]).
     pub fn run(&self) -> Result<AdvisorReport, WarlockError> {
         let s = &*self.snapshot;
@@ -583,8 +583,8 @@ impl Warlock {
         }
     }
 
-    /// Drops the cached ranking **and** the shared per-candidate
-    /// evaluation memo: the next [`Warlock::rank`] recomputes
+    /// Drops the cached ranking **and** the shared evaluation memo (every
+    /// column and `evaluate` entry): the next [`Warlock::rank`] recomputes
     /// everything. Clearing the memo is observable by clones (it is
     /// shared); their snapshots and cached rankings are untouched.
     pub fn invalidate(&mut self) {
@@ -1148,6 +1148,73 @@ mod tests {
         assert!(s.ranking().is_none());
         s.rank().unwrap();
         assert!(s.cache_stats().entries > 0);
+    }
+
+    #[test]
+    fn entries_count_column_slots_plus_evaluate_entries() {
+        let mut s = session();
+        let enumerated = s.rank().unwrap().enumerated;
+        assert_eq!(s.cache_stats().entries, enumerated);
+        let candidate = Fragmentation::from_pairs(&[(0, 1), (1, 1)]).unwrap();
+        s.evaluate(&candidate).unwrap();
+        s.evaluate(&candidate).unwrap();
+        assert_eq!(s.cache_stats().entries, enumerated + 1);
+        // A what-if is a column of its own.
+        let (report, _) = s.what_if_disks(64).unwrap();
+        assert_eq!(s.cache_stats().entries, enumerated + 1 + report.enumerated);
+        s.invalidate();
+        assert_eq!(s.cache_stats(), crate::cache::EvalCacheStats::default());
+    }
+
+    #[test]
+    fn cache_accounting_is_the_same_at_any_parallelism_and_chunk_size() {
+        let schema = apb1_like_schema(Apb1Config::default()).unwrap();
+        let mix = apb1_like_mix().unwrap();
+        for workers in [1, 0] {
+            for chunk in [1, 17, 0] {
+                let s = Warlock::builder()
+                    .schema(schema.clone())
+                    .system(SystemConfig::default_2001(16))
+                    .mix(mix.clone())
+                    .parallelism(workers)
+                    .chunk_size(chunk)
+                    .build()
+                    .unwrap();
+                let cold = s.run().unwrap();
+                let n = cold.enumerated as u64;
+                let after_cold = s.cache_stats();
+                assert_eq!(
+                    (after_cold.hits, after_cold.misses),
+                    (0, n),
+                    "cold: workers={workers} chunk={chunk}"
+                );
+                let warm = s.run().unwrap();
+                assert_eq!(warm, cold);
+                let after_warm = s.cache_stats();
+                assert_eq!(
+                    (after_warm.hits, after_warm.misses),
+                    (n, n),
+                    "warm: workers={workers} chunk={chunk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_holding_the_memo_lock_resets_it_instead_of_failing_later_ranks() {
+        let s = session();
+        s.run().unwrap();
+        assert!(s.cache_stats().entries > 0);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.shared.cache.panic_while_locked();
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(s.cache_stats(), crate::cache::EvalCacheStats::default());
+        let report = s.rank().unwrap();
+        let stats = s.cache_stats();
+        assert_eq!(stats.misses, report.enumerated as u64);
+        assert_eq!(stats.hits, 0);
+        assert_eq!(stats.entries, report.enumerated);
     }
 
     #[test]

@@ -267,19 +267,20 @@ pub fn evaluate_chunk_kernel(
 }
 
 /// [`evaluate_chunk_kernel`], additionally gathering the **unweighted**
-/// per-class cost rows of every candidate into `class_rows` (cleared
-/// first; one `Vec<ClassCost>` per candidate, classes in mix order).
-/// The rows are copied straight out of the kernel's per-class output
-/// columns, so
+/// per-class cost rows of every candidate into `class_rows`: cleared
+/// first, then one flat buffer of `n × k` rows for `n` candidates and
+/// `k` classes, candidate by candidate, classes in mix order — so
+/// candidate `i`'s rows are `class_rows[i * k..(i + 1) * k]`. The rows
+/// are copied straight out of the kernel's per-class output columns, so
 /// [`combine_class_costs`](crate::model::combine_class_costs) over them
 /// reproduces the weighted aggregates bit-for-bit under *any* share
-/// vector — the basis of the advisor's re-weight-warm evaluation cache.
+/// vector — the basis of the advisor's re-weight-warm evaluation memo.
 pub fn evaluate_chunk_rows(
     tables: &CostTables,
     batch: &mut ChunkBatch,
     detail: PerQueryDetail,
     backend: KernelBackend,
-    class_rows: &mut Vec<Vec<ClassCost>>,
+    class_rows: &mut Vec<ClassCost>,
 ) -> Vec<CandidateCost> {
     evaluate_chunk_impl(tables, batch, detail, backend, Some(class_rows))
 }
@@ -289,12 +290,13 @@ fn evaluate_chunk_impl(
     batch: &mut ChunkBatch,
     detail: PerQueryDetail,
     backend: KernelBackend,
-    mut class_rows: Option<&mut Vec<Vec<ClassCost>>>,
+    mut class_rows: Option<&mut Vec<ClassCost>>,
 ) -> Vec<CandidateCost> {
     let n = batch.fragmentations.len();
+    let k = tables.classes.len();
     if let Some(rows) = class_rows.as_deref_mut() {
         rows.clear();
-        rows.resize_with(n, || Vec::with_capacity(tables.classes.len()));
+        rows.resize(n * k, ClassCost::default());
     }
     if n == 0 {
         batch.clear();
@@ -394,7 +396,7 @@ fn evaluate_chunk_impl(
     let processors = f64::from(tables.processors.max(1));
     let overhead = tables.overhead.max(1.0);
 
-    for class in &tables.classes {
+    for (c, class) in tables.classes.iter().enumerate() {
         // --- Matching pass: predicates → table entries -----------------
         batch.expected_fragments.clear();
         batch.residual.clear();
@@ -562,13 +564,13 @@ fn evaluate_chunk_impl(
         // `fact + bitmap` add the kernels feed their accumulators, so
         // recombination reproduces `acc_pages` bit-for-bit.
         if let Some(rows) = class_rows.as_deref_mut() {
-            for (i, row) in rows.iter_mut().enumerate() {
-                row.push(ClassCost {
+            for (i, row) in rows.iter_mut().skip(c).step_by(k).enumerate() {
+                *row = ClassCost {
                     busy_ms: batch.out_busy_ms[i],
                     response_ms: batch.out_response_ms[i],
                     total_ios: batch.out_total_ios[i],
                     pages: batch.out_fact_pages[i] + batch.out_bitmap_pages[i],
-                });
+                };
             }
         }
 
@@ -868,7 +870,8 @@ mod tests {
                 backend,
                 &mut rows,
             );
-            assert_eq!(rows.len(), costs.len());
+            let k = f.mix.len();
+            assert_eq!(rows.len(), costs.len() * k);
             for (mix, model_at) in [
                 (&f.mix, &model),
                 (
@@ -877,7 +880,7 @@ mod tests {
                 ),
             ] {
                 let shares: Vec<f64> = mix.iter().map(|(_, s)| s).collect();
-                for (c, row) in costs.iter().zip(&rows) {
+                for (c, row) in costs.iter().zip(rows.chunks_exact(k)) {
                     assert_eq!(row.len(), mix.len());
                     let combined =
                         combine_class_costs(c.fragmentation.clone(), c.num_fragments, row, &shares);

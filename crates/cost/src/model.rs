@@ -37,7 +37,7 @@ pub struct CandidateCost {
 /// them keyed by [`CostModel::structure_fingerprint`] and recombines
 /// them under the current shares with [`combine_class_costs`] —
 /// bit-identical to a cold evaluation at the new mix.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassCost {
     /// Device busy time of the class, in milliseconds.
     pub busy_ms: f64,

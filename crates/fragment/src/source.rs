@@ -272,14 +272,14 @@ impl CandidateSource {
         self.cursor.range_counters.clear();
         self.cursor.range_counters.resize(used, 0);
     }
-}
 
-impl Iterator for CandidateSource {
-    type Item = Fragmentation;
-
-    fn next(&mut self) -> Option<Fragmentation> {
+    /// Steps to the next candidate without materializing it, so a
+    /// caller that only compares positions (see
+    /// [`Self::current_is`]) allocates nothing. Returns `false` once
+    /// the space is exhausted.
+    pub fn advance(&mut self) -> bool {
         if self.cursor.exhausted {
-            return None;
+            return false;
         }
         if !self.cursor.started {
             // The all-`None` baseline is the first candidate.
@@ -287,10 +287,41 @@ impl Iterator for CandidateSource {
             self.reset_range_counters();
         } else if !self.advance_ranges() && !self.advance_point() {
             self.cursor.exhausted = true;
-            return None;
+            return false;
         }
         self.cursor.emitted += 1;
-        Some(self.current())
+        true
+    }
+
+    /// Whether the candidate the last [`Self::advance`] (or `next`)
+    /// stopped at equals `fragmentation`, compared digit by digit
+    /// without building it. `false` before the first step and once
+    /// exhausted.
+    pub fn current_is(&self, fragmentation: &Fragmentation) -> bool {
+        if !self.cursor.started || self.cursor.exhausted {
+            return false;
+        }
+        let (attributes, ranges) = (fragmentation.attributes(), fragmentation.ranges());
+        let mut used = 0usize;
+        for (d, choice) in self.cursor.choices.iter().enumerate() {
+            let Some(level) = *choice else { continue };
+            let counter = self.cursor.range_counters.get(used).copied().unwrap_or(0);
+            if attributes.get(used) != Some(&LevelRef::new(d as u16, level))
+                || ranges.get(used) != Some(&self.sizes[d][usize::from(level)][counter])
+            {
+                return false;
+            }
+            used += 1;
+        }
+        used == attributes.len()
+    }
+}
+
+impl Iterator for CandidateSource {
+    type Item = Fragmentation;
+
+    fn next(&mut self) -> Option<Fragmentation> {
+        self.advance().then(|| self.current())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -508,6 +539,25 @@ mod tests {
         assert_eq!(source.size_hint(), (space, Some(space)));
         let _ = source.next();
         assert_eq!(source.size_hint(), (space - 1, Some(space - 1)));
+    }
+
+    #[test]
+    fn current_is_matches_exactly_the_emitted_candidate() {
+        let s = schema();
+        let all: Vec<_> = CandidateSource::ranged(&s, 3, &[2, 3]).collect();
+        let mut walker = CandidateSource::ranged(&s, 3, &[2, 3]);
+        assert!(!walker.current_is(&all[0]), "nothing emitted yet");
+        for (i, want) in all.iter().enumerate() {
+            assert!(walker.advance());
+            assert!(walker.current_is(want), "candidate {i}");
+            for other in [i.wrapping_sub(1), i + 1] {
+                if let Some(other) = all.get(other) {
+                    assert!(!walker.current_is(other));
+                }
+            }
+        }
+        assert!(!walker.advance());
+        assert!(!walker.current_is(&all[all.len() - 1]), "exhausted");
     }
 
     #[test]

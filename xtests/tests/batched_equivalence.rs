@@ -14,7 +14,9 @@ use warlock_cost::{
     evaluate_chunk_kernel, evaluate_chunk_with, CandidateCost, ChunkBatch, CostModel, CostTables,
     KernelBackend, PerQueryDetail,
 };
-use warlock_fragment::{enumerate_candidates_ranged, FragmentLayout, Fragmentation, LayoutScratch};
+use warlock_fragment::{
+    enumerate_candidates_ranged, CandidateSource, FragmentLayout, Fragmentation, LayoutScratch,
+};
 use warlock_schema::{random_schema, RandomSchemaConfig, StarSchema};
 use warlock_workload::{GeneratorConfig, QueryMix, WorkloadGenerator};
 
@@ -258,5 +260,73 @@ proptest! {
 
         let cold = session_at(2).run().unwrap();
         assert_reports_bit_identical(&spanning, &cold);
+    }
+
+    /// The narrowing direction: a run at max dimensionality 1 after one
+    /// at 2 is served entirely by walking the wider run's memo column,
+    /// and its report matches a cold session's bit for bit.
+    #[test]
+    fn narrowing_after_a_wide_run_hits_every_candidate(
+        seed in 0u64..1024,
+        workers in 1usize..4,
+        chunk_pick in 0usize..3,
+        ranged in any::<bool>(),
+    ) {
+        let chunk = [1usize, 17, 100_000][chunk_pick];
+        let config_at = |max_dimensionality: usize| AdvisorConfig {
+            max_dimensionality,
+            range_options: if ranged { vec![2, 3, 5] } else { Vec::new() },
+            ..Default::default()
+        };
+        let session_at = |max_dimensionality: usize| {
+            let (schema, mix, system) = random_inputs(seed);
+            Warlock::builder()
+                .schema(schema)
+                .system(system)
+                .mix(mix)
+                .config(config_at(max_dimensionality))
+                .parallelism(workers)
+                .chunk_size(chunk)
+                .build()
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+        };
+
+        let mut session = session_at(2);
+        session.run().unwrap();
+        let before = session.cache_stats();
+        session.set_config(config_at(1)).unwrap();
+        let narrow = session.run().unwrap();
+        let after = session.cache_stats();
+        prop_assert_eq!(after.hits, before.hits + narrow.enumerated as u64);
+        prop_assert_eq!(after.misses, before.misses);
+
+        let cold = session_at(1).run().unwrap();
+        assert_reports_bit_identical(&narrow, &cold);
+    }
+
+    /// The property the memo's cross-dimensionality read relies on: a
+    /// narrower candidate space is an in-order subsequence of a wider
+    /// one over the same schema and range options.
+    #[test]
+    fn narrower_spaces_are_in_order_subsequences_of_wider_ones(
+        seed in 0u64..4096,
+        range_options in proptest::collection::vec(1u64..9, 0..4),
+        a in 0usize..4,
+        b in 0usize..5,
+    ) {
+        prop_assume!(a < b);
+        let (schema, _, _) = random_inputs(seed);
+        let wide: Vec<Fragmentation> =
+            CandidateSource::ranged(&schema, b, &range_options).collect();
+        let mut wide = wide.iter();
+        for candidate in CandidateSource::ranged(&schema, a, &range_options) {
+            prop_assert!(
+                wide.any(|w| *w == candidate),
+                "{} missing or out of order at {} vs {}",
+                candidate,
+                a,
+                b
+            );
+        }
     }
 }
