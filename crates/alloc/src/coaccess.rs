@@ -63,10 +63,7 @@ const MAX_REFINE_PASSES: usize = 8;
 /// fragment pair (carrying the accumulated joint query-class heat).
 #[derive(Debug, Clone)]
 pub struct CoAccessGraph {
-    sizes: Vec<u64>,
-    heats: Vec<f64>,
-    /// Adjacency per node, sorted by neighbor id, weights accumulated.
-    adj: Vec<Vec<(u32, f64)>>,
+    level: Level,
     num_edges: usize,
 }
 
@@ -77,13 +74,13 @@ impl CoAccessGraph {
         CoAccessBuilder {
             sizes,
             heats: vec![0.0; n],
-            edges: std::collections::BTreeMap::new(),
+            pairs: Vec::new(),
         }
     }
 
     /// Number of fragment nodes.
     pub fn num_fragments(&self) -> usize {
-        self.sizes.len()
+        self.level.sizes.len()
     }
 
     /// Number of distinct co-access edges.
@@ -93,12 +90,12 @@ impl CoAccessGraph {
 
     /// Per-fragment byte sizes.
     pub fn sizes(&self) -> &[u64] {
-        &self.sizes
+        &self.level.sizes
     }
 
     /// Per-fragment accumulated access heat.
     pub fn heats(&self) -> &[f64] {
-        &self.heats
+        &self.level.heats
     }
 }
 
@@ -108,7 +105,9 @@ impl CoAccessGraph {
 pub struct CoAccessBuilder {
     sizes: Vec<u64>,
     heats: Vec<f64>,
-    edges: std::collections::BTreeMap<(u32, u32), f64>,
+    /// Every `(u, v, weight)` pair contribution with `u < v`, in the
+    /// order the groups were added; [`merge_edges`] folds duplicates.
+    pairs: Vec<(u32, u32, f64)>,
 }
 
 impl CoAccessBuilder {
@@ -157,31 +156,83 @@ impl CoAccessBuilder {
         }
         let per_pair = weight / (group.len() - 1) as f64;
         for (i, &u) in group.iter().enumerate() {
-            for &v in &group[i + 1..] {
-                *self.edges.entry((u, v)).or_insert(0.0) += per_pair;
-            }
+            self.pairs
+                .extend(group[i + 1..].iter().map(|&v| (u, v, per_pair)));
         }
     }
 
     /// Finalizes the graph.
     pub fn build(self) -> CoAccessGraph {
-        let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); self.sizes.len()];
-        // BTreeMap iteration is key-sorted, so adjacency lists come out
-        // sorted by neighbor id without a second pass.
-        for (&(u, v), &w) in &self.edges {
-            adj[u as usize].push((v, w));
-            adj[v as usize].push((u, w));
-        }
-        for list in &mut adj {
-            list.sort_unstable_by_key(|a| a.0);
-        }
+        let (adj, num_edges) = merge_edges(self.sizes.len(), self.pairs);
         CoAccessGraph {
-            sizes: self.sizes,
-            heats: self.heats,
-            num_edges: self.edges.len(),
-            adj,
+            level: Level {
+                sizes: self.sizes,
+                heats: self.heats,
+                adj,
+            },
+            num_edges,
         }
     }
+}
+
+/// Undirected weighted adjacency in compressed sparse row form: the
+/// neighbors of node `u`, sorted by id, are
+/// `edges[offsets[u]..offsets[u + 1]]`.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    offsets: Vec<usize>,
+    edges: Vec<(u32, f64)>,
+}
+
+impl Adjacency {
+    /// The `(neighbor, weight)` list of node `u`, sorted by neighbor.
+    #[inline]
+    fn of(&self, u: usize) -> &[(u32, f64)] {
+        &self.edges[self.offsets[u]..self.offsets[u + 1]]
+    }
+}
+
+/// Folds `(u, v, w)` contributions (`u < v`, `n` nodes) into one edge
+/// per distinct pair and returns the adjacency plus the edge count.
+///
+/// The stable sort keeps each pair's contributions in the order they
+/// were pushed, and each run is summed left to right from `0.0`: the
+/// same additions, in the same order, as accumulating into a map entry
+/// by entry, so every edge weight is bit-identical to that.
+fn merge_edges(n: usize, mut pairs: Vec<(u32, u32, f64)>) -> (Adjacency, usize) {
+    pairs.sort_by_key(|&(u, v, _)| (u, v));
+    let mut len = 0usize;
+    for i in 0..pairs.len() {
+        let (u, v, w) = pairs[i];
+        if len > 0 && (pairs[len - 1].0, pairs[len - 1].1) == (u, v) {
+            pairs[len - 1].2 += w;
+        } else {
+            pairs[len] = (u, v, 0.0 + w);
+            len += 1;
+        }
+    }
+    pairs.truncate(len);
+
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, v, _) in &pairs {
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    // Walking the pairs in `(u, v)` order appends every node's lower
+    // neighbors (as some earlier `u`'s `v`) before its higher ones (as
+    // its own `u`), each in ascending order: the lists come out sorted.
+    let mut fill = offsets[..n].to_vec();
+    let mut edges = vec![(0u32, 0.0f64); 2 * pairs.len()];
+    for &(u, v, w) in &pairs {
+        edges[fill[u as usize]] = (v, w);
+        fill[u as usize] += 1;
+        edges[fill[v as usize]] = (u, w);
+        fill[v as usize] += 1;
+    }
+    (Adjacency { offsets, edges }, pairs.len())
 }
 
 /// splitmix64 — the deterministic tie-break hash. Same generator the
@@ -200,11 +251,13 @@ fn tie_key(seed: u64, node: u32, disk: u32) -> u64 {
     splitmix64(seed ^ (u64::from(node) << 32) ^ u64::from(disk))
 }
 
-/// One coarsening level: the coarse graph plus the fine→coarse node map.
+/// One level of the multilevel hierarchy: the input graph itself or a
+/// coarsened copy of it.
+#[derive(Debug, Clone)]
 struct Level {
     sizes: Vec<u64>,
     heats: Vec<f64>,
-    adj: Vec<Vec<(u32, f64)>>,
+    adj: Adjacency,
 }
 
 /// Partitions the co-access graph across `num_disks` disks, scattering
@@ -225,36 +278,36 @@ struct Level {
 pub fn partition_coaccess(graph: &CoAccessGraph, num_disks: u32, seed: u64) -> Allocation {
     assert!(num_disks > 0, "partition_coaccess needs at least one disk");
     if graph.num_edges == 0 {
-        return greedy_by_size(graph.sizes.clone(), num_disks);
+        return greedy_by_size(graph.level.sizes.clone(), num_disks);
     }
-    let finest = Level {
-        sizes: graph.sizes.clone(),
-        heats: graph.heats.clone(),
-        adj: graph.adj.clone(),
-    };
 
     // Coarsen: affinity-match until the graph is small or stops shrinking.
+    // `coarse[i]` is level `i + 1`; level 0 is the input graph.
     let target = COARSEST_NODES.max(num_disks as usize * 4);
-    let mut levels: Vec<Level> = vec![finest];
+    let mut coarse: Vec<Level> = Vec::new();
     let mut maps: Vec<Vec<u32>> = Vec::new();
-    while levels.last().unwrap().sizes.len() > target {
-        let (coarse, map) = coarsen(levels.last().unwrap());
-        // A matching round that shrinks by <5 % has hit structural
-        // saturation (e.g. a dense clique) — stop rather than loop.
-        if coarse.sizes.len() as f64 > levels.last().unwrap().sizes.len() as f64 * 0.95 {
+    loop {
+        let finer = coarse.last().unwrap_or(&graph.level);
+        if finer.sizes.len() <= target {
             break;
         }
-        levels.push(coarse);
+        let (next, map) = coarsen(finer);
+        // A matching round that shrinks by <5 % has hit structural
+        // saturation (e.g. a dense clique) — stop rather than loop.
+        if next.sizes.len() as f64 > finer.sizes.len() as f64 * 0.95 {
+            break;
+        }
+        coarse.push(next);
         maps.push(map);
     }
 
     // Initial partition on the coarsest level, then refine while
     // projecting back down through the matching hierarchy.
-    let coarsest = levels.last().unwrap();
+    let coarsest = coarse.last().unwrap_or(&graph.level);
     let mut assignment = initial_partition(coarsest, num_disks, seed);
     refine(coarsest, num_disks, seed, &mut assignment);
     for lvl in (0..maps.len()).rev() {
-        let fine = &levels[lvl];
+        let fine = lvl.checked_sub(1).map_or(&graph.level, |i| &coarse[i]);
         let map = &maps[lvl];
         let mut fine_assignment = vec![0u32; fine.sizes.len()];
         for (f, &c) in map.iter().enumerate() {
@@ -268,7 +321,7 @@ pub fn partition_coaccess(graph: &CoAccessGraph, num_disks: u32, seed: u64) -> A
         AllocationScheme::GraphPartition,
         num_disks,
         assignment,
-        graph.sizes.clone(),
+        graph.level.sizes.clone(),
     )
 }
 
@@ -300,7 +353,9 @@ fn coarsen(level: &Level) -> (Level, Vec<u32>) {
         // Candidate 1: the next unmatched node in hot order that is not
         // u itself and not a neighbor — zero co-access, best affinity.
         let neighbor_of = |v: u32| {
-            level.adj[u as usize]
+            level
+                .adj
+                .of(u as usize)
                 .binary_search_by(|&(w, _)| w.cmp(&v))
                 .is_ok()
         };
@@ -316,7 +371,9 @@ fn coarsen(level: &Level) -> (Level, Vec<u32>) {
         } else {
             // Candidate 2: the unmatched neighbor with the least
             // co-access weight (ties: lower id).
-            level.adj[u as usize]
+            level
+                .adj
+                .of(u as usize)
                 .iter()
                 .filter(|&&(v, _)| mate[v as usize].is_none() && v != u)
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
@@ -353,29 +410,19 @@ fn coarsen(level: &Level) -> (Level, Vec<u32>) {
     }
     // Merge edges; intra-pair weight disappears (its placement cost is
     // now fixed and common to every assignment).
-    let mut edges: std::collections::BTreeMap<(u32, u32), f64> = std::collections::BTreeMap::new();
-    for (f, list) in level.adj.iter().enumerate() {
-        let cu = map[f];
-        for &(v, w) in list {
+    let mut pairs: Vec<(u32, u32, f64)> = Vec::with_capacity(level.adj.edges.len() / 2);
+    for (f, &cu) in map.iter().enumerate() {
+        for &(v, w) in level.adj.of(f) {
             if (v as usize) <= f {
                 continue; // each undirected edge once
             }
             let cv = map[v as usize];
-            if cu == cv {
-                continue;
+            if cu != cv {
+                pairs.push((cu.min(cv), cu.max(cv), w));
             }
-            let key = (cu.min(cv), cu.max(cv));
-            *edges.entry(key).or_insert(0.0) += w;
         }
     }
-    let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); coarse_n];
-    for (&(u, v), &w) in &edges {
-        adj[u as usize].push((v, w));
-        adj[v as usize].push((u, w));
-    }
-    for list in &mut adj {
-        list.sort_unstable_by_key(|a| a.0);
-    }
+    let (adj, _) = merge_edges(coarse_n, pairs);
     (Level { sizes, heats, adj }, map)
 }
 
@@ -405,7 +452,7 @@ fn initial_partition(level: &Level, num_disks: u32, seed: u64) -> Vec<u32> {
     for &u in &order {
         let us = u as usize;
         co_weight.iter_mut().for_each(|w| *w = 0.0);
-        for &(v, w) in &level.adj[us] {
+        for &(v, w) in level.adj.of(us) {
             let dv = assignment[v as usize];
             if dv != u32::MAX {
                 co_weight[dv as usize] += w;
@@ -420,7 +467,7 @@ fn initial_partition(level: &Level, num_disks: u32, seed: u64) -> Vec<u32> {
                     .total_cmp(&co_weight[b])
                     .then(heat_load[a].total_cmp(&heat_load[b]))
                     .then(byte_load[a].cmp(&byte_load[b]))
-                    .then(tie_key(seed, u, a as u32).cmp(&tie_key(seed, u, b as u32)))
+                    .then_with(|| tie_key(seed, u, a as u32).cmp(&tie_key(seed, u, b as u32)))
                     .then(a.cmp(&b))
             })
             .expect("at least one disk");
@@ -465,7 +512,7 @@ fn refine(level: &Level, num_disks: u32, seed: u64, assignment: &mut [u32]) {
             let us = u as usize;
             let from = assignment[us] as usize;
             co_weight.iter_mut().for_each(|w| *w = 0.0);
-            for &(v, w) in &level.adj[us] {
+            for &(v, w) in level.adj.of(us) {
                 co_weight[assignment[v as usize] as usize] += w;
             }
             let size = level.sizes[us];
@@ -483,7 +530,7 @@ fn refine(level: &Level, num_disks: u32, seed: u64, assignment: &mut [u32]) {
                         .total_cmp(&co_weight[b])
                         .then(heat_load[a].total_cmp(&heat_load[b]))
                         .then(byte_load[a].cmp(&byte_load[b]))
-                        .then(tie_key(seed, u, a as u32).cmp(&tie_key(seed, u, b as u32)))
+                        .then_with(|| tie_key(seed, u, a as u32).cmp(&tie_key(seed, u, b as u32)))
                         .then(a.cmp(&b))
                 });
             let Some(to) = candidate else { continue };
@@ -515,6 +562,8 @@ fn capacity(total_bytes: u64, num_disks: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// 8 fragments on 4 disks; classes read pairs (0,4)…(3,7) with
     /// descending heat. Sizes are rigged so greedy-by-size *and*
@@ -592,21 +641,217 @@ mod tests {
         assert_eq!(b.build().num_edges(), 0);
     }
 
-    #[test]
-    fn multilevel_path_covers_every_fragment_once() {
-        // Big enough to force several coarsening levels.
+    /// 1000 fragments, 50 classes each reading a strided band of 20:
+    /// big enough to force several coarsening levels.
+    fn banded_graph() -> CoAccessGraph {
         let n = 1000usize;
         let sizes: Vec<u64> = (0..n as u64).map(|i| 50 + (i * 13) % 100).collect();
         let mut b = CoAccessGraph::builder(sizes);
         for c in 0..50u32 {
-            // Each class reads a strided band of 20 fragments.
             let frags: Vec<u32> = (0..20u32).map(|k| (c * 7 + k * 50) % n as u32).collect();
             b.add_group(&frags, 1.0 + f64::from(c % 5));
             for &f in &frags {
                 b.add_heat(f, 0.1);
             }
         }
-        let g = b.build();
+        b.build()
+    }
+
+    /// 2000 fragments, 30 overlapping strided groups of 2 to 160
+    /// fragments (plus skipped over-wide ones): many pairs gain weight
+    /// from several groups, at every coarsening level.
+    fn overlapping_graph() -> CoAccessGraph {
+        let n = 2000u32;
+        let sizes: Vec<u64> = (0..u64::from(n))
+            .map(|i| 4096 + (i * 7919) % 65_536)
+            .collect();
+        let mut b = CoAccessGraph::builder(sizes);
+        let widths = [2usize, 3, 17, 40, 64, 100, 160, MAX_CLIQUE_GROUP + 1];
+        for c in 0..30u32 {
+            let width = widths[c as usize % widths.len()];
+            let stride = 1 + c % 7;
+            let frags: Vec<u32> = (0..width as u32)
+                .map(|k| (c * 61 + k * stride) % n)
+                .collect();
+            let weight = 0.25 + f64::from(c % 9) * 0.7;
+            b.add_group(&frags, weight);
+            for &f in &frags {
+                b.add_heat(f, weight / width as f64);
+            }
+        }
+        b.build()
+    }
+
+    /// The shape of the `fit` benchmark warehouse's top candidate:
+    /// 13,824 fragments and six class groups, of which only the
+    /// 192-fragment one (every 72nd fragment) is narrow enough to form a
+    /// clique — 18,336 edges.
+    fn fit_shaped_graph() -> CoAccessGraph {
+        let n = 13_824u32;
+        let sizes: Vec<u64> = (0..u64::from(n))
+            .map(|i| 9_437_184 + (i * 7919) % 1024 * 4096)
+            .collect();
+        let mut b = CoAccessGraph::builder(sizes);
+        let groups: [(Vec<u32>, f64, f64); 6] = [
+            ((0..576).collect(), 0.2581, 0.9),
+            ((0..2304).collect(), 0.0645, 0.4),
+            ((0..n).step_by(8).collect(), 0.2903, 0.6),
+            ((0..n).step_by(4).collect(), 0.1613, 0.3),
+            ((0..n).step_by(72).collect(), 0.1935, 2.5),
+            ((0..2304).collect(), 0.0323, 0.4),
+        ];
+        for (frags, share, ms) in &groups {
+            b.add_group(frags, share * ms * frags.len() as f64);
+            for &f in frags {
+                b.add_heat(f, share * ms);
+            }
+        }
+        b.build()
+    }
+
+    /// FNV-1a over the little-endian placement bytes.
+    fn placement_fnv(allocation: &Allocation) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &d in allocation.placements() {
+            for b in d.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn placements_match_the_map_accumulation_goldens() {
+        // Recorded with the original `BTreeMap` edge accumulation: the
+        // flat merge must reproduce every placement bit for bit.
+        let cases = [
+            (correlated_graph(), 4, 0, 4, 0x8349_08bb_9249_6b45u64),
+            (correlated_graph(), 4, 7, 4, 0x0c49_3a81_afa6_ea25),
+            (correlated_graph(), 4, 8, 4, 0xc31a_0b83_9566_45a5),
+            (banded_graph(), 16, 3, 9500, 0x45a0_d333_8700_f965),
+            (overlapping_graph(), 16, 5, 62_468, 0xd0b4_7e9f_5a51_fce7),
+            (fit_shaped_graph(), 32, 0, 18_336, 0x6905_12d4_e013_c295),
+            (fit_shaped_graph(), 32, 1, 18_336, 0x135d_eedc_dcf9_9315),
+        ];
+        for (i, (graph, disks, seed, edges, golden)) in cases.into_iter().enumerate() {
+            assert_eq!(graph.num_edges(), edges, "case {i} edges");
+            let part = partition_coaccess(&graph, disks, seed);
+            assert_eq!(part.scheme(), AllocationScheme::GraphPartition);
+            assert_eq!(placement_fnv(&part), golden, "case {i} placement");
+        }
+    }
+
+    /// Adjacency as `(neighbor, weight bits)` lists, for exact equality.
+    fn adjacency_bits(adj: &Adjacency, n: usize) -> Vec<Vec<(u32, u64)>> {
+        (0..n)
+            .map(|u| adj.of(u).iter().map(|&(v, w)| (v, w.to_bits())).collect())
+            .collect()
+    }
+
+    /// The original accumulation, kept as the oracle: every pair
+    /// contribution summed into its `BTreeMap` entry in arrival order,
+    /// adjacency read off in key order.
+    fn map_adjacency(n: usize, pairs: &[(u32, u32, f64)]) -> (Vec<Vec<(u32, u64)>>, usize) {
+        let mut edges: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        for &(u, v, w) in pairs {
+            *edges.entry((u, v)).or_insert(0.0) += w;
+        }
+        let mut adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+        for (&(u, v), &w) in &edges {
+            adj[u as usize].push((v, w.to_bits()));
+            adj[v as usize].push((u, w.to_bits()));
+        }
+        for list in &mut adj {
+            list.sort_unstable_by_key(|a| a.0);
+        }
+        (adj, edges.len())
+    }
+
+    /// The pair contributions `add_group` makes, in the order it makes
+    /// them (the builder's dedup and width rules included).
+    fn group_pairs(groups: &[(Vec<u32>, f64)]) -> Vec<(u32, u32, f64)> {
+        let mut pairs = Vec::new();
+        for (frags, weight) in groups {
+            let mut group = frags.clone();
+            group.sort_unstable();
+            group.dedup();
+            if group.len() < 2 || group.len() > MAX_CLIQUE_GROUP || *weight == 0.0 {
+                continue;
+            }
+            let per_pair = weight / (group.len() - 1) as f64;
+            for (i, &u) in group.iter().enumerate() {
+                for &v in &group[i + 1..] {
+                    pairs.push((u, v, per_pair));
+                }
+            }
+        }
+        pairs
+    }
+
+    /// A random node count and co-access groups over it: short groups
+    /// with repeated indices, plus (on larger graphs) strided windows of
+    /// exactly [`MAX_CLIQUE_GROUP`] or one more.
+    fn arb_groups() -> impl Strategy<Value = (usize, Vec<(Vec<u32>, f64)>)> {
+        (2usize..1200).prop_flat_map(|n| {
+            let short = (proptest::collection::vec(0..n as u32, 0..12), 0.0f64..10.0);
+            let wide = (0..n as u32, 1u32..3, any::<bool>(), 0.01f64..10.0);
+            (
+                proptest::collection::vec(short, 0..16),
+                proptest::collection::vec(wide, 0..3),
+            )
+                .prop_map(move |(mut groups, wide)| {
+                    // Strides of 1 or 2 keep a window's indices distinct.
+                    if n >= 2 * (MAX_CLIQUE_GROUP + 1) {
+                        for (start, stride, over, weight) in wide {
+                            let width = MAX_CLIQUE_GROUP + usize::from(over);
+                            let frags = (0..width as u32)
+                                .map(|k| (start + k * stride) % n as u32)
+                                .collect();
+                            groups.push((frags, weight));
+                        }
+                    }
+                    (n, groups)
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn flat_merge_matches_the_map_accumulation(input in arb_groups()) {
+            let (n, groups) = input;
+            let mut b = CoAccessGraph::builder(vec![1; n]);
+            for (frags, weight) in &groups {
+                b.add_group(frags, *weight);
+            }
+            let graph = b.build();
+            let (expected, edges) = map_adjacency(n, &group_pairs(&groups));
+            prop_assert_eq!(graph.num_edges(), edges);
+            prop_assert_eq!(adjacency_bits(&graph.level.adj, n), expected);
+
+            // One coarsening round merges through the same helper.
+            let (coarse, map) = coarsen(&graph.level);
+            let mut pairs = Vec::new();
+            for u in 0..n {
+                for &(v, w) in graph.level.adj.of(u) {
+                    let (cu, cv) = (map[u], map[v as usize]);
+                    if (v as usize) > u && cu != cv {
+                        pairs.push((cu.min(cv), cu.max(cv), w));
+                    }
+                }
+            }
+            let coarse_n = coarse.sizes.len();
+            let (expected, _) = map_adjacency(coarse_n, &pairs);
+            prop_assert_eq!(adjacency_bits(&coarse.adj, coarse_n), expected);
+        }
+    }
+
+    #[test]
+    fn multilevel_path_covers_every_fragment_once() {
+        let n = 1000usize;
+        let g = banded_graph();
         assert!(g.num_edges() > 0);
         let part = partition_coaccess(&g, 16, 3);
         assert_eq!(part.num_fragments(), n);

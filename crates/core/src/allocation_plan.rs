@@ -71,6 +71,46 @@ impl AllocationPlan {
         policy: AllocationPolicy,
         fact_index: usize,
     ) -> Result<Self, WarlockError> {
+        PlanInputs::new(schema, system, scheme, mix, skew, fragmentation, fact_index)
+            .map(|inputs| inputs.place(policy))
+    }
+}
+
+/// Accessed fragments of one query class on one candidate.
+struct ClassAccess {
+    name: String,
+    share: f64,
+    /// `(fragment, service ms)` of a representative bound instance.
+    weighted: Vec<(usize, f64)>,
+}
+
+/// Everything an [`AllocationPlan`] of one candidate needs except the
+/// placement itself: fragment sizes and every class's weighted
+/// fragment accesses. Built once per candidate, then placed under as
+/// many policies as asked for (the policy judge places three).
+pub(crate) struct PlanInputs {
+    label: String,
+    num_disks: u32,
+    processors: u32,
+    overhead: f64,
+    sizes: Vec<u64>,
+    fact_bytes: u64,
+    bitmap_bytes: u64,
+    classes: Vec<ClassAccess>,
+}
+
+impl PlanInputs {
+    /// Derives the placement-independent part of a plan; see
+    /// [`AllocationPlan::build`].
+    pub(crate) fn new(
+        schema: &StarSchema,
+        system: &SystemConfig,
+        scheme: &BitmapScheme,
+        mix: &QueryMix,
+        skew: &SkewModel,
+        fragmentation: &Fragmentation,
+        fact_index: usize,
+    ) -> Result<Self, WarlockError> {
         let layout = FragmentLayout::new(schema, fragmentation.clone(), fact_index);
         let row_bytes = u64::from(schema.fact_row_bytes(fact_index));
         let page = system.page;
@@ -102,70 +142,86 @@ impl AllocationPlan {
             })?;
         let cost = model.evaluate_layout(&layout);
         let avg_rows = layout.uniform_rows_per_fragment().max(1.0);
-        let processors = system.architecture.total_processors();
-        let overhead = system.architecture.overhead_factor();
 
         // Per-class weighted fragment accesses of a representative bound
         // instance; each fragment's service time scales with its actual
         // (possibly skewed) size.
-        let class_access: Vec<Vec<(usize, f64)>> = mix
+        let classes = mix
             .iter()
             .zip(&cost.per_query)
-            .map(|((class, _), qc)| {
-                representative_fragments(schema, &layout, class)
+            .map(|((class, share), qc)| ClassAccess {
+                name: class.name().to_owned(),
+                share,
+                weighted: representative_fragments(schema, &layout, class)
                     .iter()
                     .map(|&f| {
                         let scale = rows[f as usize] as f64 / avg_rows;
                         (f as usize, qc.per_fragment_ms * scale)
                     })
-                    .collect()
+                    .collect(),
             })
             .collect();
 
+        Ok(Self {
+            label: fragmentation.label(schema),
+            num_disks: system.num_disks,
+            processors: system.architecture.total_processors(),
+            overhead: system.architecture.overhead_factor(),
+            sizes,
+            fact_bytes,
+            bitmap_bytes,
+            classes,
+        })
+    }
+
+    /// Places the fragments under `policy` and profiles every class on
+    /// the result.
+    pub(crate) fn place(&self, policy: AllocationPolicy) -> AllocationPlan {
+        let sizes = self.sizes.clone();
         let allocation = match policy {
             AllocationPolicy::GraphPartition { seed } => {
                 // Fragment co-access graph: one group per query class
                 // (edge weight = the class's joint heat share × device
                 // time), node heat = the class-weighted service time.
                 let mut builder = CoAccessGraph::builder(sizes);
-                for ((_, share), accessed) in mix.iter().zip(&class_access) {
-                    let group: Vec<u32> = accessed.iter().map(|&(f, _)| f as u32).collect();
-                    let joint: f64 = accessed.iter().map(|&(_, ms)| ms).sum();
-                    builder.add_group(&group, share * joint);
-                    for &(f, ms) in accessed {
-                        builder.add_heat(f as u32, share * ms);
+                for class in &self.classes {
+                    let group: Vec<u32> = class.weighted.iter().map(|&(f, _)| f as u32).collect();
+                    let joint: f64 = class.weighted.iter().map(|&(_, ms)| ms).sum();
+                    builder.add_group(&group, class.share * joint);
+                    for &(f, ms) in &class.weighted {
+                        builder.add_heat(f as u32, class.share * ms);
                     }
                 }
-                partition_coaccess(&builder.build(), system.num_disks, seed)
+                partition_coaccess(&builder.build(), self.num_disks, seed)
             }
-            _ => allocate(sizes, system.num_disks, policy),
+            _ => allocate(sizes, self.num_disks, policy),
         };
         let occupancy = allocation.occupancy_stats();
         let used_greedy = allocation.scheme() == warlock_alloc::AllocationScheme::GreedySize;
 
-        let per_class = mix
+        let per_class = self
+            .classes
             .iter()
-            .zip(&class_access)
-            .map(|((class, _), weighted)| {
-                let profile = DiskAccessProfile::build_weighted(&allocation, weighted);
-                let response_ms = profile_response_ms(&profile, processors, overhead);
+            .map(|class| {
+                let profile = DiskAccessProfile::build_weighted(&allocation, &class.weighted);
+                let response_ms = profile_response_ms(&profile, self.processors, self.overhead);
                 ClassDiskProfile {
-                    name: class.name().to_owned(),
+                    name: class.name.clone(),
                     profile,
                     response_ms,
                 }
             })
             .collect();
 
-        Ok(Self {
-            label: fragmentation.label(schema),
+        AllocationPlan {
+            label: self.label.clone(),
             allocation,
             occupancy,
-            fact_bytes,
-            bitmap_bytes,
+            fact_bytes: self.fact_bytes,
+            bitmap_bytes: self.bitmap_bytes,
             used_greedy,
             per_class,
-        })
+        }
     }
 }
 

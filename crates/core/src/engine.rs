@@ -43,7 +43,7 @@ use warlock_storage::SystemConfig;
 use warlock_workload::QueryMix;
 
 use crate::advisor::{AdvisorReport, ExcludedCandidate, ExcludedSummary, RankedCandidate};
-use crate::allocation_plan::AllocationPlan;
+use crate::allocation_plan::{AllocationPlan, PlanInputs};
 use crate::analysis::FragmentationAnalysis;
 use crate::cache::{Column, ColumnReader, EvalCache, Slot};
 use crate::config::AdvisorConfig;
@@ -714,15 +714,30 @@ pub(crate) fn plan_allocation(
     skew: &SkewModel,
     fragmentation: &Fragmentation,
 ) -> Result<AllocationPlan, WarlockError> {
+    plan_inputs(schema, system, mix, config, scheme, skew, fragmentation)
+        .map(|inputs| inputs.place(config.allocation_policy))
+}
+
+/// The placement-independent inputs of `fragmentation`'s allocation
+/// plans, to place under one or more policies.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn plan_inputs(
+    schema: &StarSchema,
+    system: &SystemConfig,
+    mix: &QueryMix,
+    config: &AdvisorConfig,
+    scheme: &BitmapScheme,
+    skew: &SkewModel,
+    fragmentation: &Fragmentation,
+) -> Result<PlanInputs, WarlockError> {
     check_candidate(schema, fragmentation)?;
-    AllocationPlan::build(
+    PlanInputs::new(
         schema,
         system,
         scheme,
         mix,
         skew,
         fragmentation,
-        config.allocation_policy,
         config.fact_index,
     )
 }

@@ -13,6 +13,11 @@
 //! graph backend must *strictly* beat the paper's own schemes to be
 //! recommended — on an uncorrelated mix it degrades to greedy's
 //! placement and the simpler policy wins the tie.
+//!
+//! The verdict on the top-ranked candidate is judged at most once per
+//! snapshot and cached next to the ranking: every input it depends on
+//! lives in the snapshot, and each copy-on-write swap (or
+//! [`Warlock::invalidate`]) starts a fresh snapshot with no verdict.
 
 use warlock_alloc::AllocationScheme;
 use warlock_fragment::Fragmentation;
@@ -92,13 +97,21 @@ fn heat_imbalance(plan: &AllocationPlan, shares: &[f64]) -> f64 {
 impl Warlock {
     /// Judges the contending allocation policies on the top-ranked
     /// candidate and recommends one for the configured workload.
-    /// Ranks first if necessary.
+    /// Ranks first if necessary. The verdict is cached on the snapshot
+    /// (see the [module docs](self)), so only the first call on a
+    /// snapshot replays the simulator.
     ///
     /// # Errors
     ///
     /// [`WarlockError::RankOutOfRange`] when nothing survived the
     /// thresholds, plus anything ranking itself can raise.
     pub fn recommend_policy(&self) -> Result<PolicyRecommendation, WarlockError> {
+        self.top_recommendation().cloned()
+    }
+
+    /// Judges the policies on the top-ranked candidate, uncached: the
+    /// computation behind [`Warlock::recommend_policy`].
+    pub(crate) fn judge_top(&self) -> Result<PolicyRecommendation, WarlockError> {
         let report = self.rank()?;
         let top = report.top().map(|r| r.cost.fragmentation.clone()).ok_or(
             WarlockError::RankOutOfRange {
@@ -109,7 +122,8 @@ impl Warlock {
         self.recommend_policy_for(&top)
     }
 
-    /// Judges the contending policies on an explicit candidate.
+    /// Judges the contending policies on an explicit candidate. Not
+    /// cached: every call places and replays afresh.
     pub fn recommend_policy_for(
         &self,
         fragmentation: &Fragmentation,
@@ -129,21 +143,21 @@ impl Warlock {
         ];
         let shares: Vec<f64> = s.mix().iter().map(|(_, share)| share).collect();
 
-        let mut plans = Vec::with_capacity(contenders.len());
-        for (name, policy) in contenders {
-            let mut config = s.config().clone();
-            config.allocation_policy = policy;
-            let plan = engine::plan_allocation(
-                s.schema(),
-                s.system(),
-                s.mix(),
-                &config,
-                s.scheme(),
-                s.skew(),
-                fragmentation,
-            )?;
-            plans.push((name, plan));
-        }
+        // Sizes, costs and class accesses do not depend on the policy:
+        // derive them once and place them three ways.
+        let inputs = engine::plan_inputs(
+            s.schema(),
+            s.system(),
+            s.mix(),
+            s.config(),
+            s.scheme(),
+            s.skew(),
+            fragmentation,
+        )?;
+        let plans: Vec<(&str, AllocationPlan)> = contenders
+            .into_iter()
+            .map(|(name, policy)| (name, inputs.place(policy)))
+            .collect();
 
         let entrants: Vec<PolicyEntrant> = plans
             .iter()

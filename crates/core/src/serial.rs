@@ -1114,8 +1114,9 @@ impl FromJson for SessionReport {
 impl crate::Warlock {
     /// The complete machine-readable advisory for the current inputs:
     /// the ranking plus the top candidate's analysis, allocation plan
-    /// and judged allocation-policy recommendation. Ranks first if
-    /// necessary.
+    /// and judged allocation-policy recommendation (the snapshot's
+    /// cached verdict, see [`crate::Warlock::recommend_policy`]). Ranks
+    /// first if necessary.
     pub fn session_report(&self) -> Result<SessionReport, WarlockError> {
         let top = self.rank()?.top().map(|r| r.cost.fragmentation.clone());
         let analysis = top
@@ -1125,13 +1126,13 @@ impl crate::Warlock {
         let allocation = top.as_ref().map(|f| self.plan_candidate(f)).transpose()?;
         let recommendation = top
             .as_ref()
-            .map(|f| self.recommend_policy_for(f))
+            .map(|_| self.top_recommendation())
             .transpose()?;
         Ok(SessionReport::new(
             self.rank()?,
             analysis.as_ref(),
             allocation.as_ref(),
-            recommendation.as_ref(),
+            recommendation,
         ))
     }
 }

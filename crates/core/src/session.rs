@@ -27,7 +27,8 @@
 //!
 //! - an immutable [`Snapshot`] — schema, system, mix, configuration,
 //!   derived bitmap scheme and skew model, all validated exactly once,
-//!   plus the lazily computed baseline ranking;
+//!   plus the lazily computed baseline ranking and allocation-policy
+//!   verdict;
 //! - shared mutable state — the cross-clone [`EvalCache`] and the
 //!   persistent evaluation worker pool.
 //!
@@ -67,6 +68,7 @@ use crate::engine::exec::WorkerPool;
 use crate::engine::EvalEnv;
 use crate::error::WarlockError;
 use crate::optimizer::{AdviceEvent, DriftStatus, OptimizerState};
+use crate::policy_judge::PolicyRecommendation;
 use crate::tuning::TuningDelta;
 use warlock_schema::DimensionId;
 use warlock_workload::{mix_divergence, ClassObservation, DriftState, DriftTransition};
@@ -85,6 +87,9 @@ pub struct Snapshot {
     /// The baseline ranking, computed at most once per snapshot and
     /// shared by every clone holding it.
     ranking: OnceLock<Result<AdvisorReport, WarlockError>>,
+    /// The top candidate's judged allocation-policy recommendation,
+    /// computed at most once per snapshot like `ranking`.
+    recommendation: OnceLock<Result<PolicyRecommendation, WarlockError>>,
     /// Memoized single-candidate evaluation fingerprint (computing one
     /// dumps every model input, and it is constant per snapshot).
     evaluate_fp: OnceLock<u128>,
@@ -107,6 +112,7 @@ impl Snapshot {
             scheme,
             skew,
             ranking: OnceLock::new(),
+            recommendation: OnceLock::new(),
             evaluate_fp: OnceLock::new(),
         }
     }
@@ -178,6 +184,39 @@ impl Shared {
             cache: Some(&self.cache),
             pool: &self.pool,
         }
+    }
+
+    /// The resident optimizer's state. A panic while the lock was held
+    /// (say, inside an auto re-advise) poisons it; the state is then
+    /// reset to `None` — the observed-traffic window, drift detector
+    /// and advice-event log are dropped, as if nothing had been
+    /// observed yet — instead of failing every later drift operation.
+    fn lock_optimizer(&self) -> std::sync::MutexGuard<'_, Option<OptimizerState>> {
+        self.optimizer.lock().unwrap_or_else(|poisoned| {
+            let mut state = poisoned.into_inner();
+            *state = None;
+            self.optimizer.clear_poison();
+            state
+        })
+    }
+}
+
+/// Reads a snapshot's lazily computed value, computing it first when
+/// the cell is empty. No lock is held across `compute`: two clones
+/// racing an empty cell may both compute, the first result wins, and
+/// both return it.
+fn settle<'a, T>(
+    cell: &'a OnceLock<Result<T, WarlockError>>,
+    what: &str,
+    compute: impl FnOnce() -> Result<T, WarlockError>,
+) -> Result<&'a T, WarlockError> {
+    if cell.get().is_none() {
+        let _ = cell.set(compute());
+    }
+    match cell.get() {
+        Some(Ok(value)) => Ok(value),
+        Some(Err(e)) => Err(e.clone()),
+        None => Err(WarlockError::internal(format!("{what} never settled"))),
     }
 }
 
@@ -562,15 +601,17 @@ impl Warlock {
     /// baseline may both compute it; the first result wins and both
     /// return identical reports).
     pub fn rank(&self) -> Result<&AdvisorReport, WarlockError> {
-        if self.snapshot.ranking.get().is_none() {
-            let computed = self.run();
-            let _ = self.snapshot.ranking.set(computed);
-        }
-        match self.snapshot.ranking.get() {
-            Some(Ok(report)) => Ok(report),
-            Some(Err(e)) => Err(e.clone()),
-            None => Err(WarlockError::internal("baseline ranking never settled")),
-        }
+        settle(&self.snapshot.ranking, "baseline ranking", || self.run())
+    }
+
+    /// The snapshot's cached policy recommendation for the top-ranked
+    /// candidate, judged on first call (see [`Warlock::recommend_policy`]).
+    pub(crate) fn top_recommendation(&self) -> Result<&PolicyRecommendation, WarlockError> {
+        settle(
+            &self.snapshot.recommendation,
+            "policy recommendation",
+            || self.judge_top(),
+        )
     }
 
     /// The cached ranking, if [`Warlock::rank`] has succeeded on this
@@ -583,10 +624,11 @@ impl Warlock {
         }
     }
 
-    /// Drops the cached ranking **and** the shared evaluation memo (every
-    /// column and `evaluate` entry): the next [`Warlock::rank`] recomputes
-    /// everything. Clearing the memo is observable by clones (it is
-    /// shared); their snapshots and cached rankings are untouched.
+    /// Drops the cached ranking and policy verdict **and** the shared
+    /// evaluation memo (every column and `evaluate` entry): the next
+    /// [`Warlock::rank`] recomputes everything. Clearing the memo is
+    /// observable by clones (it is shared); their snapshots, cached
+    /// rankings and verdicts are untouched.
     pub fn invalidate(&mut self) {
         let fresh = self.snapshot.fresh();
         self.swap_snapshot(fresh);
@@ -800,7 +842,7 @@ impl Warlock {
     /// traffic consisting only of unknown classes cannot be costed.
     pub fn observe(&mut self, batch: &[ClassObservation]) -> Result<DriftStatus, WarlockError> {
         let shared = Arc::clone(&self.shared);
-        let mut guard = shared.optimizer.lock().expect("optimizer state poisoned");
+        let mut guard = shared.lock_optimizer();
         let snapshot = Arc::clone(&self.snapshot);
         let state = guard.get_or_insert_with(|| OptimizerState::new(&snapshot.config));
         state.window.ingest(batch);
@@ -851,11 +893,7 @@ impl Warlock {
     /// the detector. Before the first [`Warlock::observe`] the score is
     /// `0.0` and the thresholds are read from the configuration.
     pub fn drift_status(&self) -> DriftStatus {
-        let guard = self
-            .shared
-            .optimizer
-            .lock()
-            .expect("optimizer state poisoned");
+        let guard = self.shared.lock_optimizer();
         let s = &*self.snapshot;
         match &*guard {
             None => DriftStatus {
@@ -886,11 +924,7 @@ impl Warlock {
     /// retained); the log itself keeps a bounded tail, and each event's
     /// `seq` stays monotonic across truncation.
     pub fn advice_events(&self, limit: usize) -> Vec<AdviceEvent> {
-        let guard = self
-            .shared
-            .optimizer
-            .lock()
-            .expect("optimizer state poisoned");
+        let guard = self.shared.lock_optimizer();
         match &*guard {
             None => Vec::new(),
             Some(state) => {
@@ -1665,5 +1699,131 @@ mod tests {
             "`{e}` does not name the offending path"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_poisoned_optimizer_lock_is_recovered() {
+        let mut s = resident_session();
+        let matching = matching_batch(&s);
+        s.observe(&matching).unwrap();
+        let shared = Arc::clone(&s.shared);
+        let joined = std::thread::spawn(move || {
+            let _held = shared.optimizer.lock();
+            panic!("panic while holding the optimizer lock");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(s.shared.optimizer.is_poisoned());
+        // The drift history is dropped and every drift op serves again.
+        let status = s.drift_status();
+        assert!(!s.shared.optimizer.is_poisoned());
+        assert_eq!(status.observed_queries, 0);
+        assert_eq!(status.state, DriftState::Stable);
+        assert!(s.advice_events(0).is_empty());
+        let status = s.observe(&matching).unwrap();
+        assert_eq!(status.observed_queries, 1000);
+        assert_eq!(s.drift_status().observed_queries, 1000);
+    }
+
+    /// A newly built session with `s`'s current inputs.
+    fn rebuilt(s: &Warlock) -> Warlock {
+        Warlock::builder()
+            .schema(s.schema().clone())
+            .system(*s.system())
+            .mix(s.mix().clone())
+            .config(s.config().clone())
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn the_policy_verdict_is_judged_once_per_snapshot() {
+        let s = session();
+        assert!(s.snapshot.recommendation.get().is_none());
+        let cold = s.recommend_policy().unwrap();
+        assert!(s.snapshot.recommendation.get().is_some());
+        assert_eq!(s.recommend_policy().unwrap(), cold);
+        let top = s.rank().unwrap().top().unwrap().cost.fragmentation.clone();
+        assert_eq!(s.recommend_policy_for(&top).unwrap(), cold);
+        let row = crate::serial::PolicyRecommendationRow::from(&cold);
+        assert_eq!(s.session_report().unwrap().recommendation, Some(row));
+    }
+
+    #[test]
+    fn every_snapshot_swap_rejudges_the_policy_verdict() {
+        let base = session();
+        let before = base.recommend_policy().unwrap();
+
+        let mut reweighted = base.clone();
+        let mut mix = QueryMix::builder();
+        for (i, (class, share)) in base.mix().iter().enumerate() {
+            mix = mix.class(class.clone(), share * (1.0 + i as f64));
+        }
+        reweighted.set_mix(mix.build().unwrap()).unwrap();
+
+        let mut reseeded = base.clone();
+        let mut config = base.config().clone();
+        config.allocation_policy = warlock_alloc::AllocationPolicy::GraphPartition { seed: 7 };
+        reseeded.set_config(config).unwrap();
+
+        let mut wider = base.clone();
+        wider.set_system(SystemConfig::default_2001(32)).unwrap();
+
+        let mut invalidated = base.clone();
+        invalidated.invalidate();
+
+        for (what, s) in [
+            ("set_mix", &reweighted),
+            ("set_config", &reseeded),
+            ("set_system", &wider),
+            ("invalidate", &invalidated),
+        ] {
+            assert_eq!(
+                s.recommend_policy().unwrap(),
+                rebuilt(s).recommend_policy().unwrap(),
+                "{what}"
+            );
+        }
+        assert_ne!(reweighted.recommend_policy().unwrap(), before);
+        assert_ne!(wider.recommend_policy().unwrap(), before);
+        // The sibling still holding the old snapshot keeps its verdict.
+        assert_eq!(base.recommend_policy().unwrap(), before);
+    }
+
+    #[test]
+    fn an_auto_readvise_reports_the_adopted_mix_verdict() {
+        let mut s = resident_session();
+        let before = s.session_report().unwrap().recommendation;
+        let matching = matching_batch(&s);
+        s.observe(&matching).unwrap();
+        let drifted = drifted_batch(&s, "q02_month_class");
+        for _ in 0..10 {
+            s.observe(&drifted).unwrap();
+        }
+        assert_eq!(s.drift_status().events_emitted, 1);
+        let after = s.session_report().unwrap().recommendation;
+        assert_eq!(after, rebuilt(&s).session_report().unwrap().recommendation);
+        assert_ne!(after, before);
+    }
+
+    #[test]
+    fn an_empty_ranking_has_no_policy_verdict() {
+        let mut config = AdvisorConfig::default();
+        config.thresholds.min_fragment_rows = u64::MAX;
+        let s = Warlock::builder()
+            .schema(apb1_like_schema(Apb1Config::default()).unwrap())
+            .system(SystemConfig::default_2001(16))
+            .mix(apb1_like_mix().unwrap())
+            .config(config)
+            .build()
+            .unwrap();
+        assert!(s.rank().unwrap().ranked.is_empty());
+        assert_eq!(s.session_report().unwrap().recommendation, None);
+        let e = WarlockError::RankOutOfRange {
+            rank: 1,
+            available: 0,
+        };
+        assert_eq!(s.recommend_policy().unwrap_err(), e);
+        assert_eq!(s.recommend_policy().unwrap_err(), e);
     }
 }
