@@ -1,4 +1,4 @@
-//! A counting global allocator shared by the harness binaries.
+//! A counting global allocator shared by the criterion benches.
 //!
 //! [`CountingAlloc`] is a pass-through wrapper over the system
 //! allocator that tracks allocation counts and the peak number of live

@@ -1,8 +1,8 @@
-//! WARLOCK experiment harness: regenerates every table/figure of
-//! EXPERIMENTS.md (experiment ids from DESIGN.md §4).
+//! WARLOCK experiment harness: prints the reproduction's tables and
+//! figures as fixed-width text, one experiment per id.
 //!
 //! Usage: `cargo run --release -p warlock-bench --bin experiments [ID...]`
-//! with ids `e1..e10`, `v1`, or `all` (default).
+//! with ids `e1..e14`, `v1`, or `all` (default).
 
 use std::env;
 

@@ -1,44 +1,32 @@
-//! Scenario-fleet perf-trajectory harness.
+//! Scenario-fleet harness.
 //!
 //! Usage:
 //!
 //! ```text
 //! fleet run    [--seed N] [--count N] [--out PATH] [--quiet]
-//! fleet diff   <baseline.json> <current.json> [--tolerance F]
-//! fleet canary <in.json> <out.json> [--factor F]
 //! fleet list   [--seed N] [--count N]
 //! ```
 //!
 //! `run` generates the seeded fleet, drives every scenario through
-//! rank → allocate → what-if under the cross-cutting invariants, and
-//! writes the versioned `BENCH_*.json` perf-trajectory document.
-//! `diff` compares two such documents (exact fields exactly, measured
-//! metrics under `--tolerance`, default 0.5 = +50%) and exits non-zero
-//! on regression. `canary` injects a synthetic slowdown into a report —
-//! a self-test proving the diff gate trips. `list` prints the scenario
-//! set without running anything.
+//! rank → allocate → what-if → policy judge → drift replay under the
+//! cross-cutting invariants, and writes the deterministic report. The
+//! committed golden is regenerated with
+//! `fleet run --seed 42 --count 25 --out crates/bench/fleet.golden.json`.
+//! `list` prints the scenario set without running anything.
 
 use std::process::ExitCode;
 
-use warlock_bench::alloc_probe::CountingAlloc;
-use warlock_bench::fleet::{apply_canary, diff_reports, run_fleet, DiffOptions, FleetReport};
+use warlock_bench::fleet::run_fleet;
 use warlock_scenarios::{generate_fleet, ScenarioSpace};
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 const DEFAULT_SEED: u64 = 42;
 const DEFAULT_COUNT: u32 = 25;
-const DEFAULT_TOLERANCE: f64 = 0.5;
-const DEFAULT_FACTOR: f64 = 4.0;
 
 struct Args {
     positional: Vec<String>,
     seed: u64,
     count: u32,
     out: Option<String>,
-    tolerance: f64,
-    factor: f64,
     quiet: bool,
 }
 
@@ -48,8 +36,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         seed: DEFAULT_SEED,
         count: DEFAULT_COUNT,
         out: None,
-        tolerance: DEFAULT_TOLERANCE,
-        factor: DEFAULT_FACTOR,
         quiet: false,
     };
     let mut it = raw.iter();
@@ -61,8 +47,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             "--seed" => args.seed = parse_num(value("--seed")?, "--seed")?,
             "--count" => args.count = parse_num(value("--count")?, "--count")?,
             "--out" => args.out = Some(value("--out")?.clone()),
-            "--tolerance" => args.tolerance = parse_float(value("--tolerance")?, "--tolerance")?,
-            "--factor" => args.factor = parse_float(value("--factor")?, "--factor")?,
             "--quiet" => args.quiet = true,
             other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
             other => args.positional.push(other.to_string()),
@@ -77,45 +61,23 @@ fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String>
         .map_err(|_| format!("{flag}: `{value}` is not a valid number"))
 }
 
-fn parse_float(value: &str, flag: &str) -> Result<f64, String> {
-    let parsed: f64 = parse_num(value, flag)?;
-    if !parsed.is_finite() || parsed < 0.0 {
-        return Err(format!("{flag}: `{value}` must be finite and non-negative"));
-    }
-    Ok(parsed)
-}
-
-fn load(path: &str) -> Result<FleetReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    FleetReport::from_json_str(&text).map_err(|e| format!("{path}: {e}"))
-}
-
 fn cmd_run(args: &Args) -> Result<(), String> {
     let report = run_fleet(args.seed, args.count, &ScenarioSpace::default())?;
     if !args.quiet {
         eprintln!(
-            "fleet: {} scenarios (seed {}, fingerprint {}) in {:.0} ms, \
-             counting allocator {}",
+            "fleet: {} scenarios (seed {}, fingerprint {})",
             report.scenarios.len(),
             report.seed,
             report.fingerprint,
-            report.total_ms,
-            if report.counting_allocator {
-                "on"
-            } else {
-                "off"
-            },
         );
-        for class in &report.classes {
+        for m in &report.scenarios {
             eprintln!(
-                "  {:<34} n={} rank p50 {:>8.3} ms  p99 {:>8.3} ms  {:>7.1}/s  eval {:>9.0} cand/s  peak {:>9} B",
-                class.class,
-                class.scenarios,
-                class.rank_ms_p50,
-                class.rank_ms_p99,
-                class.throughput_per_s,
-                class.candidates_per_sec,
-                class.peak_bytes_max,
+                "  {:<40} {:>6} cand  top {:<40} {:>5} frags  {}",
+                m.label,
+                m.candidates,
+                m.top_label,
+                m.fragments,
+                m.policy_order.join(" > "),
             );
         }
     }
@@ -137,53 +99,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             );
         }
         return Err(format!("{} invariant failure(s)", report.failures.len()));
-    }
-    Ok(())
-}
-
-fn cmd_diff(args: &Args) -> Result<(), String> {
-    let [baseline_path, current_path] = args.positional.as_slice() else {
-        return Err("diff expects exactly two report paths".into());
-    };
-    let baseline = load(baseline_path)?;
-    let current = load(current_path)?;
-    let outcome = diff_reports(
-        &baseline,
-        &current,
-        &DiffOptions::with_tolerance(args.tolerance),
-    )?;
-    if !args.quiet {
-        for line in &outcome.lines {
-            println!("{line}");
-        }
-    }
-    if outcome.passed() {
-        println!(
-            "fleet diff: PASS ({} comparisons within ±{:.0}%)",
-            outcome.lines.len(),
-            args.tolerance * 100.0
-        );
-        Ok(())
-    } else {
-        for regression in &outcome.regressions {
-            eprintln!("fleet diff: REGRESSION {regression}");
-        }
-        Err(format!("{} regression(s)", outcome.regressions.len()))
-    }
-}
-
-fn cmd_canary(args: &Args) -> Result<(), String> {
-    let [input, output] = args.positional.as_slice() else {
-        return Err("canary expects an input and an output path".into());
-    };
-    let mut report = load(input)?;
-    apply_canary(&mut report, args.factor);
-    std::fs::write(output, report.to_json_string()).map_err(|e| format!("{output}: {e}"))?;
-    if !args.quiet {
-        eprintln!(
-            "fleet: wrote {output} with a ×{} synthetic slowdown",
-            args.factor
-        );
     }
     Ok(())
 }
@@ -213,25 +128,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (command, rest) = match args.positional.split_first() {
-        Some((cmd, rest)) => (cmd.clone(), rest.to_vec()),
-        None => {
-            eprintln!(
-                "usage: fleet <run|diff|canary|list> [args]  (see the module docs in src/bin/fleet.rs)"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let args = Args {
-        positional: rest,
-        ..args
-    };
-    let result = match command.as_str() {
-        "run" => cmd_run(&args),
-        "diff" => cmd_diff(&args),
-        "canary" => cmd_canary(&args),
-        "list" => cmd_list(&args),
-        other => Err(format!("unknown command `{other}`")),
+    let result = match args.positional.first().map(String::as_str) {
+        Some("run") => cmd_run(&args),
+        Some("list") => cmd_list(&args),
+        Some(other) => Err(format!("unknown command `{other}`")),
+        None => Err("usage: fleet <run|list> [args]  (see src/bin/fleet.rs)".into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -1,44 +1,28 @@
-//! The scenario-fleet harness: runs rank → allocate → what-if over a
-//! generated scenario fleet, checks cross-cutting invariants, and
-//! aggregates a versioned perf-trajectory report (`BENCH_*.json`).
+//! The scenario-fleet harness: runs rank → allocate → what-if → policy
+//! judge → drift replay over a generated scenario fleet, checks the
+//! cross-cutting invariants, and records each scenario's deterministic
+//! outputs in a [`FleetReport`].
 //!
-//! Two kinds of numbers live in a [`FleetReport`], with different
-//! reproducibility contracts:
-//!
-//! * **Exact** — the scenario-set fingerprint, candidate-space sizes
-//!   and invariant outcomes are pure functions of `(seed, count,
-//!   space)`; [`diff_reports`] compares them *exactly* and flags any
-//!   difference as an incomparable-baseline error.
-//! * **Measured** — latencies, throughput, allocation counts and peak
-//!   live bytes vary run to run; [`diff_reports`] compares them per
-//!   scenario class under a relative tolerance.
+//! Every field of the report is a pure function of `(seed, count,
+//! space)`: there are no timings and no memory counts. The rendered
+//! report of `run_fleet(42, 25, ..)` is committed as the exact golden
+//! `crates/bench/fleet.golden.json`, and [`golden_mismatch`] compares a
+//! fresh rendering with it line for line. `warlock_json` writes the
+//! shortest round-trip form of each f64, so a one-ulp change to any
+//! number shows up in the text.
 
-use std::collections::BTreeMap;
-use std::time::Instant;
-
-use warlock::config_file::{parse_config, ParsedConfig};
+use warlock::config_file::parse_config;
 use warlock::{SessionReport, Warlock};
 use warlock_json::{Json, ToJson};
 use warlock_scenarios::{generate_fleet, Scenario, ScenarioSpace};
-
-use crate::alloc_probe::{allocation_profile, probe_installed};
-
-/// Schema version of the `BENCH_*.json` document this module writes.
-/// v2 added `candidates_per_sec`; v3 added the non-gating
-/// allocation-quality numbers (`greedy_heat_imbalance`,
-/// `graph_heat_imbalance`, `graph_makespan_ratio`); v4 added the
-/// non-gating resident-optimizer replay numbers
-/// (`drift_detect_batches`, `drift_readvise_ms`). Older documents
-/// still parse — absent fields default to 0, which the diff skips.
-pub const SCHEMA_VERSION: u64 = 4;
 
 /// Every `sample_stride`-th scenario additionally re-ranks with forced
 /// chunked-streaming settings and asserts bit-identical reports.
 pub const SAMPLE_STRIDE: u32 = 5;
 
-/// Measured metrics of one scenario run.
+/// The deterministic outputs of one scenario run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioMetrics {
+pub struct ScenarioRecord {
     /// Scenario index within the fleet.
     pub id: u32,
     /// Stable label, e.g. `s007-deep/hot_spot/drifting`.
@@ -47,46 +31,34 @@ pub struct ScenarioMetrics {
     pub class: String,
     /// Disks in the generated system configuration.
     pub disks: u32,
-    /// Exact candidate-space size (reproducible).
+    /// Exact candidate-space size.
     pub candidates: u64,
-    /// Fragments of the top-ranked candidate (reproducible).
+    /// Candidates that passed the thresholds and were ranked.
+    pub evaluated: u64,
+    /// Candidates excluded by a structural check or a threshold.
+    pub excluded: u64,
+    /// Label of the top-ranked candidate.
+    pub top_label: String,
+    /// Fragments of the top-ranked candidate.
     pub fragments: u64,
-    /// Wall-clock of the cold rank (enumerate + evaluate + twofold rank).
-    pub rank_ms: f64,
-    /// Single-thread cold-cache evaluation throughput: candidates/sec
-    /// through the batched evaluator (cost-table build included) over
-    /// the scenario's structurally admissible candidate space — no
-    /// memo, no ranking, one worker.
-    pub candidates_per_sec: f64,
-    /// Wall-clock of planning the winner's allocation.
-    pub alloc_ms: f64,
-    /// Wall-clock of a warm `what_if_disks` variation (pure cache hits).
-    pub whatif_ms: f64,
-    /// Hit fraction of the evaluation memo over the whole scenario run.
+    /// Hit fraction of the evaluation memo over rank, report,
+    /// allocation and the two what-if calls.
     pub cache_hit_rate: f64,
-    /// Peak extra live heap bytes over the run (0 without the probe).
-    pub peak_bytes: u64,
-    /// Heap allocations over the run (0 without the probe).
-    pub allocations: u64,
+    /// The policy judge's verdicts for the top candidate, best first.
+    pub policy_order: Vec<String>,
     /// Max-over-mean mix-weighted disk heat of the winner's allocation
-    /// under the greedy size-based policy (non-gating; 0 when the
-    /// judge could not run).
+    /// under the greedy size-based policy.
     pub greedy_heat_imbalance: f64,
     /// The same heat imbalance under the co-access graph partitioner.
     pub graph_heat_imbalance: f64,
     /// Simulated replay makespan of the graph policy over greedy's
-    /// (< 1 means the partitioner wins head-to-head; non-gating).
+    /// (< 1 means the partitioner wins head-to-head; 0 when greedy's
+    /// makespan is 0).
     pub graph_makespan_ratio: f64,
     /// Observation batches of the scenario's seeded drift trajectory
     /// replayed before the resident optimizer fired its first auto
-    /// re-advise — the drift-detection latency in workload terms
-    /// (non-gating; 0 for non-drifting scenarios or when the replay
-    /// could not run).
-    pub drift_detect_batches: f64,
-    /// Wall-clock (ms) of the `observe` call that crossed the drift
-    /// threshold — drift scoring plus the incremental warm re-rank at
-    /// the adopted mix (non-gating; 0 when no re-advise fired).
-    pub drift_readvise_ms: f64,
+    /// re-advise (0 for non-drifting scenarios, or when none fired).
+    pub drift_detect_batches: u64,
 }
 
 /// One failed cross-cutting invariant.
@@ -100,42 +72,10 @@ pub struct InvariantFailure {
     pub detail: String,
 }
 
-/// Aggregated metrics of one scenario class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassAggregate {
-    /// Class label (`schema/skew/mix`).
-    pub class: String,
-    /// Scenarios aggregated.
-    pub scenarios: u64,
-    /// Median cold-rank latency (ms).
-    pub rank_ms_p50: f64,
-    /// 99th-percentile cold-rank latency (ms).
-    pub rank_ms_p99: f64,
-    /// Scenario throughput: members / total wall-clock seconds.
-    pub throughput_per_s: f64,
-    /// Mean single-thread cold-cache evaluation throughput across
-    /// members (candidates/sec, see
-    /// [`ScenarioMetrics::candidates_per_sec`]).
-    pub candidates_per_sec: f64,
-    /// Total candidate-space size across members (reproducible).
-    pub candidates: u64,
-    /// Largest peak live bytes among members.
-    pub peak_bytes_max: u64,
-    /// Mean evaluation-memo hit rate.
-    pub cache_hit_rate_mean: f64,
-    /// Mean graph/greedy simulated makespan ratio across members
-    /// (non-gating; 0 when no member carried the number).
-    pub graph_makespan_ratio: f64,
-    /// Mean warm re-advise cost (ms) across the members whose drift
-    /// replay fired (non-gating; 0 when none did).
-    pub drift_readvise_ms: f64,
-}
-
-/// The versioned perf-trajectory document (`BENCH_*.json`).
+/// The fleet's outputs, rendered as the golden by
+/// [`FleetReport::to_json_string`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
-    /// Document schema version ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
     /// Fleet seed.
     pub seed: u64,
     /// Scenarios generated.
@@ -143,17 +83,10 @@ pub struct FleetReport {
     /// FNV-1a fingerprint of every rendered scenario config, in fleet
     /// order — byte-identical scenario sets have equal fingerprints.
     pub fingerprint: String,
-    /// Whether the counting global allocator was installed (memory
-    /// numbers are honest zeros otherwise).
-    pub counting_allocator: bool,
     /// Failed invariants (empty on a healthy run).
     pub failures: Vec<InvariantFailure>,
-    /// Per-scenario measurements, in fleet order.
-    pub scenarios: Vec<ScenarioMetrics>,
-    /// Per-class aggregates, in stable class order.
-    pub classes: Vec<ClassAggregate>,
-    /// Total harness wall-clock (ms).
-    pub total_ms: f64,
+    /// Per-scenario outputs, in fleet order (failed scenarios omitted).
+    pub scenarios: Vec<ScenarioRecord>,
 }
 
 /// FNV-1a over the rendered configs — the fleet's identity.
@@ -168,477 +101,264 @@ pub fn fleet_fingerprint(fleet: &[Scenario]) -> String {
     format!("{hash:016x}")
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
+/// A broken invariant: its name and a human-readable detail.
+type Broken = (&'static str, String);
 
-/// Single-thread cold-cache sweep of the scenario's candidate space
-/// through the batched evaluator: cost-table build + layout + SoA
-/// costing for every structurally admissible candidate, no memo, no
-/// ranking. Returns candidates/sec (0 when nothing was evaluable) —
-/// the fleet's evaluation-throughput trajectory number.
-fn eval_sweep(parsed: &ParsedConfig) -> f64 {
-    use warlock_bitmap::BitmapScheme;
-    use warlock_cost::{evaluate_chunk, ChunkBatch, CostModel, CostTables};
-    use warlock_fragment::{CandidateSource, FragmentLayout, LayoutScratch};
-
-    const GROUP: usize = 64;
-
-    let scheme = BitmapScheme::derive(&parsed.schema, &parsed.mix, parsed.advisor.scheme);
-    let model = CostModel::new(&parsed.schema, &parsed.system, &scheme, &parsed.mix);
-    let Ok(model) = model.with_fact_index(parsed.advisor.fact_index) else {
-        return 0.0;
-    };
-
-    let started = Instant::now();
-    let tables = CostTables::build(&model, &parsed.advisor.range_options);
-    let source = CandidateSource::ranged(
-        &parsed.schema,
-        parsed.advisor.max_dimensionality,
-        &parsed.advisor.range_options,
-    );
-    let mut scratch = LayoutScratch::new();
-    let mut batch = ChunkBatch::new();
-    let mut swept = 0u64;
-    let mut staged = 0usize;
-    let mut sink = 0.0f64;
-    let max_fragments = u128::from(parsed.advisor.thresholds.max_fragments);
-    for fragmentation in source {
-        if fragmentation.num_fragments(&parsed.schema) > max_fragments {
-            continue;
-        }
-        let layout = FragmentLayout::new_in(
-            &mut scratch,
-            &parsed.schema,
-            fragmentation,
-            parsed.advisor.fact_index,
-        );
-        batch.push(layout, &mut scratch);
-        staged += 1;
-        if staged == GROUP {
-            for cost in evaluate_chunk(&tables, &mut batch) {
-                sink += cost.io_cost_ms;
-            }
-            swept += staged as u64;
-            staged = 0;
-        }
-    }
-    if staged > 0 {
-        for cost in evaluate_chunk(&tables, &mut batch) {
-            sink += cost.io_cost_ms;
-        }
-        swept += staged as u64;
-    }
-    let secs = started.elapsed().as_secs_f64();
-    std::hint::black_box(sink);
-    if swept == 0 || secs <= 0.0 {
-        0.0
-    } else {
-        swept as f64 / secs
-    }
-}
-
-/// Runs one scenario end to end, appending metrics or a failure.
-fn run_scenario(
-    scenario: &Scenario,
-    metrics: &mut Vec<ScenarioMetrics>,
-    failures: &mut Vec<InvariantFailure>,
-) {
-    let label = scenario.label();
-    let mut fail = |invariant: &str, detail: String| {
-        failures.push(InvariantFailure {
-            scenario: label.clone(),
-            invariant: invariant.into(),
-            detail,
-        });
-    };
-
+/// Drives one scenario through every invariant and collects its
+/// outputs; the first broken invariant ends the scenario.
+fn check_scenario(scenario: &Scenario) -> Result<ScenarioRecord, Broken> {
     // Invariant: the rendered config parses back to the same inputs —
     // the generator's output is a valid config file.
-    match parse_config(&scenario.config_string()) {
-        Ok(reparsed) => {
-            if reparsed.schema != scenario.parsed.schema {
-                fail(
-                    "config_round_trip",
-                    "schema changed across render/parse".into(),
-                );
-            }
-        }
-        Err(e) => {
-            fail(
-                "config_round_trip",
-                format!("rendered config rejected: {e}"),
-            );
-            return;
-        }
+    let reparsed = parse_config(&scenario.config_string()).map_err(|e| {
+        (
+            "config_round_trip",
+            format!("rendered config rejected: {e}"),
+        )
+    })?;
+    if reparsed.schema != scenario.parsed.schema {
+        return Err((
+            "config_round_trip",
+            "schema changed across render/parse".into(),
+        ));
     }
 
-    let session = match scenario.session() {
-        Ok(s) => s,
-        Err(e) => {
-            fail("session_build", e.to_string());
-            return;
-        }
-    };
+    let session = scenario
+        .session()
+        .map_err(|e| ("session_build", e.to_string()))?;
+    let baseline = session.rank().map_err(|e| ("rank", e.to_string()))?.clone();
 
-    let run = allocation_profile(|| {
-        let started = Instant::now();
-        let baseline = match session.rank() {
-            Ok(r) => r.clone(),
-            Err(e) => return Err(("rank", e.to_string())),
-        };
-        let rank_ms = started.elapsed().as_secs_f64() * 1e3;
+    // Invariant: lazy enumeration visited the entire space.
+    let space = session.candidate_space_size();
+    if baseline.enumerated as u128 != space {
+        return Err((
+            "space_size",
+            format!("enumerated {} != space size {}", baseline.enumerated, space),
+        ));
+    }
 
-        // Invariant: lazy enumeration visited the entire space.
-        let space = session.candidate_space_size();
-        if baseline.enumerated as u128 != space {
-            return Err((
-                "space_size",
-                format!("enumerated {} != space size {}", baseline.enumerated, space),
-            ));
-        }
-
-        // Invariant: the machine-readable report round-trips through
-        // its JSON wire form, compact and pretty.
-        let report = match session.session_report() {
-            Ok(r) => r,
+    // Invariant: the machine-readable report round-trips through its
+    // JSON wire form, compact and pretty.
+    let report = session
+        .session_report()
+        .map_err(|e| ("report_round_trip", e.to_string()))?;
+    for text in [report.to_json().render(), report.to_json().pretty()] {
+        match SessionReport::from_json_str(&text) {
+            Ok(back) if back == report => {}
+            Ok(_) => return Err(("report_round_trip", "reparse differs".into())),
             Err(e) => return Err(("report_round_trip", e.to_string())),
-        };
-        for text in [report.to_json().render(), report.to_json().pretty()] {
-            match SessionReport::from_json_str(&text) {
-                Ok(back) if back == report => {}
-                Ok(_) => return Err(("report_round_trip", "reparse differs".into())),
-                Err(e) => return Err(("report_round_trip", e.to_string())),
+        }
+    }
+
+    // Invariant: the winner's allocation covers every fragment exactly
+    // once on a valid disk.
+    let plan = session
+        .plan_allocation(1)
+        .map_err(|e| ("allocation", e.to_string()))?;
+    let placements = plan.allocation.placements();
+    if placements.is_empty() {
+        return Err(("allocation_coverage", "no fragments placed".into()));
+    }
+    if placements.len() != plan.allocation.num_fragments() {
+        return Err((
+            "allocation_coverage",
+            format!(
+                "{} placements for {} fragments",
+                placements.len(),
+                plan.allocation.num_fragments()
+            ),
+        ));
+    }
+    if let Some(&bad) = placements
+        .iter()
+        .find(|&&d| d >= plan.allocation.num_disks())
+    {
+        return Err((
+            "allocation_coverage",
+            format!(
+                "fragment placed on disk {bad} of {}",
+                plan.allocation.num_disks()
+            ),
+        ));
+    }
+    let occupied: u64 = plan.allocation.occupancy().iter().sum();
+    if occupied == 0 {
+        return Err(("allocation_coverage", "zero bytes placed".into()));
+    }
+
+    // Invariant (sampled): forced chunked-streaming settings reproduce
+    // the baseline ranking bit-for-bit.
+    if scenario.id.is_multiple_of(SAMPLE_STRIDE) {
+        for chunk in [1usize, 64] {
+            let mut config = session.config().clone();
+            config.chunk_size = chunk;
+            config.parallelism = 1;
+            let streamed = Warlock::builder()
+                .schema(session.schema().clone())
+                .system(*session.system())
+                .mix(session.mix().clone())
+                .config(config)
+                .build()
+                .and_then(|s| s.run())
+                .map_err(|e| ("streaming_equivalence", e.to_string()))?;
+            if streamed != baseline {
+                return Err((
+                    "streaming_equivalence",
+                    format!("chunk_size={chunk} ranking differs from baseline"),
+                ));
             }
         }
-
-        // Invariant: the winner's allocation covers every fragment
-        // exactly once on a valid disk.
-        let alloc_started = Instant::now();
-        let plan = match session.plan_allocation(1) {
-            Ok(p) => p,
-            Err(e) => return Err(("allocation", e.to_string())),
-        };
-        let alloc_ms = alloc_started.elapsed().as_secs_f64() * 1e3;
-        let placements = plan.allocation.placements();
-        if placements.is_empty() {
-            return Err(("allocation_coverage", "no fragments placed".into()));
-        }
-        if placements.len() != plan.allocation.num_fragments() {
-            return Err((
-                "allocation_coverage",
-                format!(
-                    "{} placements for {} fragments",
-                    placements.len(),
-                    plan.allocation.num_fragments()
-                ),
-            ));
-        }
-        if let Some(&bad) = placements
-            .iter()
-            .find(|&&d| d >= plan.allocation.num_disks())
-        {
-            return Err((
-                "allocation_coverage",
-                format!(
-                    "fragment placed on disk {bad} of {}",
-                    plan.allocation.num_disks()
-                ),
-            ));
-        }
-        let occupied: u64 = plan.allocation.occupancy().iter().sum();
-        if occupied == 0 {
-            return Err(("allocation_coverage", "zero bytes placed".into()));
-        }
-
-        // Invariant (sampled): forced chunked-streaming settings
-        // reproduce the baseline ranking bit-for-bit.
-        if scenario.id.is_multiple_of(SAMPLE_STRIDE) {
-            for chunk in [1usize, 64] {
-                let mut config = session.config().clone();
-                config.chunk_size = chunk;
-                config.parallelism = 1;
-                let streamed = Warlock::builder()
-                    .schema(session.schema().clone())
-                    .system(*session.system())
-                    .mix(session.mix().clone())
-                    .config(config)
-                    .build()
-                    .and_then(|s| s.run());
-                match streamed {
-                    Ok(streamed) if streamed == baseline => {}
-                    Ok(_) => {
-                        return Err((
-                            "streaming_equivalence",
-                            format!("chunk_size={chunk} ranking differs from baseline"),
-                        ))
-                    }
-                    Err(e) => return Err(("streaming_equivalence", e.to_string())),
-                }
-            }
-        }
-
-        // Warm what-if variation: first call populates the varied
-        // entries, second call must be pure cache hits.
-        let disks = session.system().num_disks;
-        let varied = disks.saturating_mul(2).max(2);
-        if let Err(e) = session.what_if_disks(varied) {
-            return Err(("what_if", e.to_string()));
-        }
-        let whatif_started = Instant::now();
-        if let Err(e) = session.what_if_disks(varied) {
-            return Err(("what_if", e.to_string()));
-        }
-        let whatif_ms = whatif_started.elapsed().as_secs_f64() * 1e3;
-
-        let stats = session.cache_stats();
-        let lookups = stats.hits + stats.misses;
-        let cache_hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            stats.hits as f64 / lookups as f64
-        };
-
-        let top = baseline
-            .ranked
-            .first()
-            .map(|r| r.cost.num_fragments)
-            .unwrap_or(0);
-        Ok((rank_ms, alloc_ms, whatif_ms, cache_hit_rate, space, top))
-    });
-    let (outcome, allocations, peak_bytes) = run;
-    match outcome {
-        Ok((rank_ms, alloc_ms, whatif_ms, cache_hit_rate, space, fragments)) => {
-            // Measured outside the allocation profile so the memory
-            // numbers keep covering only the rank → allocate → what-if
-            // arc they always did.
-            let candidates_per_sec = eval_sweep(&scenario.parsed);
-            let (greedy_heat_imbalance, graph_heat_imbalance, graph_makespan_ratio) =
-                policy_quality(&session);
-            let (drift_detect_batches, drift_readvise_ms) = drift_replay(scenario, &session);
-            metrics.push(ScenarioMetrics {
-                id: scenario.id,
-                label: label.clone(),
-                class: scenario.class.label(),
-                disks: session.system().num_disks,
-                candidates: u64::try_from(space).unwrap_or(u64::MAX),
-                fragments,
-                rank_ms,
-                candidates_per_sec,
-                alloc_ms,
-                whatif_ms,
-                cache_hit_rate,
-                peak_bytes,
-                allocations,
-                greedy_heat_imbalance,
-                graph_heat_imbalance,
-                graph_makespan_ratio,
-                drift_detect_batches,
-                drift_readvise_ms,
-            });
-        }
-        Err((invariant, detail)) => fail(invariant, detail),
     }
-}
 
-/// Non-gating resident-optimizer numbers: replays the scenario's seeded
-/// drift trajectory through `observe` on an auto-advising clone and
-/// reports `(batches until the first auto re-advise fired, wall-clock ms
-/// of the observe call that fired it)`. The clone shares the scenario's
-/// warm evaluation cache, so the measured cost is the *incremental*
-/// re-advise the resident optimizer actually pays. All zeros for
-/// non-drifting scenarios or when the replay cannot run — the diff
-/// skips zero baselines.
-fn drift_replay(scenario: &Scenario, session: &Warlock) -> (f64, f64) {
-    let trajectory = scenario.drift_trajectory();
-    if trajectory.is_empty() {
-        return (0.0, 0.0);
+    // A what-if variation, repeated: the second call is pure cache hits.
+    let varied = session.system().num_disks.saturating_mul(2).max(2);
+    for _ in 0..2 {
+        session
+            .what_if_disks(varied)
+            .map_err(|e| ("what_if", e.to_string()))?;
     }
-    let mut session = session.clone();
-    if session.set_auto_advise(true).is_err() {
-        return (0.0, 0.0);
-    }
-    let mut detect_batches = 0.0f64;
-    let mut readvise_ms = 0.0f64;
-    for (i, batch) in trajectory.iter().enumerate() {
-        let started = Instant::now();
-        let Ok(status) = session.observe(batch) else {
-            return (0.0, 0.0);
-        };
-        if detect_batches == 0.0 && status.events_emitted > 0 {
-            detect_batches = (i + 1) as f64;
-            readvise_ms = started.elapsed().as_secs_f64() * 1e3;
-        }
-    }
-    (detect_batches, readvise_ms)
-}
-
-/// Non-gating allocation-quality numbers from the head-to-head policy
-/// judge: `(greedy heat imbalance, graph heat imbalance, graph/greedy
-/// makespan ratio)`. All zeros when the judge cannot run — the diff
-/// skips zero baselines, so older or degenerate runs stay comparable.
-fn policy_quality(session: &Warlock) -> (f64, f64, f64) {
-    let Ok(rec) = session.recommend_policy() else {
-        return (0.0, 0.0, 0.0);
+    let stats = session.cache_stats();
+    let lookups = stats.hits + stats.misses;
+    let cache_hit_rate = if lookups == 0 {
+        0.0
+    } else {
+        stats.hits as f64 / lookups as f64
     };
-    let find = |name: &str| rec.verdicts.iter().find(|v| v.policy == name);
-    match (find("greedy"), find("graph")) {
-        (Some(greedy), Some(graph)) => (
-            greedy.heat_imbalance,
-            graph.heat_imbalance,
-            if greedy.makespan_ms > 0.0 {
-                graph.makespan_ms / greedy.makespan_ms
-            } else {
-                0.0
-            },
-        ),
-        _ => (0.0, 0.0, 0.0),
-    }
-}
 
-/// Runs the fleet harness: generates `count` scenarios from `seed` over
-/// `space`, drives each through rank → allocate → what-if with the
-/// cross-cutting invariants of the module docs, and aggregates the
-/// per-class perf trajectory.
-pub fn run_fleet(seed: u64, count: u32, space: &ScenarioSpace) -> Result<FleetReport, String> {
-    space.validate()?;
-    let started = Instant::now();
-    let fleet = generate_fleet(seed, count as usize, space);
-    let fingerprint = fleet_fingerprint(&fleet);
-
-    let mut scenarios = Vec::with_capacity(fleet.len());
-    let mut failures = Vec::new();
-    for scenario in &fleet {
-        run_scenario(scenario, &mut scenarios, &mut failures);
-    }
-
-    // Aggregate per class, keyed by the full class label; iteration
-    // order of the BTreeMap gives a stable document order.
-    let mut by_class: BTreeMap<String, Vec<&ScenarioMetrics>> = BTreeMap::new();
-    for m in &scenarios {
-        by_class.entry(m.class.clone()).or_default().push(m);
-    }
-    let classes = by_class
-        .into_iter()
-        .map(|(class, members)| {
-            let mut rank_ms: Vec<f64> = members.iter().map(|m| m.rank_ms).collect();
-            rank_ms.sort_by(f64::total_cmp);
-            let total_s: f64 = members
-                .iter()
-                .map(|m| (m.rank_ms + m.alloc_ms + m.whatif_ms) / 1e3)
-                .sum();
-            ClassAggregate {
-                scenarios: members.len() as u64,
-                rank_ms_p50: percentile(&rank_ms, 0.5),
-                rank_ms_p99: percentile(&rank_ms, 0.99),
-                throughput_per_s: if total_s > 0.0 {
-                    members.len() as f64 / total_s
-                } else {
-                    0.0
-                },
-                candidates_per_sec: members.iter().map(|m| m.candidates_per_sec).sum::<f64>()
-                    / members.len() as f64,
-                candidates: members.iter().map(|m| m.candidates).sum(),
-                peak_bytes_max: members.iter().map(|m| m.peak_bytes).max().unwrap_or(0),
-                cache_hit_rate_mean: members.iter().map(|m| m.cache_hit_rate).sum::<f64>()
-                    / members.len() as f64,
-                graph_makespan_ratio: {
-                    // Mean over the members that carried the number.
-                    let carried: Vec<f64> = members
-                        .iter()
-                        .map(|m| m.graph_makespan_ratio)
-                        .filter(|&r| r > 0.0)
-                        .collect();
-                    if carried.is_empty() {
-                        0.0
-                    } else {
-                        carried.iter().sum::<f64>() / carried.len() as f64
-                    }
-                },
-                drift_readvise_ms: {
-                    // Mean over the members whose drift replay fired.
-                    let carried: Vec<f64> = members
-                        .iter()
-                        .map(|m| m.drift_readvise_ms)
-                        .filter(|&r| r > 0.0)
-                        .collect();
-                    if carried.is_empty() {
-                        0.0
-                    } else {
-                        carried.iter().sum::<f64>() / carried.len() as f64
-                    }
-                },
-                class,
-            }
-        })
-        .collect();
-
-    Ok(FleetReport {
-        schema_version: SCHEMA_VERSION,
-        seed,
-        count,
-        fingerprint,
-        counting_allocator: probe_installed(),
-        failures,
-        scenarios,
-        classes,
-        total_ms: started.elapsed().as_secs_f64() * 1e3,
+    let (top_label, fragments) = baseline
+        .top()
+        .map(|t| (t.label.clone(), t.cost.num_fragments))
+        .unwrap_or_default();
+    let (policy_order, greedy_heat_imbalance, graph_heat_imbalance, graph_makespan_ratio) =
+        policy_quality(&session)?;
+    Ok(ScenarioRecord {
+        id: scenario.id,
+        label: scenario.label(),
+        class: scenario.class.label(),
+        disks: session.system().num_disks,
+        candidates: u64::try_from(space).unwrap_or(u64::MAX),
+        evaluated: baseline.evaluated as u64,
+        excluded: baseline.excluded.total() as u64,
+        top_label,
+        fragments,
+        cache_hit_rate,
+        policy_order,
+        greedy_heat_imbalance,
+        graph_heat_imbalance,
+        graph_makespan_ratio,
+        drift_detect_batches: drift_replay(scenario, &session)?,
     })
 }
 
-// ---------------------------------------------------------------------
-// JSON wire form
+/// Replays the scenario's seeded drift trajectory through `observe` on
+/// an auto-advising clone and returns the number of batches until the
+/// first auto re-advise fired (0 for non-drifting scenarios, or when
+/// none fired).
+fn drift_replay(scenario: &Scenario, session: &Warlock) -> Result<u64, Broken> {
+    let trajectory = scenario.drift_trajectory();
+    if trajectory.is_empty() {
+        return Ok(0);
+    }
+    let mut session = session.clone();
+    session
+        .set_auto_advise(true)
+        .map_err(|e| ("drift_replay", e.to_string()))?;
+    let mut detect_batches = 0;
+    for (i, batch) in trajectory.iter().enumerate() {
+        let status = session
+            .observe(batch)
+            .map_err(|e| ("drift_replay", format!("batch {}: {e}", i + 1)))?;
+        if detect_batches == 0 && status.events_emitted > 0 {
+            detect_batches = i as u64 + 1;
+        }
+    }
+    Ok(detect_batches)
+}
+
+/// The head-to-head policy judge's outputs for the top candidate:
+/// `(verdict order, greedy heat imbalance, graph heat imbalance,
+/// graph/greedy makespan ratio)`.
+fn policy_quality(session: &Warlock) -> Result<(Vec<String>, f64, f64, f64), Broken> {
+    let rec = session
+        .recommend_policy()
+        .map_err(|e| ("policy_judge", e.to_string()))?;
+    let find = |name: &str| {
+        rec.verdicts
+            .iter()
+            .find(|v| v.policy == name)
+            .ok_or_else(|| ("policy_judge", format!("no `{name}` verdict")))
+    };
+    let (greedy, graph) = (find("greedy")?, find("graph")?);
+    let ratio = if greedy.makespan_ms > 0.0 {
+        graph.makespan_ms / greedy.makespan_ms
+    } else {
+        0.0
+    };
+    Ok((
+        rec.verdicts.iter().map(|v| v.policy.clone()).collect(),
+        greedy.heat_imbalance,
+        graph.heat_imbalance,
+        ratio,
+    ))
+}
+
+/// Runs the fleet harness: generates `count` scenarios from `seed` over
+/// `space` and drives each through the invariants of
+/// [`check_scenario`], recording its outputs.
+pub fn run_fleet(seed: u64, count: u32, space: &ScenarioSpace) -> Result<FleetReport, String> {
+    space.validate()?;
+    let fleet = generate_fleet(seed, count as usize, space);
+    let mut scenarios = Vec::with_capacity(fleet.len());
+    let mut failures = Vec::new();
+    for scenario in &fleet {
+        match check_scenario(scenario) {
+            Ok(record) => scenarios.push(record),
+            Err((invariant, detail)) => failures.push(InvariantFailure {
+                scenario: scenario.label(),
+                invariant: invariant.into(),
+                detail,
+            }),
+        }
+    }
+    Ok(FleetReport {
+        seed,
+        count,
+        fingerprint: fleet_fingerprint(&fleet),
+        failures,
+        scenarios,
+    })
+}
 
 impl FleetReport {
     /// Serializes the report (pretty, trailing newline — the committed
-    /// `BENCH_*.json` form).
+    /// golden form). Each scenario object opens with its `label`, so
+    /// [`golden_mismatch`] can name the scenario of any later line.
     pub fn to_json_string(&self) -> String {
         let scenarios: Vec<Json> = self
             .scenarios
             .iter()
             .map(|m| {
                 Json::object([
-                    ("id", Json::Int(m.id as i64)),
                     ("label", Json::Str(m.label.clone())),
+                    ("id", Json::Int(i64::from(m.id))),
                     ("class", Json::Str(m.class.clone())),
-                    ("disks", Json::Int(m.disks as i64)),
+                    ("disks", Json::Int(i64::from(m.disks))),
                     ("candidates", Json::Int(m.candidates as i64)),
+                    ("evaluated", Json::Int(m.evaluated as i64)),
+                    ("excluded", Json::Int(m.excluded as i64)),
+                    ("top_label", Json::Str(m.top_label.clone())),
                     ("fragments", Json::Int(m.fragments as i64)),
-                    ("rank_ms", Json::Num(m.rank_ms)),
-                    ("candidates_per_sec", Json::Num(m.candidates_per_sec)),
-                    ("alloc_ms", Json::Num(m.alloc_ms)),
-                    ("whatif_ms", Json::Num(m.whatif_ms)),
                     ("cache_hit_rate", Json::Num(m.cache_hit_rate)),
-                    ("peak_bytes", Json::Int(m.peak_bytes as i64)),
-                    ("allocations", Json::Int(m.allocations as i64)),
+                    (
+                        "policy_order",
+                        Json::Arr(m.policy_order.iter().cloned().map(Json::Str).collect()),
+                    ),
                     ("greedy_heat_imbalance", Json::Num(m.greedy_heat_imbalance)),
                     ("graph_heat_imbalance", Json::Num(m.graph_heat_imbalance)),
                     ("graph_makespan_ratio", Json::Num(m.graph_makespan_ratio)),
-                    ("drift_detect_batches", Json::Num(m.drift_detect_batches)),
-                    ("drift_readvise_ms", Json::Num(m.drift_readvise_ms)),
-                ])
-            })
-            .collect();
-        let classes: Vec<Json> = self
-            .classes
-            .iter()
-            .map(|c| {
-                Json::object([
-                    ("class", Json::Str(c.class.clone())),
-                    ("scenarios", Json::Int(c.scenarios as i64)),
-                    ("rank_ms_p50", Json::Num(c.rank_ms_p50)),
-                    ("rank_ms_p99", Json::Num(c.rank_ms_p99)),
-                    ("throughput_per_s", Json::Num(c.throughput_per_s)),
-                    ("candidates_per_sec", Json::Num(c.candidates_per_sec)),
-                    ("candidates", Json::Int(c.candidates as i64)),
-                    ("peak_bytes_max", Json::Int(c.peak_bytes_max as i64)),
-                    ("cache_hit_rate_mean", Json::Num(c.cache_hit_rate_mean)),
-                    ("graph_makespan_ratio", Json::Num(c.graph_makespan_ratio)),
-                    ("drift_readvise_ms", Json::Num(c.drift_readvise_ms)),
+                    (
+                        "drift_detect_batches",
+                        Json::Int(m.drift_detect_batches as i64),
+                    ),
                 ])
             })
             .collect();
@@ -654,410 +374,57 @@ impl FleetReport {
             })
             .collect();
         let mut text = Json::object([
-            ("schema_version", Json::Int(self.schema_version as i64)),
-            ("bench", Json::Str("scenario-fleet".into())),
             ("seed", Json::Int(self.seed as i64)),
-            ("count", Json::Int(self.count as i64)),
+            ("count", Json::Int(i64::from(self.count))),
             ("fingerprint", Json::Str(self.fingerprint.clone())),
-            ("counting_allocator", Json::Bool(self.counting_allocator)),
             ("failures", Json::Arr(failures)),
             ("scenarios", Json::Arr(scenarios)),
-            ("classes", Json::Arr(classes)),
-            ("total_ms", Json::Num(self.total_ms)),
         ])
         .pretty();
         text.push('\n');
         text
     }
+}
 
-    /// Parses a report from its JSON text.
-    pub fn from_json_str(input: &str) -> Result<Self, String> {
-        let doc = warlock_json::parse(input).map_err(|e| e.to_string())?;
-        let version = doc
-            .req("schema_version")
-            .and_then(|v| {
-                v.as_u64()
-                    .ok_or_else(|| warlock_json::JsonError::shape("schema_version not a number"))
-            })
-            .map_err(|e| e.to_string())?;
-        if version == 0 || version > SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported fleet report schema_version {version} (expected 1..={SCHEMA_VERSION})"
+/// The key of a rendered `"key": value` line, if the line has one.
+fn line_key(line: &str) -> Option<&str> {
+    let (key, _) = line.trim_start().strip_prefix('"')?.split_once("\":")?;
+    Some(key)
+}
+
+/// Compares a rendered report with the golden text line for line.
+/// Returns `None` when they are identical, or else a description of the
+/// first differing line: its number, the scenario and field it belongs
+/// to, and both versions of the line.
+pub fn golden_mismatch(golden: &str, current: &str) -> Option<String> {
+    let mut scenario = "(fleet header)";
+    let mut field = "";
+    let golden: Vec<&str> = golden.lines().collect();
+    let current: Vec<&str> = current.lines().collect();
+    for i in 0..golden.len().max(current.len()) {
+        let (g, c) = (golden.get(i).copied(), current.get(i).copied());
+        if g != c {
+            if let Some(key) = g.or(c).and_then(line_key) {
+                field = key;
+            }
+            return Some(format!(
+                "line {}: scenario {scenario}, field `{field}`: golden `{}`, current `{}`",
+                i + 1,
+                g.map_or("<end of file>", str::trim),
+                c.map_or("<end of file>", str::trim),
             ));
         }
-        let str_field = |v: &Json, key: &str| -> Result<String, String> {
-            Ok(v.req(key)
-                .map_err(|e| e.to_string())?
-                .as_str()
-                .ok_or_else(|| format!("`{key}` is not a string"))?
-                .to_string())
-        };
-        let u64_field = |v: &Json, key: &str| -> Result<u64, String> {
-            v.req(key)
-                .map_err(|e| e.to_string())?
-                .as_u64()
-                .ok_or_else(|| format!("`{key}` is not an unsigned integer"))
-        };
-        let f64_field = |v: &Json, key: &str| -> Result<f64, String> {
-            v.req(key)
-                .map_err(|e| e.to_string())?
-                .as_f64()
-                .ok_or_else(|| format!("`{key}` is not a number"))
-        };
-        // Fields added after v1 default to 0 in older documents (the
-        // diff skips 0 baselines).
-        let f64_opt = |v: &Json, key: &str| -> Result<f64, String> {
-            match v.req(key) {
-                Ok(value) => value
-                    .as_f64()
-                    .ok_or_else(|| format!("`{key}` is not a number")),
-                Err(_) => Ok(0.0),
-            }
-        };
-        let arr_field = |v: &Json, key: &str| -> Result<Vec<Json>, String> {
-            Ok(v.req(key)
-                .map_err(|e| e.to_string())?
-                .as_array()
-                .ok_or_else(|| format!("`{key}` is not an array"))?
-                .to_vec())
-        };
-        let scenarios = arr_field(&doc, "scenarios")?
-            .iter()
-            .map(|m| {
-                Ok(ScenarioMetrics {
-                    id: u64_field(m, "id")? as u32,
-                    label: str_field(m, "label")?,
-                    class: str_field(m, "class")?,
-                    disks: u64_field(m, "disks")? as u32,
-                    candidates: u64_field(m, "candidates")?,
-                    fragments: u64_field(m, "fragments")?,
-                    rank_ms: f64_field(m, "rank_ms")?,
-                    candidates_per_sec: f64_opt(m, "candidates_per_sec")?,
-                    alloc_ms: f64_field(m, "alloc_ms")?,
-                    whatif_ms: f64_field(m, "whatif_ms")?,
-                    cache_hit_rate: f64_field(m, "cache_hit_rate")?,
-                    peak_bytes: u64_field(m, "peak_bytes")?,
-                    allocations: u64_field(m, "allocations")?,
-                    greedy_heat_imbalance: f64_opt(m, "greedy_heat_imbalance")?,
-                    graph_heat_imbalance: f64_opt(m, "graph_heat_imbalance")?,
-                    graph_makespan_ratio: f64_opt(m, "graph_makespan_ratio")?,
-                    drift_detect_batches: f64_opt(m, "drift_detect_batches")?,
-                    drift_readvise_ms: f64_opt(m, "drift_readvise_ms")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let classes = arr_field(&doc, "classes")?
-            .iter()
-            .map(|c| {
-                Ok(ClassAggregate {
-                    class: str_field(c, "class")?,
-                    scenarios: u64_field(c, "scenarios")?,
-                    rank_ms_p50: f64_field(c, "rank_ms_p50")?,
-                    rank_ms_p99: f64_field(c, "rank_ms_p99")?,
-                    throughput_per_s: f64_field(c, "throughput_per_s")?,
-                    candidates_per_sec: f64_opt(c, "candidates_per_sec")?,
-                    candidates: u64_field(c, "candidates")?,
-                    peak_bytes_max: u64_field(c, "peak_bytes_max")?,
-                    cache_hit_rate_mean: f64_field(c, "cache_hit_rate_mean")?,
-                    graph_makespan_ratio: f64_opt(c, "graph_makespan_ratio")?,
-                    drift_readvise_ms: f64_opt(c, "drift_readvise_ms")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let failures = arr_field(&doc, "failures")?
-            .iter()
-            .map(|f| {
-                Ok(InvariantFailure {
-                    scenario: str_field(f, "scenario")?,
-                    invariant: str_field(f, "invariant")?,
-                    detail: str_field(f, "detail")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(FleetReport {
-            schema_version: version,
-            seed: u64_field(&doc, "seed")?,
-            count: u64_field(&doc, "count")? as u32,
-            fingerprint: str_field(&doc, "fingerprint")?,
-            counting_allocator: doc
-                .req("counting_allocator")
-                .map_err(|e| e.to_string())?
-                .as_bool()
-                .ok_or("`counting_allocator` is not a bool")?,
-            failures,
-            scenarios,
-            classes,
-            total_ms: f64_field(&doc, "total_ms")?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Diff mode
-
-/// Knobs of [`diff_reports`]. The relative `tolerance` is the gate; the
-/// absolute floors keep micro-scale noise from tripping it — a class
-/// whose rank takes 50 µs can triple on a context switch, which is not
-/// a regression. A metric only regresses when it is beyond tolerance
-/// *and* its absolute change clears the floor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffOptions {
-    /// Allowed relative change (`0.5` = +50% latency / −33% throughput).
-    pub tolerance: f64,
-    /// Absolute latency slack (ms) under which changes are noise.
-    pub latency_floor_ms: f64,
-    /// Absolute peak-memory slack (bytes) under which changes are noise.
-    pub bytes_floor: u64,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        Self {
-            tolerance: 0.5,
-            latency_floor_ms: 5.0,
-            bytes_floor: 1 << 20,
-        }
-    }
-}
-
-impl DiffOptions {
-    /// Default floors with a custom relative tolerance.
-    pub fn with_tolerance(tolerance: f64) -> Self {
-        Self {
-            tolerance,
-            ..Self::default()
-        }
-    }
-
-    /// Zero floors: every relative change beyond tolerance regresses.
-    /// For deterministic tests on synthetic reports, not wall-clock data.
-    pub fn strict(tolerance: f64) -> Self {
-        Self {
-            tolerance,
-            latency_floor_ms: 0.0,
-            bytes_floor: 0,
-        }
-    }
-}
-
-/// Outcome of comparing two fleet reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffOutcome {
-    /// One comparison line per class and metric.
-    pub lines: Vec<String>,
-    /// Regressions beyond tolerance (empty ⇒ pass).
-    pub regressions: Vec<String>,
-}
-
-impl DiffOutcome {
-    /// Whether the current report is no worse than the baseline.
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-/// Relative change `current / baseline - 1`, with 0-baselines skipped.
-fn ratio(baseline: f64, current: f64) -> Option<f64> {
-    if baseline <= 0.0 || current < 0.0 {
-        None
-    } else {
-        Some(current / baseline - 1.0)
-    }
-}
-
-/// Compares `current` against `baseline` under [`DiffOptions`].
-///
-/// Exact fields (seed, count, fingerprint, invariant outcomes) must
-/// match — a mismatch means the two runs measured different fleets and
-/// no metric comparison is meaningful.
-pub fn diff_reports(
-    baseline: &FleetReport,
-    current: &FleetReport,
-    options: &DiffOptions,
-) -> Result<DiffOutcome, String> {
-    let tolerance = options.tolerance;
-    if baseline.schema_version > current.schema_version {
-        return Err(format!(
-            "schema_version mismatch: baseline {} is newer than current {}",
-            baseline.schema_version, current.schema_version
-        ));
-    }
-    if (baseline.seed, baseline.count) != (current.seed, current.count) {
-        return Err(format!(
-            "fleet mismatch: baseline seed {}/count {} vs current seed {}/count {}",
-            baseline.seed, baseline.count, current.seed, current.count
-        ));
-    }
-    if baseline.fingerprint != current.fingerprint {
-        return Err(format!(
-            "scenario-set fingerprint mismatch: {} vs {} (generator changed?)",
-            baseline.fingerprint, current.fingerprint
-        ));
-    }
-    if !(tolerance.is_finite() && tolerance >= 0.0) {
-        return Err(format!(
-            "tolerance must be a finite non-negative ratio, got {tolerance}"
-        ));
-    }
-
-    let mut lines = Vec::new();
-    let mut regressions = Vec::new();
-    for failure in &current.failures {
-        regressions.push(format!(
-            "invariant {} broke on {}: {}",
-            failure.invariant, failure.scenario, failure.detail
-        ));
-    }
-
-    let baseline_classes: BTreeMap<&str, &ClassAggregate> = baseline
-        .classes
-        .iter()
-        .map(|c| (c.class.as_str(), c))
-        .collect();
-    for class in &current.classes {
-        let Some(base) = baseline_classes.get(class.class.as_str()) else {
-            regressions.push(format!("class {} missing from baseline", class.class));
-            continue;
-        };
-        if base.candidates != class.candidates {
-            regressions.push(format!(
-                "class {}: candidate space changed {} -> {}",
-                class.class, base.candidates, class.candidates
-            ));
-        }
-        // Latency: higher is worse.
-        for (metric, b, c) in [
-            ("rank_ms_p50", base.rank_ms_p50, class.rank_ms_p50),
-            ("rank_ms_p99", base.rank_ms_p99, class.rank_ms_p99),
-        ] {
-            if let Some(delta) = ratio(b, c) {
-                lines.push(format!(
-                    "{:<34} {metric:<12} {b:>10.3} -> {c:>10.3}  ({:+.1}%)",
-                    class.class,
-                    delta * 100.0
-                ));
-                if delta > tolerance && c - b > options.latency_floor_ms {
-                    regressions.push(format!(
-                        "class {}: {metric} regressed {b:.3} -> {c:.3} ({:+.1}% > +{:.0}%)",
-                        class.class,
-                        delta * 100.0,
-                        tolerance * 100.0
-                    ));
-                }
-            }
-        }
-        // Throughput: lower is worse.
-        if let Some(delta) = ratio(base.throughput_per_s, class.throughput_per_s) {
-            lines.push(format!(
-                "{:<34} {:<12} {:>10.3} -> {:>10.3}  ({:+.1}%)",
-                class.class,
-                "scen_per_s",
-                base.throughput_per_s,
-                class.throughput_per_s,
-                delta * 100.0
-            ));
-            let floor = 1.0 / (1.0 + tolerance) - 1.0;
-            // Noise floor in time domain: the per-scenario wall-clock
-            // implied by the throughputs must differ by more than the
-            // latency slack.
-            let ms_per_scenario = |throughput: f64| {
-                if throughput > 0.0 {
-                    1e3 / throughput
-                } else {
-                    0.0
-                }
-            };
-            let slowed_ms =
-                ms_per_scenario(class.throughput_per_s) - ms_per_scenario(base.throughput_per_s);
-            if delta < floor && slowed_ms > options.latency_floor_ms {
-                regressions.push(format!(
-                    "class {}: throughput regressed {:.3} -> {:.3}/s ({:+.1}% < {:.0}%)",
-                    class.class,
-                    base.throughput_per_s,
-                    class.throughput_per_s,
-                    delta * 100.0,
-                    floor * 100.0
-                ));
-            }
-        }
-        // Evaluation throughput: lower is worse. A 0 baseline (pre-v2
-        // document) is skipped by `ratio`.
-        if let Some(delta) = ratio(base.candidates_per_sec, class.candidates_per_sec) {
-            lines.push(format!(
-                "{:<34} {:<12} {:>10.0} -> {:>10.0}  ({:+.1}%)",
-                class.class,
-                "cand_per_s",
-                base.candidates_per_sec,
-                class.candidates_per_sec,
-                delta * 100.0
-            ));
-            let floor = 1.0 / (1.0 + tolerance) - 1.0;
-            if delta < floor {
-                regressions.push(format!(
-                    "class {}: candidates_per_sec regressed {:.0} -> {:.0}/s ({:+.1}% < {:.0}%)",
-                    class.class,
-                    base.candidates_per_sec,
-                    class.candidates_per_sec,
-                    delta * 100.0,
-                    floor * 100.0
-                ));
-            }
-        }
-        // Peak memory: only comparable when both runs had the probe.
-        if baseline.counting_allocator && current.counting_allocator {
-            if let Some(delta) = ratio(base.peak_bytes_max as f64, class.peak_bytes_max as f64) {
-                lines.push(format!(
-                    "{:<34} {:<12} {:>10} -> {:>10}  ({:+.1}%)",
-                    class.class,
-                    "peak_bytes",
-                    base.peak_bytes_max,
-                    class.peak_bytes_max,
-                    delta * 100.0
-                ));
-                if delta > tolerance
-                    && class.peak_bytes_max.saturating_sub(base.peak_bytes_max)
-                        > options.bytes_floor
-                {
-                    regressions.push(format!(
-                        "class {}: peak_bytes_max regressed {} -> {} ({:+.1}% > +{:.0}%)",
-                        class.class,
-                        base.peak_bytes_max,
-                        class.peak_bytes_max,
-                        delta * 100.0,
-                        tolerance * 100.0
-                    ));
-                }
+        let line = g.unwrap_or_default();
+        if let Some(key) = line_key(line) {
+            field = key;
+            if key == "label" {
+                scenario = line
+                    .split_once(": ")
+                    .map_or(line, |(_, value)| value.trim_end_matches(','));
             }
         }
     }
-    for base in &baseline.classes {
-        if !current.classes.iter().any(|c| c.class == base.class) {
-            regressions.push(format!("class {} missing from current run", base.class));
-        }
-    }
-    Ok(DiffOutcome { lines, regressions })
-}
-
-/// Injects a synthetic slowdown of `factor` (>1) into every measured
-/// metric: latencies multiply, throughput divides. Exact fields are
-/// untouched, so the canary stays diffable against its source — this
-/// exists to prove the diff gate trips.
-pub fn apply_canary(report: &mut FleetReport, factor: f64) {
-    for m in &mut report.scenarios {
-        m.rank_ms *= factor;
-        m.alloc_ms *= factor;
-        m.whatif_ms *= factor;
-        m.candidates_per_sec /= factor;
-        m.peak_bytes = (m.peak_bytes as f64 * factor) as u64;
-    }
-    for c in &mut report.classes {
-        c.rank_ms_p50 *= factor;
-        c.rank_ms_p99 *= factor;
-        c.throughput_per_s /= factor;
-        c.candidates_per_sec /= factor;
-        c.peak_bytes_max = (c.peak_bytes_max as f64 * factor) as u64;
-    }
-    report.total_ms *= factor;
+    None
 }
 
 #[cfg(test)]
@@ -1073,266 +440,69 @@ mod tests {
         let report = small_report();
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         assert_eq!(report.scenarios.len(), 6);
-        assert!(!report.classes.is_empty());
+        // The rendering is valid JSON that re-renders to the same text:
+        // every f64 is written in its shortest round-trip form.
         let text = report.to_json_string();
-        let back = FleetReport::from_json_str(&text).unwrap();
-        assert_eq!(back.fingerprint, report.fingerprint);
-        assert_eq!(back.scenarios, report.scenarios);
-        assert_eq!(back.classes, report.classes);
+        let parsed = warlock_json::parse(&text).unwrap();
+        assert_eq!(format!("{}\n", parsed.pretty()), text);
+        assert_eq!(golden_mismatch(&text, &text), None);
     }
 
     #[test]
     fn exact_fields_are_reproducible() {
         let a = run_fleet(7, 6, &ScenarioSpace::default()).unwrap();
         let b = run_fleet(7, 6, &ScenarioSpace::default()).unwrap();
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.failures, b.failures);
-        for (x, y) in a.scenarios.iter().zip(&b.scenarios) {
-            assert_eq!((x.id, &x.label, &x.class), (y.id, &y.label, &y.class));
-            assert_eq!(
-                (x.candidates, x.fragments, x.disks),
-                (y.candidates, y.fragments, y.disks)
-            );
-        }
+        assert_eq!(a, b);
+        assert_eq!(a.to_json_string(), b.to_json_string());
         let c = run_fleet(8, 6, &ScenarioSpace::default()).unwrap();
         assert_ne!(a.fingerprint, c.fingerprint);
+        let mismatch = golden_mismatch(&a.to_json_string(), &c.to_json_string()).unwrap();
+        assert!(mismatch.contains("field `seed`"), "{mismatch}");
     }
 
     #[test]
-    fn diff_passes_against_itself_and_catches_a_canary() {
+    fn quality_numbers_are_recorded() {
         let report = small_report();
-        let strict = DiffOptions::strict(0.5);
-        let clean = diff_reports(&report, &report, &strict).unwrap();
-        assert!(clean.passed(), "{:?}", clean.regressions);
-
-        let mut slowed = report.clone();
-        apply_canary(&mut slowed, 4.0);
-        let tripped = diff_reports(&report, &slowed, &strict).unwrap();
-        assert!(!tripped.passed());
-        assert!(tripped
-            .regressions
-            .iter()
-            .any(|r| r.contains("rank_ms_p50")));
-        assert!(tripped.regressions.iter().any(|r| r.contains("throughput")));
-    }
-
-    #[test]
-    fn noise_floors_swallow_micro_jitter_but_not_real_slowdowns() {
-        let report = small_report();
-        let mut jittered = report.clone();
-        // Micro-jitter: +1 ms on a sub-millisecond class is a huge ratio
-        // but stays under the 5 ms latency floor.
-        jittered.classes[0].rank_ms_p50 += 1.0;
-        jittered.classes[0].rank_ms_p99 += 1.0;
-        let outcome = diff_reports(&report, &jittered, &DiffOptions::with_tolerance(0.5)).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.regressions);
-
-        // A genuine slowdown clears both the ratio and the floor.
-        let mut slowed = report.clone();
-        slowed.classes[0].rank_ms_p50 += 50.0;
-        slowed.classes[0].rank_ms_p99 += 50.0;
-        let outcome = diff_reports(&report, &slowed, &DiffOptions::with_tolerance(0.5)).unwrap();
-        assert!(!outcome.passed());
-    }
-
-    #[test]
-    fn diff_rejects_incomparable_fleets() {
-        let report = small_report();
-        let strict = DiffOptions::strict(0.5);
-        let mut other = report.clone();
-        other.fingerprint = "0000000000000000".into();
-        assert!(diff_reports(&report, &other, &strict)
-            .unwrap_err()
-            .contains("fingerprint"));
-        let mut other = report.clone();
-        other.seed = 9;
-        assert!(diff_reports(&report, &other, &strict)
-            .unwrap_err()
-            .contains("fleet mismatch"));
-        assert!(diff_reports(&report, &report, &DiffOptions::strict(-1.0)).is_err());
-    }
-
-    #[test]
-    fn unsupported_schema_version_is_rejected() {
-        let text = small_report()
-            .to_json_string()
-            .replace("\"schema_version\": 4", "\"schema_version\": 99");
-        assert!(FleetReport::from_json_str(&text)
-            .unwrap_err()
-            .contains("schema_version"));
-    }
-
-    /// Simulates an older document: drops `keys` from every object in
-    /// the tree and rewrites the version marker.
-    fn downgrade(report: &FleetReport, version: u64, keys: &[&str]) -> String {
-        fn strip(json: &mut Json, keys: &[&str]) {
-            match json {
-                Json::Obj(members) => {
-                    members.retain(|(k, _)| !keys.contains(&k.as_str()));
-                    for (_, v) in members {
-                        strip(v, keys);
-                    }
-                }
-                Json::Arr(items) => {
-                    for v in items {
-                        strip(v, keys);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut doc = warlock_json::parse(&report.to_json_string()).unwrap();
-        strip(&mut doc, keys);
-        if let Json::Obj(members) = &mut doc {
-            for (k, v) in members {
-                if k == "schema_version" {
-                    *v = Json::Int(version as i64);
-                }
-            }
-        }
-        doc.pretty()
-    }
-
-    #[test]
-    fn v1_documents_parse_with_candidates_per_sec_defaulted() {
-        // A v1 document has no `candidates_per_sec` (nor the v3 quality
-        // numbers); strip the fields and downgrade the version marker
-        // to simulate one.
-        let report = small_report();
-        let text = downgrade(
-            &report,
-            1,
-            &[
-                "candidates_per_sec",
-                "greedy_heat_imbalance",
-                "graph_heat_imbalance",
-                "graph_makespan_ratio",
-                "drift_detect_batches",
-                "drift_readvise_ms",
-            ],
-        );
-        let parsed = FleetReport::from_json_str(&text).expect("v1 document must parse");
-        assert!(parsed.scenarios.iter().all(|m| m.candidates_per_sec == 0.0));
-        assert!(parsed.classes.iter().all(|c| c.candidates_per_sec == 0.0));
-        // Diffing a v1 baseline against a v3 current skips the new
-        // metrics instead of erroring.
-        let outcome = diff_reports(&parsed, &report, &DiffOptions::strict(0.5)).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.regressions);
-    }
-
-    #[test]
-    fn v2_documents_parse_with_quality_numbers_defaulted() {
-        // A v2 document predates the policy judge: no heat-imbalance or
-        // makespan-ratio fields anywhere.
-        let report = small_report();
-        let text = downgrade(
-            &report,
-            2,
-            &[
-                "greedy_heat_imbalance",
-                "graph_heat_imbalance",
-                "graph_makespan_ratio",
-                "drift_detect_batches",
-                "drift_readvise_ms",
-            ],
-        );
-        let parsed = FleetReport::from_json_str(&text).expect("v2 document must parse");
-        assert!(parsed
-            .scenarios
-            .iter()
-            .all(|m| m.graph_makespan_ratio == 0.0 && m.greedy_heat_imbalance == 0.0));
-        assert!(parsed.classes.iter().all(|c| c.graph_makespan_ratio == 0.0));
-        // …and v2 keeps its gated metrics, so the diff still runs.
-        assert!(parsed.scenarios.iter().any(|m| m.candidates_per_sec > 0.0));
-        let outcome = diff_reports(&parsed, &report, &DiffOptions::strict(0.5)).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.regressions);
-    }
-
-    #[test]
-    fn quality_numbers_are_recorded_and_non_gating() {
-        let report = small_report();
-        // Every clean scenario carries the judged quality numbers…
         for m in &report.scenarios {
             assert!(m.greedy_heat_imbalance >= 1.0 - 1e-9, "{}", m.label);
             assert!(m.graph_heat_imbalance >= 1.0 - 1e-9, "{}", m.label);
             assert!(m.graph_makespan_ratio > 0.0, "{}", m.label);
+            let mut policies = m.policy_order.clone();
+            policies.sort();
+            assert_eq!(policies, ["graph", "greedy", "round_robin"], "{}", m.label);
+            assert!(!m.top_label.is_empty(), "{}", m.label);
+            assert_eq!(m.evaluated + m.excluded, m.candidates, "{}", m.label);
         }
-        assert!(report.classes.iter().all(|c| c.graph_makespan_ratio > 0.0));
-        // …and wrecking them never trips the diff gate.
-        let mut wrecked = report.clone();
-        for m in &mut wrecked.scenarios {
-            m.graph_makespan_ratio *= 100.0;
-            m.greedy_heat_imbalance *= 100.0;
-            m.graph_heat_imbalance *= 100.0;
-        }
-        for c in &mut wrecked.classes {
-            c.graph_makespan_ratio *= 100.0;
-        }
-        let outcome = diff_reports(&report, &wrecked, &DiffOptions::strict(0.5)).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.regressions);
     }
 
     #[test]
-    fn v3_documents_parse_with_drift_numbers_defaulted() {
-        // A v3 document predates the resident-optimizer replay: no
-        // drift fields anywhere.
+    fn drift_numbers_are_recorded() {
         let report = small_report();
-        let text = downgrade(&report, 3, &["drift_detect_batches", "drift_readvise_ms"]);
-        let parsed = FleetReport::from_json_str(&text).expect("v3 document must parse");
-        assert!(parsed
-            .scenarios
-            .iter()
-            .all(|m| m.drift_detect_batches == 0.0 && m.drift_readvise_ms == 0.0));
-        assert!(parsed.classes.iter().all(|c| c.drift_readvise_ms == 0.0));
-        let outcome = diff_reports(&parsed, &report, &DiffOptions::strict(0.5)).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.regressions);
-    }
-
-    #[test]
-    fn drift_numbers_are_recorded_and_non_gating() {
-        let report = small_report();
-        // The 6-scenario fleet contains exactly one Drifting-mix
-        // member (mix shape cycles fastest in the coverage grid), and
-        // its seeded trajectory must have fired the auto re-advise.
+        // The 6-scenario fleet contains exactly one Drifting-mix member
+        // (mix shape cycles fastest in the coverage grid), and its
+        // seeded trajectory must have fired the auto re-advise.
         let drifting: Vec<_> = report
             .scenarios
             .iter()
-            .filter(|m| m.drift_detect_batches > 0.0)
+            .filter(|m| m.drift_detect_batches > 0)
             .collect();
         assert_eq!(drifting.len(), 1, "expected exactly one drifting member");
-        assert!(drifting[0].drift_readvise_ms > 0.0, "{}", drifting[0].label);
-        assert!(report.classes.iter().any(|c| c.drift_readvise_ms > 0.0));
-        // Non-drifting members carry zeros.
-        assert!(report
-            .scenarios
-            .iter()
-            .filter(|m| m.drift_detect_batches == 0.0)
-            .all(|m| m.drift_readvise_ms == 0.0));
-        // Wrecking the drift numbers never trips the diff gate.
-        let mut wrecked = report.clone();
-        for m in &mut wrecked.scenarios {
-            m.drift_detect_batches *= 100.0;
-            m.drift_readvise_ms *= 100.0;
-        }
-        for c in &mut wrecked.classes {
-            c.drift_readvise_ms *= 100.0;
-        }
-        let outcome = diff_reports(&report, &wrecked, &DiffOptions::strict(0.5)).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.regressions);
-        // …and the numbers survive a JSON round-trip.
-        let parsed = FleetReport::from_json_str(&report.to_json_string()).unwrap();
-        let round_tripped = parsed
-            .scenarios
-            .iter()
-            .find(|m| m.label == drifting[0].label)
-            .unwrap();
-        assert_eq!(
-            round_tripped.drift_detect_batches,
-            drifting[0].drift_detect_batches
-        );
-        assert_eq!(
-            round_tripped.drift_readvise_ms,
-            drifting[0].drift_readvise_ms
-        );
+        assert!(drifting[0].class.ends_with("/drifting"));
+    }
+
+    #[test]
+    fn a_mismatch_names_the_scenario_and_field() {
+        let report = small_report();
+        let golden = report.to_json_string();
+        let mut changed = report.clone();
+        changed.scenarios[2].disks += 1;
+        let mismatch = golden_mismatch(&golden, &changed.to_json_string()).unwrap();
+        assert!(mismatch.contains(&report.scenarios[2].label), "{mismatch}");
+        assert!(mismatch.contains("field `disks`"), "{mismatch}");
+
+        // A truncated rendering is a mismatch too.
+        let truncated = &golden[..golden.len() / 2];
+        let cut = truncated.rfind('\n').unwrap();
+        assert!(golden_mismatch(&golden, &golden[..cut]).is_some());
     }
 }

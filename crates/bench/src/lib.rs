@@ -1,9 +1,10 @@
 //! Shared fixtures for the WARLOCK benchmark & experiment harness.
 //!
 //! Both the criterion micro-benchmarks (`benches/`) and the experiment
-//! binary (`src/bin/experiments.rs`, regenerating every table/figure of
-//! EXPERIMENTS.md) build on the same demonstration configuration: the
-//! APB-1-like schema and ten-class mix on a 16-disk circa-2001 system.
+//! binary (`src/bin/experiments.rs`, which prints the reproduction's
+//! tables and figures) build on the same demonstration configuration:
+//! the APB-1-like schema and ten-class mix on a 16-disk circa-2001
+//! system. The scenario-fleet harness lives in [`fleet`].
 
 #![warn(missing_docs)]
 

@@ -3,7 +3,8 @@
 //! The original tool is a GUI; this reproduction renders the same content
 //! — ranked candidate lists, the per-fragmentation query statistic, the
 //! physical allocation scheme and disk access profiles — as fixed-width
-//! text tables (for terminals and EXPERIMENTS.md) and CSV (for plotting).
+//! text tables (for terminals and the experiment harness) and CSV (for
+//! plotting).
 
 use std::fmt::Write as _;
 

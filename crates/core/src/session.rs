@@ -839,7 +839,10 @@ impl Warlock {
     /// keeping the stale ranking: notably the typed
     /// `WorkloadError::EmptyMix` (as [`WarlockError::Workload`]) when
     /// none of the *configured* classes has observed weight — drifted
-    /// traffic consisting only of unknown classes cannot be costed.
+    /// traffic consisting only of unknown classes cannot be costed. A
+    /// failed re-advise keeps this handle's mix and puts the detector
+    /// back in its state before the batch, so the next batch whose
+    /// score is above `drift_enter` retries it.
     pub fn observe(&mut self, batch: &[ClassObservation]) -> Result<DriftStatus, WarlockError> {
         let shared = Arc::clone(&self.shared);
         let mut guard = shared.lock_optimizer();
@@ -847,34 +850,17 @@ impl Warlock {
         let state = guard.get_or_insert_with(|| OptimizerState::new(&snapshot.config));
         state.window.ingest(batch);
         let score = mix_divergence(&snapshot.mix, &state.window);
+        let armed = state.detector;
         let transition = state.detector.update(score);
         if transition == Some(DriftTransition::Entered) && snapshot.config.auto_advise {
-            let observed = observed_mix(&snapshot.mix, &state.window)?;
-            // Peek the old recommendation — never force-rank a mix the
-            // session is about to abandon.
-            let old = self
-                .ranking()
-                .and_then(|r| r.top())
-                .map(|t| t.label.clone());
-            self.set_mix(observed)?;
-            let new = self
-                .rank()?
-                .top()
-                .map(|t| t.label.clone())
-                .ok_or_else(|| WarlockError::internal("re-advise produced an empty ranking"))?;
-            state.seq += 1;
-            state.push_event(AdviceEvent::RecommendationChanged {
-                seq: state.seq,
-                old,
-                new,
-                drift_score: score,
-                observed_queries: state.window.observed_queries(),
-            });
-            // Re-score against the adopted mix: with the observed
-            // traffic now configured, the detector falls back toward
-            // `Stable` on its own hysteresis.
-            let rescore = mix_divergence(&self.snapshot.mix, &state.window);
-            let _ = state.detector.update(rescore);
+            if let Err(e) = self.readvise(state, score) {
+                // A failed re-advise adopts nothing and re-arms the
+                // detector, so the next batch above `drift_enter`
+                // retries it instead of waiting for the drift to end.
+                self.snapshot = snapshot;
+                state.detector = armed;
+                return Err(e);
+            }
         }
         let s = &*self.snapshot;
         Ok(DriftStatus {
@@ -887,6 +873,40 @@ impl Warlock {
             auto_advise: s.config.auto_advise,
             events_emitted: state.seq,
         })
+    }
+
+    /// The auto re-advise behind [`Warlock::observe`]: adopts the
+    /// observed mix, re-ranks it and records the advice event. On error
+    /// the event log is untouched, but this handle may already hold the
+    /// observed mix; the caller restores its snapshot.
+    fn readvise(&mut self, state: &mut OptimizerState, score: f64) -> Result<(), WarlockError> {
+        let observed = observed_mix(&self.snapshot.mix, &state.window)?;
+        // Peek the old recommendation — never force-rank a mix the
+        // session is about to abandon.
+        let old = self
+            .ranking()
+            .and_then(|r| r.top())
+            .map(|t| t.label.clone());
+        self.set_mix(observed)?;
+        let new = self
+            .rank()?
+            .top()
+            .map(|t| t.label.clone())
+            .ok_or_else(|| WarlockError::internal("re-advise produced an empty ranking"))?;
+        state.seq += 1;
+        state.push_event(AdviceEvent::RecommendationChanged {
+            seq: state.seq,
+            old,
+            new,
+            drift_score: score,
+            observed_queries: state.window.observed_queries(),
+        });
+        // Re-score against the adopted mix: with the observed traffic
+        // now configured, the detector falls back toward `Stable` on
+        // its own hysteresis.
+        let rescore = mix_divergence(&self.snapshot.mix, &state.window);
+        let _ = state.detector.update(rescore);
+        Ok(())
     }
 
     /// The current drift status, without ingesting anything or moving
@@ -1626,14 +1646,41 @@ mod tests {
             .observe(&[ClassObservation::new("mystery_scan", 1000)])
             .unwrap_err();
         assert_eq!(err.kind(), "workload");
-        // The window kept the traffic; the detector stays drifting and
-        // later observations report it without re-erroring (no new
-        // enter edge).
-        let status = s
+        // The window kept the traffic and the detector was re-armed, so
+        // the next unknown-only batch retries the re-advise and fails
+        // the same way.
+        let err = s
             .observe(&[ClassObservation::new("mystery_scan", 100)])
-            .unwrap();
-        assert_eq!(status.state, DriftState::Drifting);
+            .unwrap_err();
+        assert_eq!(err.kind(), "workload");
+        let status = s.drift_status();
+        assert_eq!(status.state, DriftState::Stable);
         assert_eq!(status.events_emitted, 0);
+    }
+
+    #[test]
+    fn a_failed_auto_readvise_is_retried_on_the_next_drifted_batch() {
+        let mut s = resident_session();
+        s.rank().unwrap();
+        let baseline_mix = s.mix().clone();
+        s.observe(&[ClassObservation::new("mystery_scan", 1000)])
+            .unwrap_err();
+        assert_eq!(s.mix(), &baseline_mix, "a failed re-advise adopts nothing");
+        // Costable traffic that is still far from the configured mix:
+        // the first batch above `drift_enter` re-advises.
+        let mut emitted = Vec::new();
+        for _ in 0..8 {
+            let status = s
+                .observe(&[ClassObservation::new("q04_year_line", 20_000)])
+                .unwrap();
+            emitted.push(status.events_emitted);
+        }
+        assert_eq!(
+            emitted[0], 1,
+            "the retry fires on the first batch: {emitted:?}"
+        );
+        assert_eq!(s.advice_events(0).len(), 1);
+        assert_ne!(s.mix(), &baseline_mix, "the observed mix was adopted");
     }
 
     #[test]

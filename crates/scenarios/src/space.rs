@@ -161,8 +161,8 @@ pub struct ScenarioSpace {
     /// Probability that a scenario also enumerates ranged (MDHF)
     /// candidates via `range_options = 2, 3`.
     pub ranged_probability: f64,
-    /// Evaluation workers forced into every scenario (`1` keeps fleet
-    /// timings comparable on any host; `0` = auto).
+    /// Evaluation workers forced into every scenario (`1` runs each
+    /// scenario serially; `0` = auto).
     pub parallelism: usize,
     /// Probability that a scenario runs the co-access graph
     /// partitioning allocation policy (with a drawn seed) instead of

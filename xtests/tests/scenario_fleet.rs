@@ -1,62 +1,100 @@
-//! Cross-crate tests of the scenario-fleet harness: reproducibility of
-//! the exact report fields, the canary-tripped diff gate, and the
-//! config-file materialization path (`Warlock::from_config_path`).
+//! Cross-crate tests of the scenario-fleet harness: the exact golden of
+//! the 25-scenario fleet, the golden comparison's sensitivity to a
+//! one-ulp change or a reordered verdict list, and the config-file
+//! materialization path (`Warlock::from_config_path`).
+
+use std::sync::OnceLock;
 
 use warlock::Warlock;
-use warlock_bench::fleet::{
-    apply_canary, diff_reports, fleet_fingerprint, run_fleet, DiffOptions, FleetReport,
-    SCHEMA_VERSION,
-};
+use warlock_bench::fleet::{fleet_fingerprint, golden_mismatch, run_fleet, FleetReport};
 use warlock_scenarios::{generate_fleet, ScenarioSpace};
 
-/// Same seed ⇒ identical fingerprints, invariant results and exact
-/// per-scenario fields, across independent harness runs.
-#[test]
-fn fleet_runs_are_reproducible() {
-    let space = ScenarioSpace::default();
-    let a = run_fleet(42, 12, &space).unwrap();
-    let b = run_fleet(42, 12, &space).unwrap();
-    assert_eq!(a.schema_version, SCHEMA_VERSION);
-    assert_eq!(a.fingerprint, b.fingerprint);
-    assert_eq!(a.failures, b.failures);
-    assert!(a.failures.is_empty(), "{:?}", a.failures);
-    for (x, y) in a.scenarios.iter().zip(&b.scenarios) {
-        assert_eq!(x.label, y.label);
-        assert_eq!(x.candidates, y.candidates);
-        assert_eq!(x.fragments, y.fragments);
-        assert_eq!(x.disks, y.disks);
-    }
-    // The fingerprint is a pure function of the generated fleet.
-    let fleet = generate_fleet(42, 12, &space);
-    assert_eq!(a.fingerprint, fleet_fingerprint(&fleet));
+/// The committed golden. Regenerate it after an intended change of the
+/// advisor's outputs with
+/// `cargo run --release -p warlock-bench --bin fleet -- run --seed 42 --count 25 --out crates/bench/fleet.golden.json`.
+const GOLDEN: &str = include_str!("../../crates/bench/fleet.golden.json");
+
+/// `run_fleet(42, 25)`, run once and shared by every test here.
+fn golden_fleet() -> &'static FleetReport {
+    static REPORT: OnceLock<FleetReport> = OnceLock::new();
+    REPORT.get_or_init(|| run_fleet(42, 25, &ScenarioSpace::default()).unwrap())
 }
 
-/// The report survives its JSON wire form, and an injected slowdown is
-/// caught by the diff gate while a self-diff passes.
+/// The fleet's advice is a pure function of schema, mix and system:
+/// the fresh report matches the golden line for line, at any worker
+/// count and chunk size.
 #[test]
-fn diff_gate_catches_injected_slowdown() {
-    let report = run_fleet(7, 8, &ScenarioSpace::default()).unwrap();
-    let reparsed = FleetReport::from_json_str(&report.to_json_string()).unwrap();
-    assert_eq!(reparsed.fingerprint, report.fingerprint);
-    assert_eq!(reparsed.scenarios, report.scenarios);
+fn fleet_matches_the_golden() {
+    let report = golden_fleet();
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert_eq!(report.scenarios.len(), 25);
+    let fleet = generate_fleet(42, 25, &ScenarioSpace::default());
+    assert_eq!(report.fingerprint, fleet_fingerprint(&fleet));
+    if let Some(mismatch) = golden_mismatch(GOLDEN, &report.to_json_string()) {
+        panic!("the fleet diverged from crates/bench/fleet.golden.json: {mismatch}");
+    }
+}
 
-    let strict = DiffOptions::strict(0.5);
-    assert!(diff_reports(&report, &reparsed, &strict).unwrap().passed());
+/// Same seed ⇒ an identical report across independent harness runs.
+#[test]
+fn fleet_runs_are_reproducible() {
+    let again = run_fleet(42, 25, &ScenarioSpace::default()).unwrap();
+    assert_eq!(&again, golden_fleet());
+    assert_eq!(again.to_json_string(), golden_fleet().to_json_string());
+}
 
-    let mut slowed = reparsed;
-    apply_canary(&mut slowed, 10.0);
-    let outcome = diff_reports(&report, &slowed, &strict).unwrap();
-    assert!(!outcome.passed());
-    assert!(outcome
-        .regressions
-        .iter()
-        .any(|r| r.contains("rank_ms_p99")));
+/// Nudges `value` by one ulp, away from zero when `up`.
+fn one_ulp(value: f64, up: bool) -> f64 {
+    let bits = value.to_bits();
+    f64::from_bits(if up || bits == 0 { bits + 1 } else { bits - 1 })
+}
 
-    // A different fleet is incomparable, not silently diffed.
-    let other = run_fleet(8, 8, &ScenarioSpace::default()).unwrap();
-    assert!(diff_reports(&report, &other, &strict)
-        .unwrap_err()
-        .contains("fleet mismatch"));
+/// A one-ulp change to any f64 field of any scenario is caught, and
+/// the comparison names the scenario and the field.
+#[test]
+fn golden_rejects_a_one_ulp_change_in_any_float() {
+    let report = golden_fleet();
+    let rendered = report.to_json_string();
+    type Field = fn(&mut warlock_bench::fleet::ScenarioRecord) -> &mut f64;
+    let fields: [(&str, Field); 4] = [
+        ("cache_hit_rate", |m| &mut m.cache_hit_rate),
+        ("greedy_heat_imbalance", |m| &mut m.greedy_heat_imbalance),
+        ("graph_heat_imbalance", |m| &mut m.graph_heat_imbalance),
+        ("graph_makespan_ratio", |m| &mut m.graph_makespan_ratio),
+    ];
+    for i in 0..report.scenarios.len() {
+        for (name, field) in fields {
+            for up in [true, false] {
+                let mut changed = report.clone();
+                let value = field(&mut changed.scenarios[i]);
+                *value = one_ulp(*value, up);
+                let mismatch = golden_mismatch(&rendered, &changed.to_json_string())
+                    .unwrap_or_else(|| panic!("one ulp of {name} went unnoticed"));
+                assert!(
+                    mismatch.contains(&report.scenarios[i].label)
+                        && mismatch.contains(&format!("`{name}`")),
+                    "{mismatch}"
+                );
+            }
+        }
+    }
+}
+
+/// Swapping two entries of one verdict order is caught and named.
+#[test]
+fn golden_rejects_a_reordered_verdict_list() {
+    let report = golden_fleet();
+    let rendered = report.to_json_string();
+    for i in 0..report.scenarios.len() {
+        let mut changed = report.clone();
+        changed.scenarios[i].policy_order.swap(0, 2);
+        let mismatch = golden_mismatch(&rendered, &changed.to_json_string())
+            .expect("a reordered verdict list went unnoticed");
+        assert!(
+            mismatch.contains(&report.scenarios[i].label) && mismatch.contains("`policy_order`"),
+            "{mismatch}"
+        );
+    }
 }
 
 /// A generated scenario written to disk materializes through the
