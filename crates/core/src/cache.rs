@@ -24,10 +24,25 @@
 //! snapshots of the same session family — coexist: `what_if_disks(64)`
 //! twice re-costs nothing the second time, returning to the baseline
 //! after a sweep is free, and a what-if priced on one `Warlock` clone is
-//! warm on every other clone. The memo holds at most `MAX_ENTRIES`
-//! slots plus evaluate entries; past that it evicts whole
-//! least-recently-used columns, and a single run longer than the budget
-//! keeps a prefix column. `invalidate()` clears it explicitly.
+//! warm on every other clone. `invalidate()` clears it explicitly.
+//!
+//! The memo holds at most `MAX_ENTRIES` slots plus evaluate entries.
+//! Admission is by reuse, so a what-if cycle whose columns outgrow the
+//! budget keeps most of them warm instead of evicting each one just
+//! before it is asked for again (the textbook failure of plain LRU on
+//! a cyclic pattern). A new column that fits the free room is admitted.
+//! One that does not may evict whole columns, least recently used
+//! first, but only columns that have gone unused since its key
+//! `(fingerprint, max_dimensionality)` was last refused; if that still
+//! leaves too little room it is refused, and its key is remembered as a
+//! *ghost* stamped with the refusal. A first-time newcomer therefore
+//! never evicts anything, and a key asked for twice displaces only the
+//! columns that went cold in between, so a new working set takes over
+//! after one repeat. Ghosts older than the least-recently-used resident
+//! could evict nothing and are dropped; at most `MAX_GHOSTS` are kept.
+//! A single run longer than the whole budget keeps a prefix column. An
+//! `evaluate` entry never evicts a column: with no free room it resets
+//! the other `evaluate` entries instead.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -72,12 +87,23 @@ pub struct EvalCacheStats {
     pub hits: u64,
     /// Lookups that required a fresh evaluation.
     pub misses: u64,
+    /// Memo columns currently held.
+    pub columns: usize,
+    /// Columns evicted to admit another.
+    pub evicted: u64,
+    /// Column commits the admission rule declined.
+    pub refused: u64,
 }
 
 /// Memo budget: column slots plus `evaluate` entries. A full
 /// APB-1-like run memoizes ~170 outcomes, so this holds hundreds of
 /// distinct what-if variations before whole columns are evicted.
 const MAX_ENTRIES: usize = 1 << 16;
+
+/// Refused column keys remembered at most (see the module docs). A
+/// what-if cycle needs one per variation that does not fit, so a
+/// handful suffices.
+const MAX_GHOSTS: usize = 32;
 
 /// One candidate's memoized pipeline outcome, at its enumeration
 /// ordinal in a [`Column`].
@@ -233,6 +259,9 @@ impl ColumnReader {
     }
 }
 
+/// A column's memo key: run fingerprint and `max_dimensionality`.
+type Key = (u128, usize);
+
 /// A committed column and its recency stamp.
 #[derive(Debug, Clone)]
 struct Held {
@@ -241,9 +270,17 @@ struct Held {
     last_used: u64,
 }
 
+impl Held {
+    fn key(&self) -> Key {
+        (self.fingerprint, self.column.max_dimensionality)
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct Inner {
     columns: Vec<Held>,
+    /// Refused column keys with their refusal stamps, oldest first.
+    ghosts: Vec<(Key, u64)>,
     /// `evaluate` outcomes by input fingerprint, then candidate — the
     /// two-level shape lets a probe borrow the candidate instead of
     /// cloning it into a tuple key.
@@ -252,6 +289,8 @@ struct Inner {
     clock: u64,
     hits: u64,
     misses: u64,
+    evicted: u64,
+    refused: u64,
 }
 
 impl Inner {
@@ -266,16 +305,48 @@ impl Inner {
         slots + self.evaluated_entries
     }
 
-    /// Evicts least-recently-used columns until `needed` more entries
-    /// fit the budget (or no column is left); returns how many fit.
-    fn make_room(&mut self, needed: usize) -> usize {
-        while self.entries() + needed > MAX_ENTRIES && !self.columns.is_empty() {
-            let lru = (0..self.columns.len())
-                .min_by_key(|&i| self.columns[i].last_used)
-                .unwrap_or(0);
-            self.columns.swap_remove(lru);
+    /// Makes room for a column of `len` slots under `key`, or refuses
+    /// it: evicts least-recently-used columns, but only those unused
+    /// since `key` was last refused, and only if that frees enough room.
+    /// A refusal evicts nothing and remembers `key` as a ghost.
+    fn admit(&mut self, key: Key, len: usize, budget: usize) -> bool {
+        // Admitted or refused anew, the key's old ghost is spent.
+        let refused_at = self
+            .ghosts
+            .iter()
+            .position(|&(k, _)| k == key)
+            .map_or(0, |g| self.ghosts.remove(g).1);
+        let free = budget.saturating_sub(self.entries());
+        if len <= free {
+            return true;
         }
-        MAX_ENTRIES.saturating_sub(self.entries())
+        self.columns.sort_unstable_by_key(|held| held.last_used);
+        let mut room = free;
+        let victims = self
+            .columns
+            .iter()
+            .take_while(|held| held.last_used < refused_at)
+            .take_while(|held| {
+                let short = room < len;
+                room += held.column.len();
+                short
+            })
+            .count();
+        if room >= len {
+            self.columns.drain(..victims);
+            self.evicted += victims as u64;
+            return true;
+        }
+        self.refused += 1;
+        let stamp = self.tick();
+        self.ghosts.push((key, stamp));
+        // Ghosts older than the least-recently-used resident could evict
+        // nothing; past `MAX_GHOSTS`, the oldest go.
+        let coldest = self.columns.first().map_or(0, |held| held.last_used);
+        self.ghosts.retain(|&(_, stamp)| stamp > coldest);
+        let excess = self.ghosts.len().saturating_sub(MAX_GHOSTS);
+        self.ghosts.drain(..excess);
+        false
     }
 }
 
@@ -284,12 +355,32 @@ impl Inner {
 /// `&self` evaluations from several threads; a ranking run takes the
 /// lock once to open a column and once to commit, never across an
 /// evaluation.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct EvalCache {
     inner: Mutex<Inner>,
+    /// Entry budget: [`MAX_ENTRIES`] outside tests.
+    budget: usize,
+}
+
+impl Default for EvalCache {
+    fn default() -> Self {
+        Self {
+            inner: Mutex::default(),
+            budget: MAX_ENTRIES,
+        }
+    }
 }
 
 impl EvalCache {
+    /// An empty memo holding at most `budget` entries.
+    #[cfg(test)]
+    pub(crate) fn with_budget(budget: usize) -> Self {
+        Self {
+            budget,
+            ..Self::default()
+        }
+    }
+
     /// The memo's state. A panic while the lock was held poisons it;
     /// the memo can always be rebuilt, so a poisoned one is reset to
     /// empty (counters included) instead of failing every later request.
@@ -348,25 +439,24 @@ impl EvalCache {
 
     /// Ends a ranking run: counts its `hits` and `misses` and, when the
     /// run wrote one, commits its column — unless a column under the
-    /// same key is already held (a racing clone committed first).
-    /// Evicts whole least-recently-used columns to make room, and keeps
-    /// only a prefix of a column that still does not fit.
+    /// same key is already held (a racing clone committed first), or
+    /// the admission rule (see the module docs) refuses it. A column
+    /// longer than the whole budget left by `evaluate` entries keeps
+    /// only its prefix.
     pub(crate) fn commit(&self, fingerprint: u128, column: Option<Column>, hits: u64, misses: u64) {
         let mut inner = self.lock();
         inner.hits += hits;
         inner.misses += misses;
         let Some(mut column) = column else { return };
-        if inner.columns.iter().any(|held| {
-            held.fingerprint == fingerprint
-                && held.column.max_dimensionality == column.max_dimensionality
-        }) {
+        let key = (fingerprint, column.max_dimensionality);
+        if inner.columns.iter().any(|held| held.key() == key) {
             return;
         }
-        let fits = inner.make_room(column.len());
-        if column.len() > fits {
-            column.truncate(fits);
+        let most = self.budget.saturating_sub(inner.evaluated_entries);
+        if column.len() > most {
+            column.truncate(most);
         }
-        if column.len() == 0 {
+        if column.len() == 0 || !inner.admit(key, column.len(), self.budget) {
             return;
         }
         let last_used = inner.tick();
@@ -397,9 +487,9 @@ impl EvalCache {
         found
     }
 
-    /// Memoizes an `evaluate` outcome, evicting columns first when the
-    /// memo is at its budget (and dropping the other `evaluate`
-    /// entries when no column is left to evict).
+    /// Memoizes an `evaluate` outcome. One entry never evicts a
+    /// column: at the budget, the other `evaluate` entries are dropped
+    /// instead, and when columns alone fill it the outcome is not kept.
     pub(crate) fn insert(
         &self,
         fingerprint: u128,
@@ -407,9 +497,12 @@ impl EvalCache {
         cost: Arc<CandidateCost>,
     ) {
         let mut inner = self.lock();
-        if inner.make_room(1) == 0 {
+        if inner.entries() >= self.budget {
             inner.evaluated_entries = 0;
             inner.evaluated.clear();
+            if inner.entries() >= self.budget {
+                return;
+            }
         }
         if inner
             .evaluated
@@ -434,6 +527,9 @@ impl EvalCache {
             entries: inner.entries(),
             hits: inner.hits,
             misses: inner.misses,
+            columns: inner.columns.len(),
+            evicted: inner.evicted,
+            refused: inner.refused,
         }
     }
 
@@ -449,6 +545,7 @@ impl Clone for EvalCache {
     fn clone(&self) -> Self {
         Self {
             inner: Mutex::new(self.lock().clone()),
+            budget: self.budget,
         }
     }
 }
@@ -640,6 +737,10 @@ mod tests {
         assert_eq!(cache.stats().entries, MAX_ENTRIES);
         // Touch 0 so 1 becomes the least recently used.
         assert_eq!(read(&cache, 0, 3, len), len as u64);
+        // A first-time newcomer is refused and evicts nothing…
+        cache.commit(4, Some(column(3, len / 2, 2)), 0, 0);
+        assert_eq!(cache.stats().entries, MAX_ENTRIES);
+        // …and asked for again it evicts the coldest column whole.
         cache.commit(4, Some(column(3, len / 2, 2)), 0, 0);
         for (fp, warm) in [(0, true), (1, false), (2, true), (3, true), (4, true)] {
             let want = match (warm, fp) {
@@ -650,12 +751,113 @@ mod tests {
             assert_eq!(read(&cache, fp, 3, len), want as u64, "fingerprint {fp}");
         }
         assert_eq!(cache.stats().entries, 3 * len + len / 2);
-        // A column needing room for two evicts the two coldest whole.
+        // A repeated column needing room for two evicts the two coldest
+        // whole.
+        cache.commit(5, Some(column(3, 2 * len, 2)), 0, 0);
         cache.commit(5, Some(column(3, 2 * len, 2)), 0, 0);
         let held: Vec<usize> = (0..6)
             .map(|fp| read(&cache, fp, 3, 2 * len) as usize)
             .collect();
         assert_eq!(held, [0, 0, 0, len, len / 2, 2 * len]);
+        let stats = cache.stats();
+        assert_eq!((stats.columns, stats.evicted, stats.refused), (3, 3, 2));
+    }
+
+    /// One ranking run of `len` candidates under `fingerprint`: reads
+    /// what the memo holds and, on a miss, commits its own column.
+    /// Returns whether it hit.
+    fn run(cache: &EvalCache, fingerprint: u128, len: usize) -> bool {
+        let hit = read(cache, fingerprint, 3, len) == len as u64;
+        if !hit {
+            cache.commit(fingerprint, Some(column(3, len, 2)), 0, 0);
+        }
+        hit
+    }
+
+    /// Runs each fingerprint of `cycle` once; returns the hit count.
+    fn cycle(cache: &EvalCache, cycle: std::ops::Range<u128>, len: usize) -> usize {
+        cycle.filter(|&fp| run(cache, fp, len)).count()
+    }
+
+    #[test]
+    fn a_cycle_larger_than_the_memo_keeps_most_columns_warm() {
+        // Six what-if columns cycling through room for four: plain LRU
+        // evicts each one just before it is asked for again.
+        let cache = EvalCache::default();
+        let len = MAX_ENTRIES / 4;
+        let hits: Vec<usize> = (0..3).map(|_| cycle(&cache, 0..6, len)).collect();
+        assert_eq!(hits, [0, 4, 4]);
+        let stats = cache.stats();
+        assert_eq!((stats.columns, stats.evicted), (4, 0));
+        assert_eq!(stats.refused, 3 * 2);
+    }
+
+    #[test]
+    fn a_one_off_newcomer_on_a_full_memo_evicts_nothing() {
+        let cache = EvalCache::default();
+        let len = MAX_ENTRIES / 4;
+        cycle(&cache, 0..4, len);
+        assert!(!run(&cache, 9, len));
+        assert_eq!(cycle(&cache, 0..4, len), 4);
+        let stats = cache.stats();
+        assert_eq!((stats.columns, stats.evicted, stats.refused), (4, 0, 1));
+        assert!(cache.open(9, 3, no_source).is_none());
+    }
+
+    #[test]
+    fn a_new_working_set_is_adopted_on_its_second_cycle() {
+        let cache = EvalCache::default();
+        let len = MAX_ENTRIES / 4;
+        for _ in 0..3 {
+            cycle(&cache, 0..4, len);
+        }
+        let hits: Vec<usize> = (0..3).map(|_| cycle(&cache, 10..14, len)).collect();
+        assert_eq!(hits, [0, 0, 4]);
+        let stats = cache.stats();
+        assert_eq!((stats.columns, stats.evicted, stats.refused), (4, 4, 4));
+        assert!((0..4).all(|fp| cache.open(fp, 3, no_source).is_none()));
+    }
+
+    #[test]
+    fn the_ghost_list_stays_bounded() {
+        let cache = EvalCache::default();
+        let len = MAX_ENTRIES / 4;
+        cycle(&cache, 0..4, len);
+        for fp in 100..1_100 {
+            cache.commit(fp, Some(column(3, 1, 1)), 0, 0);
+            assert!(cache.lock().ghosts.len() <= MAX_GHOSTS);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.columns, stats.evicted, stats.refused), (4, 0, 1_000));
+        // Once every resident was used since, the old ghosts could evict
+        // nothing and are dropped at the next refusal.
+        assert_eq!(cycle(&cache, 0..4, len), 4);
+        cache.commit(2_000, Some(column(3, 1, 1)), 0, 0);
+        assert_eq!(cache.lock().ghosts.len(), 1);
+    }
+
+    #[test]
+    fn an_evaluate_entry_never_evicts_a_column() {
+        let cache = EvalCache::with_budget(12);
+        cache.commit(1, Some(column(3, 5, 1)), 0, 0);
+        cache.commit(2, Some(column(3, 5, 1)), 0, 0);
+        let frags: Vec<_> = (0..3).map(|i| frag(&[(0, i)])).collect();
+        for f in &frags {
+            cache.insert(7, f.clone(), cost(f));
+        }
+        // The third entry reset the other two instead of evicting.
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.columns, stats.evicted), (11, 2, 0));
+        assert!(cache.lookup(7, &frags[0]).is_none());
+        assert!(cache.lookup(7, &frags[2]).is_some());
+        // With columns alone filling the budget, the entry is not kept.
+        let cache = EvalCache::with_budget(10);
+        cache.commit(1, Some(column(3, 5, 1)), 0, 0);
+        cache.commit(2, Some(column(3, 5, 1)), 0, 0);
+        cache.insert(7, frags[0].clone(), cost(&frags[0]));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.columns, stats.evicted), (10, 2, 0));
+        assert!(cache.lookup(7, &frags[0]).is_none());
     }
 
     #[test]

@@ -56,6 +56,18 @@ fn usize_field(value: &Json, key: &str) -> Result<usize, JsonError> {
         .ok_or_else(|| JsonError::shape(format!("`{key}` is not an unsigned integer")))
 }
 
+/// A field older replies omit: absent reads as `T::default()`.
+fn field_or_default<T: Default>(
+    value: &Json,
+    key: &str,
+    read: fn(&Json, &str) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    match value.get(key) {
+        Some(_) => read(value, key),
+        None => Ok(T::default()),
+    }
+}
+
 fn str_field(value: &Json, key: &str) -> Result<String, JsonError> {
     Ok(value
         .req(key)?
@@ -684,6 +696,9 @@ impl ToJson for crate::cache::EvalCacheStats {
             ("entries", self.entries.to_json()),
             ("hits", self.hits.to_json()),
             ("misses", self.misses.to_json()),
+            ("columns", self.columns.to_json()),
+            ("evicted", self.evicted.to_json()),
+            ("refused", self.refused.to_json()),
         ])
     }
 }
@@ -694,6 +709,9 @@ impl FromJson for crate::cache::EvalCacheStats {
             entries: usize_field(value, "entries")?,
             hits: u64_field(value, "hits")?,
             misses: u64_field(value, "misses")?,
+            columns: field_or_default(value, "columns", usize_field)?,
+            evicted: field_or_default(value, "evicted", u64_field)?,
+            refused: field_or_default(value, "refused", u64_field)?,
         })
     }
 }
@@ -1258,6 +1276,9 @@ mod tests {
                 entries: 65,
                 hits: 10,
                 misses: 65,
+                columns: 2,
+                evicted: 3,
+                refused: 4,
             },
         };
         let back = crate::registry::WarehouseStats::from_json(
@@ -1265,6 +1286,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(back, stats);
+
+        // Replies from before the column counters parse them as 0.
+        let older = r#"{"name":"eu","path":null,"space_size":168,"enumerated":null,
+            "cache_stats":{"entries":65,"hits":10,"misses":65}}"#;
+        let back = crate::registry::WarehouseStats::from_json(&warlock_json::parse(older).unwrap())
+            .unwrap();
+        assert_eq!(
+            back.cache,
+            crate::cache::EvalCacheStats {
+                entries: 65,
+                hits: 10,
+                misses: 65,
+                ..Default::default()
+            }
+        );
 
         // Cold, pathless warehouses serialize nulls and round-trip too.
         let cold = crate::registry::WarehouseStats {

@@ -1113,6 +1113,54 @@ mod tests {
     }
 
     #[test]
+    fn a_what_if_cycle_larger_than_the_memo_stays_bit_identical_and_mostly_warm() {
+        type WhatIf = fn(&Warlock) -> Result<(AdvisorReport, TuningDelta), WarlockError>;
+        let variations: [WhatIf; 6] = [
+            |s| s.what_if_disks(8),
+            |s| s.what_if_disks(32),
+            |s| s.what_if_disks(64),
+            |s| s.what_if_fixed_prefetch(16),
+            |s| s.what_if_without_bitmap_dimension(DimensionId(0)),
+            |s| s.what_if_without_class("q01_month_store_code"),
+        ];
+        let fresh: Vec<String> = variations
+            .iter()
+            .map(|what_if| format!("{:?}", what_if(&session()).unwrap()))
+            .collect();
+        // A memo with room for four of the cycle's seven columns
+        // (baseline plus six variations, one candidate space each).
+        let n = session().rank().unwrap().enumerated;
+        let s = Warlock {
+            snapshot: Arc::clone(&session().snapshot),
+            shared: Arc::new(Shared {
+                cache: EvalCache::with_budget(4 * n + n / 2),
+                ..Shared::default()
+            }),
+        };
+        s.rank().unwrap();
+        let mut last = s.cache_stats();
+        for round in 0..3 {
+            for (what_if, fresh) in variations.iter().zip(&fresh) {
+                assert_eq!(
+                    &format!("{:?}", what_if(&s).unwrap()),
+                    fresh,
+                    "cycle {round}"
+                );
+            }
+            let stats = s.cache_stats();
+            let (hits, misses) = (stats.hits - last.hits, stats.misses - last.misses);
+            if round == 2 {
+                assert!(
+                    hits >= 2 * misses,
+                    "third cycle: {hits} hits, {misses} misses"
+                );
+            }
+            last = stats;
+        }
+        assert_eq!(last.evicted, 1, "only the cold baseline column makes way");
+    }
+
+    #[test]
     fn evaluate_memoizes_per_candidate() {
         let s = session();
         let frag = Fragmentation::from_pairs(&[(2, 2)]).unwrap();
