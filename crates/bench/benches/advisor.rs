@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use warlock::AdvisorConfig;
-use warlock_bench::Fixture;
+use warlock_bench::{shaped_session, Fixture, ENUMERATION};
 use warlock_fragment::Fragmentation;
 
 fn bench_full_pipeline(c: &mut Criterion) {
@@ -12,6 +12,18 @@ fn bench_full_pipeline(c: &mut Criterion) {
     c.bench_function("advisor/full_run_168_candidates", |b| {
         let advisor = f.session();
         b.iter(|| black_box(advisor.run().unwrap()))
+    });
+}
+
+/// A cold rank of the enumeration-bound warehouse: 45,278 candidates,
+/// 38,479 of them over `max_fragments`, 6,537 costed.
+fn bench_cold_rank_enumeration_shape(c: &mut Criterion) {
+    let mut session = shaped_session(&ENUMERATION);
+    c.bench_function("advisor/cold_rank_enumeration_shape", |b| {
+        b.iter(|| {
+            session.invalidate();
+            black_box(session.rank().unwrap().enumerated)
+        })
     });
 }
 
@@ -60,6 +72,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_full_pipeline, bench_single_candidate, bench_analysis_and_plan, bench_shallow_run
+    targets = bench_full_pipeline, bench_cold_rank_enumeration_shape, bench_single_candidate, bench_analysis_and_plan, bench_shallow_run
 }
 criterion_main!(benches);

@@ -4,13 +4,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use warlock::schema::{Dimension, FactTable, StarSchema};
-use warlock::storage::SystemConfig;
-use warlock::workload::{DimensionPredicate, QueryClass, QueryMix};
-use warlock::{AdvisorConfig, Warlock};
 use warlock_alloc::{
     greedy_by_size, partition_coaccess, round_robin, CoAccessGraph, DiskAccessProfile,
 };
+use warlock_bench::{shaped_session, FIT};
 
 fn sizes(n: usize) -> Vec<u64> {
     // Zipf-flavoured sizes, deterministic.
@@ -86,73 +83,8 @@ fn bench_partition(c: &mut Criterion) {
     });
 }
 
-/// Fan-outs per level of the `fit` warehouse: 6 dimensions, 3 to 4
-/// levels deep (the benchmark's `tuning-fit` shape).
-const FIT_FANOUTS: [&[u64]; 6] = [
-    &[4, 6, 2, 3],
-    &[6, 4, 3],
-    &[2, 6, 4],
-    &[3, 4, 6, 2],
-    &[4, 2, 6],
-    &[6, 3, 4],
-];
-
-/// A session over the `fit` warehouse: 2·10⁹ fact rows on 32 disks,
-/// candidates of up to three attributes with ranges of 2 and 3, and six
-/// classes that each filter one dimension by a point and another by a
-/// quarter of its values.
-fn fit_session() -> Warlock {
-    let mut schema = StarSchema::builder();
-    for (d, fanouts) in FIT_FANOUTS.iter().enumerate() {
-        let mut dim = Dimension::builder(format!("d{d}"));
-        let mut cardinality = 1u64;
-        for (l, fanout) in fanouts.iter().enumerate() {
-            cardinality *= fanout;
-            dim = dim.level(format!("l{l}"), cardinality);
-        }
-        schema = schema.dimension(dim.build().expect("integral fan-outs"));
-    }
-    let fact = FactTable::builder("fact")
-        .measure("m0", 8)
-        .measure("m1", 8)
-        .rows(2_000_000_000)
-        .build();
-    let schema = schema.fact(fact).build().expect("valid fit schema");
-
-    let n = FIT_FANOUTS.len();
-    let cardinality = |d: usize, level: usize| FIT_FANOUTS[d][..=level].iter().product::<u64>();
-    let mut mix = QueryMix::builder();
-    for c in 0..6usize {
-        let (point, ranged) = (c % n, (2 * c + 1) % n);
-        let level = |d: usize| c % FIT_FANOUTS[d].len();
-        let mut class = QueryClass::new(format!("q{c:02}"))
-            .with(point as u16, DimensionPredicate::point(level(point) as u16));
-        if ranged != point {
-            let values = (cardinality(ranged, level(ranged)) / 4).max(1);
-            class = class.with(
-                ranged as u16,
-                DimensionPredicate::range(level(ranged) as u16, values),
-            );
-        }
-        mix = mix.class(class, (1 + c * 7 % 10) as f64);
-    }
-    let mut config = AdvisorConfig {
-        max_dimensionality: 3,
-        range_options: vec![2, 3],
-        ..AdvisorConfig::default()
-    };
-    config.thresholds.max_fragments = 1 << 16;
-    Warlock::builder()
-        .schema(schema)
-        .system(SystemConfig::default_2001(32))
-        .mix(mix.build().expect("non-empty fit mix"))
-        .config(config)
-        .build()
-        .expect("valid fit session")
-}
-
 fn bench_policy_judge(c: &mut Criterion) {
-    let warm = fit_session();
+    let warm = shaped_session(&FIT);
     warm.rank().expect("fit warehouse ranks");
     c.bench_function("policy_judge/cold_fit", |b| {
         b.iter(|| {

@@ -3,9 +3,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use warlock_bench::Fixture;
+use warlock_bench::{shaped_session, Fixture, ENUMERATION};
 use warlock_fragment::{
-    enumerate_candidates, FragmentLayout, Fragmentation, SkewModelExt, ThresholdContext, Thresholds,
+    enumerate_candidates, CandidateSource, FragmentLayout, Fragmentation, SkewModelExt, Stride,
+    ThresholdContext, Thresholds,
 };
 use warlock_skew::DimensionSkew;
 
@@ -13,6 +14,38 @@ fn bench_enumeration(c: &mut Criterion) {
     let f = Fixture::demo();
     c.bench_function("fragment/enumerate_168_candidates", |b| {
         b.iter(|| black_box(enumerate_candidates(black_box(&f.schema), 4)))
+    });
+}
+
+/// The enumeration-bound warehouse's 45,278 candidates, walked the way
+/// the pipeline consumes them: every candidate materialized (the full
+/// walk), against the bounded walk that steps over each subtree whose
+/// every candidate exceeds `max_fragments` (34,600 candidates in 1,189
+/// subtrees) and materializes only the rest.
+fn bench_bounded_walk(c: &mut Criterion) {
+    let session = shaped_session(&ENUMERATION);
+    let config = session.config();
+    let source = || {
+        CandidateSource::ranged(
+            session.schema(),
+            config.max_dimensionality,
+            &config.range_options,
+        )
+    };
+    c.bench_function("fragment/full_walk_enumeration_shape", |b| {
+        b.iter(|| black_box(source().count()))
+    });
+    c.bench_function("fragment/bounded_walk_enumeration_shape", |b| {
+        b.iter(|| {
+            let mut walk = source().bounded(config.thresholds.max_fragments);
+            let mut candidates = 0usize;
+            while let Some(stride) = walk.stride() {
+                if stride == Stride::One {
+                    candidates += usize::from(black_box(walk.current()).is_some());
+                }
+            }
+            black_box(candidates)
+        })
     });
 }
 
@@ -91,6 +124,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_enumeration, bench_layout, bench_skewed_sizes, bench_thresholds
+    targets = bench_enumeration, bench_bounded_walk, bench_layout, bench_skewed_sizes, bench_thresholds
 }
 criterion_main!(benches);

@@ -13,9 +13,9 @@ pub mod fleet;
 
 use warlock::{AdvisorConfig, Warlock};
 use warlock_bitmap::{BitmapScheme, SchemeConfig};
-use warlock_schema::{apb1_like_schema, Apb1Config, StarSchema};
+use warlock_schema::{apb1_like_schema, Apb1Config, Dimension, FactTable, StarSchema};
 use warlock_storage::SystemConfig;
-use warlock_workload::{apb1_like_mix, QueryMix};
+use warlock_workload::{apb1_like_mix, DimensionPredicate, QueryClass, QueryMix};
 
 /// The demonstration fixture: schema, mix, system and derived scheme.
 pub struct Fixture {
@@ -64,6 +64,105 @@ impl Fixture {
             .build()
             .expect("fixture inputs are valid")
     }
+}
+
+/// The structure of one large generated warehouse: the fan-out of every
+/// level of every dimension, its fact rows and its `max_fragments`.
+/// Every shaped warehouse runs on 32 disks and enumerates candidates of
+/// up to three attributes with range sizes 2 and 3.
+#[derive(Debug, Clone, Copy)]
+pub struct Shape {
+    /// Fan-out per level, per dimension.
+    pub fanouts: &'static [&'static [u64]],
+    /// Fact-table rows.
+    pub fact_rows: u64,
+    /// The `max_fragments` threshold.
+    pub max_fragments: u64,
+}
+
+/// The `fit` warehouse of the `tuning-fit` benchmark workload: 6
+/// dimensions, 3 to 4 levels deep, 2·10⁹ fact rows.
+pub const FIT: Shape = Shape {
+    fanouts: &[
+        &[4, 6, 2, 3],
+        &[6, 4, 3],
+        &[2, 6, 4],
+        &[3, 4, 6, 2],
+        &[4, 2, 6],
+        &[6, 3, 4],
+    ],
+    fact_rows: 2_000_000_000,
+    max_fragments: 1 << 16,
+};
+
+/// The enumeration-bound warehouse of the `cold-advise` benchmark
+/// workload: 45,278 candidates, most of them over its `max_fragments`
+/// of 4096.
+pub const ENUMERATION: Shape = Shape {
+    fanouts: &[
+        &[4, 6, 8, 4, 6],
+        &[6, 4, 8, 6],
+        &[8, 6, 4, 4, 6],
+        &[4, 8, 6, 4],
+        &[6, 6, 4, 8],
+        &[8, 4, 6, 6, 4],
+        &[4, 6, 6, 8],
+    ],
+    fact_rows: 1_000_000_000,
+    max_fragments: 1 << 12,
+};
+
+/// A session over the warehouse of `shape`, with six query classes that
+/// each filter one dimension by a point and another by a quarter of its
+/// values.
+pub fn shaped_session(shape: &Shape) -> Warlock {
+    let mut schema = StarSchema::builder();
+    for (d, fanouts) in shape.fanouts.iter().enumerate() {
+        let mut dim = Dimension::builder(format!("d{d}"));
+        let mut cardinality = 1u64;
+        for (l, fanout) in fanouts.iter().enumerate() {
+            cardinality *= fanout;
+            dim = dim.level(format!("l{l}"), cardinality);
+        }
+        schema = schema.dimension(dim.build().expect("integral fan-outs"));
+    }
+    let fact = FactTable::builder("fact")
+        .measure("m0", 8)
+        .measure("m1", 8)
+        .rows(shape.fact_rows)
+        .build();
+    let schema = schema.fact(fact).build().expect("valid shaped schema");
+
+    let n = shape.fanouts.len();
+    let cardinality = |d: usize, level: usize| shape.fanouts[d][..=level].iter().product::<u64>();
+    let mut mix = QueryMix::builder();
+    for c in 0..6usize {
+        let (point, ranged) = (c % n, (2 * c + 1) % n);
+        let level = |d: usize| c % shape.fanouts[d].len();
+        let mut class = QueryClass::new(format!("q{c:02}"))
+            .with(point as u16, DimensionPredicate::point(level(point) as u16));
+        if ranged != point {
+            let values = (cardinality(ranged, level(ranged)) / 4).max(1);
+            class = class.with(
+                ranged as u16,
+                DimensionPredicate::range(level(ranged) as u16, values),
+            );
+        }
+        mix = mix.class(class, (1 + c * 7 % 10) as f64);
+    }
+    let mut config = AdvisorConfig {
+        max_dimensionality: 3,
+        range_options: vec![2, 3],
+        ..AdvisorConfig::default()
+    };
+    config.thresholds.max_fragments = shape.max_fragments;
+    Warlock::builder()
+        .schema(schema)
+        .system(SystemConfig::default_2001(32))
+        .mix(mix.build().expect("non-empty shaped mix"))
+        .config(config)
+        .build()
+        .expect("valid shaped session")
 }
 
 /// A small scaled-down fixture for simulation-backed experiments, where
@@ -177,6 +276,14 @@ mod tests {
         let f = Fixture::demo();
         let report = f.session().run().unwrap();
         assert!(!report.ranked.is_empty());
+    }
+
+    #[test]
+    fn the_enumeration_shape_is_the_benchmark_space() {
+        let s = shaped_session(&ENUMERATION);
+        assert_eq!(s.candidate_space_size(), 45_278);
+        let report = s.rank().unwrap();
+        assert_eq!(report.excluded.count_of("too_many_fragments"), 38_479);
     }
 
     #[test]

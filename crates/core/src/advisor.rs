@@ -64,22 +64,47 @@ impl ExcludedSummary {
     /// the (label-carrying) sample record.
     pub fn record(&mut self, reason: Exclusion, sample: impl FnOnce() -> ExcludedCandidate) {
         self.total += 1;
-        let kind = reason.kind();
-        let group = match self.groups.iter_mut().find(|g| g.kind == kind) {
-            Some(group) => group,
+        let group = self.group(reason.kind());
+        group.count += 1;
+        if group.samples.len() < Self::SAMPLES_PER_REASON {
+            group.samples.push(sample());
+        }
+    }
+
+    /// Records `count` exclusions of one reason `kind` at once — a
+    /// subtree the bounded walk stepped over. Samples are drawn from
+    /// `samples` (the subtree's first candidates, in enumeration order)
+    /// only while the reason's sample list has room.
+    pub(crate) fn record_many(
+        &mut self,
+        kind: &'static str,
+        count: usize,
+        samples: impl IntoIterator<Item = ExcludedCandidate>,
+    ) {
+        if count == 0 {
+            return;
+        }
+        self.total += count;
+        let group = self.group(kind);
+        group.count += count;
+        let room = Self::SAMPLES_PER_REASON - group.samples.len();
+        group.samples.extend(samples.into_iter().take(room));
+    }
+
+    /// The group of `kind`, opened on first sight.
+    fn group(&mut self, kind: &'static str) -> &mut ExclusionGroup {
+        let i = match self.groups.iter().position(|g| g.kind == kind) {
+            Some(i) => i,
             None => {
                 self.groups.push(ExclusionGroup {
                     kind,
                     count: 0,
                     samples: Vec::new(),
                 });
-                self.groups.last_mut().expect("just pushed")
+                self.groups.len() - 1
             }
         };
-        group.count += 1;
-        if group.samples.len() < Self::SAMPLES_PER_REASON {
-            group.samples.push(sample());
-        }
+        &mut self.groups[i]
     }
 
     /// Total number of excluded candidates (exact, not capped).

@@ -5,19 +5,23 @@
 //! variations repeatedly. Re-costing a candidate is only necessary when
 //! an input that feeds the cost model actually changed, so [`EvalCache`]
 //! memoizes every ranking run as one immutable **memo column**: the
-//! run's candidate outcomes in enumeration order, one `Slot` per
-//! candidate (its exclusion, or its fragment count and the position of
-//! its unweighted per-class cost rows in one flat row buffer). A column
-//! is keyed by the run fingerprint (system, mix structure, scheme,
-//! thresholds, range options) and the run's `max_dimensionality`; a
-//! cold run writes it in its merge loop without hashing or storing
-//! candidates and commits it under one lock, and a warm run reads slot
-//! `i` for its `i`-th candidate. A column of another
-//! `max_dimensionality` under the same fingerprint is read by walking
-//! its own enumeration alongside the run's (the smaller space is an
-//! in-order subsequence of the larger one). Single-candidate
-//! [`Warlock::evaluate`](crate::Warlock::evaluate) calls keep a keyed
-//! map, since they are on no ranking path.
+//! run's outcomes in enumeration order, one cell per step of the run's
+//! bounded walk — a `Slot` per candidate (its exclusion, or its fragment
+//! count and the position of its unweighted per-class cost rows in one
+//! flat row buffer), and one run-length cell per subtree the walk
+//! stepped over because every candidate in it has too many fragments
+//! (see [`CandidateSource::stride`]). A column is keyed by the run
+//! fingerprint (system, mix structure, scheme, thresholds, range
+//! options) and the run's `max_dimensionality`; a cold run writes it in
+//! its merge loop without hashing or storing candidates and commits it
+//! under one lock, and a warm run reads its cells in order, a run cell
+//! answering a skipped subtree as one hit per candidate. A column of
+//! another `max_dimensionality` under the same fingerprint is read by
+//! striding its own bounded walk alongside the run's (the smaller space
+//! is an in-order subsequence of the larger one, and both skip a subtree
+//! at the same digits; the narrower walk counts its own share of it).
+//! Single-candidate [`Warlock::evaluate`](crate::Warlock::evaluate)
+//! calls keep a keyed map, since they are on no ranking path.
 //!
 //! The fingerprint covers *every* input the outcomes depend on, so
 //! columns from different what-if variations — and from different
@@ -26,7 +30,10 @@
 //! after a sweep is free, and a what-if priced on one `Warlock` clone is
 //! warm on every other clone. `invalidate()` clears it explicitly.
 //!
-//! The memo holds at most `MAX_ENTRIES` slots plus evaluate entries.
+//! The memo holds at most `MAX_ENTRIES` entries. Entries count
+//! candidates, not cells: a column's entries are the candidates it
+//! covers, a run cell counting each of its own, plus one per `evaluate`
+//! entry. So skipping a subtree changes neither admission nor eviction.
 //! Admission is by reuse, so a what-if cycle whose columns outgrow the
 //! budget keeps most of them warm instead of evicting each one just
 //! before it is asked for again (the textbook failure of plain LRU on
@@ -49,7 +56,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use warlock_cost::{CandidateCost, ClassCost};
-use warlock_fragment::{CandidateSource, Exclusion, Fragmentation};
+use warlock_fragment::{CandidateSource, Exclusion, Fragmentation, Stride};
 
 /// FNV-1a. Candidate keys are a handful of bytes; FNV keeps the probe
 /// cost of the `evaluate` map proportional to the key size.
@@ -80,7 +87,9 @@ type FnvBuild = BuildHasherDefault<FnvHasher>;
 /// Observable counters of an [`EvalCache`](crate::Warlock::cache_stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCacheStats {
-    /// Memoized candidate outcomes currently held.
+    /// Memoized candidate outcomes currently held: the candidates the
+    /// columns cover (a skipped subtree counts each of its candidates)
+    /// plus the `evaluate` entries.
     pub entries: usize,
     /// Lookups answered from the cache since the session was built (or
     /// the cache last cleared).
@@ -95,7 +104,7 @@ pub struct EvalCacheStats {
     pub refused: u64,
 }
 
-/// Memo budget: column slots plus `evaluate` entries. A full
+/// Memo budget: candidates covered by columns plus `evaluate` entries. A full
 /// APB-1-like run memoizes ~170 outcomes, so this holds hundreds of
 /// distinct what-if variations before whole columns are evicted.
 const MAX_ENTRIES: usize = 1 << 16;
@@ -122,37 +131,66 @@ pub(crate) enum Slot {
     },
 }
 
-/// The memo of one ranking run: a slot per enumerated candidate in
-/// enumeration order, and the `k` unweighted class rows (classes in
-/// configured-mix order) of each costed candidate, candidate by
-/// candidate. Weight-free, so a pure re-weight recombines the rows
-/// under the new shares instead of re-costing. Shared as an `Arc` and
-/// never mutated after commit.
+/// One stored cell of a [`Column`]: a candidate's slot, or a run of
+/// candidates the bounded walk stepped over as one subtree.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Cell {
+    /// One candidate's outcome.
+    One(Slot),
+    /// This many candidates of a skipped subtree, every one excluded
+    /// for too many fragments.
+    Run(u64),
+}
+
+impl Cell {
+    fn slot(self) -> Option<Slot> {
+        match self {
+            Self::One(slot) => Some(slot),
+            Self::Run(_) => None,
+        }
+    }
+}
+
+/// The memo of one ranking run: a cell per step of the run's bounded
+/// walk in enumeration order — a candidate's slot, or one run-length
+/// cell per skipped subtree — and the `k` unweighted class rows
+/// (classes in configured-mix order) of each costed candidate,
+/// candidate by candidate. Weight-free, so a pure re-weight recombines
+/// the rows under the new shares instead of re-costing. Shared as an
+/// `Arc` and never mutated after commit.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Column {
     max_dimensionality: usize,
     classes: usize,
-    slots: Vec<Slot>,
+    slots: Vec<Cell>,
     rows: Vec<ClassCost>,
+    /// Candidates the cells cover (a run counts each of its own).
+    entries: usize,
 }
+
+/// Cells a new column reserves at most up front: a run's skipped
+/// subtrees can leave far fewer cells than candidates, so the rest grow
+/// on demand.
+const RESERVED_CELLS: usize = 4096;
 
 impl Column {
     /// An empty column for a run over `space` candidates with `classes`
-    /// mix classes. Slots are pre-sized (up to the budget); pushes past
-    /// [`MAX_ENTRIES`] slots are dropped, leaving a prefix column.
+    /// mix classes. Pushes past [`MAX_ENTRIES`] candidates are dropped,
+    /// leaving a prefix column.
     pub(crate) fn new(max_dimensionality: usize, classes: usize, space: u128) -> Self {
-        let capacity = usize::try_from(space).map_or(MAX_ENTRIES, |s| s.min(MAX_ENTRIES));
+        let reserved = usize::try_from(space).map_or(RESERVED_CELLS, |s| s.min(RESERVED_CELLS));
         Self {
             max_dimensionality,
             classes,
-            slots: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(reserved),
             rows: Vec::new(),
+            entries: 0,
         }
     }
 
-    /// Slots held.
+    /// Candidates covered: the column's share of the memo's entries.
     pub(crate) fn len(&self) -> usize {
-        self.slots.len()
+        self.entries
     }
 
     /// The class rows of the `row`-th costed candidate.
@@ -163,31 +201,61 @@ impl Column {
 
     /// Appends the next candidate as excluded.
     pub(crate) fn push_excluded(&mut self, reason: Exclusion) {
-        if self.slots.len() < MAX_ENTRIES {
-            self.slots.push(Slot::Excluded(reason));
+        if self.entries < MAX_ENTRIES {
+            self.slots.push(Cell::One(Slot::Excluded(reason)));
+            self.entries += 1;
         }
     }
 
     /// Appends the next candidate as costed, with its `k` class rows.
     pub(crate) fn push_costed(&mut self, num_fragments: u64, rows: &[ClassCost]) {
         debug_assert_eq!(rows.len(), self.classes);
-        if self.slots.len() < MAX_ENTRIES {
+        if self.entries < MAX_ENTRIES {
             let row = (self.rows.len() / self.classes.max(1)) as u32;
-            self.slots.push(Slot::Costed { num_fragments, row });
+            self.slots
+                .push(Cell::One(Slot::Costed { num_fragments, row }));
             self.rows.extend_from_slice(rows);
+            self.entries += 1;
         }
     }
 
-    /// Keeps only the first `len` slots (and the rows they reference).
+    /// Appends the next `candidates` as one skipped subtree (as much of
+    /// it as the budget leaves room for).
+    pub(crate) fn push_run(&mut self, candidates: u128) {
+        let room = (MAX_ENTRIES - self.entries) as u128;
+        let kept = candidates.min(room);
+        if kept > 0 {
+            self.slots.push(Cell::Run(kept as u64));
+            self.entries += kept as usize;
+        }
+    }
+
+    /// Keeps only the first `len` candidates (and the rows they
+    /// reference); a run straddling the cut keeps its head.
     fn truncate(&mut self, len: usize) {
-        self.slots.truncate(len);
+        let mut covered = 0usize;
+        let mut kept = 0usize;
+        for cell in &mut self.slots {
+            if covered == len {
+                break;
+            }
+            if let Cell::Run(n) = cell {
+                *n = (*n).min((len - covered) as u64);
+                covered += *n as usize;
+            } else {
+                covered += 1;
+            }
+            kept += 1;
+        }
+        self.slots.truncate(kept);
+        self.entries = covered;
         let costed = self
             .slots
             .iter()
             .rev()
-            .find_map(|slot| match slot {
-                Slot::Costed { row, .. } => Some(*row as usize + 1),
-                Slot::Excluded(_) => None,
+            .find_map(|cell| match cell {
+                Cell::One(Slot::Costed { row, .. }) => Some(*row as usize + 1),
+                _ => None,
             })
             .unwrap_or(0);
         self.rows.truncate(costed * self.classes);
@@ -201,14 +269,14 @@ impl Column {
 #[derive(Debug)]
 pub(crate) struct ColumnReader {
     column: Arc<Column>,
-    /// Column ordinal of the next slot to serve (the slot the walk's
-    /// source currently stands on).
+    /// Index of the next cell to serve (the cell the walk's source
+    /// currently stands on).
     next: usize,
     walk: Option<Walk>,
 }
 
-/// The cross-dimensionality read: the column's own candidate source,
-/// stepped alongside the run's.
+/// The cross-dimensionality read: the column's own bounded candidate
+/// source, strided alongside the run's.
 #[derive(Debug)]
 struct Walk {
     source: CandidateSource,
@@ -216,8 +284,14 @@ struct Walk {
     /// each run candidate) rather than the other way round (serve only
     /// exact matches, never skipping).
     wider: bool,
-    /// Whether the source still stands on a candidate.
-    live: bool,
+    /// What the source stands on, `None` once exhausted.
+    at: Option<Stride>,
+}
+
+impl Walk {
+    fn step(&mut self) {
+        self.at = self.source.stride();
+    }
 }
 
 impl ColumnReader {
@@ -227,30 +301,76 @@ impl ColumnReader {
         self.walk.is_none()
     }
 
+    /// The cell the walk stands on, given whether it matches the run's
+    /// current position. Steps past every cell before a match when the
+    /// column is wider; `None` on a miss.
+    fn find(&mut self, here: impl Fn(&CandidateSource) -> bool) -> Option<(Cell, &mut Walk)> {
+        let walk = self.walk.as_mut()?;
+        loop {
+            if walk.at.is_none() || self.next >= self.column.slots.len() {
+                return None;
+            }
+            let matched = here(&walk.source);
+            if !matched && !walk.wider {
+                return None;
+            }
+            let cell = self.column.slots[self.next];
+            self.next += 1;
+            if matched {
+                return Some((cell, walk));
+            }
+            walk.step();
+        }
+    }
+
     /// The memoized slot of the run's next candidate, `candidate`, or
     /// `None` on a miss. Must be called once per run candidate, in
-    /// enumeration order.
+    /// enumeration order, interleaved with [`Self::skip`].
     pub(crate) fn next(&mut self, candidate: &Fragmentation) -> Option<Slot> {
-        let Some(walk) = &mut self.walk else {
-            let slot = self.column.slots.get(self.next).copied();
+        if self.walk.is_none() {
+            let cell = self.column.slots.get(self.next).copied();
             self.next += 1;
-            return slot;
-        };
-        loop {
-            if !walk.live || self.next >= self.column.len() {
-                return None;
-            }
-            let here = walk.source.current_is(candidate);
-            if !here && !walk.wider {
-                return None;
-            }
-            let slot = self.column.slots[self.next];
-            self.next += 1;
-            walk.live = walk.source.advance();
-            if here {
-                return Some(slot);
-            }
+            return cell?.slot();
         }
+        let (cell, walk) = self.find(|own| own.current_is(candidate))?;
+        walk.step();
+        cell.slot()
+    }
+
+    /// Serves the skipped subtree of `candidates` candidates that the
+    /// run's bounded `source` stands on; returns how many of them the
+    /// column covers (its hits). Called in enumeration order,
+    /// interleaved with [`Self::next`].
+    pub(crate) fn skip(&mut self, source: &CandidateSource, candidates: u128) -> u128 {
+        if self.walk.is_none() {
+            let cell = self.column.slots.get(self.next).copied();
+            self.next += 1;
+            return match cell {
+                Some(Cell::Run(n)) => u128::from(n).min(candidates),
+                _ => 0,
+            };
+        }
+        let Some((cell, walk)) = self.find(|own| own.same_subtree(source)) else {
+            return 0;
+        };
+        let hits = match (cell, walk.at) {
+            // A narrower column's subtree lies inside the run's, so its
+            // whole run (or the kept head of a cut one) hits.
+            (Cell::Run(n), _) if !walk.wider => u128::from(n),
+            // A wider column's subtree holds all of the run's.
+            (Cell::Run(n), Some(Stride::Subtree(size))) if u128::from(n) == size => candidates,
+            // Cut short at the budget: the run's candidates (those
+            // within its cap) among the kept head.
+            (Cell::Run(n), _) => walk
+                .source
+                .subtree()
+                .take(n as usize)
+                .filter(|c| c.dimensionality() <= source.max_dimensionality())
+                .count() as u128,
+            (Cell::One(_), _) => 0,
+        };
+        walk.step();
+        hits
     }
 
     /// The class rows a [`Slot::Costed`] from this reader points at.
@@ -299,10 +419,10 @@ impl Inner {
         self.clock
     }
 
-    /// Column slots plus `evaluate` entries.
+    /// Candidates covered by columns plus `evaluate` entries.
     fn entries(&self) -> usize {
-        let slots: usize = self.columns.iter().map(|held| held.column.len()).sum();
-        slots + self.evaluated_entries
+        let covered: usize = self.columns.iter().map(|held| held.column.len()).sum();
+        covered + self.evaluated_entries
     }
 
     /// Makes room for a column of `len` slots under `key`, or refuses
@@ -425,7 +545,7 @@ impl EvalCache {
         let walk = (column.max_dimensionality != max_dimensionality).then(|| {
             let mut source = source_at(column.max_dimensionality);
             Walk {
-                live: source.advance(),
+                at: source.stride(),
                 wider: column.max_dimensionality > max_dimensionality,
                 source,
             }
@@ -964,5 +1084,81 @@ mod tests {
         // The exact key wins over any other dimensionality.
         cache.commit(1, Some(ordinal_column(2, 3)), 0, 0);
         assert!(cache.open(1, 2, source_at).unwrap().is_exact());
+    }
+
+    /// The column a bounded run at `max_dimensionality` writes, with
+    /// every single candidate excluded.
+    fn walked_column(source: &mut CandidateSource) -> Column {
+        let mut column = Column::new(source.max_dimensionality(), 1, source.space_size());
+        while let Some(stride) = source.stride() {
+            match stride {
+                Stride::One => column.push_excluded(EXCLUDED),
+                Stride::Subtree(n) => column.push_run(n),
+            }
+        }
+        column
+    }
+
+    /// The hits of a bounded run at `max_dimensionality` over whatever
+    /// the memo holds under fingerprint 1.
+    fn walked_hits(
+        cache: &EvalCache,
+        source_at: impl Fn(usize) -> CandidateSource,
+        max_dimensionality: usize,
+    ) -> u128 {
+        let mut reader = cache.open(1, max_dimensionality, &source_at).unwrap();
+        let mut source = source_at(max_dimensionality);
+        let mut hits = 0u128;
+        while let Some(stride) = source.stride() {
+            hits += match stride {
+                Stride::One => u128::from(reader.next(&source.current().unwrap()).is_some()),
+                Stride::Subtree(n) => reader.skip(&source, n),
+            };
+        }
+        hits
+    }
+
+    #[test]
+    fn a_column_cut_inside_a_skipped_subtree_hits_exactly_its_kept_head() {
+        let schema = apb1_like_schema(Apb1Config::default()).unwrap();
+        let source_at = |d: usize| CandidateSource::ranged(&schema, d, &[2, 3]).bounded(900);
+        let plain = |d: usize| -> Vec<Fragmentation> {
+            CandidateSource::ranged(&schema, d, &[2, 3]).collect()
+        };
+        let wide = plain(3);
+        let wide_column = walked_column(&mut source_at(3));
+        assert!(
+            wide_column.slots.len() < wide_column.len(),
+            "no subtree skipped"
+        );
+        for d in [1, 2] {
+            let narrow = plain(d);
+            let narrow_column = walked_column(&mut source_at(d));
+            for budget in (1..wide.len()).step_by(7) {
+                // Exact and narrower reads of a wide column cut at
+                // `budget`: a candidate hits if it lies within the kept
+                // head.
+                let cache = EvalCache::with_budget(budget);
+                cache.commit(1, Some(wide_column.clone()), 0, 0);
+                assert_eq!(cache.stats().entries, budget);
+                assert_eq!(walked_hits(&cache, source_at, 3), budget as u128);
+                let kept = &wide[..budget];
+                let want = narrow.iter().filter(|c| kept.contains(c)).count();
+                assert_eq!(
+                    walked_hits(&cache, source_at, d),
+                    want as u128,
+                    "{d} {budget}"
+                );
+                // A wider read of a narrow column cut at `budget`.
+                let cache = EvalCache::with_budget(budget);
+                cache.commit(1, Some(narrow_column.clone()), 0, 0);
+                let want = budget.min(narrow.len());
+                assert_eq!(
+                    walked_hits(&cache, source_at, 3),
+                    want as u128,
+                    "{d} {budget}"
+                );
+            }
+        }
     }
 }

@@ -5,19 +5,24 @@
 //! service both delegate here, so the pipeline has
 //! exactly one implementation. Candidates are pulled lazily from a
 //! [`CandidateSource`] in fixed-size chunks (never materializing the
-//! space): each chunk is resolved by ordinal against the run's memo
-//! column from the [`EvalCache`] (one enumeration-ordered column per
-//! run, not a per-candidate keyed map), cheap structural pre-exclusion
-//! culls candidates whose fragment count already disqualifies them
-//! before any layout or cost work, and the rest fan out over a
-//! persistent [`exec::WorkerPool`]. Chunk results merge in enumeration
-//! order into a [`StreamingRank`](crate::ranking::StreamingRank)
-//! accumulator (which retains only the phase-1 survivors), a bounded
-//! [`ExcludedSummary`] and — on a run without a column of its own — the
-//! column it commits once at the end, so the report is
-//! **bit-identical** to the historical materialized pass at any worker
-//! count and chunk size while peak memory is O(chunk + survivors +
-//! column).
+//! space). The source walks bounded by `max_fragments`: a subtree whose
+//! every candidate has too many fragments is stepped over whole (see
+//! [`CandidateSource::stride`]), adding its exact size to `enumerated`
+//! and to the `too_many_fragments` exclusions and one run-length cell
+//! to the memo column, without becoming a `Fragmentation`, pool work or
+//! a merge-loop iteration. Each pulled candidate is resolved in order
+//! against the run's memo column from the [`EvalCache`] (one
+//! enumeration-ordered column per run, not a per-candidate keyed map),
+//! cheap structural pre-exclusion culls the remaining candidates whose
+//! fragment count already disqualifies them before any layout or cost
+//! work, and the rest fan out over a persistent [`exec::WorkerPool`].
+//! Chunk results merge in enumeration order into a
+//! [`StreamingRank`](crate::ranking::StreamingRank) accumulator (which
+//! retains only the phase-1 survivors), a bounded [`ExcludedSummary`]
+//! and — on a run without a column of its own — the column it commits
+//! once at the end, so the report is **bit-identical** to the
+//! historical materialized pass at any worker count and chunk size
+//! while peak memory is O(chunk + survivors + column).
 //!
 //! [`AdvisorConfig::max_candidates`] turns an over-broad run into a
 //! typed [`WarlockError::CandidateBudget`] up front (the source
@@ -35,7 +40,7 @@ use warlock_cost::{
 };
 use warlock_fragment::{
     CandidateError, CandidateSource, Exclusion, FragmentLayout, Fragmentation, LayoutScratch,
-    SkewModelExt, ThresholdContext,
+    SkewModelExt, Stride, ThresholdContext,
 };
 use warlock_schema::StarSchema;
 use warlock_skew::SkewModel;
@@ -212,6 +217,54 @@ fn pre_exclude(
     None
 }
 
+/// A subtree the bounded walk stepped over, at its place among a
+/// chunk's candidates.
+struct Skipped {
+    /// How many of the chunk's candidates precede it.
+    at: usize,
+    /// Its exact candidate count.
+    candidates: u128,
+    /// Its first candidates in enumeration order, as many as the
+    /// `too_many_fragments` samples may still need.
+    samples: Vec<Fragmentation>,
+}
+
+/// Merges a skipped subtree: one run cell in the column being written
+/// and `candidates` `too_many_fragments` exclusions (the walk skips only
+/// subtrees whose every candidate has more fragments than
+/// `max_fragments`, none of them beyond `u64`).
+fn merge_skipped(
+    schema: &StarSchema,
+    config: &AdvisorConfig,
+    skipped: Skipped,
+    writer: &mut Option<Column>,
+    excluded: &mut ExcludedSummary,
+) -> Result<(), WarlockError> {
+    if let Some(column) = writer {
+        column.push_run(skipped.candidates);
+    }
+    let count = usize::try_from(skipped.candidates)
+        .map_err(|_| WarlockError::internal("skipped subtree larger than usize"))?;
+    let samples = skipped
+        .samples
+        .into_iter()
+        .map(
+            |fragmentation| match pre_exclude(schema, config, &fragmentation) {
+                Some(reason @ Exclusion::TooManyFragments { .. }) => Ok(ExcludedCandidate {
+                    label: fragmentation.label(schema),
+                    fragmentation,
+                    reason,
+                }),
+                _ => Err(WarlockError::internal(
+                    "a skipped candidate is within max_fragments",
+                )),
+            },
+        )
+        .collect::<Result<Vec<_>, _>>()?;
+    excluded.record_many("too_many_fragments", count, samples);
+    Ok(())
+}
+
 /// Largest number of candidates one worker batches per costing call.
 /// Bounds the SoA column memory of a group while staying wide enough
 /// that the per-class table lookups amortize.
@@ -313,13 +366,14 @@ fn evaluate_group(
 
 /// Runs the full prediction pipeline as a streaming pass.
 ///
-/// Candidates are pulled lazily from the enumeration source in chunks
-/// of [`AdvisorConfig::chunk_size`]; each chunk is resolved against the
-/// run's memo column, structurally pre-excluded, fanned out over the
-/// environment's persistent worker pool (up to `config.parallelism`
-/// workers, see [`exec`]) and merged **in enumeration order** into the
-/// streaming rank accumulator and the bounded exclusion summary — so
-/// the report is bit-identical at any worker count and chunk size, and
+/// Candidates are pulled lazily from the enumeration source, bounded by
+/// `max_fragments`, in chunks of [`AdvisorConfig::chunk_size`]; each
+/// skipped subtree is counted and recorded whole, and each candidate is
+/// resolved against the run's memo column, structurally pre-excluded,
+/// or fanned out over the environment's persistent worker pool (up to
+/// `config.parallelism` workers, see [`exec`]), and everything merges
+/// **in enumeration order** into the streaming rank accumulator and the
+/// bounded exclusion summary — so the report is bit-identical at any worker count and chunk size, and
 /// pipeline memory is O(chunk + phase-1 survivors), never O(candidate
 /// space). When the environment carries a cache, a run without a
 /// column of its own writes one in the merge loop and commits it once
@@ -340,6 +394,7 @@ pub(crate) fn run(
 ) -> Result<AdvisorReport, WarlockError> {
     let source_at = |max_dimensionality: usize| {
         CandidateSource::ranged(schema, max_dimensionality, &config.range_options)
+            .bounded(config.thresholds.max_fragments)
     };
     let mut source = source_at(config.max_dimensionality);
     let space = source.space_size();
@@ -389,43 +444,72 @@ pub(crate) fn run(
     let mut chunk: Vec<Fragmentation> = Vec::with_capacity(chunk_size);
     let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(chunk_size);
     let mut todo: Vec<usize> = Vec::new();
+    let mut skipped: Vec<Skipped> = Vec::new();
+    // Samples the skipped subtrees may still owe the exclusion summary:
+    // its first `too_many_fragments` samples, drawn from every subtree
+    // pulled so far, cannot reach past this many of their candidates.
+    let mut samples_due = ExcludedSummary::SAMPLES_PER_REASON;
     // The class rows of the chunk's freshly costed candidates, in
     // enumeration order (filled only while writing a column).
     let mut fresh_rows: Vec<ClassCost> = Vec::new();
 
     loop {
-        // Pull the next chunk from the lazy source.
+        // Pull the next chunk from the lazy source, resolving each
+        // candidate as it comes: memo hit, structural pre-exclusion, or
+        // fresh work for the pool. A skipped subtree is answered by the
+        // memo as a whole and merged at its place in the chunk.
         chunk.clear();
-        while chunk.len() < chunk_size {
-            match source.next() {
-                Some(candidate) => chunk.push(candidate),
+        outcomes.clear();
+        todo.clear();
+        skipped.clear();
+        while chunk.len() < chunk_size && skipped.len() < chunk_size {
+            match source.stride() {
                 None => break,
+                Some(Stride::One) => {
+                    let candidate = source
+                        .current()
+                        .ok_or_else(|| WarlockError::internal("stride left no candidate"))?;
+                    let outcome = match reader.as_mut().and_then(|r| r.next(&candidate)) {
+                        Some(slot) => {
+                            hits += 1;
+                            Some(match slot {
+                                Slot::Excluded(reason) => Outcome::Excluded(reason),
+                                Slot::Costed { num_fragments, row } => {
+                                    Outcome::Memo { num_fragments, row }
+                                }
+                            })
+                        }
+                        None => pre_exclude(schema, config, &candidate).map(Outcome::Excluded),
+                    };
+                    if outcome.is_none() {
+                        todo.push(chunk.len());
+                    }
+                    outcomes.push(outcome);
+                    chunk.push(candidate);
+                }
+                Some(Stride::Subtree(candidates)) => {
+                    if let Some(reader) = reader.as_mut() {
+                        hits += reader.skip(&source, candidates) as u64;
+                    }
+                    let mut samples = Vec::new();
+                    if samples_due > 0 {
+                        samples.extend(source.subtree().take(samples_due));
+                        samples_due -= samples.len();
+                    }
+                    enumerated += usize::try_from(candidates)
+                        .map_err(|_| WarlockError::internal("skipped subtree larger than usize"))?;
+                    skipped.push(Skipped {
+                        at: chunk.len(),
+                        candidates,
+                        samples,
+                    });
+                }
             }
         }
-        if chunk.is_empty() {
+        if chunk.is_empty() && skipped.is_empty() {
             break;
         }
         enumerated += chunk.len();
-
-        // Resolve each candidate: memo hit, structural pre-exclusion,
-        // or fresh work for the pool.
-        outcomes.clear();
-        outcomes.resize_with(chunk.len(), || None);
-        todo.clear();
-        for (i, candidate) in chunk.iter().enumerate() {
-            if let Some(slot) = reader.as_mut().and_then(|r| r.next(candidate)) {
-                hits += 1;
-                outcomes[i] = Some(match slot {
-                    Slot::Excluded(reason) => Outcome::Excluded(reason),
-                    Slot::Costed { num_fragments, row } => Outcome::Memo { num_fragments, row },
-                });
-                continue;
-            }
-            match pre_exclude(schema, config, candidate) {
-                Some(reason) => outcomes[i] = Some(Outcome::Excluded(reason)),
-                None => todo.push(i),
-            }
-        }
 
         // Fan the uncached evaluations out over the pool in contiguous
         // groups (one SoA batch per group, costed through the shared
@@ -467,7 +551,11 @@ pub(crate) fn run(
         let after_chunk = source.remaining();
         let chunk_len = chunk.len();
         let mut fresh_row = 0usize;
+        let mut skips = skipped.drain(..).peekable();
         for (i, (fragmentation, outcome)) in chunk.drain(..).zip(outcomes.drain(..)).enumerate() {
+            while let Some(skip) = skips.next_if(|skip| skip.at == i) {
+                merge_skipped(schema, config, skip, &mut writer, &mut excluded)?;
+            }
             let outcome = outcome
                 .ok_or_else(|| WarlockError::internal("candidate evaluation left no outcome"))?;
             let cost = match outcome {
@@ -512,6 +600,9 @@ pub(crate) fn run(
             };
             evaluated += 1;
             rank.push(cost, after_chunk + (chunk_len - 1 - i) as u128);
+        }
+        for skip in skips {
+            merge_skipped(schema, config, skip, &mut writer, &mut excluded)?;
         }
     }
     if let (Some(cache), Some(fp)) = (env.cache, fingerprint) {

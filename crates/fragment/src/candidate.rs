@@ -34,6 +34,15 @@ pub enum CandidateError {
         /// The overflowing fragment count.
         fragments: u128,
     },
+    /// A saved enumeration cursor does not describe a position in the
+    /// space it is resumed in (it was taken under other range options
+    /// or a wider cap, say).
+    ForeignCursor {
+        /// The used dimension, counted in dimension order, whose range
+        /// counter is past the sizes admissible at its level; `None`
+        /// when the cursor's shape itself does not fit.
+        counter: Option<usize>,
+    },
 }
 
 impl fmt::Display for CandidateError {
@@ -60,6 +69,13 @@ impl fmt::Display for CandidateError {
                 f,
                 "fragment count {fragments} overflows the evaluable range (u64)"
             ),
+            Self::ForeignCursor { counter: Some(i) } => write!(
+                f,
+                "enumeration cursor does not fit this space: range counter {i} is out of range"
+            ),
+            Self::ForeignCursor { counter: None } => {
+                write!(f, "enumeration cursor does not fit this space")
+            }
         }
     }
 }

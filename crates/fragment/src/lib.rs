@@ -52,5 +52,5 @@ pub use candidate::{
 };
 pub use layout::{apportion, FragmentLayout, LayoutScratch, SkewModelExt};
 pub use matching::{expected_distinct_groups, DimensionMatch, QueryMatch};
-pub use source::{CandidateCursor, CandidateSource};
+pub use source::{CandidateCursor, CandidateSource, Stride};
 pub use thresholds::{Exclusion, ThresholdContext, Thresholds};

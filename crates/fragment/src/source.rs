@@ -32,6 +32,30 @@
 //! [`cursor`](CandidateSource::cursor)/[`resume`](CandidateSource::resume)
 //! snapshot and restore the generator state, so enumeration can be
 //! paused, persisted and continued elsewhere.
+//!
+//! # The bounded walk
+//!
+//! A candidate's fragment count is a product of one factor per used
+//! attribute, `cardinality / range size`, each at least 1. So once the
+//! point digits set so far force a count above a fragment bound, every
+//! candidate sharing those digits — whatever the later digits and the
+//! range sizes — is over it too. A source given a bound
+//! ([`bounded`](CandidateSource::bounded)) lets
+//! [`stride`](CandidateSource::stride) step over such a subtree whole:
+//! when a point digit moves, it multiplies, over the used digits, each
+//! level's cardinality divided by its largest admissible range size,
+//! and if that exceeds the bound it stands on the subtree instead of
+//! its first candidate and reports the subtree's exact size (the same
+//! dynamic program as `space_size`, started at the next digit). Range
+//! counter steps are never checked. Pruning is off when some candidate
+//! of the space has a count beyond `u64`, so every candidate of a
+//! skipped subtree is over the bound for the same reason. The decision
+//! depends only on the schema, the dimensionality cap, the range
+//! options and the bound, and a prefix is pruned at the same digit
+//! under any cap. The position — candidate or subtree — lives in the
+//! [`CandidateCursor`], so a bounded walk resumes like any other. The
+//! `Iterator` impl and [`advance`](CandidateSource::advance) always walk
+//! unpruned.
 
 use warlock_schema::{LevelRef, StarSchema};
 
@@ -47,19 +71,45 @@ pub struct CandidateCursor {
     choices: Vec<Option<u16>>,
     /// Range-size counter per *used* dimension, in dimension order.
     range_counters: Vec<usize>,
-    /// Candidates emitted so far.
-    emitted: u64,
+    /// Candidates emitted (or stepped over) so far.
+    emitted: u128,
     /// Whether the stream already ran dry.
     exhausted: bool,
     /// Whether the very first candidate (the baseline) was emitted.
     started: bool,
+    /// Whether the walk stands on the whole subtree below its last used
+    /// digit (see [`CandidateSource::stride`]) rather than on one
+    /// candidate.
+    pruned: bool,
 }
 
 impl CandidateCursor {
-    /// Number of candidates emitted before this cursor position.
+    /// Number of candidates emitted before this cursor position
+    /// (saturating at `u64::MAX`).
     #[inline]
     pub fn position(&self) -> u64 {
-        self.emitted
+        u64::try_from(self.emitted).unwrap_or(u64::MAX)
+    }
+}
+
+/// What one [`CandidateSource::stride`] stepped onto.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stride {
+    /// One candidate, read with [`CandidateSource::current`].
+    One,
+    /// A whole subtree of this many candidates, every one with more
+    /// fragments than the bound, none of them visited.
+    Subtree(u128),
+}
+
+impl Stride {
+    /// Candidates covered by the stride.
+    #[inline]
+    pub fn candidates(self) -> u128 {
+        match self {
+            Self::One => 1,
+            Self::Subtree(size) => size,
+        }
     }
 }
 
@@ -73,8 +123,18 @@ pub struct CandidateSource {
     /// Admissible range sizes per `(dimension, level)`, smallest list
     /// `[1]` for point enumeration. `sizes[d][l][0]` is always `1`.
     sizes: Vec<Vec<Vec<u64>>>,
+    /// Smallest fragment-count factor per `(dimension, level)`: its
+    /// cardinality over its largest admissible range size.
+    floors: Vec<Vec<u64>>,
+    /// `completions[d][u]`: the candidates over dimensions `d..` (range
+    /// combinations included) that complete a prefix using `u`
+    /// dimensions under the cap. `completions[0][0]` is the space.
+    completions: Vec<Vec<u128>>,
+    /// Whether some candidate's fragment count exceeds `u64::MAX`.
+    overflows: bool,
+    /// The fragment bound [`Self::stride`] prunes subtrees over.
+    bound: Option<u64>,
     cursor: CandidateCursor,
-    space: u128,
 }
 
 impl CandidateSource {
@@ -91,6 +151,11 @@ impl CandidateSource {
     /// [`crate::enumerate_candidates_ranged`]; an empty option list
     /// degenerates to the point space.
     pub fn ranged(schema: &StarSchema, max_dimensionality: usize, range_options: &[u64]) -> Self {
+        let cardinality = |d: usize, level: usize| {
+            schema
+                .cardinality(LevelRef::new(d as u16, level as u16))
+                .expect("level exists")
+        };
         let sizes: Vec<Vec<Vec<u64>>> = schema
             .dimensions()
             .iter()
@@ -111,31 +176,77 @@ impl CandidateSource {
                     .collect()
             })
             .collect();
-        let space = predict_space(&sizes, max_dimensionality);
+        let floors = sizes
+            .iter()
+            .enumerate()
+            .map(|(d, levels)| {
+                levels
+                    .iter()
+                    .enumerate()
+                    .map(|(l, sizes)| cardinality(d, l) / sizes.iter().copied().max().unwrap_or(1))
+                    .collect()
+            })
+            .collect();
+        // The largest count any candidate reaches: the `cap` largest
+        // per-dimension cardinalities at range size 1.
+        let mut widest: Vec<u128> = sizes
+            .iter()
+            .enumerate()
+            .map(|(d, levels)| {
+                (0..levels.len())
+                    .map(|l| u128::from(cardinality(d, l)))
+                    .max()
+                    .unwrap_or(1)
+            })
+            .collect();
+        widest.sort_unstable_by(|a, b| b.cmp(a));
+        let largest = widest
+            .iter()
+            .take(max_dimensionality)
+            .fold(1u128, |acc, &c| acc.saturating_mul(c));
+        let completions = completions(&sizes, max_dimensionality);
         Self {
             max_dimensionality,
-            sizes,
+            floors,
+            completions,
+            overflows: largest > u128::from(u64::MAX),
+            bound: None,
             cursor: CandidateCursor {
-                choices: vec![None; schema.num_dimensions()],
+                choices: vec![None; sizes.len()],
                 range_counters: Vec::new(),
                 emitted: 0,
                 exhausted: false,
                 started: false,
+                pruned: false,
             },
-            space,
+            sizes,
         }
+    }
+
+    /// This source with [`Self::stride`] stepping over every subtree
+    /// whose candidates all have more than `max_fragments` fragments
+    /// (see the [module docs](self#the-bounded-walk)). Has no effect on
+    /// a space where some candidate's count exceeds `u64::MAX`.
+    #[must_use]
+    pub fn bounded(mut self, max_fragments: u64) -> Self {
+        self.bound = (!self.overflows).then_some(max_fragments);
+        self
     }
 
     /// Continues an enumeration from a saved [`CandidateCursor`]. The
     /// source must be rebuilt with the **same** schema, dimensionality
-    /// cap and range options the cursor was taken under; a cursor of
-    /// the wrong shape is rejected.
+    /// cap and range options the cursor was taken under (and given the
+    /// same [`bound`](Self::bounded) to continue a bounded walk); a
+    /// cursor of the wrong shape is rejected.
     ///
     /// # Errors
     ///
     /// [`CandidateError::UnknownAttribute`] when the cursor references
     /// a dimension or level the schema does not have (including a
-    /// digit-count mismatch).
+    /// digit-count mismatch), and [`CandidateError::ForeignCursor`]
+    /// when it uses more dimensions than the cap, its range counters do
+    /// not match its used dimensions or the admissible range sizes, or
+    /// it stands on a subtree of no used dimension.
     pub fn resume(
         schema: &StarSchema,
         max_dimensionality: usize,
@@ -148,14 +259,32 @@ impl CandidateSource {
                 level_ref: LevelRef::new(cursor.choices.len() as u16, 0),
             });
         }
+        let mut used = Vec::new();
         for (d, choice) in cursor.choices.iter().enumerate() {
             if let Some(level) = *choice {
-                if usize::from(level) >= source.sizes[d].len() {
+                let Some(sizes) = source.sizes[d].get(usize::from(level)) else {
                     return Err(CandidateError::UnknownAttribute {
                         level_ref: LevelRef::new(d as u16, level),
                     });
-                }
+                };
+                used.push(sizes.len());
             }
+        }
+        if used.len() > max_dimensionality
+            || cursor.range_counters.len() != used.len()
+            || (cursor.pruned && used.is_empty())
+        {
+            return Err(CandidateError::ForeignCursor { counter: None });
+        }
+        if let Some(counter) = cursor
+            .range_counters
+            .iter()
+            .zip(&used)
+            .position(|(&counter, &admissible)| counter >= admissible)
+        {
+            return Err(CandidateError::ForeignCursor {
+                counter: Some(counter),
+            });
         }
         source.cursor = cursor;
         Ok(source)
@@ -167,19 +296,26 @@ impl CandidateSource {
     /// large spaces.
     #[inline]
     pub fn space_size(&self) -> u128 {
-        self.space
+        self.completions[0][0]
     }
 
-    /// Candidates emitted so far.
+    /// The dimensionality cap the source enumerates under.
+    #[inline]
+    pub fn max_dimensionality(&self) -> usize {
+        self.max_dimensionality
+    }
+
+    /// Candidates emitted (or stepped over) so far, saturating at
+    /// `u64::MAX`.
     #[inline]
     pub fn position(&self) -> u64 {
-        self.cursor.emitted
+        self.cursor.position()
     }
 
     /// Exact number of candidates still to come.
     #[inline]
     pub fn remaining(&self) -> u128 {
-        self.space.saturating_sub(u128::from(self.cursor.emitted))
+        self.space_size().saturating_sub(self.cursor.emitted)
     }
 
     /// Snapshots the current position for [`CandidateSource::resume`].
@@ -188,8 +324,16 @@ impl CandidateSource {
         self.cursor.clone()
     }
 
+    /// The candidate the last step stopped at, or `None` before the
+    /// first step, once exhausted, and while standing on a skipped
+    /// subtree.
+    pub fn current(&self) -> Option<Fragmentation> {
+        (self.cursor.started && !self.cursor.exhausted && !self.cursor.pruned)
+            .then(|| self.fragmentation())
+    }
+
     /// The fragmentation described by the current digits.
-    fn current(&self) -> Fragmentation {
+    fn fragmentation(&self) -> Fragmentation {
         let mut attributes = Vec::new();
         let mut ranges = Vec::new();
         let mut used = 0usize;
@@ -227,11 +371,11 @@ impl CandidateSource {
 
     /// Advances the point odometer to the next valid digit assignment
     /// (dimension 0 most significant, "unused" before the levels, at
-    /// most `max_dimensionality` used digits). Returns `false` once the
-    /// space is exhausted.
-    fn advance_point(&mut self) -> bool {
-        let dims = self.cursor.choices.len();
-        let mut d = dims;
+    /// most `max_dimensionality` used digits), moving only digits below
+    /// `end`. Returns the digit that moved — later ones are reset to
+    /// "unused" — or `None` once the space is exhausted.
+    fn advance_point(&mut self, end: usize) -> Option<usize> {
+        let mut d = end;
         while d > 0 {
             d -= 1;
             let used_before = self.cursor.choices[..d]
@@ -239,32 +383,26 @@ impl CandidateSource {
                 .filter(|c| c.is_some())
                 .count();
             let depth = self.sizes[d].len();
-            match self.cursor.choices[d] {
-                None => {
-                    if used_before < self.max_dimensionality && depth > 0 {
-                        self.cursor.choices[d] = Some(0);
-                        for later in &mut self.cursor.choices[d + 1..] {
-                            *later = None;
-                        }
-                        self.reset_range_counters();
-                        return true;
-                    }
-                    // `None` is this digit's maximum under the cap: carry.
-                }
-                Some(level) => {
-                    if usize::from(level) + 1 < depth {
-                        self.cursor.choices[d] = Some(level + 1);
-                        for later in &mut self.cursor.choices[d + 1..] {
-                            *later = None;
-                        }
-                        self.reset_range_counters();
-                        return true;
-                    }
+            let next = match self.cursor.choices[d] {
+                None if used_before < self.max_dimensionality && depth > 0 => Some(0),
+                // `None` is this digit's maximum under the cap: carry.
+                None => None,
+                Some(level) if usize::from(level) + 1 < depth => Some(level + 1),
+                Some(_) => {
                     self.cursor.choices[d] = None;
+                    None
                 }
+            };
+            if let Some(level) = next {
+                self.cursor.choices[d] = Some(level);
+                for later in &mut self.cursor.choices[d + 1..] {
+                    *later = None;
+                }
+                self.reset_range_counters();
+                return Some(d);
             }
         }
-        false
+        None
     }
 
     fn reset_range_counters(&mut self) {
@@ -273,32 +411,127 @@ impl CandidateSource {
         self.cursor.range_counters.resize(used, 0);
     }
 
-    /// Steps to the next candidate without materializing it, so a
-    /// caller that only compares positions (see
-    /// [`Self::current_is`]) allocates nothing. Returns `false` once
-    /// the space is exhausted.
-    pub fn advance(&mut self) -> bool {
-        if self.cursor.exhausted {
-            return false;
+    /// The last used digit: the root of the subtree a pruned walk
+    /// stands on.
+    fn last_used(&self) -> Option<usize> {
+        self.cursor.choices.iter().rposition(Option::is_some)
+    }
+
+    /// The smallest fragment count any candidate sharing digits `..=d`
+    /// can have.
+    fn floor_through(&self, d: usize) -> u128 {
+        self.cursor.choices[..=d]
+            .iter()
+            .enumerate()
+            .filter_map(|(d, choice)| choice.map(|l| self.floors[d][usize::from(l)]))
+            .fold(1u128, |acc, f| acc.saturating_mul(u128::from(f)))
+    }
+
+    /// The number of candidates sharing digits `..=d`, range
+    /// combinations included.
+    fn subtree_size(&self, d: usize) -> u128 {
+        let mut size = 1u128;
+        let mut used = 0usize;
+        for (d, choice) in self.cursor.choices[..=d].iter().enumerate() {
+            if let Some(level) = *choice {
+                size = size.saturating_mul(self.sizes[d][usize::from(level)].len() as u128);
+                used += 1;
+            }
         }
-        if !self.cursor.started {
+        size.saturating_mul(self.completions[d + 1][used])
+    }
+
+    /// One step of the walk, pruning subtrees over `bound` when given.
+    fn step(&mut self, bound: Option<u64>) -> Option<Stride> {
+        if self.cursor.exhausted {
+            return None;
+        }
+        let moved = if !self.cursor.started {
             // The all-`None` baseline is the first candidate.
             self.cursor.started = true;
             self.reset_range_counters();
-        } else if !self.advance_ranges() && !self.advance_point() {
-            self.cursor.exhausted = true;
-            return false;
-        }
-        self.cursor.emitted += 1;
-        true
+            None
+        } else if self.cursor.pruned {
+            // Step past the subtree: move its root digit or an earlier one.
+            self.cursor.pruned = false;
+            let end = self.last_used().map_or(0, |d| d + 1);
+            let Some(d) = self.advance_point(end) else {
+                self.cursor.exhausted = true;
+                return None;
+            };
+            Some(d)
+        } else if self.advance_ranges() {
+            None
+        } else {
+            let Some(d) = self.advance_point(self.cursor.choices.len()) else {
+                self.cursor.exhausted = true;
+                return None;
+            };
+            Some(d)
+        };
+        let stride = match (moved, bound) {
+            (Some(d), Some(limit)) if self.floor_through(d) > u128::from(limit) => {
+                self.cursor.pruned = true;
+                Stride::Subtree(self.subtree_size(d))
+            }
+            _ => Stride::One,
+        };
+        self.cursor.emitted = self.cursor.emitted.saturating_add(stride.candidates());
+        Some(stride)
+    }
+
+    /// Steps to the next candidate without materializing it, so a
+    /// caller that only compares positions (see
+    /// [`Self::current_is`]) allocates nothing. Never prunes; standing
+    /// on a skipped subtree, it steps past the whole subtree. Returns
+    /// `false` once the space is exhausted.
+    pub fn advance(&mut self) -> bool {
+        self.step(None).is_some()
+    }
+
+    /// Steps to the next candidate or, on a [bounded](Self::bounded)
+    /// source, over the next whole subtree whose every candidate
+    /// exceeds the bound. Expanding each skipped subtree with
+    /// [`Self::subtree`] reproduces the unpruned walk exactly. Returns
+    /// `None` once the space is exhausted.
+    pub fn stride(&mut self) -> Option<Stride> {
+        self.step(self.bound)
+    }
+
+    /// The candidates of the subtree the walk stands on, in enumeration
+    /// order (empty unless the last [`Self::stride`] skipped one).
+    pub fn subtree(&self) -> impl Iterator<Item = Fragmentation> {
+        let size = match (self.cursor.pruned, self.last_used()) {
+            (true, Some(d)) => self.subtree_size(d),
+            _ => 0,
+        };
+        // Unpruned, the same digits stand on the subtree's first
+        // candidate.
+        let mut walk = self.clone();
+        walk.cursor.pruned = false;
+        let mut first = true;
+        std::iter::from_fn(move || {
+            if !std::mem::take(&mut first) {
+                walk.advance();
+            }
+            Some(walk.fragmentation())
+        })
+        .take(usize::try_from(size).unwrap_or(usize::MAX))
+    }
+
+    /// Whether this walk and `other` — over the same schema and range
+    /// options, at any cap — both stand on the skipped subtree of the
+    /// same digits.
+    pub fn same_subtree(&self, other: &CandidateSource) -> bool {
+        self.cursor.pruned && other.cursor.pruned && self.cursor.choices == other.cursor.choices
     }
 
     /// Whether the candidate the last [`Self::advance`] (or `next`)
     /// stopped at equals `fragmentation`, compared digit by digit
-    /// without building it. `false` before the first step and once
-    /// exhausted.
+    /// without building it. `false` before the first step, once
+    /// exhausted, and while standing on a skipped subtree.
     pub fn current_is(&self, fragmentation: &Fragmentation) -> bool {
-        if !self.cursor.started || self.cursor.exhausted {
+        if !self.cursor.started || self.cursor.exhausted || self.cursor.pruned {
             return false;
         }
         let (attributes, ranges) = (fragmentation.attributes(), fragmentation.ranges());
@@ -321,7 +554,7 @@ impl Iterator for CandidateSource {
     type Item = Fragmentation;
 
     fn next(&mut self) -> Option<Fragmentation> {
-        self.advance().then(|| self.current())
+        self.advance().then(|| self.fragmentation())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -331,24 +564,39 @@ impl Iterator for CandidateSource {
     }
 }
 
-/// The exact candidate count: a dynamic program over dimensions
-/// tracking how many digit assignments use `k` dimensions. Each
-/// dimension contributes "unused" (weight 1) or one of its levels,
-/// each level weighted by its admissible range-size count.
-fn predict_space(sizes: &[Vec<Vec<u64>>], max_dimensionality: usize) -> u128 {
+/// The completion counts behind [`CandidateSource::space_size`] and the
+/// skipped-subtree sizes: a dynamic program over the dimensions from
+/// the last one back, tracking how many assignments of the dimensions
+/// `d..` use `k` of them. Each dimension contributes "unused"
+/// (weight 1) or one of its levels, each level weighted by its
+/// admissible range-size count. Returns `completions[d][u]`, the
+/// assignments of dimensions `d..` using at most `cap - u` of them.
+fn completions(sizes: &[Vec<Vec<u64>>], max_dimensionality: usize) -> Vec<Vec<u128>> {
     let cap = max_dimensionality.min(sizes.len());
+    let at_most = |ways: &[u128]| -> Vec<u128> {
+        (0..=cap)
+            .map(|u| {
+                ways[..=cap - u]
+                    .iter()
+                    .fold(0u128, |acc, &w| acc.saturating_add(w))
+            })
+            .collect()
+    };
     // ways[k] = number of assignments over the dimensions seen so far
     // that use exactly k of them.
     let mut ways = vec![0u128; cap + 1];
     ways[0] = 1;
-    for dim in sizes {
+    let mut table = vec![at_most(&ways)];
+    for dim in sizes.iter().rev() {
         let weight: u128 = dim.iter().map(|level| level.len() as u128).sum();
         for k in (1..=cap).rev() {
             let grown = ways[k - 1].saturating_mul(weight);
             ways[k] = ways[k].saturating_add(grown);
         }
+        table.push(at_most(&ways));
     }
-    ways.iter().fold(0u128, |acc, &w| acc.saturating_add(w))
+    table.reverse();
+    table
 }
 
 #[cfg(test)]
@@ -571,29 +819,172 @@ mod tests {
         }
         assert_eq!(all.iter().filter(|c| c.is_none()).count(), 1);
     }
-}
 
-#[cfg(test)]
-mod review_probe {
-    use super::*;
-    use warlock_schema::{apb1_like_schema, Apb1Config};
+    /// Every candidate of `source`'s bounded walk, each skipped subtree
+    /// expanded in place, with the strides' sizes.
+    fn expanded(mut source: CandidateSource) -> (Vec<Fragmentation>, Vec<u128>) {
+        let mut out = Vec::new();
+        let mut skipped = Vec::new();
+        while let Some(stride) = source.stride() {
+            match stride {
+                Stride::One => out.push(source.current().unwrap()),
+                Stride::Subtree(size) => {
+                    let subtree: Vec<_> = source.subtree().collect();
+                    assert_eq!(subtree.len() as u128, size);
+                    assert_eq!(source.current(), None);
+                    out.extend(subtree);
+                    skipped.push(size);
+                }
+            }
+            assert_eq!(u128::from(source.position()), out.len() as u128);
+        }
+        (out, skipped)
+    }
+
     #[test]
-    fn resume_with_different_range_options_panics() {
-        let s = apb1_like_schema(Apb1Config::default()).unwrap();
-        let mut src = CandidateSource::ranged(&s, 3, &[2, 3]);
-        // Advance until some range counter is nonzero.
-        let mut cursor = None;
-        for _ in 0..500 {
-            src.next();
-            let c = src.cursor();
-            if c.range_counters.iter().any(|&x| x > 0) {
-                cursor = Some(c);
-                break;
+    fn an_expanded_bounded_walk_is_the_plain_walk() {
+        let s = schema();
+        for options in [&[][..], &[2, 3, 5]] {
+            for max_dim in [0, 1, 2, 4] {
+                let plain: Vec<_> = CandidateSource::ranged(&s, max_dim, options).collect();
+                for limit in [0, 1, 24, 900, 20_000, 1 << 20, u64::MAX] {
+                    let source = CandidateSource::ranged(&s, max_dim, options).bounded(limit);
+                    let (walked, skipped) = expanded(source);
+                    assert_eq!(walked, plain, "max_dim={max_dim} limit={limit}");
+                    let pruned: u128 = skipped.iter().sum();
+                    let over = plain
+                        .iter()
+                        .filter(|c| c.num_fragments(&s) > u128::from(limit))
+                        .count() as u128;
+                    assert!(pruned <= over, "limit={limit}: {pruned} > {over}");
+                    if limit == 0 && max_dim > 0 {
+                        // Everything but the baseline sits under a moved digit.
+                        assert_eq!(pruned, plain.len() as u128 - 1);
+                    }
+                    if limit == u64::MAX {
+                        assert!(skipped.is_empty());
+                    }
+                }
             }
         }
-        let cursor = cursor.expect("found nonzero counter");
-        // Resume under point-only options: validation passes, then iteration panics.
-        let mut resumed = CandidateSource::resume(&s, 3, &[], cursor).unwrap();
-        let _ = resumed.next();
+    }
+
+    #[test]
+    fn every_candidate_of_a_skipped_subtree_is_over_the_bound() {
+        let s = schema();
+        let mut source = CandidateSource::ranged(&s, 3, &[2, 3]).bounded(900);
+        let mut subtrees = 0;
+        while let Some(stride) = source.stride() {
+            if let Stride::Subtree(_) = stride {
+                subtrees += 1;
+                assert!(source.subtree().all(|c| c.num_fragments(&s) > 900));
+            }
+        }
+        assert!(subtrees > 0);
+    }
+
+    #[test]
+    fn a_space_with_u64_overflowing_counts_is_never_pruned() {
+        let mut builder = StarSchema::builder();
+        for d in 0..5 {
+            let dim = warlock_schema::Dimension::builder(format!("d{d}"))
+                .level("top", 1_000)
+                .level("bottom", 100_000)
+                .build()
+                .unwrap();
+            builder = builder.dimension(dim);
+        }
+        let fact = warlock_schema::FactTable::builder("f")
+            .measure("m", 8)
+            .rows(1_000)
+            .build();
+        let s = builder.fact(fact).build().unwrap();
+        let mut source = CandidateSource::point(&s, 5).bounded(10);
+        let mut n = 0u128;
+        while let Some(stride) = source.stride() {
+            assert_eq!(stride, Stride::One);
+            n += 1;
+        }
+        assert_eq!(n, source.space_size());
+        // Capped so no candidate overflows, the same schema prunes.
+        let mut source = CandidateSource::point(&s, 3).bounded(10);
+        assert!(std::iter::from_fn(|| source.stride()).any(|s| s != Stride::One));
+    }
+
+    #[test]
+    fn a_bounded_walk_resumes_from_any_cursor() {
+        let s = schema();
+        let options = [2u64, 3];
+        let walk = |source: &mut CandidateSource| -> Vec<(Stride, Option<Fragmentation>)> {
+            std::iter::from_fn(|| source.stride().map(|stride| (stride, source.current())))
+                .collect()
+        };
+        let full = walk(&mut CandidateSource::ranged(&s, 3, &options).bounded(900));
+        assert!(full.iter().any(|(stride, _)| *stride != Stride::One));
+        for split in 0..=full.len() {
+            let mut head = CandidateSource::ranged(&s, 3, &options).bounded(900);
+            for _ in 0..split {
+                head.stride();
+            }
+            let resumed = CandidateSource::resume(&s, 3, &options, head.cursor()).unwrap();
+            assert_eq!(
+                walk(&mut resumed.bounded(900)),
+                full[split..],
+                "split {split}"
+            );
+        }
+    }
+
+    #[test]
+    fn subtrees_line_up_across_caps() {
+        // A narrower walk's skipped subtrees are skipped whole, at the
+        // same digits, by a wider walk over the same bound.
+        let s = schema();
+        let mut narrow = CandidateSource::ranged(&s, 1, &[2, 3]).bounded(24);
+        let mut wide = CandidateSource::ranged(&s, 3, &[2, 3]).bounded(24);
+        let mut matched = 0;
+        while let Some(stride) = narrow.stride() {
+            if stride == Stride::One {
+                continue;
+            }
+            while !wide.same_subtree(&narrow) {
+                assert!(
+                    wide.stride().is_some(),
+                    "subtree not found in the wider walk"
+                );
+            }
+            matched += 1;
+        }
+        assert!(matched > 0);
+    }
+
+    #[test]
+    fn resume_rejects_a_cursor_of_other_range_options() {
+        let s = schema();
+        let mut source = CandidateSource::ranged(&s, 3, &[2, 3]);
+        let cursor = std::iter::from_fn(|| source.next().map(|_| source.cursor()))
+            .find(|c| c.range_counters.iter().any(|&x| x > 0))
+            .expect("some candidate is ranged");
+        // Point options admit only range size 1: the counter is foreign.
+        assert!(matches!(
+            CandidateSource::resume(&s, 3, &[], cursor.clone()),
+            Err(CandidateError::ForeignCursor { counter: Some(_) })
+        ));
+        let mut short = cursor.clone();
+        short.range_counters.pop();
+        assert_eq!(
+            CandidateSource::resume(&s, 3, &[2, 3], short).unwrap_err(),
+            CandidateError::ForeignCursor { counter: None }
+        );
+        // More used dimensions than the cap.
+        let mut wide = CandidateSource::point(&s, 3);
+        let cursor = std::iter::from_fn(|| wide.next().map(|c| (c, wide.cursor())))
+            .find(|(c, _)| c.dimensionality() == 3)
+            .unwrap()
+            .1;
+        assert_eq!(
+            CandidateSource::resume(&s, 2, &[], cursor).unwrap_err(),
+            CandidateError::ForeignCursor { counter: None }
+        );
     }
 }
