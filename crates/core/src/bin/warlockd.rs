@@ -273,11 +273,13 @@ fn serve<R: BufRead, W: Write>(
                 }
                 // A panicking request (a bug) must not take the server
                 // down: degrade to an internal-error response for this
-                // client, in the envelope version the request spoke.
+                // client, in the envelope version the request spoke and
+                // echoing its id.
                 std::panic::catch_unwind(AssertUnwindSafe(|| service.handle_line(&line)))
                     .unwrap_or_else(|_| {
-                        ServiceReply::error_for_version(
+                        ServiceReply::error_for_request(
                             ServiceReply::request_version(&line),
+                            ServiceReply::request_id(&line),
                             "internal",
                             "request handler panicked",
                         )

@@ -31,8 +31,6 @@
 //! panicking, so a worker bug in a long-lived service degrades to a
 //! failed request.
 
-use std::sync::Arc;
-
 use warlock_bitmap::BitmapScheme;
 use warlock_cost::{
     combine_class_costs, evaluate_chunk_kernel, evaluate_chunk_rows, CandidateCost, ChunkBatch,
@@ -163,33 +161,24 @@ fn cost_model<'a>(
         .map_err(|e| WarlockError::internal(format!("validated fact index rejected: {e}")))
 }
 
-/// The fingerprint of every input that determines a run's memo column
-/// — each candidate's *pipeline* outcome, an exclusion or the
-/// unweighted per-class cost rows — plus the exclusion thresholds and
-/// the range options (which shape the enumeration the column's
-/// ordinals follow; the column key adds `max_dimensionality`, see
-/// [`EvalCache::open`]). Deliberately built on
-/// [`CostModel::structure_fingerprint`] rather than the weighted
+/// The memo key of a run: the fingerprint of every input that
+/// determines its memo column — each candidate's *pipeline* outcome, an
+/// exclusion or the unweighted per-class cost rows — plus the exclusion
+/// thresholds, the range options and `max_dimensionality` (which shape
+/// the enumeration the column's positions follow). Deliberately built
+/// on [`CostModel::structure_fingerprint`] rather than the weighted
 /// [`CostModel::fingerprint`]: exclusions and per-class rows are both
 /// independent of the mix *weights* (weights enter only at
 /// recombination), so a pure re-weight — the resident optimizer's
-/// auto re-advise — stays warm and re-costs nothing. Salted
-/// differently from [`evaluate_fingerprint`] because a cached pipeline
-/// outcome also implies "passed the thresholds", which a bare
-/// evaluation does not.
+/// auto re-advise — stays warm and re-costs nothing.
 fn run_fingerprint(model: &CostModel<'_>, config: &AdvisorConfig) -> u128 {
     warlock_cost::fingerprint128(&(
         "run",
         model.structure_fingerprint(),
         format!("{:?}", config.thresholds),
         &config.range_options,
+        config.max_dimensionality,
     ))
-}
-
-/// Fingerprint for threshold-free single-candidate evaluation
-/// ([`evaluate`]); deliberately distinct from [`run_fingerprint`].
-fn evaluate_fingerprint(model: &CostModel<'_>) -> u128 {
-    warlock_cost::fingerprint128(&("evaluate", model.fingerprint()))
 }
 
 /// Cheap structural pre-exclusion: decides from the fragment count
@@ -392,11 +381,9 @@ pub(crate) fn run(
     scheme: &BitmapScheme,
     env: EvalEnv<'_>,
 ) -> Result<AdvisorReport, WarlockError> {
-    let source_at = |max_dimensionality: usize| {
-        CandidateSource::ranged(schema, max_dimensionality, &config.range_options)
-            .bounded(config.thresholds.max_fragments)
-    };
-    let mut source = source_at(config.max_dimensionality);
+    let mut source =
+        CandidateSource::ranged(schema, config.max_dimensionality, &config.range_options)
+            .bounded(config.thresholds.max_fragments);
     let space = source.space_size();
     if config.max_candidates > 0 && space > u128::from(config.max_candidates) {
         return Err(WarlockError::CandidateBudget {
@@ -406,21 +393,20 @@ pub(crate) fn run(
     }
     let ctx = threshold_context(schema, system, config);
     let model = cost_model(schema, system, scheme, mix, config)?;
-    // The memo column this run reads (its own from an earlier run, or
-    // one of another `max_dimensionality`), and the one it writes unless
-    // its own is already held.
-    let fingerprint = env.cache.map(|_| run_fingerprint(&model, config));
-    let mut reader = match (env.cache, fingerprint) {
-        (Some(cache), Some(fp)) => cache.open(fp, config.max_dimensionality, source_at),
-        _ => None,
-    };
+    // The run's own memo column from an earlier run, or else the one
+    // this run writes.
+    let memo = env
+        .cache
+        .map(|cache| (cache, run_fingerprint(&model, config)));
+    let mut reader = memo.and_then(|(cache, fp)| cache.open(fp));
     // Current mix shares, in mix order — the order the memo's class
     // rows are gathered in, so a memo hit recombines positionally.
     let shares: Vec<f64> = mix.iter().map(|(_, share)| share).collect();
     let classes = shares.len();
-    let mut writer = (fingerprint.is_some()
-        && !reader.as_ref().is_some_and(ColumnReader::is_exact))
-    .then(|| Column::new(config.max_dimensionality, classes, space));
+    let mut writer = match (memo, &reader) {
+        (Some((cache, _)), None) => Some(cache.column(classes, space)),
+        _ => None,
+    };
     let mut hits = 0u64;
     let workers = exec::effective_parallelism(config.parallelism);
     // Detect the costing kernel backend once per run; both backends are
@@ -469,7 +455,7 @@ pub(crate) fn run(
                     let candidate = source
                         .current()
                         .ok_or_else(|| WarlockError::internal("stride left no candidate"))?;
-                    let outcome = match reader.as_mut().and_then(|r| r.next(&candidate)) {
+                    let outcome = match reader.as_mut().and_then(ColumnReader::next) {
                         Some(slot) => {
                             hits += 1;
                             Some(match slot {
@@ -489,7 +475,7 @@ pub(crate) fn run(
                 }
                 Some(Stride::Subtree(candidates)) => {
                     if let Some(reader) = reader.as_mut() {
-                        hits += reader.skip(&source, candidates) as u64;
+                        hits += reader.skip(candidates) as u64;
                     }
                     let mut samples = Vec::new();
                     if samples_due > 0 {
@@ -605,7 +591,7 @@ pub(crate) fn run(
             merge_skipped(schema, config, skip, &mut writer, &mut excluded)?;
         }
     }
-    if let (Some(cache), Some(fp)) = (env.cache, fingerprint) {
+    if let Some((cache, fp)) = memo {
         cache.commit(fp, writer, hits, enumerated as u64 - hits);
     }
 
@@ -689,7 +675,9 @@ pub(crate) fn vary_fixed_prefetch(
     ))
 }
 
-/// What-if variation: the bitmap indexes of `dimension` dropped.
+/// What-if variation: the bitmap indexes of `dimension` dropped. Fails
+/// with the typed `UnknownDimension` schema error when the schema has
+/// no such dimension.
 pub(crate) fn vary_without_bitmap_dimension(
     schema: &StarSchema,
     system: &SystemConfig,
@@ -699,6 +687,7 @@ pub(crate) fn vary_without_bitmap_dimension(
     dimension: warlock_schema::DimensionId,
     env: EvalEnv<'_>,
 ) -> Result<(String, AdvisorReport), WarlockError> {
+    schema.dimension(dimension)?;
     let scheme = scheme.without_dimension(dimension);
     let report = run(schema, system, mix, config, &scheme, env)?;
     Ok((format!("no bitmaps on dimension {dimension}"), report))
@@ -741,12 +730,8 @@ fn check_candidate(schema: &StarSchema, fragmentation: &Fragmentation) -> Result
     Ok(())
 }
 
-/// Evaluates a single candidate outside the ranking pipeline, memoizing
-/// the cost when a session cache is given. Cached under a different
-/// fingerprint than the pipeline because no thresholds are applied
-/// here. `fp_memo` lets the session reuse its snapshot-scoped
-/// fingerprint (computing one dumps every model input).
-#[allow(clippy::too_many_arguments)]
+/// Evaluates a single candidate outside the ranking pipeline (no
+/// thresholds, no memo).
 pub(crate) fn evaluate(
     schema: &StarSchema,
     system: &SystemConfig,
@@ -754,24 +739,9 @@ pub(crate) fn evaluate(
     config: &AdvisorConfig,
     scheme: &BitmapScheme,
     fragmentation: &Fragmentation,
-    cache: Option<&EvalCache>,
-    fp_memo: Option<&std::sync::OnceLock<u128>>,
 ) -> Result<CandidateCost, WarlockError> {
     check_candidate(schema, fragmentation)?;
-    let model = cost_model(schema, system, scheme, mix, config)?;
-    let Some(cache) = cache else {
-        return Ok(model.evaluate(fragmentation));
-    };
-    let fp = match fp_memo {
-        Some(memo) => *memo.get_or_init(|| evaluate_fingerprint(&model)),
-        None => evaluate_fingerprint(&model),
-    };
-    if let Some(cost) = cache.lookup(fp, fragmentation) {
-        return Ok(Arc::try_unwrap(cost).unwrap_or_else(|shared| (*shared).clone()));
-    }
-    let cost = model.evaluate(fragmentation);
-    cache.insert(fp, fragmentation.clone(), Arc::new(cost.clone()));
-    Ok(cost)
+    Ok(cost_model(schema, system, scheme, mix, config)?.evaluate(fragmentation))
 }
 
 /// Produces the detailed Fig.-2-style statistic for one candidate.

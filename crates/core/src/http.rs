@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use warlock_json::Json;
 
-use crate::service::{Service, ServiceReply};
+use crate::service::{Service, ServiceReply, PROTOCOL_VERSION};
 
 /// How many bytes of request line + headers an HTTP request may use.
 /// Generous for hand-written clients, far below any memory concern.
@@ -227,11 +227,20 @@ fn dispatch(service: &Service, request: &HttpRequest) -> Result<ServiceReply, Ht
     request.extend(members.into_iter().filter(|(k, _)| k != "v" && k != "op"));
     let request = Json::Obj(request);
     // A panicking request (a bug) must not drop the connection without
-    // a response: degrade to a typed 500, like the line transports do.
+    // a response: degrade to a typed 500 echoing the request's id, like
+    // the line transports do.
     Ok(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         service.handle_request(&request)
     }))
-    .unwrap_or_else(|_| ServiceReply::error("internal", "request handler panicked")))
+    .unwrap_or_else(|_| {
+        let id = request.get("id").cloned().unwrap_or(Json::Null);
+        ServiceReply::error_for_request(
+            PROTOCOL_VERSION,
+            id,
+            "internal",
+            "request handler panicked",
+        )
+    }))
 }
 
 /// Reads one HTTP request: a bounded head, then a `Content-Length`

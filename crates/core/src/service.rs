@@ -105,19 +105,21 @@ impl ServiceReply {
     /// A standalone error reply outside any request dispatch — used by
     /// server loops for failures the service never saw (oversized
     /// requests, panicking handlers). The envelope speaks the current
-    /// protocol version; use
-    /// [`error_for_version`](ServiceReply::error_for_version) when the
-    /// failing request's version is known.
+    /// protocol version and carries a `null` id; use
+    /// [`error_for_request`](ServiceReply::error_for_request) when the
+    /// failing request is known.
     pub fn error(kind: &'static str, message: &str) -> Self {
-        Self::error_for_version(PROTOCOL_VERSION, kind, message)
+        Self::error_for_request(PROTOCOL_VERSION, Json::Null, kind, message)
     }
 
-    /// Like [`error`](ServiceReply::error), with an explicit envelope
-    /// version — so v1 clients get `"v":1` even on panic-path replies.
-    pub fn error_for_version(version: i64, kind: &'static str, message: &str) -> Self {
+    /// Like [`error`](ServiceReply::error), in the failing request's
+    /// envelope version and echoing its `id` — so v1 clients get
+    /// `"v":1`, and pipelining clients can match the reply, even on
+    /// panic-path replies.
+    pub fn error_for_request(version: i64, id: Json, kind: &'static str, message: &str) -> Self {
         let line = Json::object([
             ("v", Json::Int(version)),
-            ("id", Json::Null),
+            ("id", id),
             ("ok", Json::Bool(false)),
             (
                 "error",
@@ -141,6 +143,16 @@ impl ServiceReply {
             .and_then(|r| r.get("v").and_then(Json::as_i64))
             .filter(|v| (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(v))
             .unwrap_or(PROTOCOL_VERSION)
+    }
+
+    /// The `id` a raw request line carries, for echoing in replies the
+    /// service itself never produced (panic fallbacks). `null` when the
+    /// line is unparseable or has none.
+    pub fn request_id(line: &str) -> Json {
+        warlock_json::parse(line)
+            .ok()
+            .and_then(|r| r.get("id").cloned())
+            .unwrap_or(Json::Null)
     }
 }
 
@@ -1037,6 +1049,13 @@ mod tests {
             "unknown_class"
         );
         assert_eq!(
+            err_kind(
+                &service,
+                r#"{"op":"what_if_without_bitmap_dimension","params":{"dimension":9}}"#
+            ),
+            "schema"
+        );
+        assert_eq!(
             err_kind(&service, r#"{"op":"what_if_disks","params":{}}"#),
             "bad_request"
         );
@@ -1055,6 +1074,25 @@ mod tests {
         assert_eq!(json.get("v").and_then(Json::as_i64), Some(PROTOCOL_VERSION));
         assert_eq!(json.get("ok").and_then(Json::as_bool), Some(false));
         assert!(reply.line.contains("exceeds"));
+        assert_eq!(json.get("id"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn panic_fallback_replies_echo_the_request_version_and_id() {
+        let line = r#"{"v":1,"id":{"seq":7},"op":"rank"}"#;
+        let reply = ServiceReply::error_for_request(
+            ServiceReply::request_version(line),
+            ServiceReply::request_id(line),
+            "internal",
+            "request handler panicked",
+        );
+        assert_eq!(reply.error_kind, Some("internal"));
+        let json = warlock_json::parse(&reply.line).unwrap();
+        assert_eq!(json.get("v").and_then(Json::as_i64), Some(1));
+        assert_eq!(json.get("id").unwrap().render(), r#"{"seq":7}"#);
+        // Neither is recoverable from a line that does not parse.
+        assert_eq!(ServiceReply::request_id("{not json"), Json::Null);
+        assert_eq!(ServiceReply::request_id(r#"{"op":"rank"}"#), Json::Null);
     }
 
     #[test]

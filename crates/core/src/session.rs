@@ -29,8 +29,8 @@
 //!   derived bitmap scheme and skew model, all validated exactly once,
 //!   plus the lazily computed baseline ranking and allocation-policy
 //!   verdict;
-//! - shared mutable state — the cross-clone [`EvalCache`] and the
-//!   persistent evaluation worker pool.
+//! - shared mutable state — the cross-clone [`EvalCache`] (one memo
+//!   column per ranking run) and the persistent evaluation worker pool.
 //!
 //! `Warlock` is therefore [`Clone`], and cloning is cheap: clones
 //! **share** the snapshot, the cache and the pool. Every read-side
@@ -44,8 +44,10 @@
 //! [`Warlock::set_config`]) are copy-on-write: they validate the new
 //! input, build a **new** snapshot and swap the handle's `Arc` to it.
 //! Clones holding the old snapshot keep reading it unblocked; the
-//! shared cache keeps both snapshots' entries apart by fingerprint, so
-//! flipping back and forth stays warm.
+//! shared cache keeps both snapshots' columns apart by run
+//! fingerprint, so flipping back and forth stays warm. The fingerprint
+//! covers `max_dimensionality`, so a rank after changing only that
+//! runs cold once.
 
 use std::sync::{Arc, OnceLock};
 
@@ -90,9 +92,6 @@ pub struct Snapshot {
     /// The top candidate's judged allocation-policy recommendation,
     /// computed at most once per snapshot like `ranking`.
     recommendation: OnceLock<Result<PolicyRecommendation, WarlockError>>,
-    /// Memoized single-candidate evaluation fingerprint (computing one
-    /// dumps every model input, and it is constant per snapshot).
-    evaluate_fp: OnceLock<u128>,
 }
 
 impl Snapshot {
@@ -113,7 +112,6 @@ impl Snapshot {
             skew,
             ranking: OnceLock::new(),
             recommendation: OnceLock::new(),
-            evaluate_fp: OnceLock::new(),
         }
     }
 
@@ -635,8 +633,8 @@ impl Warlock {
         self.shared.cache.clear();
     }
 
-    /// Counters of the shared evaluation memo: how many candidate
-    /// outcomes are held, and how many lookups hit or missed since the
+    /// Counters of the shared ranking memo: how many candidate outcomes
+    /// are held, and how many ranked candidates hit or missed since the
     /// session family was built (or last invalidated). Repeating a
     /// what-if variation on a warm session — or on any clone of it —
     /// shows pure hits: nothing is re-costed.
@@ -668,7 +666,10 @@ impl Warlock {
         self.plan_candidate(&fragmentation)
     }
 
-    /// Evaluates an arbitrary candidate outside the ranking pipeline.
+    /// Evaluates an arbitrary candidate outside the ranking pipeline:
+    /// no thresholds apply, and the cost is computed afresh on every
+    /// call (the memo serves ranking runs only, so `cache_stats` does
+    /// not count evaluations).
     pub fn evaluate(&self, fragmentation: &Fragmentation) -> Result<CandidateCost, WarlockError> {
         let s = &*self.snapshot;
         engine::evaluate(
@@ -678,8 +679,6 @@ impl Warlock {
             &s.config,
             &s.scheme,
             fragmentation,
-            Some(&self.shared.cache),
-            Some(&s.evaluate_fp),
         )
     }
 
@@ -769,6 +768,10 @@ impl Warlock {
 
     /// What if the bitmap indexes of `dimension` were dropped (space
     /// limiting)?
+    ///
+    /// # Errors
+    ///
+    /// [`WarlockError::Schema`] when the schema has no such dimension.
     pub fn what_if_without_bitmap_dimension(
         &self,
         dimension: DimensionId,
@@ -1085,6 +1088,12 @@ mod tests {
         let (_, delta) = s.what_if_without_bitmap_dimension(DimensionId(0)).unwrap();
         assert!(delta.variation_response_ms >= delta.baseline_response_ms * 0.999);
         assert!(matches!(
+            s.what_if_without_bitmap_dimension(DimensionId(9)),
+            Err(WarlockError::Schema(
+                warlock_schema::SchemaError::UnknownDimension { index: 9 }
+            ))
+        ));
+        assert!(matches!(
             s.what_if_without_class("nonexistent"),
             Err(WarlockError::UnknownClass { .. })
         ));
@@ -1158,18 +1167,6 @@ mod tests {
             last = stats;
         }
         assert_eq!(last.evicted, 1, "only the cold baseline column makes way");
-    }
-
-    #[test]
-    fn evaluate_memoizes_per_candidate() {
-        let s = session();
-        let frag = Fragmentation::from_pairs(&[(2, 2)]).unwrap();
-        let a = s.evaluate(&frag).unwrap();
-        let misses = s.cache_stats().misses;
-        let b = s.evaluate(&frag).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(s.cache_stats().misses, misses);
-        assert!(s.cache_stats().hits >= 1);
     }
 
     #[test]
@@ -1253,19 +1250,72 @@ mod tests {
     }
 
     #[test]
-    fn entries_count_column_slots_plus_evaluate_entries() {
+    fn entries_count_column_candidates_and_evaluate_is_uncached() {
         let mut s = session();
         let enumerated = s.rank().unwrap().enumerated;
-        assert_eq!(s.cache_stats().entries, enumerated);
+        let ranked = s.cache_stats();
+        assert_eq!(ranked.entries, enumerated);
+        // Evaluations are computed afresh and leave the memo alone.
         let candidate = Fragmentation::from_pairs(&[(0, 1), (1, 1)]).unwrap();
-        s.evaluate(&candidate).unwrap();
-        s.evaluate(&candidate).unwrap();
-        assert_eq!(s.cache_stats().entries, enumerated + 1);
+        let first = s.evaluate(&candidate).unwrap();
+        assert_eq!(
+            format!("{first:?}"),
+            format!("{:?}", s.evaluate(&candidate).unwrap())
+        );
+        assert_eq!(s.cache_stats(), ranked);
         // A what-if is a column of its own.
         let (report, _) = s.what_if_disks(64).unwrap();
-        assert_eq!(s.cache_stats().entries, enumerated + 1 + report.enumerated);
+        assert_eq!(s.cache_stats().entries, enumerated + report.enumerated);
         s.invalidate();
         assert_eq!(s.cache_stats(), crate::cache::EvalCacheStats::default());
+    }
+
+    #[test]
+    fn a_rerun_over_a_cut_prefix_column_mixes_hits_and_fresh_costs_bit_identically() {
+        let schema = apb1_like_schema(Apb1Config::default()).unwrap();
+        let mix = apb1_like_mix().unwrap();
+        let cold = format!("{:?}", session().run().unwrap());
+        let n = session().run().unwrap().enumerated;
+        // Room for a prefix that ends off every chunk boundary below.
+        let budget = n / 2 + 5;
+        for workers in [1, 0] {
+            for chunk in [1, 17, 0] {
+                let built = Warlock::builder()
+                    .schema(schema.clone())
+                    .system(SystemConfig::default_2001(16))
+                    .mix(mix.clone())
+                    .parallelism(workers)
+                    .chunk_size(chunk)
+                    .build()
+                    .unwrap();
+                let s = Warlock {
+                    snapshot: Arc::clone(&built.snapshot),
+                    shared: Arc::new(Shared {
+                        cache: EvalCache::with_budget(budget),
+                        ..Shared::default()
+                    }),
+                };
+                let at = format!("workers={workers} chunk={chunk}");
+                assert_eq!(format!("{:?}", s.run().unwrap()), cold, "cold: {at}");
+                let after_cold = s.cache_stats();
+                assert_eq!(after_cold.entries, budget, "{at}");
+                // The warm run hits exactly the kept prefix and costs the
+                // rest fresh, within the same chunks.
+                assert_eq!(format!("{:?}", s.run().unwrap()), cold, "warm: {at}");
+                let after_warm = s.cache_stats();
+                assert_eq!(after_warm.hits - after_cold.hits, budget as u64, "{at}");
+                assert_eq!(
+                    after_warm.misses - after_cold.misses,
+                    (n - budget) as u64,
+                    "{at}"
+                );
+                assert_eq!(
+                    (after_warm.entries, after_warm.columns),
+                    (budget, 1),
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! from the *model* alone — per-class selectivities, bitmap index shapes,
 //! prefetch and contention constants — is invariant across an entire
 //! chunk of candidates. [`CostTables`] hoists those quantities out of the
-//! per-candidate loop: one build per [`CostModel`] fingerprint, then the
+//! per-candidate loop: one build per [`CostModel`], then the
 //! batch evaluator ([`crate::batch::evaluate_chunk`]) turns each query
 //! match into table lookups instead of re-running occupancy statistics
 //! per (candidate, class) pair.
@@ -113,11 +113,9 @@ impl ClassTable {
 }
 
 /// All model-invariant constants and per-class tables the batch evaluator
-/// needs — built once per [`CostModel`] fingerprint, shared by every chunk.
+/// needs — built once per [`CostModel`], shared by every chunk.
 #[derive(Debug, Clone)]
 pub struct CostTables {
-    /// Fingerprint of the model the tables were derived from.
-    pub fingerprint: u128,
     /// Fact rows of the model's fact table.
     pub fact_rows: u64,
     /// Bytes per fact row.
@@ -227,7 +225,6 @@ impl CostTables {
             })
             .collect();
         Self {
-            fingerprint: model.fingerprint(),
             fact_rows,
             row_bytes: schema.fact_row_bytes(model.fact_index()),
             page,
@@ -314,7 +311,6 @@ mod tests {
         let model = CostModel::new(&f.schema, &f.system, &f.scheme, &f.mix);
         let tables = CostTables::build(&model, &[]);
         assert_eq!(tables.classes.len(), f.mix.len());
-        assert_eq!(tables.fingerprint, model.fingerprint());
         for (ct, (class, share)) in tables.classes.iter().zip(f.mix.iter()) {
             assert_eq!(&*ct.name, class.name());
             assert_eq!(ct.share, share);

@@ -54,8 +54,7 @@
 //! options and the bound, and a prefix is pruned at the same digit
 //! under any cap. The position — candidate or subtree — lives in the
 //! [`CandidateCursor`], so a bounded walk resumes like any other. The
-//! `Iterator` impl and [`advance`](CandidateSource::advance) always walk
-//! unpruned.
+//! `Iterator` impl always walks unpruned.
 
 use warlock_schema::{LevelRef, StarSchema};
 
@@ -480,12 +479,10 @@ impl CandidateSource {
         Some(stride)
     }
 
-    /// Steps to the next candidate without materializing it, so a
-    /// caller that only compares positions (see
-    /// [`Self::current_is`]) allocates nothing. Never prunes; standing
-    /// on a skipped subtree, it steps past the whole subtree. Returns
-    /// `false` once the space is exhausted.
-    pub fn advance(&mut self) -> bool {
+    /// Steps to the next candidate without materializing it. Never
+    /// prunes; standing on a skipped subtree, it steps past the whole
+    /// subtree. Returns `false` once the space is exhausted.
+    fn advance(&mut self) -> bool {
         self.step(None).is_some()
     }
 
@@ -517,36 +514,6 @@ impl CandidateSource {
             Some(walk.fragmentation())
         })
         .take(usize::try_from(size).unwrap_or(usize::MAX))
-    }
-
-    /// Whether this walk and `other` — over the same schema and range
-    /// options, at any cap — both stand on the skipped subtree of the
-    /// same digits.
-    pub fn same_subtree(&self, other: &CandidateSource) -> bool {
-        self.cursor.pruned && other.cursor.pruned && self.cursor.choices == other.cursor.choices
-    }
-
-    /// Whether the candidate the last [`Self::advance`] (or `next`)
-    /// stopped at equals `fragmentation`, compared digit by digit
-    /// without building it. `false` before the first step, once
-    /// exhausted, and while standing on a skipped subtree.
-    pub fn current_is(&self, fragmentation: &Fragmentation) -> bool {
-        if !self.cursor.started || self.cursor.exhausted || self.cursor.pruned {
-            return false;
-        }
-        let (attributes, ranges) = (fragmentation.attributes(), fragmentation.ranges());
-        let mut used = 0usize;
-        for (d, choice) in self.cursor.choices.iter().enumerate() {
-            let Some(level) = *choice else { continue };
-            let counter = self.cursor.range_counters.get(used).copied().unwrap_or(0);
-            if attributes.get(used) != Some(&LevelRef::new(d as u16, level))
-                || ranges.get(used) != Some(&self.sizes[d][usize::from(level)][counter])
-            {
-                return false;
-            }
-            used += 1;
-        }
-        used == attributes.len()
     }
 }
 
@@ -790,25 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn current_is_matches_exactly_the_emitted_candidate() {
-        let s = schema();
-        let all: Vec<_> = CandidateSource::ranged(&s, 3, &[2, 3]).collect();
-        let mut walker = CandidateSource::ranged(&s, 3, &[2, 3]);
-        assert!(!walker.current_is(&all[0]), "nothing emitted yet");
-        for (i, want) in all.iter().enumerate() {
-            assert!(walker.advance());
-            assert!(walker.current_is(want), "candidate {i}");
-            for other in [i.wrapping_sub(1), i + 1] {
-                if let Some(other) = all.get(other) {
-                    assert!(!walker.current_is(other));
-                }
-            }
-        }
-        assert!(!walker.advance());
-        assert!(!walker.current_is(&all[all.len() - 1]), "exhausted");
-    }
-
-    #[test]
     fn every_candidate_validates_and_is_unique() {
         let s = schema();
         let all: Vec<_> = CandidateSource::ranged(&s, 4, &[2, 3, 5]).collect();
@@ -947,7 +895,7 @@ mod tests {
             if stride == Stride::One {
                 continue;
             }
-            while !wide.same_subtree(&narrow) {
+            while !(wide.cursor.pruned && wide.cursor.choices == narrow.cursor.choices) {
                 assert!(
                     wide.stride().is_some(),
                     "subtree not found in the wider walk"

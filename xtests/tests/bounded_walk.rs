@@ -10,9 +10,9 @@
 //!   pre-exclusion rules — `enumerated`, the exclusion groups (order,
 //!   counts and samples) and the ranking — at any worker count and
 //!   chunk size, and the memo accounts for every skipped candidate: a
-//!   cold run's entries equal `enumerated`, and a warm rank, a narrower
-//!   run after a wider one and a wider run after a narrower one hit
-//!   exactly the candidates they would hit one by one.
+//!   cold run's entries equal `enumerated` and a warm rank hits every
+//!   one, while a run at another `max_dimensionality` — narrower or
+//!   wider — runs cold under its own key and matches a fresh session.
 
 use proptest::prelude::*;
 
@@ -289,7 +289,7 @@ proptest! {
     }
 
     #[test]
-    fn narrowing_after_a_bounded_wide_run_hits_every_candidate(
+    fn narrowing_after_a_bounded_wide_run_runs_cold_and_stays_bit_identical(
         seed in 0u64..4096,
         limit_pick in 0usize..LIMITS.len(),
         ranged in any::<bool>(),
@@ -299,20 +299,22 @@ proptest! {
         let limit = LIMITS[limit_pick];
         let chunk = [1usize, 17, 0][chunk_pick];
         let mut s = session(seed, 3, limit, ranged, 0, chunk);
-        s.run().unwrap();
+        let wide_report = s.run().unwrap();
         let before = s.cache_stats();
         s.set_config(AdvisorConfig { chunk_size: chunk, ..config(narrow, limit, ranged) })
             .unwrap();
         let report = s.run().unwrap();
         let after = s.cache_stats();
-        prop_assert_eq!(after.hits, before.hits + report.enumerated as u64);
-        prop_assert_eq!(after.misses, before.misses);
+        prop_assert_eq!(after.hits, before.hits);
+        prop_assert_eq!(after.misses, before.misses + report.enumerated as u64);
+        prop_assert_eq!(after.columns, 2);
+        prop_assert_eq!(after.entries, wide_report.enumerated + report.enumerated);
         let cold = session(seed, narrow, limit, ranged, 0, chunk);
         assert_bit_identical(&report, &cold.run().unwrap());
     }
 
     #[test]
-    fn widening_after_a_bounded_narrow_run_hits_exactly_the_narrow_candidates(
+    fn widening_after_a_bounded_narrow_run_runs_cold_and_stays_bit_identical(
         seed in 0u64..4096,
         limit_pick in 0usize..LIMITS.len(),
         ranged in any::<bool>(),
@@ -328,11 +330,9 @@ proptest! {
             .unwrap();
         let report = s.run().unwrap();
         let after = s.cache_stats();
-        prop_assert_eq!(after.hits, before.hits + narrow_report.enumerated as u64);
-        prop_assert_eq!(
-            after.misses,
-            before.misses + (report.enumerated - narrow_report.enumerated) as u64
-        );
+        prop_assert_eq!(after.hits, before.hits);
+        prop_assert_eq!(after.misses, before.misses + report.enumerated as u64);
+        prop_assert_eq!(after.columns, 2);
         prop_assert_eq!(after.entries, narrow_report.enumerated + report.enumerated);
         let cold = session(seed, 3, limit, ranged, 0, chunk);
         assert_bit_identical(&report, &cold.run().unwrap());
