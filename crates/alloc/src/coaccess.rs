@@ -128,7 +128,7 @@ impl CoAccessBuilder {
     /// Records one query class's co-accessed fragment group: every pair
     /// in `fragments` gains `weight / (group − 1)` edge weight, so a
     /// node's incident weight from one class stays ~`weight` no matter
-    /// how wide the class reads. Groups wider than [`MAX_CLIQUE_GROUP`]
+    /// how wide the class reads. Groups wider than `MAX_CLIQUE_GROUP` (512)
     /// are skipped (scan-everything classes carry no placement signal);
     /// duplicate indices are deduplicated.
     ///

@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use warlock::AdvisorConfig;
-use warlock_bench::{shaped_session, Fixture, ENUMERATION};
+use warlock_bench::{shaped_session, Fixture, ENUMERATION, FIT};
 use warlock_fragment::Fragmentation;
 
 fn bench_full_pipeline(c: &mut Criterion) {
@@ -23,6 +23,42 @@ fn bench_cold_rank_enumeration_shape(c: &mut Criterion) {
         b.iter(|| {
             session.invalidate();
             black_box(session.rank().unwrap().enumerated)
+        })
+    });
+}
+
+/// The disk counts a capacity-planning sweep over the `fit` warehouse
+/// (32 disks) asks about.
+const DISK_SWEEP: [u32; 6] = [4, 8, 16, 64, 128, 256];
+
+/// A cold rank of the `fit` warehouse, then a what-if per disk count
+/// of [`DISK_SWEEP`]: the disk counts recombine the rank's memo column
+/// instead of re-costing the space.
+fn bench_disk_sweep_fit(c: &mut Criterion) {
+    let mut session = shaped_session(&FIT);
+    c.bench_function("advisor/disk_sweep_fit", |b| {
+        b.iter(|| {
+            session.invalidate();
+            session.rank().unwrap();
+            for disks in DISK_SWEEP {
+                black_box(session.what_if_disks(disks).unwrap());
+            }
+        })
+    });
+}
+
+/// Warm what-ifs on the `fit` warehouse: the disk counts of the
+/// benchmark's tuning cycle and a fixed prefetch, every one served
+/// from the memo after the first iteration.
+fn bench_warm_what_if_fit(c: &mut Criterion) {
+    let session = shaped_session(&FIT);
+    session.rank().unwrap();
+    c.bench_function("advisor/warm_what_if_fit", |b| {
+        b.iter(|| {
+            for disks in [16, 64, 128] {
+                black_box(session.what_if_disks(disks).unwrap());
+            }
+            black_box(session.what_if_fixed_prefetch(16).unwrap())
         })
     });
 }
@@ -72,6 +108,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_full_pipeline, bench_cold_rank_enumeration_shape, bench_single_candidate, bench_analysis_and_plan, bench_shallow_run
+    targets = bench_full_pipeline, bench_cold_rank_enumeration_shape, bench_disk_sweep_fit, bench_warm_what_if_fit, bench_single_candidate, bench_analysis_and_plan, bench_shallow_run
 }
 criterion_main!(benches);

@@ -303,7 +303,7 @@ fn policy_quality(session: &Warlock) -> Result<(Vec<String>, f64, f64, f64), Bro
 
 /// Runs the fleet harness: generates `count` scenarios from `seed` over
 /// `space` and drives each through the invariants of
-/// [`check_scenario`], recording its outputs.
+/// `check_scenario`, recording its outputs.
 pub fn run_fleet(seed: u64, count: u32, space: &ScenarioSpace) -> Result<FleetReport, String> {
     space.validate()?;
     let fleet = generate_fleet(seed, count as usize, space);

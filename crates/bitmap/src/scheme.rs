@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use warlock_schema::{DimensionId, LevelId, StarSchema};
+use warlock_schema::{DimensionId, LevelId, SchemaError, StarSchema};
 use warlock_workload::QueryMix;
 
 use crate::HierarchicalEncoding;
@@ -155,12 +155,21 @@ impl BitmapScheme {
 
     /// Returns a copy with every index of `dimension` dropped — the
     /// interactive "exclude some of the suggested bitmap indices" knob.
-    pub fn without_dimension(&self, dimension: DimensionId) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SchemaError::UnknownDimension`] when the scheme covers no such
+    /// dimension.
+    pub fn without_dimension(&self, dimension: DimensionId) -> Result<Self, SchemaError> {
         let mut out = self.clone();
-        let ds = &mut out.dimensions[dimension.index()];
+        let index = dimension.index();
+        let ds = out
+            .dimensions
+            .get_mut(index)
+            .ok_or(SchemaError::UnknownDimension { index })?;
         ds.standard_levels.clear();
         ds.encoded_total_bits = None;
-        out
+        Ok(out)
     }
 
     /// Total stored vectors-per-row over all dimensions (a scalar space
@@ -278,7 +287,7 @@ mod tests {
     fn without_dimension_drops_indexes() {
         let (schema, mix) = setup();
         let scheme = BitmapScheme::derive(&schema, &mix, SchemeConfig::default());
-        let reduced = scheme.without_dimension(DimensionId(0));
+        let reduced = scheme.without_dimension(DimensionId(0)).unwrap();
         assert!(reduced
             .access_for(&schema, DimensionId(0), LevelId(4))
             .is_none());
@@ -286,6 +295,23 @@ mod tests {
             .access_for(&schema, DimensionId(2), LevelId(2))
             .is_some());
         assert!(reduced.total_vectors_stored() < scheme.total_vectors_stored());
+    }
+
+    #[test]
+    fn without_an_unknown_dimension_is_a_typed_error() {
+        let (schema, mix) = setup();
+        let scheme = BitmapScheme::derive(&schema, &mix, SchemeConfig::default());
+        let past = schema.num_dimensions();
+        assert_eq!(
+            scheme.without_dimension(DimensionId(past as u16)),
+            Err(SchemaError::UnknownDimension { index: past })
+        );
+        assert_eq!(
+            scheme.without_dimension(DimensionId(u16::MAX)),
+            Err(SchemaError::UnknownDimension {
+                index: usize::from(u16::MAX)
+            })
+        );
     }
 
     #[test]

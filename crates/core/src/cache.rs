@@ -3,16 +3,19 @@
 //! What-if tuning (§3.3) re-runs the whole prediction pipeline against a
 //! perturbed input set, and interactive sessions issue the same
 //! variations repeatedly. Re-costing a candidate is only necessary when
-//! an input that feeds the cost model actually changed, so [`EvalCache`]
+//! an input that feeds the cost model actually changed, so `EvalCache`
 //! memoizes every ranking run as one immutable **memo column**: the
 //! run's outcomes in enumeration order, one cell per step of the run's
-//! bounded walk — a `Slot` per candidate (its exclusion, or its fragment
-//! count and the position of its unweighted per-class cost rows in one
-//! flat row buffer), and one run-length cell per subtree the walk
-//! stepped over because every candidate in it has too many fragments
-//! (see [`CandidateSource::stride`](warlock_fragment::CandidateSource::stride)).
-//! A column is keyed by the run fingerprint alone, which covers the
-//! system, mix structure, scheme, thresholds, range options and
+//! bounded walk — a `Slot` per candidate (its exclusion by a threshold
+//! other than the disk-count one, or its fragment count and the
+//! position of its unweighted, disk-free per-class cost rows in one flat
+//! row buffer), and one run-length cell per subtree the walk stepped
+//! over because every candidate in it has too many fragments (see
+//! [`CandidateSource::stride`](warlock_fragment::CandidateSource::stride)).
+//! Nothing in a column depends on the disk count: the pipeline applies
+//! the disk threshold and derives response times at merge. A column is
+//! keyed by the run fingerprint alone, which covers the system except
+//! its disk count, mix structure, scheme, thresholds, range options and
 //! `max_dimensionality`. A cold run writes its column in the merge loop
 //! without hashing or storing candidates and commits it under one lock;
 //! a warm run of the same key reads the cells back by position, a run
@@ -24,7 +27,8 @@
 //!
 //! The fingerprint covers *every* input the outcomes depend on, so
 //! columns from different what-if variations — and from different
-//! snapshots of the same session family — coexist: `what_if_disks(64)`
+//! snapshots of the same session family — coexist: `what_if_disks(n)`
+//! recombines the baseline's column for any `n`, any what-if asked
 //! twice re-costs nothing the second time, returning to the baseline
 //! after a sweep is free, and a what-if priced on one `Warlock` clone is
 //! warm on every other clone. `invalidate()` clears it explicitly.
@@ -85,10 +89,10 @@ const MAX_GHOSTS: usize = 32;
 /// ordinal in a [`Column`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Slot {
-    /// The thresholds excluded the candidate.
+    /// A threshold other than the disk-count one excluded the candidate.
     Excluded(Exclusion),
-    /// The candidate survived; its unweighted class rows are
-    /// [`Column::rows`]`(row)`.
+    /// The candidate survived every disk-free threshold; its unweighted,
+    /// disk-free class rows are [`Column::rows`]`(row)`.
     Costed {
         /// The candidate's fragment count (not reconstructible from
         /// the rows alone).
@@ -113,9 +117,9 @@ enum Cell {
 /// walk in enumeration order — a candidate's slot, or one run-length
 /// cell per skipped subtree — and the `k` unweighted class rows
 /// (classes in configured-mix order) of each costed candidate,
-/// candidate by candidate. Weight-free, so a pure re-weight recombines
-/// the rows under the new shares instead of re-costing. Shared as an
-/// `Arc` and never mutated after commit.
+/// candidate by candidate. Weight- and disk-free, so a pure re-weight
+/// or a disk-count change recombines the rows instead of re-costing.
+/// Shared as an `Arc` and never mutated after commit.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Column {
     classes: usize,
@@ -442,9 +446,9 @@ mod tests {
     use warlock_fragment::{CandidateSource, Stride};
     use warlock_schema::{apb1_like_schema, Apb1Config};
 
-    const EXCLUDED: Exclusion = Exclusion::FewerFragmentsThanDisks {
-        fragments: 1,
-        disks: 2,
+    const EXCLUDED: Exclusion = Exclusion::FragmentBelowPrefetch {
+        fragment_pages: 1,
+        prefetch_pages: 2,
     };
 
     /// A column of `len` slots, every third costed with `classes` rows
@@ -455,7 +459,7 @@ mod tests {
         for i in 0..len {
             if i % 3 == 0 {
                 let row = ClassCost {
-                    busy_ms: i as f64,
+                    fragments: i as f64,
                     ..ClassCost::default()
                 };
                 column.push_costed(i as u64, &vec![row; classes]);
@@ -547,7 +551,7 @@ mod tests {
                     assert_eq!(num_fragments, i as u64);
                     let rows = reader.rows(row);
                     assert_eq!(rows.len(), 3);
-                    assert!(rows.iter().all(|r| r.busy_ms == i as f64));
+                    assert!(rows.iter().all(|r| r.fragments == i as f64));
                 }
             }
         }

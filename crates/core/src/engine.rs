@@ -15,14 +15,18 @@
 //! enumeration-ordered column per run, not a per-candidate keyed map),
 //! cheap structural pre-exclusion culls the remaining candidates whose
 //! fragment count already disqualifies them before any layout or cost
-//! work, and the rest fan out over a persistent [`exec::WorkerPool`].
-//! Chunk results merge in enumeration order into a
+//! work, and the rest fan out over a persistent [`exec::WorkerPool`],
+//! whose workers apply every threshold but the disk-count one. Chunk
+//! results merge in enumeration order: the disk threshold applies to
+//! each costed outcome, fresh or memoized, and the survivors go into a
 //! [`StreamingRank`](crate::ranking::StreamingRank) accumulator (which
-//! retains only the phase-1 survivors), a bounded [`ExcludedSummary`]
-//! and — on a run without a column of its own — the column it commits
-//! once at the end, so the report is **bit-identical** to the
-//! historical materialized pass at any worker count and chunk size
-//! while peak memory is O(chunk + survivors + column).
+//! retains only the phase-1 survivors), the exclusions into a bounded
+//! [`ExcludedSummary`], and the disk-free outcomes — on a run without a
+//! column of its own — into the column it commits once at the end. So
+//! one column serves every disk count, and the report is
+//! **bit-identical** to the historical materialized pass at any worker
+//! count and chunk size while peak memory is O(chunk + survivors +
+//! column).
 //!
 //! [`AdvisorConfig::max_candidates`] turns an over-broad run into a
 //! typed [`WarlockError::CandidateBudget`] up front (the source
@@ -33,8 +37,8 @@
 
 use warlock_bitmap::BitmapScheme;
 use warlock_cost::{
-    combine_class_costs, evaluate_chunk_kernel, evaluate_chunk_rows, CandidateCost, ChunkBatch,
-    ClassCost, CostModel, CostTables, KernelBackend, PerQueryDetail,
+    combine_class_costs, combined_io_cost_ms, evaluate_chunk_kernel, evaluate_chunk_rows,
+    CandidateCost, ChunkBatch, ClassCost, CostModel, CostTables, KernelBackend, PerQueryDetail,
 };
 use warlock_fragment::{
     CandidateError, CandidateSource, Exclusion, FragmentLayout, Fragmentation, LayoutScratch,
@@ -163,14 +167,16 @@ fn cost_model<'a>(
 
 /// The memo key of a run: the fingerprint of every input that
 /// determines its memo column — each candidate's *pipeline* outcome, an
-/// exclusion or the unweighted per-class cost rows — plus the exclusion
-/// thresholds, the range options and `max_dimensionality` (which shape
-/// the enumeration the column's positions follow). Deliberately built
-/// on [`CostModel::structure_fingerprint`] rather than the weighted
-/// [`CostModel::fingerprint`]: exclusions and per-class rows are both
-/// independent of the mix *weights* (weights enter only at
-/// recombination), so a pure re-weight — the resident optimizer's
-/// auto re-advise — stays warm and re-costs nothing.
+/// exclusion by a disk-free threshold or the unweighted, disk-free
+/// per-class cost rows — plus the exclusion thresholds, the range
+/// options and `max_dimensionality` (which shape the enumeration the
+/// column's positions follow). Deliberately built on
+/// [`CostModel::structure_fingerprint`] rather than the weighted
+/// [`CostModel::fingerprint`]: the column is independent of the mix
+/// *weights* and of the disk count (both enter only at merge, through
+/// recombination and the disk threshold), so a pure re-weight — the
+/// resident optimizer's auto re-advise — and a `what_if_disks` stay
+/// warm and re-cost nothing.
 fn run_fingerprint(model: &CostModel<'_>, config: &AdvisorConfig) -> u128 {
     warlock_cost::fingerprint128(&(
         "run",
@@ -270,9 +276,10 @@ struct EvalScratch {
     staged: Vec<usize>,
 }
 
-/// How the pipeline resolved one candidate.
+/// How the pipeline resolved one candidate before the merge loop
+/// applies the disk threshold to the costed ones.
 enum Outcome {
-    /// Excluded, structurally or by the thresholds.
+    /// Excluded, structurally or by the disk-free thresholds.
     Excluded(Exclusion),
     /// Served from the run's memo column: the candidate's fragment
     /// count and the index of its class rows in the column.
@@ -290,11 +297,14 @@ struct GroupEval {
 }
 
 /// The worker-side pipeline step for one group of candidates: layout →
-/// thresholds per candidate (layouts built into the recycled scratch),
-/// then a single batched costing pass over every survivor. Pure in its
-/// inputs, so it can run on any worker. Callers must have passed every
-/// candidate through [`pre_exclude`] first (the layout would panic on a
-/// `u64`-overflowing fragment count otherwise).
+/// every threshold but the disk-count one per candidate (layouts built
+/// into the recycled scratch), then a single batched costing pass over
+/// every survivor. Pure in its inputs, so it can run on any worker.
+/// Callers must have passed every candidate through [`pre_exclude`]
+/// first (the layout would panic on a `u64`-overflowing fragment count
+/// otherwise), and must apply
+/// [`Thresholds::check_declustering`](warlock_fragment::Thresholds::check_declustering)
+/// to its costed outcomes.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_group(
     schema: &StarSchema,
@@ -317,7 +327,7 @@ fn evaluate_group(
             chunk[i].clone(),
             config.fact_index,
         );
-        match config.thresholds.check(&layout, ctx) {
+        match config.thresholds.check_layout(&layout, ctx) {
             Err(reason) => {
                 let _ = layout.recycle(&mut scratch.layout);
                 outcomes[slot] = Some(Outcome::Excluded(reason));
@@ -530,10 +540,12 @@ pub(crate) fn run(
         }
 
         // Merge in enumeration order, appending each outcome to the
-        // column being written. The rank accumulator's horizon is every
-        // candidate not yet merged (the rest of this chunk plus whatever
-        // the source still holds) — an upper bound on future costs,
-        // which keeps the streaming ranking exact.
+        // column being written, then applying the disk threshold — the
+        // last check, so precedence is that of `Thresholds::check`. The
+        // rank accumulator's horizon is every candidate not yet merged
+        // (the rest of this chunk plus whatever the source still holds)
+        // — an upper bound on future costs, which keeps the streaming
+        // ranking exact.
         let after_chunk = source.remaining();
         let chunk_len = chunk.len();
         let mut fresh_row = 0usize;
@@ -544,32 +556,27 @@ pub(crate) fn run(
             }
             let outcome = outcome
                 .ok_or_else(|| WarlockError::internal("candidate evaluation left no outcome"))?;
-            let cost = match outcome {
+            let remaining = after_chunk + (chunk_len - 1 - i) as u128;
+            let memo_rows = |row: u32| {
+                reader
+                    .as_ref()
+                    .map(|reader| reader.rows(row))
+                    .ok_or_else(|| WarlockError::internal("memo hit without a column"))
+            };
+            // Append the disk-free outcome to the column being written;
+            // a costed candidate yields its fragment count.
+            let costed = match &outcome {
                 Outcome::Excluded(reason) => {
                     if let Some(column) = &mut writer {
-                        column.push_excluded(reason);
+                        column.push_excluded(*reason);
                     }
-                    excluded.record(reason, || ExcludedCandidate {
-                        label: fragmentation.label(schema),
-                        fragmentation,
-                        reason,
-                    });
-                    continue;
+                    Err(*reason)
                 }
-                // A memo hit from an earlier run of the same structure:
-                // recombine the unweighted rows under the current
-                // shares. Bit-identical to a fresh evaluation at this
-                // mix (the kernels accumulate exactly `share * row` per
-                // class, in the same order).
                 Outcome::Memo { num_fragments, row } => {
-                    let rows = reader
-                        .as_ref()
-                        .ok_or_else(|| WarlockError::internal("memo hit without a column"))?
-                        .rows(row);
                     if let Some(column) = &mut writer {
-                        column.push_costed(num_fragments, rows);
+                        column.push_costed(*num_fragments, memo_rows(*row)?);
                     }
-                    combine_class_costs(fragmentation, num_fragments, rows, &shares)
+                    Ok(*num_fragments)
                 }
                 Outcome::Fresh(cost) => {
                     if let Some(column) = &mut writer {
@@ -581,11 +588,41 @@ pub(crate) fn run(
                         column.push_costed(cost.num_fragments, rows);
                         fresh_row += 1;
                     }
-                    cost
+                    Ok(cost.num_fragments)
                 }
             };
+            if let Err(reason) = costed.and_then(|fragments| {
+                config
+                    .thresholds
+                    .check_declustering(&fragmentation, fragments, system.num_disks)
+            }) {
+                excluded.record(reason, || ExcludedCandidate {
+                    label: fragmentation.label(schema),
+                    fragmentation,
+                    reason,
+                });
+                continue;
+            }
             evaluated += 1;
-            rank.push(cost, after_chunk + (chunk_len - 1 - i) as u128);
+            match outcome {
+                // A memo hit from an earlier run of the same structure:
+                // the unweighted, disk-free rows recombine under the
+                // current shares and disks, bit-identically to a fresh
+                // evaluation (the kernels accumulate exactly
+                // `share * row` per class, in the same order, and derive
+                // busy and response time from the same two columns).
+                // Only the phase-1 key is derived up front; the whole
+                // cost is built only if the ranking may retain it.
+                Outcome::Memo { num_fragments, row } => {
+                    let rows = memo_rows(row)?;
+                    rank.push_with(combined_io_cost_ms(rows, &shares), remaining, || {
+                        combine_class_costs(fragmentation, num_fragments, rows, &shares, system)
+                    });
+                }
+                Outcome::Fresh(cost) => rank.push(cost, remaining),
+                // Recorded above.
+                Outcome::Excluded(_) => {}
+            }
         }
         for skip in skips {
             merge_skipped(schema, config, skip, &mut writer, &mut excluded)?;
@@ -676,8 +713,8 @@ pub(crate) fn vary_fixed_prefetch(
 }
 
 /// What-if variation: the bitmap indexes of `dimension` dropped. Fails
-/// with the typed `UnknownDimension` schema error when the schema has
-/// no such dimension.
+/// with the typed `UnknownDimension` schema error when the scheme (one
+/// entry per schema dimension) has no such dimension.
 pub(crate) fn vary_without_bitmap_dimension(
     schema: &StarSchema,
     system: &SystemConfig,
@@ -687,8 +724,7 @@ pub(crate) fn vary_without_bitmap_dimension(
     dimension: warlock_schema::DimensionId,
     env: EvalEnv<'_>,
 ) -> Result<(String, AdvisorReport), WarlockError> {
-    schema.dimension(dimension)?;
-    let scheme = scheme.without_dimension(dimension);
+    let scheme = scheme.without_dimension(dimension)?;
     let report = run(schema, system, mix, config, &scheme, env)?;
     Ok((format!("no bitmaps on dimension {dimension}"), report))
 }

@@ -155,15 +155,50 @@ impl StreamingRank {
         let idx = self.pushed;
         self.pushed += 1;
         self.heap.push(Survivor { cost, idx });
-        // The largest population this stream can still reach. Saturates
-        // for astronomically large bounds, which simply disables
-        // eviction until the horizon shrinks into range.
-        let bound = usize::try_from(u128::from(self.pushed as u64).saturating_add(remaining))
-            .unwrap_or(usize::MAX);
-        let capacity = self.keep_for(bound);
+        let capacity = self.capacity_after(self.pushed, remaining);
         while self.heap.len() > capacity {
             self.heap.pop();
         }
+    }
+
+    /// [`push`](Self::push) for a cost that is expensive to build:
+    /// `io_cost_ms` is its phase-1 key, and `make` builds the cost only
+    /// if it may be retained. When the heap already holds the capacity
+    /// this push would see and `io_cost_ms` ranks strictly above the
+    /// worst survivor's, [`push`](Self::push) would pop the newcomer
+    /// right back out, so the push is counted and the heap trimmed
+    /// without running `make`. Ties fall through to a full push (the
+    /// later keys decide them), so the result is exactly
+    /// [`push`](Self::push)'s.
+    pub fn push_with(
+        &mut self,
+        io_cost_ms: f64,
+        remaining: u128,
+        make: impl FnOnce() -> CandidateCost,
+    ) {
+        let capacity = self.capacity_after(self.pushed + 1, remaining);
+        let doomed = self.heap.len() >= capacity
+            && self.heap.peek().is_some_and(|worst| {
+                io_cost_ms.total_cmp(&worst.cost.io_cost_ms) == Ordering::Greater
+            });
+        if !doomed {
+            return self.push(make(), remaining);
+        }
+        self.pushed += 1;
+        while self.heap.len() > capacity {
+            self.heap.pop();
+        }
+    }
+
+    /// The retention capacity once `pushed` costs are in with at most
+    /// `remaining` to come: the keep count of the largest population
+    /// the stream can still reach. Saturates for astronomically large
+    /// bounds, which simply disables eviction until the horizon shrinks
+    /// into range.
+    fn capacity_after(&self, pushed: usize, remaining: u128) -> usize {
+        let bound = usize::try_from(u128::from(pushed as u64).saturating_add(remaining))
+            .unwrap_or(usize::MAX);
+        self.keep_for(bound)
     }
 
     /// Costs pushed so far.

@@ -29,7 +29,7 @@
 //!   derived bitmap scheme and skew model, all validated exactly once,
 //!   plus the lazily computed baseline ranking and allocation-policy
 //!   verdict;
-//! - shared mutable state — the cross-clone [`EvalCache`] (one memo
+//! - shared mutable state — the cross-clone `EvalCache` (one memo
 //!   column per ranking run) and the persistent evaluation worker pool.
 //!
 //! `Warlock` is therefore [`Clone`], and cloning is cheap: clones
@@ -1122,6 +1122,38 @@ mod tests {
     }
 
     #[test]
+    fn a_disk_what_if_recombines_without_re_costing() {
+        let s = session();
+        let enumerated = s.rank().unwrap().enumerated;
+        let cold = s.cache_stats();
+        assert_eq!(cold.misses as usize, enumerated);
+        for (i, disks) in [1u32, 8, 64, 100_000].into_iter().enumerate() {
+            let (report, _) = s.what_if_disks(disks).unwrap();
+            let stats = s.cache_stats();
+            assert_eq!(stats.misses, cold.misses, "{disks} disks re-costed");
+            assert_eq!(
+                stats.hits as usize,
+                (i + 1) * enumerated,
+                "{disks} disks: every candidate is a memo hit"
+            );
+            assert_eq!(stats.columns, 1, "{disks} disks: one column serves all");
+            // Bit-identical to a fresh session on that many disks, down
+            // to the disk-threshold exclusions applied at merge.
+            let fresh = Warlock::builder()
+                .schema(s.schema().clone())
+                .system(SystemConfig::default_2001(disks))
+                .mix(s.mix().clone())
+                .build()
+                .unwrap();
+            assert_eq!(
+                format!("{report:?}"),
+                format!("{:?}", fresh.run().unwrap()),
+                "{disks} disks"
+            );
+        }
+    }
+
+    #[test]
     fn a_what_if_cycle_larger_than_the_memo_stays_bit_identical_and_mostly_warm() {
         type WhatIf = fn(&Warlock) -> Result<(AdvisorReport, TuningDelta), WarlockError>;
         let variations: [WhatIf; 6] = [
@@ -1136,13 +1168,14 @@ mod tests {
             .iter()
             .map(|what_if| format!("{:?}", what_if(&session()).unwrap()))
             .collect();
-        // A memo with room for four of the cycle's seven columns
-        // (baseline plus six variations, one candidate space each).
+        // A memo with room for three of the cycle's four columns (the
+        // baseline's, which the three disk counts share, and one per
+        // other variation, one candidate space each).
         let n = session().rank().unwrap().enumerated;
         let s = Warlock {
             snapshot: Arc::clone(&session().snapshot),
             shared: Arc::new(Shared {
-                cache: EvalCache::with_budget(4 * n + n / 2),
+                cache: EvalCache::with_budget(3 * n + n / 2),
                 ..Shared::default()
             }),
         };
@@ -1166,7 +1199,11 @@ mod tests {
             }
             last = stats;
         }
-        assert_eq!(last.evicted, 1, "only the cold baseline column makes way");
+        // The baseline's column serves all three disk counts, so no
+        // column of the cycle goes cold enough to make way: the last
+        // one is refused once per cycle instead.
+        assert_eq!(last.evicted, 0, "every column is reused each cycle");
+        assert_eq!(last.refused, 3, "one refusal per cycle");
     }
 
     #[test]
@@ -1216,19 +1253,20 @@ mod tests {
 
     #[test]
     fn flipping_back_to_a_prior_snapshot_is_warm() {
+        use warlock_storage::PrefetchPolicy;
         let mut s = session();
         s.rank().unwrap();
         let misses_baseline = s.cache_stats().misses;
-        let mut system = *s.system();
-        system.num_disks = 64;
+        let original = *s.system();
+        let mut system = original;
+        system.fact_prefetch = PrefetchPolicy::Fixed(16);
+        system.bitmap_prefetch = PrefetchPolicy::Fixed(16);
         s.set_system(system).unwrap();
         s.rank().unwrap();
         let misses_after_swap = s.cache_stats().misses;
         assert!(misses_after_swap > misses_baseline);
         // Swapping back re-uses the original snapshot's entries.
-        let mut system = *s.system();
-        system.num_disks = 16;
-        s.set_system(system).unwrap();
+        s.set_system(original).unwrap();
         s.rank().unwrap();
         assert_eq!(
             s.cache_stats().misses,
@@ -1264,7 +1302,7 @@ mod tests {
         );
         assert_eq!(s.cache_stats(), ranked);
         // A what-if is a column of its own.
-        let (report, _) = s.what_if_disks(64).unwrap();
+        let (report, _) = s.what_if_fixed_prefetch(16).unwrap();
         assert_eq!(s.cache_stats().entries, enumerated + report.enumerated);
         s.invalidate();
         assert_eq!(s.cache_stats(), crate::cache::EvalCacheStats::default());
@@ -1526,18 +1564,20 @@ mod tests {
         let baseline = s.rank().unwrap().clone();
         let misses_baseline = s.cache_stats().misses;
 
-        // Reload with more disks: this handle moves, the sibling stays.
-        let reloaded = cfg.replace("disks = 16", "disks = 64");
+        // Reload with a one-page prefetch: this handle moves, the
+        // sibling stays.
+        let reloaded = cfg.replace("prefetch = auto", "prefetch = 1");
         assert_ne!(cfg, reloaded, "fixture must actually change");
         s.reload_from_parsed(crate::config_file::parse_config(&reloaded).unwrap())
             .unwrap();
         assert!(!s.shares_snapshot_with(&sibling));
-        assert_eq!(s.system().num_disks, 64);
-        assert_eq!(sibling.system().num_disks, 16);
+        let fixed = warlock_storage::PrefetchPolicy::Fixed(1);
+        assert_eq!(s.system().fact_prefetch, fixed);
+        assert_ne!(sibling.system().fact_prefetch, fixed);
         assert_eq!(sibling.rank().unwrap(), &baseline);
         assert!(
             s.rank().unwrap().top().unwrap().cost.response_ms
-                < baseline.top().unwrap().cost.response_ms
+                > baseline.top().unwrap().cost.response_ms
         );
 
         // Reverting to the original configuration is warm: the shared

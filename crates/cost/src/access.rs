@@ -313,7 +313,9 @@ mod tests {
     fn missing_index_forces_scan() {
         let (schema, scheme, system) = setup();
         // Drop all product indexes; a product-referencing query must scan.
-        let reduced = scheme.without_dimension(warlock_schema::DimensionId(0));
+        let reduced = scheme
+            .without_dimension(warlock_schema::DimensionId(0))
+            .unwrap();
         let l = layout(&schema, &[(2, 2)]);
         let q = QueryClass::new("one_code").with(0, DimensionPredicate::point(5));
         let c = estimate_query(&schema, &l, &reduced, &system, &q, 0);
@@ -331,7 +333,9 @@ mod tests {
         // removing every index.
         let mut s2 = scheme.clone();
         for d in 0..4 {
-            s2 = s2.without_dimension(warlock_schema::DimensionId(d));
+            s2 = s2
+                .without_dimension(warlock_schema::DimensionId(d))
+                .unwrap();
         }
         let q = QueryClass::new("q").with(2, DimensionPredicate::point(2));
         let c = estimate_query(&schema, &l, &s2, &system, &q, 0);

@@ -271,10 +271,12 @@ pub fn evaluate_chunk_kernel(
 /// first, then one flat buffer of `n × k` rows for `n` candidates and
 /// `k` classes, candidate by candidate, classes in mix order — so
 /// candidate `i`'s rows are `class_rows[i * k..(i + 1) * k]`. The rows
-/// are copied straight out of the kernel's per-class output columns, so
+/// are copied straight out of the kernel's per-class columns and carry
+/// no disk count, so
 /// [`combine_class_costs`](crate::model::combine_class_costs) over them
 /// reproduces the weighted aggregates bit-for-bit under *any* share
-/// vector — the basis of the advisor's re-weight-warm evaluation memo.
+/// vector and *any* disk count — the basis of the advisor's
+/// re-weight- and disk-warm evaluation memo.
 pub fn evaluate_chunk_rows(
     tables: &CostTables,
     batch: &mut ChunkBatch,
@@ -559,15 +561,17 @@ fn evaluate_chunk_impl(
         };
         backend.cost_pass(&inp, &mut out);
 
-        // Gather the unweighted per-class rows before the next class
-        // overwrites the output columns. `pages` performs the same
-        // `fact + bitmap` add the kernels feed their accumulators, so
-        // recombination reproduces `acc_pages` bit-for-bit.
+        // Gather the unweighted, disk-free per-class rows before the
+        // next class overwrites the output columns. `pages` performs the
+        // same `fact + bitmap` add the kernels feed their accumulators,
+        // and busy and response time are re-derived from `fragments`
+        // and `per_fragment_ms` exactly as the kernels derive them, so
+        // recombination reproduces every accumulator bit-for-bit.
         if let Some(rows) = class_rows.as_deref_mut() {
             for (i, row) in rows.iter_mut().skip(c).step_by(k).enumerate() {
                 *row = ClassCost {
-                    busy_ms: batch.out_busy_ms[i],
-                    response_ms: batch.out_response_ms[i],
+                    fragments: batch.expected_fragments[i],
+                    per_fragment_ms: batch.out_per_fragment_ms[i],
                     total_ios: batch.out_total_ios[i],
                     pages: batch.out_fact_pages[i] + batch.out_bitmap_pages[i],
                 };
@@ -872,29 +876,44 @@ mod tests {
             );
             let k = f.mix.len();
             assert_eq!(rows.len(), costs.len() * k);
-            for (mix, model_at) in [
-                (&f.mix, &model),
-                (
-                    &reweighted,
-                    &CostModel::new(&f.schema, &f.system, &f.scheme, &reweighted),
-                ),
-            ] {
-                let shares: Vec<f64> = mix.iter().map(|(_, s)| s).collect();
-                for (c, row) in costs.iter().zip(rows.chunks_exact(k)) {
-                    assert_eq!(row.len(), mix.len());
-                    let combined =
-                        combine_class_costs(c.fragmentation.clone(), c.num_fragments, row, &shares);
-                    let fresh = model_at.evaluate(&c.fragmentation);
-                    assert_eq!(
-                        combined.io_cost_ms.to_bits(),
-                        fresh.io_cost_ms.to_bits(),
-                        "backend {}",
-                        backend.name()
-                    );
-                    assert_eq!(combined.response_ms.to_bits(), fresh.response_ms.to_bits());
-                    assert_eq!(combined.total_ios.to_bits(), fresh.total_ios.to_bits());
-                    assert_eq!(combined.total_pages.to_bits(), fresh.total_pages.to_bits());
-                    assert_eq!(combined.num_fragments, fresh.num_fragments);
+            // Rows gathered on 16 disks recombine on any disk count,
+            // including one and more than any candidate has fragments.
+            for disks in [1, 7, 16, 64, 100_000] {
+                let mut system = f.system;
+                system.num_disks = disks;
+                for mix in [&f.mix, &reweighted] {
+                    let model_at = CostModel::new(&f.schema, &system, &f.scheme, mix);
+                    let shares: Vec<f64> = mix.iter().map(|(_, s)| s).collect();
+                    for (c, row) in costs.iter().zip(rows.chunks_exact(k)) {
+                        assert_eq!(row.len(), mix.len());
+                        let combined = combine_class_costs(
+                            c.fragmentation.clone(),
+                            c.num_fragments,
+                            row,
+                            &shares,
+                            &system,
+                        );
+                        let fresh = model_at.evaluate(&c.fragmentation);
+                        let at = format!("backend {} disks {disks}", backend.name());
+                        assert_eq!(
+                            combined.io_cost_ms.to_bits(),
+                            fresh.io_cost_ms.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            crate::model::combined_io_cost_ms(row, &shares).to_bits(),
+                            fresh.io_cost_ms.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            combined.response_ms.to_bits(),
+                            fresh.response_ms.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(combined.total_ios.to_bits(), fresh.total_ios.to_bits());
+                        assert_eq!(combined.total_pages.to_bits(), fresh.total_pages.to_bits());
+                        assert_eq!(combined.num_fragments, fresh.num_fragments);
+                    }
                 }
             }
         }
@@ -913,12 +932,23 @@ mod tests {
             base.structure_fingerprint(),
             CostModel::new(&f.schema, &f.system, &f.scheme, &smaller).structure_fingerprint()
         );
-        // So is a system change.
+        // So is a system change other than the disk count.
         let mut other_system = f.system;
-        other_system.num_disks += 1;
+        other_system.disk.transfer_mb_per_s *= 2.0;
         assert_ne!(
             base.structure_fingerprint(),
             CostModel::new(&f.schema, &other_system, &f.scheme, &f.mix).structure_fingerprint()
+        );
+        // The disk count is not: class rows are disk-free.
+        let mut more_disks = f.system;
+        more_disks.num_disks += 1;
+        assert_eq!(
+            base.structure_fingerprint(),
+            CostModel::new(&f.schema, &more_disks, &f.scheme, &f.mix).structure_fingerprint()
+        );
+        assert_ne!(
+            base.fingerprint(),
+            CostModel::new(&f.schema, &more_disks, &f.scheme, &f.mix).fingerprint()
         );
         // And it is deterministic.
         assert_eq!(

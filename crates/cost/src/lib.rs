@@ -20,13 +20,12 @@
 //! * [`prefetch`] — effective prefetch granule per object size,
 //! * [`access`] — the per-query access-plan estimator,
 //! * [`response`] — declustered response-time estimation,
-//! * [`model`] — the [`CostModel`](model::CostModel) facade evaluating whole
-//!   candidates against a weighted query mix,
+//! * [`model`] — the [`CostModel`] facade evaluating whole candidates
+//!   against a weighted query mix,
 //! * [`tables`] — per-dimension cost tables precomputed once per model
-//!   ([`CostTables`](tables::CostTables)),
+//!   ([`CostTables`]),
 //! * [`batch`] — SoA batched evaluation of whole candidate chunks
-//!   ([`evaluate_chunk`](batch::evaluate_chunk)), bit-identical to the
-//!   scalar path,
+//!   ([`evaluate_chunk`]), bit-identical to the scalar path,
 //! * [`kernel`] — lane-structured costing kernels: the scalar
 //!   reference and, where the CPU has it, AVX2, bit-identical by
 //!   construction.
@@ -74,7 +73,9 @@ pub use contention::{contention_estimate, load_curve, ContentionEstimate, LoadPo
 pub use kernel::{
     yao_pass, AlignedF64Col, CostPassInput, CostPassOutput, KernelBackend, KernelChoice, LANES,
 };
-pub use model::{combine_class_costs, fingerprint128, CandidateCost, ClassCost, CostModel};
+pub use model::{
+    combine_class_costs, combined_io_cost_ms, fingerprint128, CandidateCost, ClassCost, CostModel,
+};
 pub use prefetch::effective_prefetch;
 pub use response::estimated_response_ms;
 pub use tables::{BitmapContrib, ClassTable, CostTables, FragDimEntry, PredTable};

@@ -7,6 +7,7 @@ use warlock_storage::SystemConfig;
 use warlock_workload::QueryMix;
 
 use crate::access::{estimate_query, QueryCost};
+use crate::response::estimated_response_ms;
 
 /// Evaluated cost of one fragmentation candidate under a query mix.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,20 +30,25 @@ pub struct CandidateCost {
 }
 
 /// Unweighted cost of one (candidate, query class) pair — the per-class
-/// quantities of [`CandidateCost`] *before* the mix share is applied.
+/// quantities of [`CandidateCost`] *before* the mix share is applied
+/// and before the disk count is.
 ///
 /// Per-class costs never see the class's workload share (the share
-/// enters only the weighted accumulation), so these rows are invariant
-/// under pure mix re-weights. The advisor's evaluation cache stores
-/// them keyed by [`CostModel::structure_fingerprint`] and recombines
-/// them under the current shares with [`combine_class_costs`] —
-/// bit-identical to a cold evaluation at the new mix.
+/// enters only the weighted accumulation), and the disk count enters
+/// only the response time, which is derived from `fragments` and
+/// `per_fragment_ms` at recombination. So these rows are invariant under
+/// pure mix re-weights and under disk-count changes. The advisor's
+/// evaluation cache stores them keyed by
+/// [`CostModel::structure_fingerprint`] and recombines them under the
+/// current shares and disks with [`combine_class_costs`] —
+/// bit-identical to a cold evaluation at the new mix and disk count.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassCost {
-    /// Device busy time of the class, in milliseconds.
-    pub busy_ms: f64,
-    /// Response time of the class, in milliseconds.
-    pub response_ms: f64,
+    /// Expected fragments the class accesses.
+    pub fragments: f64,
+    /// Device time per accessed fragment on the chosen access path, in
+    /// milliseconds.
+    pub per_fragment_ms: f64,
     /// Physical I/Os of the class.
     pub total_ios: f64,
     /// Pages read by the class (`fact_pages + bitmap_pages`, summed in
@@ -50,11 +56,35 @@ pub struct ClassCost {
     pub pages: f64,
 }
 
-/// Recombines per-class unweighted rows under `shares` into the
-/// aggregate [`CandidateCost`] fields, using the exact accumulation
-/// sequence of every costing backend (`acc += share * value`, one term
-/// per class in mix order, from `0.0`) — so the result is bit-identical
-/// to evaluating the candidate fresh under a mix with those shares.
+impl ClassCost {
+    /// Device busy time of the class, in milliseconds: the kernels'
+    /// unfused `fragments * per_fragment_ms`.
+    #[inline]
+    pub fn busy_ms(&self) -> f64 {
+        self.fragments * self.per_fragment_ms
+    }
+}
+
+/// The `io_cost_ms` [`combine_class_costs`] yields for these rows under
+/// `shares`, without deriving anything else — what the twofold
+/// ranking's first phase compares.
+pub fn combined_io_cost_ms(classes: &[ClassCost], shares: &[f64]) -> f64 {
+    debug_assert_eq!(classes.len(), shares.len());
+    let mut io_cost_ms = 0.0;
+    for (row, &share) in classes.iter().zip(shares) {
+        io_cost_ms += share * row.busy_ms();
+    }
+    io_cost_ms
+}
+
+/// Recombines per-class unweighted rows under `shares` and `system`'s
+/// disks, processors and coordination overhead into the aggregate
+/// [`CandidateCost`] fields, using the exact accumulation sequence of
+/// every costing backend (`acc += share * value`, one term per class in
+/// mix order, from `0.0`) and the response model's
+/// [`estimated_response_ms`], which the kernels inline — so the result
+/// is bit-identical to evaluating the candidate fresh under a mix with
+/// those shares on that system.
 /// `per_query` detail is not reconstructible from the rows and is left
 /// empty (the ranking pipeline re-derives it for the ranked handful).
 pub fn combine_class_costs(
@@ -62,15 +92,25 @@ pub fn combine_class_costs(
     num_fragments: u64,
     classes: &[ClassCost],
     shares: &[f64],
+    system: &SystemConfig,
 ) -> CandidateCost {
     debug_assert_eq!(classes.len(), shares.len());
+    let processors = system.architecture.total_processors();
+    let overhead = system.architecture.overhead_factor();
     let mut io_cost_ms = 0.0;
     let mut response_ms = 0.0;
     let mut total_ios = 0.0;
     let mut total_pages = 0.0;
     for (row, &share) in classes.iter().zip(shares) {
-        io_cost_ms += share * row.busy_ms;
-        response_ms += share * row.response_ms;
+        let class_response_ms = estimated_response_ms(
+            row.fragments,
+            row.per_fragment_ms,
+            system.num_disks,
+            processors,
+            overhead,
+        );
+        io_cost_ms += share * row.busy_ms();
+        response_ms += share * class_response_ms;
         total_ios += share * row.total_ios;
         total_pages += share * row.pages;
     }
@@ -147,24 +187,37 @@ impl<'a> CostModel<'a> {
     }
 
     /// Like [`CostModel::fingerprint`], but **excluding the mix
-    /// weights**: it hashes the schema, system, scheme, fact index and
-    /// the mix's classes in mix order, with every share dropped.
+    /// weights and the disk count**: it hashes the schema, every field
+    /// of the system but `num_disks`, the scheme, the fact index and the
+    /// mix's classes in mix order, with every share dropped.
     ///
     /// Two models with equal structure fingerprints produce
     /// bit-identical *per-class* costs ([`ClassCost`]) for the same
     /// candidate — the share never reaches the per-class estimator, it
-    /// only weights the final accumulation. The advisor's pipeline
-    /// cache keys on this so a pure re-weight (the drift detector's
-    /// normal case) stays warm, while any structural change — a class
-    /// added, dropped, or its predicates edited, a scheme or system
-    /// change — miss-keys correctly. Note a re-weight that zeroes out a
-    /// class *is* structural: mix construction drops zero-weight
-    /// classes, changing the class list.
+    /// only weights the final accumulation, and the disk count enters
+    /// only the response time [`combine_class_costs`] derives from the
+    /// rows. The advisor's pipeline cache keys on this so a pure
+    /// re-weight (the drift detector's normal case) and a disk-count
+    /// what-if stay warm, while any other structural change — a class
+    /// added, dropped, or its predicates edited, a scheme change, any
+    /// other system change — miss-keys correctly. Note a re-weight that
+    /// zeroes out a class *is* structural: mix construction drops
+    /// zero-weight classes, changing the class list.
     pub fn structure_fingerprint(&self) -> u128 {
         use std::fmt::Write;
+        // Destructured so a new system field cannot silently escape the
+        // key.
+        let SystemConfig {
+            num_disks: _,
+            disk,
+            page,
+            fact_prefetch,
+            bitmap_prefetch,
+            architecture,
+        } = self.system;
         let mut input = format!(
-            "{:?}|{:?}|{:?}|{}|",
-            self.schema, self.system, self.scheme, self.fact_index
+            "{:?}|{disk:?}|{page:?}|{fact_prefetch:?}|{bitmap_prefetch:?}|{architecture:?}|{:?}|{}|",
+            self.schema, self.scheme, self.fact_index
         );
         for (class, _) in self.mix.iter() {
             let _ = write!(input, "{class:?};");
@@ -379,7 +432,10 @@ mod tests {
             base,
             CostModel::new(&f.schema, &other_system, &f.scheme, &f.mix).fingerprint()
         );
-        let reduced = f.scheme.without_dimension(warlock_schema::DimensionId(0));
+        let reduced = f
+            .scheme
+            .without_dimension(warlock_schema::DimensionId(0))
+            .unwrap();
         assert_ne!(
             base,
             CostModel::new(&f.schema, &f.system, &reduced, &f.mix).fingerprint()

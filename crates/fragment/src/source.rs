@@ -1,60 +1,6 @@
-//! Lazy, resumable enumeration of fragmentation candidates.
-//!
-//! The prediction pipeline used to materialize the whole candidate
-//! space (`Vec<Fragmentation>`) before evaluating anything, which makes
-//! memory and start-up latency O(candidate space) — exactly wrong for
-//! the deep hierarchies and ranged enumeration where WARLOCK should
-//! shine. [`CandidateSource`] generates the same candidates **in the
-//! same order** one at a time, so a streaming pipeline can pull
-//! fixed-size chunks and keep memory bounded by the chunk size.
-//!
-//! One odometer engine drives both generators:
-//!
-//! * **point** candidates (range size 1 everywhere, the paper's §3.2
-//!   evaluation space) — for each dimension the digit is "unused" or
-//!   one of its levels, pruned to at most `max_dimensionality` used
-//!   dimensions;
-//! * **ranged** candidates (the general-MDHF extension) — every point
-//!   candidate is additionally crossed with each admissible range size
-//!   per attribute (sizes from `range_options` that divide the level's
-//!   fan-out, the full fan-out excluded as it duplicates the parent
-//!   level).
-//!
-//! The enumeration order is identical to the historical recursive
-//! `enumerate_candidates` / `enumerate_candidates_ranged`: dimension 0
-//! is the most significant digit, "unused" sorts before the levels, and
-//! range counters spin fastest on the last attribute. Reports built on
-//! either path are therefore bit-identical.
-//!
-//! [`space_size`](CandidateSource::space_size) predicts the exact
-//! number of candidates without generating any (a per-dimension
-//! dynamic program over the used-dimension count), and
-//! [`cursor`](CandidateSource::cursor)/[`resume`](CandidateSource::resume)
-//! snapshot and restore the generator state, so enumeration can be
-//! paused, persisted and continued elsewhere.
-//!
-//! # The bounded walk
-//!
-//! A candidate's fragment count is a product of one factor per used
-//! attribute, `cardinality / range size`, each at least 1. So once the
-//! point digits set so far force a count above a fragment bound, every
-//! candidate sharing those digits — whatever the later digits and the
-//! range sizes — is over it too. A source given a bound
-//! ([`bounded`](CandidateSource::bounded)) lets
-//! [`stride`](CandidateSource::stride) step over such a subtree whole:
-//! when a point digit moves, it multiplies, over the used digits, each
-//! level's cardinality divided by its largest admissible range size,
-//! and if that exceeds the bound it stands on the subtree instead of
-//! its first candidate and reports the subtree's exact size (the same
-//! dynamic program as `space_size`, started at the next digit). Range
-//! counter steps are never checked. Pruning is off when some candidate
-//! of the space has a count beyond `u64`, so every candidate of a
-//! skipped subtree is over the bound for the same reason. The decision
-//! depends only on the schema, the dimensionality cap, the range
-//! options and the bound, and a prefix is pruned at the same digit
-//! under any cap. The position — candidate or subtree — lives in the
-//! [`CandidateCursor`], so a bounded walk resumes like any other. The
-//! `Iterator` impl always walks unpruned.
+//! Lazy, resumable enumeration of fragmentation candidates:
+//! [`CandidateSource`], whose docs give the enumeration order, and its
+//! bounded walk ([`CandidateSource::bounded`]).
 
 use warlock_schema::{LevelRef, StarSchema};
 
@@ -115,7 +61,40 @@ impl Stride {
 /// A lazy generator over the fragmentation-candidate space of one
 /// schema. Self-contained after construction (it captures the level
 /// shape, not the schema), so it can outlive the schema borrow it was
-/// built from. See the [module docs](self).
+/// built from.
+///
+/// The prediction pipeline used to materialize the whole candidate
+/// space (`Vec<Fragmentation>`) before evaluating anything, which makes
+/// memory and start-up latency O(candidate space) — exactly wrong for
+/// the deep hierarchies and ranged enumeration where WARLOCK should
+/// shine. [`CandidateSource`] generates the same candidates **in the
+/// same order** one at a time, so a streaming pipeline can pull
+/// fixed-size chunks and keep memory bounded by the chunk size.
+///
+/// One odometer engine drives both generators:
+///
+/// * **point** candidates (range size 1 everywhere, the paper's §3.2
+///   evaluation space) — for each dimension the digit is "unused" or
+///   one of its levels, pruned to at most `max_dimensionality` used
+///   dimensions;
+/// * **ranged** candidates (the general-MDHF extension) — every point
+///   candidate is additionally crossed with each admissible range size
+///   per attribute (sizes from `range_options` that divide the level's
+///   fan-out, the full fan-out excluded as it duplicates the parent
+///   level).
+///
+/// The enumeration order is identical to the historical recursive
+/// `enumerate_candidates` / `enumerate_candidates_ranged`: dimension 0
+/// is the most significant digit, "unused" sorts before the levels, and
+/// range counters spin fastest on the last attribute. Reports built on
+/// either path are therefore bit-identical.
+///
+/// [`space_size`](CandidateSource::space_size) predicts the exact
+/// number of candidates without generating any (a per-dimension
+/// dynamic program over the used-dimension count), and
+/// [`cursor`](CandidateSource::cursor)/[`resume`](CandidateSource::resume)
+/// snapshot and restore the generator state, so enumeration can be
+/// paused, persisted and continued elsewhere.
 #[derive(Debug, Clone)]
 pub struct CandidateSource {
     max_dimensionality: usize,
@@ -223,9 +202,32 @@ impl CandidateSource {
     }
 
     /// This source with [`Self::stride`] stepping over every subtree
-    /// whose candidates all have more than `max_fragments` fragments
-    /// (see the [module docs](self#the-bounded-walk)). Has no effect on
-    /// a space where some candidate's count exceeds `u64::MAX`.
+    /// whose candidates all have more than `max_fragments` fragments.
+    /// Has no effect on a space where some candidate's count exceeds
+    /// `u64::MAX`.
+    ///
+    /// # The bounded walk
+    ///
+    /// A candidate's fragment count is a product of one factor per used
+    /// attribute, `cardinality / range size`, each at least 1. So once the
+    /// point digits set so far force a count above a fragment bound, every
+    /// candidate sharing those digits — whatever the later digits and the
+    /// range sizes — is over it too. A source given a bound (this
+    /// method) lets [`stride`](CandidateSource::stride) step over such a
+    /// subtree whole: when a point digit moves, it multiplies, over the
+    /// used digits, each level's cardinality divided by its largest
+    /// admissible range size,
+    /// and if that exceeds the bound it stands on the subtree instead of
+    /// its first candidate and reports the subtree's exact size (the same
+    /// dynamic program as `space_size`, started at the next digit). Range
+    /// counter steps are never checked. Pruning is off when some candidate
+    /// of the space has a count beyond `u64`, so every candidate of a
+    /// skipped subtree is over the bound for the same reason. The decision
+    /// depends only on the schema, the dimensionality cap, the range
+    /// options and the bound, and a prefix is pruned at the same digit
+    /// under any cap. The position — candidate or subtree — lives in the
+    /// [`CandidateCursor`], so a bounded walk resumes like any other. The
+    /// `Iterator` impl always walks unpruned.
     #[must_use]
     pub fn bounded(mut self, max_fragments: u64) -> Self {
         self.bound = (!self.overflows).then_some(max_fragments);

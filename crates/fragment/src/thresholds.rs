@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::FragmentLayout;
+use crate::{FragmentLayout, Fragmentation};
 
 /// Environment numbers a threshold check needs; passed as plain values so
 /// this crate stays decoupled from the storage crate.
@@ -134,7 +134,28 @@ impl Default for Thresholds {
 
 impl Thresholds {
     /// Checks one candidate layout; `Ok(())` means the candidate survives.
+    /// Runs [`Self::check_layout`], then [`Self::check_declustering`]
+    /// against `ctx.num_disks`: the disk check is the last one, so it
+    /// reports only candidates every other check lets through.
     pub fn check(&self, layout: &FragmentLayout, ctx: ThresholdContext) -> Result<(), Exclusion> {
+        self.check_layout(layout, ctx)?;
+        self.check_declustering(
+            layout.fragmentation(),
+            layout.num_fragments(),
+            ctx.num_disks,
+        )
+    }
+
+    /// Every check of [`Self::check`] except the disk-count one
+    /// ([`Exclusion::FewerFragmentsThanDisks`]); `ctx.num_disks` is not
+    /// read. Its outcome is the same on any number of disks, so a
+    /// pipeline can memoize it once for every disk count and apply
+    /// [`Self::check_declustering`] per run.
+    pub fn check_layout(
+        &self,
+        layout: &FragmentLayout,
+        ctx: ThresholdContext,
+    ) -> Result<(), Exclusion> {
         let fragments = layout.num_fragments();
         if fragments > self.max_fragments {
             return Err(Exclusion::TooManyFragments {
@@ -162,13 +183,26 @@ impl Thresholds {
                 prefetch_pages: ctx.prefetch_pages,
             });
         }
+        Ok(())
+    }
+
+    /// The disk-count check alone: with `require_full_declustering`, a
+    /// fragmented candidate of `fragments` fragments must cover all
+    /// `num_disks` disks. Needs only the fragmentation and its count, so
+    /// it also applies to a candidate whose costs come from a memo.
+    pub fn check_declustering(
+        &self,
+        fragmentation: &Fragmentation,
+        fragments: u64,
+        num_disks: u32,
+    ) -> Result<(), Exclusion> {
         if self.require_full_declustering
-            && !layout.fragmentation().is_none()
-            && fragments < u64::from(ctx.num_disks)
+            && !fragmentation.is_none()
+            && fragments < u64::from(num_disks)
         {
             return Err(Exclusion::FewerFragmentsThanDisks {
                 fragments,
-                disks: ctx.num_disks,
+                disks: num_disks,
             });
         }
         Ok(())
@@ -178,7 +212,6 @@ impl Thresholds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Fragmentation;
     use warlock_schema::{apb1_like_schema, Apb1Config};
 
     fn layout(pairs: &[(u16, u16)]) -> FragmentLayout {
@@ -247,6 +280,41 @@ mod tests {
             ..Default::default()
         };
         assert!(relaxed.check(&layout(&[(0, 0)]), ctx()).is_ok());
+    }
+
+    #[test]
+    fn check_is_the_layout_checks_then_the_disk_check() {
+        let t = Thresholds::default();
+        // product.division: 5 fragments pass every check but the disk one.
+        let division = layout(&[(0, 0)]);
+        assert!(t.check_layout(&division, ctx()).is_ok());
+        assert_eq!(
+            t.check_declustering(division.fragmentation(), 5, 16),
+            Err(Exclusion::FewerFragmentsThanDisks {
+                fragments: 5,
+                disks: 16
+            })
+        );
+        assert!(t.check_declustering(division.fragmentation(), 5, 5).is_ok());
+        // An earlier reason wins over the disk check: class × month is
+        // below the granule whatever the disk count.
+        let tiny = layout(&[(0, 4), (2, 2)]);
+        let many_disks = ThresholdContext {
+            num_disks: u32::MAX,
+            ..ctx()
+        };
+        assert_eq!(t.check(&tiny, many_disks), t.check_layout(&tiny, ctx()));
+        // The layout checks ignore the disk count.
+        for candidate in [division, tiny, layout(&[(2, 2)]), layout(&[])] {
+            let no_disks = ThresholdContext {
+                num_disks: 1,
+                ..ctx()
+            };
+            assert_eq!(
+                t.check_layout(&candidate, no_disks),
+                t.check_layout(&candidate, many_disks)
+            );
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl Scenario {
     /// sequence of observation batches whose traffic starts at the
     /// configured (head-heavy) mix and drifts toward its inversion —
     /// the lingering tail classes take over — ramping over the first
-    /// [`DRIFT_RAMP`] batches and then holding, so replaying the
+    /// `DRIFT_RAMP` (8) batches and then holding, so replaying the
     /// batches through [`Warlock::observe`] crosses the default
     /// drift-enter threshold before the final batch. A pure function
     /// of `(fleet seed, id)`: the same fleet always replays
@@ -76,7 +76,7 @@ impl Scenario {
     /// trajectory (empty).
     ///
     /// The drift *depth* is normalized: the target sits exactly
-    /// [`DRIFT_SCORE_DEPTH`] total-variation away from the configured
+    /// `DRIFT_SCORE_DEPTH` (0.38) total-variation away from the configured
     /// shares regardless of class count. Deep enough to cross the
     /// default enter threshold with margin — and shallow enough that
     /// once an auto re-advise adopts the observed mix mid-ramp, the

@@ -14,9 +14,10 @@
 //!   to a [`Scenario`]: same seed ⇒ byte-identical scenario set, any
 //!   index addressable without generating its predecessors.
 //!
-//! Every scenario materializes as a full [`ParsedConfig`] — the same
+//! Every scenario materializes as a full
+//! [`ParsedConfig`](warlock::config_file::ParsedConfig) — the same
 //! struct the config-file front end produces — so it can be driven
-//! through [`Warlock::from_parsed`], rendered to a config file with
+//! through [`Warlock::from_parsed`](warlock::Warlock::from_parsed), rendered to a config file with
 //! [`warlock::config_file::render_config`] and re-read through the
 //! `from_config_path` entry point unchanged.
 //!

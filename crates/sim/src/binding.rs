@@ -33,7 +33,7 @@ pub const MAX_BOUND_FRAGMENTS: usize = 1 << 22;
 /// # Panics
 ///
 /// Panics if the accessed-fragment cross product exceeds
-/// [`MAX_BOUND_FRAGMENTS`].
+/// `MAX_BOUND_FRAGMENTS` (2²²).
 pub fn bind_query<R: Rng + ?Sized>(
     schema: &StarSchema,
     layout: &FragmentLayout,

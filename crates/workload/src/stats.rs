@@ -6,17 +6,6 @@
 //! `pg_stat_statements` idiom: counts plus optional latency hints) into
 //! an exponentially decayed sliding window whose state is a pure
 //! function of the ordered observation sequence.
-//!
-//! ## Determinism
-//!
-//! Decay is measured in **observed queries**, not wall-clock time: each
-//! observation of `count` queries first decays every tracked class by
-//! `0.5^(count / half_life)` and then credits `count` to its own class.
-//! Because every update depends only on the observation it ingests and
-//! the state before it, splitting one observation stream into different
-//! batch boundaries yields bit-identical windows — the property the
-//! drift detector's reproducibility rests on. No clock is read
-//! anywhere.
 
 use std::collections::BTreeMap;
 
@@ -66,8 +55,16 @@ struct ClassStat {
 
 /// An exponentially decayed window over observed query-class traffic.
 ///
-/// See the [module docs](self) for the decay model and its determinism
-/// guarantee.
+/// # Determinism
+///
+/// Decay is measured in **observed queries**, not wall-clock time: each
+/// observation of `count` queries first decays every tracked class by
+/// `0.5^(count / half_life)` and then credits `count` to its own class.
+/// Because every update depends only on the observation it ingests and
+/// the state before it, splitting one observation stream into different
+/// batch boundaries yields bit-identical windows — the property the
+/// drift detector's reproducibility rests on. No clock is read
+/// anywhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsWindow {
     half_life: f64,

@@ -14,13 +14,29 @@
 use proptest::prelude::*;
 
 use warlock::prelude::*;
+use warlock::StreamingRank;
 use warlock::{AdvisorReport, ExcludedCandidate, ExcludedSummary, RankedCandidate};
-use warlock_cost::CostModel;
-use warlock_fragment::{enumerate_candidates_ranged, Exclusion, FragmentLayout};
+use warlock_cost::{CandidateCost, CostModel};
+use warlock_fragment::{enumerate_candidates_ranged, Exclusion, FragmentLayout, Fragmentation};
 use warlock_schema::{random_schema, RandomSchemaConfig};
 use warlock_workload::{GeneratorConfig, WorkloadGenerator};
 
 fn session_for(seed: u64, workers: usize, chunk: usize, ranged: bool) -> Warlock {
+    let config = AdvisorConfig {
+        range_options: if ranged { vec![2, 3, 5] } else { Vec::new() },
+        ..Default::default()
+    };
+    session_on(seed, workers, chunk, 1 + (seed % 24) as u32, config)
+}
+
+/// The random warehouse of `seed` on `disks` disks under `config`.
+fn session_on(
+    seed: u64,
+    workers: usize,
+    chunk: usize,
+    disks: u32,
+    config: AdvisorConfig,
+) -> Warlock {
     let schema = random_schema(
         seed,
         RandomSchemaConfig {
@@ -39,11 +55,6 @@ fn session_for(seed: u64, workers: usize, chunk: usize, ranged: bool) -> Warlock
         },
     )
     .mix(&schema);
-    let disks = 1 + (seed % 24) as u32;
-    let config = AdvisorConfig {
-        range_options: if ranged { vec![2, 3, 5] } else { Vec::new() },
-        ..Default::default()
-    };
     Warlock::builder()
         .schema(schema)
         .system(SystemConfig::default_2001(disks))
@@ -53,6 +64,23 @@ fn session_for(seed: u64, workers: usize, chunk: usize, ranged: bool) -> Warlock
         .chunk_size(chunk)
         .build()
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+}
+
+/// A cost population with deliberate exact ties at every level of the
+/// twofold ranking's tie-break.
+fn tied_costs(picks: &[(u8, u8, u8)]) -> Vec<CandidateCost> {
+    picks
+        .iter()
+        .map(|&(io, rt, frags)| CandidateCost {
+            fragmentation: Fragmentation::none(),
+            num_fragments: u64::from(frags % 4),
+            io_cost_ms: f64::from(io % 7),
+            response_ms: f64::from(rt % 5),
+            total_ios: 0.0,
+            total_pages: 0.0,
+            per_query: Vec::new(),
+        })
+        .collect()
 }
 
 /// The materialized seed path, rebuilt from public substrate APIs:
@@ -171,5 +199,60 @@ proptest! {
             let report = session_for(seed, workers, chunk, false).run().unwrap();
             prop_assert_eq!(&report, &reference);
         }
+    }
+
+    #[test]
+    fn a_disk_what_if_from_a_warm_column_matches_a_fresh_session(
+        seed in 0u64..4096,
+        full_declustering in any::<bool>(),
+        middle in 2u32..48,
+    ) {
+        let mut config = AdvisorConfig::default();
+        config.thresholds.require_full_declustering = full_declustering;
+        // One disk, a middling count, and more disks than any candidate
+        // within `max_fragments` has fragments.
+        let above = u32::try_from(config.thresholds.max_fragments + 1).unwrap();
+        for workers in [1usize, 0] {
+            for chunk in [1usize, 17, 0] {
+                let session = session_on(seed, workers, chunk, 16, config.clone());
+                session.rank().unwrap();
+                let cold = session.cache_stats();
+                for disks in [1, middle, above] {
+                    let (warm, _) = session.what_if_disks(disks).unwrap();
+                    let fresh = session_on(seed, workers, chunk, disks, config.clone())
+                        .run()
+                        .unwrap();
+                    let at = format!("workers={workers} chunk={chunk} disks={disks}");
+                    assert_eq!(format!("{warm:?}"), format!("{fresh:?}"), "{at}");
+                    assert_eq!(session.cache_stats().misses, cold.misses, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_with_is_push(
+        picks in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..300),
+        lazy in proptest::collection::vec(any::<bool>(), 300),
+        x_pick in 0usize..4,
+        min_keep in 0usize..12,
+        slack in 0u64..3,
+    ) {
+        let x = [1.0, 10.0, 37.5, 100.0][x_pick];
+        let costs = tied_costs(&picks);
+        let mut eager = StreamingRank::new(x, min_keep);
+        let mut mixed = StreamingRank::new(x, min_keep);
+        for (i, (cost, lazy)) in costs.iter().zip(&lazy).enumerate() {
+            let remaining = (costs.len() - i - 1) as u128 + u128::from(slack);
+            eager.push(cost.clone(), remaining);
+            if *lazy {
+                mixed.push_with(cost.io_cost_ms, remaining, || cost.clone());
+            } else {
+                mixed.push(cost.clone(), remaining);
+            }
+            prop_assert_eq!(mixed.seen(), eager.seen());
+            prop_assert_eq!(mixed.retained(), eager.retained());
+        }
+        prop_assert_eq!(mixed.finish(), eager.finish());
     }
 }
