@@ -12,8 +12,8 @@ use std::hint::black_box;
 use warlock_bench::alloc_probe::{self, CountingAlloc};
 use warlock_bench::Fixture;
 use warlock_cost::{
-    evaluate_chunk_kernel, evaluate_chunk_with, yao_pass, AlignedF64Col, ChunkBatch, CostModel,
-    CostPassInput, CostPassOutput, CostTables, KernelBackend, PerQueryDetail, LANES,
+    evaluate_chunk_kernel, yao_pass, AlignedF64Col, ChunkBatch, CostModel, CostPassInput,
+    CostPassOutput, CostTables, KernelBackend, PerQueryDetail, LANES,
 };
 use warlock_fragment::{enumerate_candidates_ranged, FragmentLayout, Fragmentation, LayoutScratch};
 
@@ -61,35 +61,10 @@ fn scalar_sweep(s: &Sweep, model: &CostModel<'_>) -> f64 {
     sink
 }
 
-/// The batched hot path: table-driven SoA costing in chunks of
-/// [`GROUP`], layouts built in a reusable scratch arena.
+/// The batched hot path on one costing kernel backend: table-driven SoA
+/// costing in chunks of [`GROUP`], layouts built in a reusable scratch
+/// arena.
 fn batched_sweep(
-    s: &Sweep,
-    model: &CostModel<'_>,
-    tables: &CostTables,
-    scratch: &mut LayoutScratch,
-    batch: &mut ChunkBatch,
-) -> f64 {
-    let mut sink = 0.0;
-    for group in s.candidates.chunks(GROUP) {
-        for frag in group {
-            let layout = FragmentLayout::new_in(
-                scratch,
-                &s.fixture.schema,
-                frag.clone(),
-                model.fact_index(),
-            );
-            batch.push(layout, scratch);
-        }
-        for cost in evaluate_chunk_with(tables, batch, PerQueryDetail::Omit) {
-            sink += cost.io_cost_ms;
-        }
-    }
-    sink
-}
-
-/// The batched sweep pinned to one costing kernel backend.
-fn batched_sweep_kernel(
     s: &Sweep,
     model: &CostModel<'_>,
     tables: &CostTables,
@@ -172,7 +147,7 @@ fn pass_fixture() -> PassFixture {
         cols.push(col);
     }
     let mut out = Vec::new();
-    for _ in 0..11 {
+    for _ in 0..5 {
         let mut col = AlignedF64Col::new();
         col.resize(PASS_N, 0.0);
         out.push(col);
@@ -213,29 +188,19 @@ fn cost_pass_once(f: &mut PassFixture, backend: KernelBackend) -> f64 {
         vector_pages: &f.cols[8],
         bitmap_vectors: &f.cols[9],
         random_page_ms: 8.9,
-        disks: 16.0,
-        processors: 4.0,
-        overhead: 1.04,
-        share: 0.25,
     };
-    let [o0, o1, o2, o3, o4, o5, o6, a0, a1, a2, a3] = &mut f.out[..] else {
-        unreachable!("11 output columns");
+    let [o0, o1, o2, o3, o4] = &mut f.out[..] else {
+        unreachable!("5 output columns");
     };
     let mut out = CostPassOutput {
         out_use_scan: o0,
         out_per_fragment_ms: o1,
-        out_busy_ms: o2,
-        out_response_ms: o3,
-        out_fact_pages: o4,
-        out_bitmap_pages: o5,
-        out_total_ios: o6,
-        acc_io_ms: a0,
-        acc_response_ms: a1,
-        acc_ios: a2,
-        acc_pages: a3,
+        out_fact_pages: o2,
+        out_bitmap_pages: o3,
+        out_total_ios: o4,
     };
     backend.cost_pass(&inp, &mut out);
-    out.acc_io_ms[0] + out.out_response_ms[PASS_N - 1]
+    out.out_per_fragment_ms[0] + out.out_total_ios[PASS_N - 1]
 }
 
 /// One lane-batched Yao miss-block run.
@@ -260,9 +225,24 @@ fn report_allocations(s: &Sweep) {
     let mut scratch = LayoutScratch::new();
     let mut batch = ChunkBatch::new();
     // Warm the arenas and the Yao memo so the profile shows steady state.
-    black_box(batched_sweep(s, &model, &tables, &mut scratch, &mut batch));
+    let backend = KernelBackend::detect();
+    black_box(batched_sweep(
+        s,
+        &model,
+        &tables,
+        &mut scratch,
+        &mut batch,
+        backend,
+    ));
     let (_, allocs, peak) = alloc_probe::allocation_profile(|| {
-        black_box(batched_sweep(s, &model, &tables, &mut scratch, &mut batch))
+        black_box(batched_sweep(
+            s,
+            &model,
+            &tables,
+            &mut scratch,
+            &mut batch,
+            backend,
+        ))
     });
     eprintln!(
         "batch_eval: batched sweep  {:.1} allocs/candidate, peak {} B",
@@ -288,7 +268,16 @@ fn bench_sweeps(c: &mut Criterion) {
     let mut scratch = LayoutScratch::new();
     let mut batch = ChunkBatch::new();
     c.bench_function("eval/batched_sweep", |b| {
-        b.iter(|| black_box(batched_sweep(&s, &model, &tables, &mut scratch, &mut batch)))
+        b.iter(|| {
+            black_box(batched_sweep(
+                &s,
+                &model,
+                &tables,
+                &mut scratch,
+                &mut batch,
+                KernelBackend::detect(),
+            ))
+        })
     });
 
     // Per-backend axes: the full demo sweep pinned to each kernel, and
@@ -297,7 +286,7 @@ fn bench_sweeps(c: &mut Criterion) {
     for backend in backends() {
         c.bench_function(format!("eval/batched_sweep/{}", backend.name()), |b| {
             b.iter(|| {
-                black_box(batched_sweep_kernel(
+                black_box(batched_sweep(
                     &s,
                     &model,
                     &tables,

@@ -1246,6 +1246,27 @@ top_n = 5
     }
 
     #[test]
+    fn an_overflowing_shared_disk_processor_count_is_a_typed_error() {
+        let sd = SAMPLE.replace(
+            "[system]\ndisks = 8\nprocessors = 8",
+            "[system]\ndisks = 8\narchitecture = shared_disk\nnodes = 65536\nprocessors = 65537",
+        );
+        let e = parse_config(&sd).unwrap_err();
+        assert!(e.message.contains("overflows the processor count"), "{e}");
+        // A session built from such a system is refused as a system
+        // error before any run.
+        let mut parsed = parse_config(SAMPLE).unwrap();
+        parsed.system.architecture = Architecture::shared_disk(65_536, 65_537);
+        let e = crate::Warlock::builder()
+            .schema(parsed.schema)
+            .system(parsed.system)
+            .mix(parsed.mix)
+            .build()
+            .unwrap_err();
+        assert!(matches!(e, crate::WarlockError::System(_)), "{e}");
+    }
+
+    #[test]
     fn fixed_prefetch() {
         let fixed = SAMPLE.replace("processors = 8", "processors = 8\nprefetch = 32");
         let parsed = parse_config(&fixed).unwrap();

@@ -16,11 +16,14 @@
 //! cheap structural pre-exclusion culls the remaining candidates whose
 //! fragment count already disqualifies them before any layout or cost
 //! work, and the rest fan out over a persistent [`exec::WorkerPool`],
-//! whose workers apply every threshold but the disk-count one. Chunk
-//! results merge in enumeration order: the disk threshold applies to
-//! each costed outcome, fresh or memoized, and the survivors go into a
+//! whose workers apply every threshold but the disk-count one and price
+//! the survivors into unweighted, disk-free class rows. Chunk results
+//! merge in enumeration order, and every costed candidate, fresh or
+//! memoized, takes one path: its rows go into the column being written,
+//! the disk threshold applies, and the survivors are weighed by
+//! [`combine_class_costs`] into a
 //! [`StreamingRank`](crate::ranking::StreamingRank) accumulator (which
-//! retains only the phase-1 survivors), the exclusions into a bounded
+//! retains only the phase-1 survivors). The exclusions go into a bounded
 //! [`ExcludedSummary`], and the disk-free outcomes — on a run without a
 //! column of its own — into the column it commits once at the end. So
 //! one column serves every disk count, and the report is
@@ -37,8 +40,8 @@
 
 use warlock_bitmap::BitmapScheme;
 use warlock_cost::{
-    combine_class_costs, combined_io_cost_ms, evaluate_chunk_kernel, evaluate_chunk_rows,
-    CandidateCost, ChunkBatch, ClassCost, CostModel, CostTables, KernelBackend, PerQueryDetail,
+    combine_class_costs, combined_io_cost_ms, evaluate_chunk_rows, CandidateCost, ChunkBatch,
+    ClassCost, CostModel, CostTables, KernelBackend,
 };
 use warlock_fragment::{
     CandidateError, CandidateSource, Exclusion, FragmentLayout, Fragmentation, LayoutScratch,
@@ -170,13 +173,12 @@ fn cost_model<'a>(
 /// exclusion by a disk-free threshold or the unweighted, disk-free
 /// per-class cost rows — plus the exclusion thresholds, the range
 /// options and `max_dimensionality` (which shape the enumeration the
-/// column's positions follow). Deliberately built on
-/// [`CostModel::structure_fingerprint`] rather than the weighted
-/// [`CostModel::fingerprint`]: the column is independent of the mix
-/// *weights* and of the disk count (both enter only at merge, through
-/// recombination and the disk threshold), so a pure re-weight — the
-/// resident optimizer's auto re-advise — and a `what_if_disks` stay
-/// warm and re-cost nothing.
+/// column's positions follow). Built on
+/// [`CostModel::structure_fingerprint`], which leaves out the mix
+/// *weights* and the disk count: the column is independent of both
+/// (they enter only at merge, through [`combine_class_costs`] and the
+/// disk threshold), so a pure re-weight — the resident optimizer's auto
+/// re-advise — and a `what_if_disks` stay warm and re-cost nothing.
 fn run_fingerprint(model: &CostModel<'_>, config: &AdvisorConfig) -> u128 {
     warlock_cost::fingerprint128(&(
         "run",
@@ -265,46 +267,45 @@ fn merge_skipped(
 /// that the per-class table lookups amortize.
 const MAX_GROUP_SIZE: usize = 64;
 
-/// Per-worker reusable evaluation arenas: layout construction buffers,
-/// the SoA chunk batch, and the staging map from batch position back to
-/// group slot. Acquired once per pool thread via [`exec::with_scratch`],
-/// so all three amortize to zero steady-state allocation.
+/// Per-worker reusable evaluation arenas: layout construction buffers
+/// and the SoA chunk batch. Acquired once per pool thread via
+/// [`exec::with_scratch`], so both amortize to zero steady-state
+/// allocation.
 #[derive(Debug, Default)]
 struct EvalScratch {
     layout: LayoutScratch,
     batch: ChunkBatch,
-    staged: Vec<usize>,
 }
 
 /// How the pipeline resolved one candidate before the merge loop
-/// applies the disk threshold to the costed ones.
+/// applies the disk threshold to the costed ones: its [`Slot`], and
+/// which buffer a costed slot's `row` indexes.
 enum Outcome {
-    /// Excluded, structurally or by the disk-free thresholds.
-    Excluded(Exclusion),
-    /// Served from the run's memo column: the candidate's fragment
-    /// count and the index of its class rows in the column.
-    Memo { num_fragments: u64, row: u32 },
-    /// Costed fresh under the run's mix.
-    Fresh(CandidateCost),
+    /// Served from the run's memo column; a costed slot's rows are in
+    /// the column.
+    Hit(Slot),
+    /// Resolved by this run, structurally or by the pool; a costed
+    /// slot's rows are in the chunk's fresh rows.
+    Miss(Slot),
 }
 
-/// One worker group's results: an outcome per group entry, in group
-/// order, and — when the run writes a memo column — the unweighted
-/// class rows of its costed entries, flat and in the same order.
+/// One worker group's results: a slot per group entry, in group order,
+/// and the class rows of its costed entries, flat and in the same order
+/// (a costed slot's `row` counts from the group's first).
 struct GroupEval {
-    outcomes: Vec<Option<Outcome>>,
+    slots: Vec<Slot>,
     rows: Vec<ClassCost>,
 }
 
 /// The worker-side pipeline step for one group of candidates: layout →
 /// every threshold but the disk-count one per candidate (layouts built
-/// into the recycled scratch), then a single batched costing pass over
-/// every survivor. Pure in its inputs, so it can run on any worker.
-/// Callers must have passed every candidate through [`pre_exclude`]
-/// first (the layout would panic on a `u64`-overflowing fragment count
-/// otherwise), and must apply
+/// into the recycled scratch), then a single batched pass pricing every
+/// survivor's class rows. Pure in its inputs, so it can run on any
+/// worker. Callers must have passed every candidate through
+/// [`pre_exclude`] first (the layout would panic on a `u64`-overflowing
+/// fragment count otherwise), and must apply
 /// [`Thresholds::check_declustering`](warlock_fragment::Thresholds::check_declustering)
-/// to its costed outcomes.
+/// to its costed slots.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_group(
     schema: &StarSchema,
@@ -314,53 +315,36 @@ fn evaluate_group(
     backend: KernelBackend,
     chunk: &[Fragmentation],
     group: &[usize],
-    gather_classes: bool,
     scratch: &mut EvalScratch,
 ) -> GroupEval {
-    let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(group.len());
-    outcomes.resize_with(group.len(), || None);
-    scratch.staged.clear();
-    for (slot, &i) in group.iter().enumerate() {
-        let layout = FragmentLayout::new_in(
-            &mut scratch.layout,
-            schema,
-            chunk[i].clone(),
-            config.fact_index,
-        );
-        match config.thresholds.check_layout(&layout, ctx) {
-            Err(reason) => {
-                let _ = layout.recycle(&mut scratch.layout);
-                outcomes[slot] = Some(Outcome::Excluded(reason));
+    let slots = group
+        .iter()
+        .map(|&i| {
+            let layout = FragmentLayout::new_in(
+                &mut scratch.layout,
+                schema,
+                chunk[i].clone(),
+                config.fact_index,
+            );
+            match config.thresholds.check_layout(&layout, ctx) {
+                Err(reason) => {
+                    let _ = layout.recycle(&mut scratch.layout);
+                    Slot::Excluded(reason)
+                }
+                Ok(()) => {
+                    let slot = Slot::Costed {
+                        num_fragments: layout.num_fragments(),
+                        row: scratch.batch.len() as u32,
+                    };
+                    scratch.batch.push(layout, &mut scratch.layout);
+                    slot
+                }
             }
-            Ok(()) => {
-                scratch.batch.push(layout, &mut scratch.layout);
-                scratch.staged.push(slot);
-            }
-        }
-    }
-    // Per-query detail is omitted on the hot path: ranking reads only
-    // the aggregates, and the final report re-derives detail for the
-    // ranked handful (see `run`). A memoizing run additionally gathers
-    // the unweighted per-class rows: the merge loop still ranks the
-    // kernel-accumulated weighted cost, while the memo column stores
-    // the rows so a re-weighted run can recombine them without
-    // re-costing.
+        })
+        .collect();
     let mut rows = Vec::new();
-    let costs = if gather_classes {
-        evaluate_chunk_rows(
-            tables,
-            &mut scratch.batch,
-            PerQueryDetail::Omit,
-            backend,
-            &mut rows,
-        )
-    } else {
-        evaluate_chunk_kernel(tables, &mut scratch.batch, PerQueryDetail::Omit, backend)
-    };
-    for (slot, cost) in scratch.staged.drain(..).zip(costs) {
-        outcomes[slot] = Some(Outcome::Fresh(cost));
-    }
-    GroupEval { outcomes, rows }
+    evaluate_chunk_rows(tables, &mut scratch.batch, backend, &mut rows);
+    GroupEval { slots, rows }
 }
 
 /// Runs the full prediction pipeline as a streaming pass.
@@ -409,10 +393,13 @@ pub(crate) fn run(
         .cache
         .map(|cache| (cache, run_fingerprint(&model, config)));
     let mut reader = memo.and_then(|(cache, fp)| cache.open(fp));
-    // Current mix shares, in mix order — the order the memo's class
-    // rows are gathered in, so a memo hit recombines positionally.
+    // Current mix shares, in mix order — the order class rows are
+    // gathered in, so rows weigh positionally — and the response inputs
+    // `combine_class_costs` reads.
     let shares: Vec<f64> = mix.iter().map(|(_, share)| share).collect();
     let classes = shares.len();
+    let processors = system.architecture.total_processors();
+    let overhead = system.architecture.overhead_factor();
     let mut writer = match (memo, &reader) {
         (Some((cache, _)), None) => Some(cache.column(classes, space)),
         _ => None,
@@ -446,7 +433,7 @@ pub(crate) fn run(
     // pulled so far, cannot reach past this many of their candidates.
     let mut samples_due = ExcludedSummary::SAMPLES_PER_REASON;
     // The class rows of the chunk's freshly costed candidates, in
-    // enumeration order (filled only while writing a column).
+    // enumeration order.
     let mut fresh_rows: Vec<ClassCost> = Vec::new();
 
     loop {
@@ -468,14 +455,10 @@ pub(crate) fn run(
                     let outcome = match reader.as_mut().and_then(ColumnReader::next) {
                         Some(slot) => {
                             hits += 1;
-                            Some(match slot {
-                                Slot::Excluded(reason) => Outcome::Excluded(reason),
-                                Slot::Costed { num_fragments, row } => {
-                                    Outcome::Memo { num_fragments, row }
-                                }
-                            })
+                            Some(Outcome::Hit(slot))
                         }
-                        None => pre_exclude(schema, config, &candidate).map(Outcome::Excluded),
+                        None => pre_exclude(schema, config, &candidate)
+                            .map(|reason| Outcome::Miss(Slot::Excluded(reason))),
                     };
                     if outcome.is_none() {
                         todo.push(chunk.len());
@@ -518,110 +501,95 @@ pub(crate) fn run(
             let groups: Vec<&[usize]> = todo.chunks(group_size).collect();
             let fresh = env.pool.map(workers, &groups, |group| {
                 exec::with_scratch(|scratch: &mut EvalScratch| {
-                    evaluate_group(
-                        schema,
-                        config,
-                        ctx,
-                        tables,
-                        backend,
-                        &chunk,
-                        group,
-                        writer.is_some(),
-                        scratch,
-                    )
+                    evaluate_group(schema, config, ctx, tables, backend, &chunk, group, scratch)
                 })
             });
+            // Rebase each group's row indices onto the chunk's rows.
             for (group, eval) in groups.iter().zip(fresh) {
-                for (&i, outcome) in group.iter().zip(eval.outcomes) {
-                    outcomes[i] = outcome;
+                let base = (fresh_rows.len() / classes.max(1)) as u32;
+                for (&i, slot) in group.iter().zip(eval.slots) {
+                    outcomes[i] = Some(Outcome::Miss(match slot {
+                        Slot::Costed { num_fragments, row } => Slot::Costed {
+                            num_fragments,
+                            row: base + row,
+                        },
+                        excluded => excluded,
+                    }));
                 }
                 fresh_rows.extend_from_slice(&eval.rows);
             }
         }
 
-        // Merge in enumeration order, appending each outcome to the
-        // column being written, then applying the disk threshold — the
-        // last check, so precedence is that of `Thresholds::check`. The
-        // rank accumulator's horizon is every candidate not yet merged
-        // (the rest of this chunk plus whatever the source still holds)
-        // — an upper bound on future costs, which keeps the streaming
-        // ranking exact.
+        // Merge in enumeration order. Every outcome goes into the column
+        // being written; a costed one, fresh or memoized, then meets the
+        // disk threshold — the last check, so precedence is that of
+        // `Thresholds::check` — and its rows are weighed under the
+        // current shares and disks. Only the phase-1 key is weighed up
+        // front; the whole cost is built only if the ranking may retain
+        // it. The rank accumulator's horizon is every candidate not yet
+        // merged (the rest of this chunk plus whatever the source still
+        // holds) — an upper bound on future costs, which keeps the
+        // streaming ranking exact.
         let after_chunk = source.remaining();
         let chunk_len = chunk.len();
-        let mut fresh_row = 0usize;
         let mut skips = skipped.drain(..).peekable();
         for (i, (fragmentation, outcome)) in chunk.drain(..).zip(outcomes.drain(..)).enumerate() {
             while let Some(skip) = skips.next_if(|skip| skip.at == i) {
                 merge_skipped(schema, config, skip, &mut writer, &mut excluded)?;
             }
-            let outcome = outcome
-                .ok_or_else(|| WarlockError::internal("candidate evaluation left no outcome"))?;
             let remaining = after_chunk + (chunk_len - 1 - i) as u128;
-            let memo_rows = |row: u32| {
-                reader
-                    .as_ref()
-                    .map(|reader| reader.rows(row))
-                    .ok_or_else(|| WarlockError::internal("memo hit without a column"))
-            };
-            // Append the disk-free outcome to the column being written;
-            // a costed candidate yields its fragment count.
-            let costed = match &outcome {
-                Outcome::Excluded(reason) => {
-                    if let Some(column) = &mut writer {
-                        column.push_excluded(*reason);
-                    }
-                    Err(*reason)
+            let costed = match outcome
+                .ok_or_else(|| WarlockError::internal("candidate evaluation left no outcome"))?
+            {
+                Outcome::Hit(Slot::Excluded(reason)) | Outcome::Miss(Slot::Excluded(reason)) => {
+                    Err(reason)
                 }
-                Outcome::Memo { num_fragments, row } => {
-                    if let Some(column) = &mut writer {
-                        column.push_costed(*num_fragments, memo_rows(*row)?);
-                    }
-                    Ok(*num_fragments)
+                Outcome::Hit(Slot::Costed { num_fragments, row }) => {
+                    let column = reader
+                        .as_ref()
+                        .ok_or_else(|| WarlockError::internal("memo hit without a column"))?;
+                    Ok((num_fragments, column.rows(row)))
                 }
-                Outcome::Fresh(cost) => {
-                    if let Some(column) = &mut writer {
-                        let rows = fresh_rows
-                            .get(fresh_row * classes..(fresh_row + 1) * classes)
-                            .ok_or_else(|| {
-                                WarlockError::internal("costed candidate without rows")
-                            })?;
-                        column.push_costed(cost.num_fragments, rows);
-                        fresh_row += 1;
-                    }
-                    Ok(cost.num_fragments)
+                Outcome::Miss(Slot::Costed { num_fragments, row }) => {
+                    let start = row as usize * classes;
+                    let rows = fresh_rows
+                        .get(start..start + classes)
+                        .ok_or_else(|| WarlockError::internal("costed candidate without rows"))?;
+                    Ok((num_fragments, rows))
                 }
             };
-            if let Err(reason) = costed.and_then(|fragments| {
+            if let Some(column) = &mut writer {
+                match costed {
+                    Ok((num_fragments, rows)) => column.push_costed(num_fragments, rows),
+                    Err(reason) => column.push_excluded(reason),
+                }
+            }
+            let survivor = costed.and_then(|(num_fragments, rows)| {
                 config
                     .thresholds
-                    .check_declustering(&fragmentation, fragments, system.num_disks)
-            }) {
-                excluded.record(reason, || ExcludedCandidate {
+                    .check_declustering(&fragmentation, num_fragments, system.num_disks)
+                    .map(|()| (num_fragments, rows))
+            });
+            match survivor {
+                Err(reason) => excluded.record(reason, || ExcludedCandidate {
                     label: fragmentation.label(schema),
                     fragmentation,
                     reason,
-                });
-                continue;
-            }
-            evaluated += 1;
-            match outcome {
-                // A memo hit from an earlier run of the same structure:
-                // the unweighted, disk-free rows recombine under the
-                // current shares and disks, bit-identically to a fresh
-                // evaluation (the kernels accumulate exactly
-                // `share * row` per class, in the same order, and derive
-                // busy and response time from the same two columns).
-                // Only the phase-1 key is derived up front; the whole
-                // cost is built only if the ranking may retain it.
-                Outcome::Memo { num_fragments, row } => {
-                    let rows = memo_rows(row)?;
+                }),
+                Ok((num_fragments, rows)) => {
+                    evaluated += 1;
                     rank.push_with(combined_io_cost_ms(rows, &shares), remaining, || {
-                        combine_class_costs(fragmentation, num_fragments, rows, &shares, system)
+                        combine_class_costs(
+                            fragmentation,
+                            num_fragments,
+                            rows,
+                            &shares,
+                            system.num_disks,
+                            processors,
+                            overhead,
+                        )
                     });
                 }
-                Outcome::Fresh(cost) => rank.push(cost, remaining),
-                // Recorded above.
-                Outcome::Excluded(_) => {}
             }
         }
         for skip in skips {

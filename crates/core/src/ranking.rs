@@ -18,7 +18,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use warlock_cost::CandidateCost;
 
@@ -59,12 +58,10 @@ pub fn twofold_rank(
 /// One retained phase-1 survivor. The heap is a max-heap on the
 /// phase-1 key (worst survivor on top, ready for eviction); `idx` is
 /// the push order, reproducing the stable-sort tie-break of the
-/// materialized reference. Costs are held shared so the streaming
-/// pipeline can park the same allocation in the evaluation memo and
-/// the heap without a deep copy.
+/// materialized reference.
 #[derive(Debug, Clone)]
 struct Survivor {
-    cost: Arc<CandidateCost>,
+    cost: CandidateCost,
     idx: usize,
 }
 
@@ -146,12 +143,6 @@ impl StreamingRank {
     /// bound on how many more costs may still be pushed; `0` means this
     /// is definitely the last one.
     pub fn push(&mut self, cost: CandidateCost, remaining: u128) {
-        self.push_shared(Arc::new(cost), remaining);
-    }
-
-    /// [`push`](Self::push) for a cost that is already shared (e.g.
-    /// parked in an evaluation memo) — avoids the deep copy.
-    pub fn push_shared(&mut self, cost: Arc<CandidateCost>, remaining: u128) {
         let idx = self.pushed;
         self.pushed += 1;
         self.heap.push(Survivor { cost, idx });
@@ -233,10 +224,7 @@ impl StreamingRank {
                 .then(a.cost.num_fragments.cmp(&b.cost.num_fragments))
                 .then(a.idx.cmp(&b.idx))
         });
-        survivors
-            .into_iter()
-            .map(|s| Arc::try_unwrap(s.cost).unwrap_or_else(|shared| (*shared).clone()))
-            .collect()
+        survivors.into_iter().map(|s| s.cost).collect()
     }
 }
 

@@ -2,15 +2,19 @@
 //!
 //! [`ChunkBatch`] accumulates a chunk of candidates as flat columns
 //! (fragment counts, per-candidate page geometry, per-class match
-//! results), and [`evaluate_chunk`] prices all of them against a
+//! results), and [`evaluate_chunk_rows`] prices all of them against a
 //! [`CostTables`] in three phases per query class: an irregular matching
 //! pass that resolves predicates through the precomputed tables, a Yao
 //! stage that resolves page-hit curves through two memos (gathering the
 //! misses for one lane-batched [`yao_pass`] call), and a straight-line
 //! arithmetic pass over the `f64` columns, run by a [`KernelBackend`]
 //! (the scalar reference, or AVX2 where the CPU has it — see
-//! [`crate::kernel`]). The expression sequence per (candidate, class)
-//! is exactly the scalar
+//! [`crate::kernel`]). Its output is one unweighted, disk-free
+//! [`ClassCost`] row per (candidate, class). [`evaluate_chunk_kernel`]
+//! weighs those rows into [`CandidateCost`]s through
+//! [`combine_class_costs`], the one function that applies the mix shares
+//! and derives response time. The expression sequence per (candidate,
+//! class) is exactly the scalar
 //! [`estimate_query`](crate::access::estimate_query) path, so batched
 //! results are bit-identical to
 //! [`CostModel::evaluate_layout`](crate::CostModel::evaluate_layout) on
@@ -32,11 +36,11 @@
 //! Every `f64` column the arithmetic kernels read or write lives in a
 //! cache-line-aligned [`AlignedF64Col`] and is padded to a multiple of
 //! [`LANES`] with **inert** candidates: zero fragments, zero geometry,
-//! not indexable. Inert lanes produce finite all-zero outputs by
-//! construction, are never read back (every consumer loop runs over the
-//! live `0..n` prefix only), and never reach either Yao memo (the
-//! gather loop is scalar over the live prefix). The
-//! `padded_tail_lanes_stay_inert` test pins this.
+//! not indexable. Inert lanes produce finite outputs (forced scan, all
+//! times, pages and I/Os `+0.0`) by construction, are never read back
+//! (every consumer loop runs over the live `0..n` prefix only), and
+//! never reach either Yao memo (the gather loop is scalar over the live
+//! prefix). The `padded_tail_lanes_stay_inert` test pins this.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -47,11 +51,12 @@ use warlock_schema::DimensionId;
 
 use crate::access::{AccessPath, QueryCost};
 use crate::kernel::{yao_pass, AlignedF64Col, CostPassInput, CostPassOutput, KernelBackend, LANES};
-use crate::model::{CandidateCost, ClassCost};
+use crate::model::{combine_class_costs, CandidateCost, ClassCost};
 use crate::prefetch::effective_prefetch;
+use crate::response::estimated_response_ms;
 use crate::tables::{BitmapContrib, CostTables};
 
-/// How much per-class detail [`evaluate_chunk_with`] materializes.
+/// How much per-class detail [`evaluate_chunk_kernel`] materializes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PerQueryDetail {
     /// Materialize the full per-class [`QueryCost`] rows.
@@ -91,7 +96,7 @@ impl std::hash::Hasher for YaoKeyHasher {
 }
 
 /// A chunk of candidates staged for batched evaluation, stored as flat
-/// columns. Reusable: [`evaluate_chunk`] drains it back to empty with all
+/// columns. Reusable: every evaluation drains it back to empty with all
 /// column capacity retained, so one `ChunkBatch` per worker amortizes to
 /// zero steady-state allocation (bar the output itself).
 #[derive(Debug, Default)]
@@ -149,16 +154,9 @@ pub struct ChunkBatch {
     // --- Kernel output columns (overwritten per class) -----------------
     out_use_scan: AlignedF64Col,
     out_per_fragment_ms: AlignedF64Col,
-    out_busy_ms: AlignedF64Col,
-    out_response_ms: AlignedF64Col,
     out_fact_pages: AlignedF64Col,
     out_bitmap_pages: AlignedF64Col,
     out_total_ios: AlignedF64Col,
-    // --- Output accumulators (one `+=` term per class) -----------------
-    acc_io_ms: AlignedF64Col,
-    acc_response_ms: AlignedF64Col,
-    acc_ios: AlignedF64Col,
-    acc_pages: AlignedF64Col,
     per_query: Vec<Vec<QueryCost>>,
 }
 
@@ -180,7 +178,7 @@ impl ChunkBatch {
 
     /// Stages one candidate, consuming its layout: the layout's buffers
     /// return to `scratch` and its fragmentation moves into the batch
-    /// (re-emerging in the output [`CandidateCost`] without a clone).
+    /// (re-emerging in [`evaluate_chunk_kernel`]'s output without a clone).
     pub fn push(&mut self, layout: FragmentLayout, scratch: &mut LayoutScratch) {
         if self.attr_offsets.is_empty() {
             self.attr_offsets.push(0);
@@ -219,90 +217,102 @@ impl ChunkBatch {
         self.per_query.clear();
     }
 
-    /// The mix-weighted accumulator columns, padded; exposed for the
-    /// pad-leak test.
+    /// The kernel's output columns, padded; exposed for the pad-leak
+    /// test.
     #[cfg(test)]
-    fn acc_columns(&self) -> [&[f64]; 4] {
+    fn out_columns(&self) -> [&[f64]; 5] {
         [
-            &self.acc_io_ms,
-            &self.acc_response_ms,
-            &self.acc_ios,
-            &self.acc_pages,
+            &self.out_use_scan,
+            &self.out_per_fragment_ms,
+            &self.out_fact_pages,
+            &self.out_bitmap_pages,
+            &self.out_total_ios,
         ]
     }
 }
 
-/// Prices every staged candidate against every class of `tables`,
-/// returning one [`CandidateCost`] per candidate in staging order and
-/// draining the batch (column capacity retained for the next chunk).
+/// Prices every staged candidate against every class of `tables` on
+/// `backend`, returning one [`CandidateCost`] per candidate in staging
+/// order and draining the batch (column capacity retained for the next
+/// chunk). Each cost is [`combine_class_costs`] over the candidate's
+/// class rows (see [`evaluate_chunk_rows`]) under the tables' shares and
+/// response inputs, plus the per-class detail `detail` asks for.
 ///
 /// Bit-identical to calling
 /// [`CostModel::evaluate_layout`](crate::CostModel::evaluate_layout) on
-/// each candidate with the model the tables were built from.
-pub fn evaluate_chunk(tables: &CostTables, batch: &mut ChunkBatch) -> Vec<CandidateCost> {
-    evaluate_chunk_with(tables, batch, PerQueryDetail::Full)
-}
-
-/// [`evaluate_chunk`] with an explicit per-class detail level; see
-/// [`PerQueryDetail`]. Uses the backend this CPU supports
-/// ([`KernelBackend::detect`]); hot paths that run many chunks detect
-/// it once and call [`evaluate_chunk_kernel`] instead.
-pub fn evaluate_chunk_with(
-    tables: &CostTables,
-    batch: &mut ChunkBatch,
-    detail: PerQueryDetail,
-) -> Vec<CandidateCost> {
-    evaluate_chunk_kernel(tables, batch, detail, KernelBackend::detect())
-}
-
-/// [`evaluate_chunk_with`] on an explicit kernel backend. Both backends
-/// produce bit-identical results (see [`crate::kernel`]).
+/// each candidate with the model the tables were built from, on either
+/// backend (see [`crate::kernel`]).
 pub fn evaluate_chunk_kernel(
     tables: &CostTables,
     batch: &mut ChunkBatch,
     detail: PerQueryDetail,
     backend: KernelBackend,
 ) -> Vec<CandidateCost> {
-    evaluate_chunk_impl(tables, batch, detail, backend, None)
+    let mut rows = Vec::new();
+    price_rows(tables, batch, detail, backend, &mut rows);
+    let shares: Vec<f64> = tables.classes.iter().map(|class| class.share).collect();
+    let k = shares.len();
+    let costs = batch
+        .fragmentations
+        .drain(..)
+        .enumerate()
+        .map(|(i, fragmentation)| {
+            let mut cost = combine_class_costs(
+                fragmentation,
+                batch.num_fragments[i],
+                &rows[i * k..(i + 1) * k],
+                &shares,
+                tables.num_disks,
+                tables.processors,
+                tables.overhead,
+            );
+            if detail == PerQueryDetail::Full {
+                cost.per_query = std::mem::take(&mut batch.per_query[i]);
+            }
+            cost
+        })
+        .collect();
+    batch.clear();
+    costs
 }
 
-/// [`evaluate_chunk_kernel`], additionally gathering the **unweighted**
-/// per-class cost rows of every candidate into `class_rows`: cleared
-/// first, then one flat buffer of `n × k` rows for `n` candidates and
-/// `k` classes, candidate by candidate, classes in mix order — so
-/// candidate `i`'s rows are `class_rows[i * k..(i + 1) * k]`. The rows
-/// are copied straight out of the kernel's per-class columns and carry
-/// no disk count, so
-/// [`combine_class_costs`](crate::model::combine_class_costs) over them
-/// reproduces the weighted aggregates bit-for-bit under *any* share
-/// vector and *any* disk count — the basis of the advisor's
-/// re-weight- and disk-warm evaluation memo.
+/// Prices every staged candidate against every class of `tables` on
+/// `backend` into its **unweighted** per-class cost rows, draining the
+/// batch. `class_rows` is cleared first, then holds one flat buffer of
+/// `n × k` rows for `n` candidates and `k` classes, candidate by
+/// candidate, classes in mix order — so candidate `i`'s rows are
+/// `class_rows[i * k..(i + 1) * k]`. The rows carry no share and no disk
+/// count, so [`combine_class_costs`] over them reproduces
+/// [`evaluate_chunk_kernel`]'s aggregates bit-for-bit under *any* share
+/// vector and *any* disk count — the basis of the advisor's re-weight-
+/// and disk-warm evaluation memo.
 pub fn evaluate_chunk_rows(
+    tables: &CostTables,
+    batch: &mut ChunkBatch,
+    backend: KernelBackend,
+    class_rows: &mut Vec<ClassCost>,
+) {
+    price_rows(tables, batch, PerQueryDetail::Omit, backend, class_rows);
+    batch.clear();
+}
+
+/// The pricing behind both entry points: fills `class_rows` (see
+/// [`evaluate_chunk_rows`]) and, for [`PerQueryDetail::Full`], each
+/// candidate's `per_query` rows, leaving the staged candidates in the
+/// batch for the caller to drain.
+fn price_rows(
     tables: &CostTables,
     batch: &mut ChunkBatch,
     detail: PerQueryDetail,
     backend: KernelBackend,
     class_rows: &mut Vec<ClassCost>,
-) -> Vec<CandidateCost> {
-    evaluate_chunk_impl(tables, batch, detail, backend, Some(class_rows))
-}
-
-fn evaluate_chunk_impl(
-    tables: &CostTables,
-    batch: &mut ChunkBatch,
-    detail: PerQueryDetail,
-    backend: KernelBackend,
-    mut class_rows: Option<&mut Vec<ClassCost>>,
-) -> Vec<CandidateCost> {
+) {
     let n = batch.fragmentations.len();
     let k = tables.classes.len();
-    if let Some(rows) = class_rows.as_deref_mut() {
-        rows.clear();
-        rows.resize(n * k, ClassCost::default());
-    }
+    class_rows.clear();
+    class_rows.resize(n * k, ClassCost::default());
     if n == 0 {
-        batch.clear();
-        return Vec::new();
+        return;
     }
     let n_padded = n.next_multiple_of(LANES);
 
@@ -363,22 +373,10 @@ fn evaluate_chunk_impl(
     batch.yao_k.resize(n, f64::NAN);
     batch.yao_hits.clear();
     batch.yao_hits.resize(n, 0.0);
-    batch.acc_io_ms.clear();
-    batch.acc_io_ms.resize(n_padded, 0.0);
-    batch.acc_response_ms.clear();
-    batch.acc_response_ms.resize(n_padded, 0.0);
-    batch.acc_ios.clear();
-    batch.acc_ios.resize(n_padded, 0.0);
-    batch.acc_pages.clear();
-    batch.acc_pages.resize(n_padded, 0.0);
     batch.out_use_scan.clear();
     batch.out_use_scan.resize(n_padded, 0.0);
     batch.out_per_fragment_ms.clear();
     batch.out_per_fragment_ms.resize(n_padded, 0.0);
-    batch.out_busy_ms.clear();
-    batch.out_busy_ms.resize(n_padded, 0.0);
-    batch.out_response_ms.clear();
-    batch.out_response_ms.resize(n_padded, 0.0);
     batch.out_fact_pages.clear();
     batch.out_fact_pages.resize(n_padded, 0.0);
     batch.out_bitmap_pages.clear();
@@ -391,12 +389,6 @@ fn evaluate_chunk_impl(
             .per_query
             .resize_with(n, || Vec::with_capacity(tables.classes.len()));
     }
-
-    // Hoisted response-model constants — pre-clamped exactly as the
-    // scalar `estimated_response_ms` clamps them, so no bits change.
-    let disks = f64::from(tables.num_disks.max(1));
-    let processors = f64::from(tables.processors.max(1));
-    let overhead = tables.overhead.max(1.0);
 
     for (c, class) in tables.classes.iter().enumerate() {
         // --- Matching pass: predicates → table entries -----------------
@@ -541,47 +533,32 @@ fn evaluate_chunk_impl(
             vector_pages: &batch.vector_pages_f,
             bitmap_vectors: &batch.bitmap_vectors,
             random_page_ms: tables.random_page_ms,
-            disks,
-            processors,
-            overhead,
-            share: class.share,
         };
         let mut out = CostPassOutput {
             out_use_scan: &mut batch.out_use_scan,
             out_per_fragment_ms: &mut batch.out_per_fragment_ms,
-            out_busy_ms: &mut batch.out_busy_ms,
-            out_response_ms: &mut batch.out_response_ms,
             out_fact_pages: &mut batch.out_fact_pages,
             out_bitmap_pages: &mut batch.out_bitmap_pages,
             out_total_ios: &mut batch.out_total_ios,
-            acc_io_ms: &mut batch.acc_io_ms,
-            acc_response_ms: &mut batch.acc_response_ms,
-            acc_ios: &mut batch.acc_ios,
-            acc_pages: &mut batch.acc_pages,
         };
         backend.cost_pass(&inp, &mut out);
 
         // Gather the unweighted, disk-free per-class rows before the
-        // next class overwrites the output columns. `pages` performs the
-        // same `fact + bitmap` add the kernels feed their accumulators,
-        // and busy and response time are re-derived from `fragments`
-        // and `per_fragment_ms` exactly as the kernels derive them, so
-        // recombination reproduces every accumulator bit-for-bit.
-        if let Some(rows) = class_rows.as_deref_mut() {
-            for (i, row) in rows.iter_mut().skip(c).step_by(k).enumerate() {
-                *row = ClassCost {
-                    fragments: batch.expected_fragments[i],
-                    per_fragment_ms: batch.out_per_fragment_ms[i],
-                    total_ios: batch.out_total_ios[i],
-                    pages: batch.out_fact_pages[i] + batch.out_bitmap_pages[i],
-                };
-            }
+        // next class overwrites the output columns. `pages` is the
+        // scalar path's `fact_pages + bitmap_pages` add.
+        for (i, row) in class_rows.iter_mut().skip(c).step_by(k).enumerate() {
+            *row = ClassCost {
+                fragments: batch.expected_fragments[i],
+                per_fragment_ms: batch.out_per_fragment_ms[i],
+                total_ios: batch.out_total_ios[i],
+                pages: batch.out_fact_pages[i] + batch.out_bitmap_pages[i],
+            };
         }
 
         if detail == PerQueryDetail::Omit {
             continue;
         }
-        for i in 0..n {
+        for (i, row) in class_rows.iter().skip(c).step_by(k).enumerate() {
             batch.per_query[i].push(QueryCost {
                 query_name: class.name.clone(),
                 path: if batch.out_use_scan[i] != 0.0 {
@@ -594,40 +571,27 @@ fn evaluate_chunk_impl(
                 fact_pages: batch.out_fact_pages[i],
                 bitmap_pages: batch.out_bitmap_pages[i],
                 total_ios: batch.out_total_ios[i],
-                busy_ms: batch.out_busy_ms[i],
-                per_fragment_ms: batch.out_per_fragment_ms[i],
-                response_ms: batch.out_response_ms[i],
+                busy_ms: row.busy_ms(),
+                per_fragment_ms: row.per_fragment_ms,
+                response_ms: estimated_response_ms(
+                    row.fragments,
+                    row.per_fragment_ms,
+                    tables.num_disks,
+                    tables.processors,
+                    tables.overhead,
+                ),
                 fact_prefetch: batch.fact_prefetch[i],
                 bitmap_prefetch: batch.bitmap_prefetch[i],
                 selected_rows: class.selected_rows,
             });
         }
     }
-
-    // --- Finalize: move fragmentations and per-query details out -------
-    let mut out = Vec::with_capacity(n);
-    for (i, fragmentation) in batch.fragmentations.drain(..).enumerate() {
-        out.push(CandidateCost {
-            fragmentation,
-            num_fragments: batch.num_fragments[i],
-            io_cost_ms: batch.acc_io_ms[i],
-            response_ms: batch.acc_response_ms[i],
-            total_ios: batch.acc_ios[i],
-            total_pages: batch.acc_pages[i],
-            per_query: match detail {
-                PerQueryDetail::Full => std::mem::take(&mut batch.per_query[i]),
-                PerQueryDetail::Omit => Vec::new(),
-            },
-        });
-    }
-    batch.clear();
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::CostModel;
+    use crate::model::{combined_io_cost_ms, CostModel};
     use warlock_bitmap::{BitmapScheme, SchemeConfig};
     use warlock_schema::{apb1_like_schema, Apb1Config, StarSchema};
     use warlock_storage::SystemConfig;
@@ -664,6 +628,25 @@ mod tests {
         ]
     }
 
+    /// Stages `frags` into `batch` under `model`'s fact table.
+    fn stage(
+        model: &CostModel<'_>,
+        frags: &[Fragmentation],
+        scratch: &mut LayoutScratch,
+        batch: &mut ChunkBatch,
+    ) {
+        for frag in frags {
+            let layout =
+                FragmentLayout::new_in(scratch, model.schema(), frag.clone(), model.fact_index());
+            batch.push(layout, scratch);
+        }
+    }
+
+    /// [`evaluate_chunk_kernel`] with full detail on this CPU's backend.
+    fn evaluate_full(tables: &CostTables, batch: &mut ChunkBatch) -> Vec<CandidateCost> {
+        evaluate_chunk_kernel(tables, batch, PerQueryDetail::Full, KernelBackend::detect())
+    }
+
     #[test]
     fn chunk_matches_scalar_bit_for_bit() {
         let f = fixture();
@@ -671,12 +654,9 @@ mod tests {
         let tables = CostTables::build(&model, &[3]);
         let mut scratch = LayoutScratch::new();
         let mut batch = ChunkBatch::new();
-        for frag in candidates() {
-            let layout = FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
-            batch.push(layout, &mut scratch);
-        }
-        let batched = evaluate_chunk(&tables, &mut batch);
-        assert!(batch.is_empty(), "evaluate_chunk must drain the batch");
+        stage(&model, &candidates(), &mut scratch, &mut batch);
+        let batched = evaluate_full(&tables, &mut batch);
+        assert!(batch.is_empty(), "evaluation must drain the batch");
         let scalar: Vec<_> = candidates()
             .iter()
             .map(|frag| model.evaluate(frag))
@@ -708,11 +688,7 @@ mod tests {
         for backend in [KernelBackend::Scalar, KernelBackend::detect()] {
             let mut scratch = LayoutScratch::new();
             let mut batch = ChunkBatch::new();
-            for frag in candidates() {
-                let layout =
-                    FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
-                batch.push(layout, &mut scratch);
-            }
+            stage(&model, &candidates(), &mut scratch, &mut batch);
             let batched = evaluate_chunk_kernel(&tables, &mut batch, PerQueryDetail::Full, backend);
             assert_eq!(batched.len(), scalar.len());
             for (b, s) in batched.iter().zip(&scalar) {
@@ -730,6 +706,8 @@ mod tests {
         let f = fixture();
         let model = CostModel::new(&f.schema, &f.system, &f.scheme, &f.mix);
         let tables = model.tables();
+        let k = tables.classes.len();
+        let shares: Vec<f64> = f.mix.iter().map(|(_, share)| share).collect();
         for backend in [KernelBackend::Scalar, KernelBackend::detect()] {
             let mut scratch = LayoutScratch::new();
             let mut batch = ChunkBatch::new();
@@ -737,39 +715,54 @@ mod tests {
             // width short of a full block occurs.
             for take in [1usize, 2, 3, 5, 6] {
                 let frags: Vec<_> = candidates().into_iter().take(take).collect();
-                for frag in frags.clone() {
-                    let layout =
-                        FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
-                    batch.push(layout, &mut scratch);
-                }
-                let memo_before = batch.yao_memo.len();
+                let n_padded = take.next_multiple_of(LANES);
+                // Pad lanes are a forced scan priced at exactly +0.0
+                // in every other output column.
+                let assert_inert_pads = |batch: &ChunkBatch| {
+                    let [use_scan, priced @ ..] = batch.out_columns();
+                    for (c, col) in priced.iter().chain([&use_scan]).enumerate() {
+                        assert_eq!(col.len(), n_padded, "column {c}");
+                    }
+                    for i in take..n_padded {
+                        assert_eq!(use_scan[i], 1.0, "backend {}", backend.name());
+                        for (c, col) in priced.iter().enumerate() {
+                            assert_eq!(
+                                col[i].to_bits(),
+                                0.0f64.to_bits(),
+                                "backend {}: pad lane {i} leaked into output column {c}",
+                                backend.name()
+                            );
+                        }
+                    }
+                };
+
+                // Costs: exactly one per live candidate, scalar-equal.
+                stage(&model, &frags, &mut scratch, &mut batch);
                 let costs =
                     evaluate_chunk_kernel(&tables, &mut batch, PerQueryDetail::Full, backend);
-                // Results: exactly one per live candidate, scalar-equal.
                 assert_eq!(costs.len(), take);
                 for (b, frag) in costs.iter().zip(&frags) {
                     assert_eq!(b, &model.evaluate(frag), "backend {}", backend.name());
                 }
-                // Pad lanes never accumulate: every accumulator slot
-                // past the live prefix is exactly +0.0.
-                let n_padded = take.next_multiple_of(LANES);
-                for col in batch.acc_columns() {
-                    assert_eq!(col.len(), n_padded);
-                    for (i, v) in col.iter().enumerate().skip(take) {
-                        assert_eq!(
-                            v.to_bits(),
-                            0.0f64.to_bits(),
-                            "backend {}: pad lane {i} leaked into an accumulator",
-                            backend.name()
-                        );
-                    }
+                assert_inert_pads(&batch);
+
+                // Gathered rows: exactly `k` per live candidate, none for
+                // a pad lane, and they weigh into the scalar aggregates.
+                stage(&model, &frags, &mut scratch, &mut batch);
+                let mut rows = vec![ClassCost::default(); 99];
+                evaluate_chunk_rows(&tables, &mut batch, backend, &mut rows);
+                assert_eq!(rows.len(), take * k);
+                for (row, cost) in rows.chunks_exact(k).zip(&costs) {
+                    assert_eq!(
+                        combined_io_cost_ms(row, &shares).to_bits(),
+                        cost.io_cost_ms.to_bits()
+                    );
                 }
-                // Pad lanes never touch the Yao memo: the first round
-                // populates it from live candidates only, and re-running
-                // the same candidates adds nothing (inert `rows = 0`
+                assert_inert_pads(&batch);
+
+                // Pad lanes never touch the Yao memo (inert `rows = 0`
                 // pads would have inserted `(0, 0, 0)` keys).
                 assert!(!batch.yao_memo.contains_key(&(0, 0, 0.0f64.to_bits())));
-                let _ = memo_before; // growth is expected; leakage is not
             }
         }
     }
@@ -789,12 +782,8 @@ mod tests {
             } else {
                 vec![Fragmentation::from_pairs(&[(2, 1)]).unwrap()]
             };
-            for frag in frags.clone() {
-                let layout =
-                    FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
-                batch.push(layout, &mut scratch);
-            }
-            let batched = evaluate_chunk(&tables, &mut batch);
+            stage(&model, &frags, &mut scratch, &mut batch);
+            let batched = evaluate_full(&tables, &mut batch);
             for (b, frag) in batched.iter().zip(&frags) {
                 assert_eq!(b, &model.evaluate(frag), "round {round}");
             }
@@ -808,11 +797,13 @@ mod tests {
         let tables = CostTables::build(&model, &[3]);
         let mut scratch = LayoutScratch::new();
         let mut batch = ChunkBatch::new();
-        for frag in candidates() {
-            let layout = FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
-            batch.push(layout, &mut scratch);
-        }
-        let lean = evaluate_chunk_with(&tables, &mut batch, PerQueryDetail::Omit);
+        stage(&model, &candidates(), &mut scratch, &mut batch);
+        let lean = evaluate_chunk_kernel(
+            &tables,
+            &mut batch,
+            PerQueryDetail::Omit,
+            KernelBackend::detect(),
+        );
         for (l, frag) in lean.iter().zip(candidates()) {
             let s = model.evaluate(&frag);
             assert!(l.per_query.is_empty());
@@ -824,11 +815,8 @@ mod tests {
         }
         // Interleaving detail levels over the same batch (and its
         // persistent Yao memo) must not perturb the full output.
-        for frag in candidates() {
-            let layout = FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
-            batch.push(layout, &mut scratch);
-        }
-        let full = evaluate_chunk(&tables, &mut batch);
+        stage(&model, &candidates(), &mut scratch, &mut batch);
+        let full = evaluate_full(&tables, &mut batch);
         for (b, frag) in full.iter().zip(candidates()) {
             assert_eq!(b, &model.evaluate(&frag));
         }
@@ -836,9 +824,6 @@ mod tests {
 
     #[test]
     fn gathered_class_rows_recombine_bit_identically_under_any_weights() {
-        use crate::model::combine_class_costs;
-        use warlock_workload::QueryMix;
-
         let f = fixture();
         let model = CostModel::new(&f.schema, &f.system, &f.scheme, &f.mix);
         let tables = CostTables::build(&model, &[3]);
@@ -853,29 +838,15 @@ mod tests {
             CostModel::new(&f.schema, &f.system, &f.scheme, &reweighted).structure_fingerprint(),
             "a pure re-weight must keep the structure fingerprint"
         );
-        assert_ne!(
-            model.fingerprint(),
-            CostModel::new(&f.schema, &f.system, &f.scheme, &reweighted).fingerprint()
-        );
 
         for backend in [KernelBackend::Scalar, KernelBackend::detect()] {
             let mut scratch = LayoutScratch::new();
             let mut batch = ChunkBatch::new();
-            for frag in candidates() {
-                let layout =
-                    FragmentLayout::new_in(&mut scratch, &f.schema, frag, model.fact_index());
-                batch.push(layout, &mut scratch);
-            }
+            stage(&model, &candidates(), &mut scratch, &mut batch);
             let mut rows = Vec::new();
-            let costs = evaluate_chunk_rows(
-                &tables,
-                &mut batch,
-                PerQueryDetail::Omit,
-                backend,
-                &mut rows,
-            );
+            evaluate_chunk_rows(&tables, &mut batch, backend, &mut rows);
             let k = f.mix.len();
-            assert_eq!(rows.len(), costs.len() * k);
+            assert_eq!(rows.len(), candidates().len() * k);
             // Rows gathered on 16 disks recombine on any disk count,
             // including one and more than any candidate has fragments.
             for disks in [1, 7, 16, 64, 100_000] {
@@ -884,16 +855,18 @@ mod tests {
                 for mix in [&f.mix, &reweighted] {
                     let model_at = CostModel::new(&f.schema, &system, &f.scheme, mix);
                     let shares: Vec<f64> = mix.iter().map(|(_, s)| s).collect();
-                    for (c, row) in costs.iter().zip(rows.chunks_exact(k)) {
+                    for (frag, row) in candidates().into_iter().zip(rows.chunks_exact(k)) {
                         assert_eq!(row.len(), mix.len());
+                        let fresh = model_at.evaluate(&frag);
                         let combined = combine_class_costs(
-                            c.fragmentation.clone(),
-                            c.num_fragments,
+                            frag,
+                            fresh.num_fragments,
                             row,
                             &shares,
-                            &system,
+                            disks,
+                            system.architecture.total_processors(),
+                            system.architecture.overhead_factor(),
                         );
-                        let fresh = model_at.evaluate(&c.fragmentation);
                         let at = format!("backend {} disks {disks}", backend.name());
                         assert_eq!(
                             combined.io_cost_ms.to_bits(),
@@ -901,7 +874,7 @@ mod tests {
                             "{at}"
                         );
                         assert_eq!(
-                            crate::model::combined_io_cost_ms(row, &shares).to_bits(),
+                            combined_io_cost_ms(row, &shares).to_bits(),
                             fresh.io_cost_ms.to_bits(),
                             "{at}"
                         );
@@ -939,16 +912,21 @@ mod tests {
             base.structure_fingerprint(),
             CostModel::new(&f.schema, &other_system, &f.scheme, &f.mix).structure_fingerprint()
         );
+        // And a scheme change.
+        let reduced = f
+            .scheme
+            .without_dimension(warlock_schema::DimensionId(0))
+            .unwrap();
+        assert_ne!(
+            base.structure_fingerprint(),
+            CostModel::new(&f.schema, &f.system, &reduced, &f.mix).structure_fingerprint()
+        );
         // The disk count is not: class rows are disk-free.
         let mut more_disks = f.system;
         more_disks.num_disks += 1;
         assert_eq!(
             base.structure_fingerprint(),
             CostModel::new(&f.schema, &more_disks, &f.scheme, &f.mix).structure_fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            CostModel::new(&f.schema, &more_disks, &f.scheme, &f.mix).fingerprint()
         );
         // And it is deterministic.
         assert_eq!(
@@ -963,6 +941,6 @@ mod tests {
         let model = CostModel::new(&f.schema, &f.system, &f.scheme, &f.mix);
         let tables = model.tables();
         let mut batch = ChunkBatch::new();
-        assert!(evaluate_chunk(&tables, &mut batch).is_empty());
+        assert!(evaluate_full(&tables, &mut batch).is_empty());
     }
 }

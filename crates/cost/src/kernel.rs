@@ -1,14 +1,20 @@
 //! Lane-structured costing kernels, one backend per CPU.
 //!
-//! The batched evaluator ([`evaluate_chunk_with`](crate::batch::evaluate_chunk_with))
+//! The batched evaluator ([`evaluate_chunk_rows`](crate::batch::evaluate_chunk_rows))
 //! prices a chunk in two phases per query class: an irregular matching
 //! pass (table lookups) and a straight-line arithmetic pass over `f64`
 //! columns. This module owns the arithmetic pass — restructured into
 //! fixed-width lane blocks of [`LANES`] candidates, operated on only
-//! **elementwise** (no cross-lane reduction ever happens in a different
-//! order than the scalar path), so results are bit-identical at any lane
-//! width *by construction* — plus the lane-batched Yao/Cardenas page-hit
+//! **elementwise**, so results are bit-identical at any lane width *by
+//! construction* — plus the lane-batched Yao/Cardenas page-hit
 //! evaluation ([`yao_pass`]) that feeds it.
+//!
+//! The arithmetic pass prices one unweighted class row per candidate:
+//! the access path and its per-fragment time, I/Os and pages. It never
+//! sees a mix share, the disk count, the processors or the coordination
+//! overhead: busy time, response time and the mix-weighted aggregates
+//! are derived from the rows by
+//! [`combine_class_costs`](crate::model::combine_class_costs).
 //!
 //! Two [`KernelBackend`]s run the arithmetic pass, chosen by the CPU
 //! alone ([`KernelBackend::detect`]):
@@ -20,23 +26,12 @@
 //! * **avx2** — explicit `std::arch` AVX2 intrinsics (x86_64 only), used
 //!   when `is_x86_feature_detected!("avx2")` holds. Uses separate
 //!   multiply and add everywhere (never FMA — fusing changes rounding),
-//!   ordered comparisons plus blends for the select form, and
-//!   `vroundpd` only for `ceil` (exact).
+//!   and ordered comparisons plus blends for the access-path select,
+//!   which pick exactly the arm the scalar branch takes.
 //!
 //! Both backends share the one Yao pass. Equivalence is pinned
 //! bit-for-bit by the unit tests here and the `batched_equivalence`
 //! proptests in `xtests`.
-//!
-//! # Why elementwise blending is bit-safe here
-//!
-//! The AVX2 kernel replaces `f64::min`/`f64::max` and branches with
-//! compare + select. That is only bit-identical when no NaN and no
-//! `-0.0` can reach a tie: every input column is a product/sum of
-//! non-negative finite quantities (page counts, milliseconds,
-//! selectivities in `[0, 1]`), `disks`/`processors` are clamped `>= 1`,
-//! and padded tail lanes hold inert zeros — so the domain contains
-//! neither, and `vminpd`-style "return b on tie" semantics coincide with
-//! `f64::min`/`max` exactly.
 
 /// Fixed lane width of the blocked kernels. Columns are padded to a
 /// multiple of this; AVX2 operates on exactly one block per vector.
@@ -236,15 +231,9 @@ impl KernelBackend {
             inp.bitmap_vectors.len(),
             out.out_use_scan.len(),
             out.out_per_fragment_ms.len(),
-            out.out_busy_ms.len(),
-            out.out_response_ms.len(),
             out.out_fact_pages.len(),
             out.out_bitmap_pages.len(),
             out.out_total_ios.len(),
-            out.acc_io_ms.len(),
-            out.acc_response_ms.len(),
-            out.acc_ios.len(),
-            out.acc_pages.len(),
         ];
         assert!(
             n.is_multiple_of(LANES) && lens.iter().all(|&len| len == n),
@@ -275,14 +264,11 @@ impl KernelBackend {
 // Pass columns
 // ---------------------------------------------------------------------
 
-/// Input columns and hoisted per-class scalars of one arithmetic pass.
+/// Input columns of one arithmetic pass, plus the one hoisted scalar.
 ///
 /// All slices have the same padded length, a multiple of [`LANES`];
 /// padded tail lanes hold inert zeros that produce finite, ignored
-/// outputs. The scalar fields are pre-clamped
-/// exactly as the scalar path clamps them
-/// (`disks = max(num_disks, 1)`, `processors = max(processors, 1)`,
-/// `overhead = max(overhead, 1.0)`), so hoisting changes no bits.
+/// outputs.
 #[derive(Debug)]
 pub struct CostPassInput<'a> {
     /// Expected fragments accessed per candidate (`A` in the paper).
@@ -309,20 +295,10 @@ pub struct CostPassInput<'a> {
     pub bitmap_vectors: &'a [f64],
     /// Random page access time (ms).
     pub random_page_ms: f64,
-    /// `f64::from(num_disks.max(1))`.
-    pub disks: f64,
-    /// `f64::from(processors.max(1))`.
-    pub processors: f64,
-    /// `overhead.max(1.0)`.
-    pub overhead: f64,
-    /// The class weight multiplying into the accumulators.
-    pub share: f64,
 }
 
-/// Output and accumulator columns of one arithmetic pass. Same padded
-/// length as the inputs. The `out_*` columns are fully overwritten; the
-/// `acc_*` columns are `+=`-updated (one term per class, in class
-/// order — the exact scalar summation order).
+/// Output columns of one arithmetic pass: one class row per candidate,
+/// fully overwritten. Same padded length as the inputs.
 #[derive(Debug)]
 pub struct CostPassOutput<'a> {
     /// `1.0` where the scan path wins (or is forced), `0.0` for the
@@ -330,24 +306,12 @@ pub struct CostPassOutput<'a> {
     pub out_use_scan: &'a mut [f64],
     /// Chosen per-fragment device time (ms).
     pub out_per_fragment_ms: &'a mut [f64],
-    /// Device busy time (ms).
-    pub out_busy_ms: &'a mut [f64],
-    /// Declustered response time (ms).
-    pub out_response_ms: &'a mut [f64],
     /// Fact-table pages read.
     pub out_fact_pages: &'a mut [f64],
     /// Bitmap pages read.
     pub out_bitmap_pages: &'a mut [f64],
     /// Total I/O operations.
     pub out_total_ios: &'a mut [f64],
-    /// Mix-weighted busy-time accumulator.
-    pub acc_io_ms: &'a mut [f64],
-    /// Mix-weighted response-time accumulator.
-    pub acc_response_ms: &'a mut [f64],
-    /// Mix-weighted I/O-count accumulator.
-    pub acc_ios: &'a mut [f64],
-    /// Mix-weighted page-count accumulator.
-    pub acc_pages: &'a mut [f64],
 }
 
 // ---------------------------------------------------------------------
@@ -372,31 +336,11 @@ fn scalar_cost_pass(inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>) {
             let bitmap_pages_pf = inp.bitmap_vectors[i] * inp.vector_pages[i];
             (bitmap_ms, bitmap_ios, touched, bitmap_pages_pf)
         };
-        let busy_ms = fragments * per_fragment_ms;
-        let response_ms = if fragments <= 0.0 || per_fragment_ms <= 0.0 {
-            0.0
-        } else {
-            let disks_hit = fragments.min(inp.disks).max(1.0);
-            let waves = (fragments / disks_hit).ceil().min(fragments);
-            let rt_io = waves * per_fragment_ms;
-            let total_busy = fragments * per_fragment_ms;
-            let rt_proc = total_busy / inp.processors;
-            rt_io.max(rt_proc) * inp.overhead
-        };
-        let fact_pages = fragments * fact_pages_pf;
-        let bitmap_pages = fragments * bitmap_pages_pf;
-        let total_ios = fragments * ios_pf;
         out.out_use_scan[i] = if use_scan { 1.0 } else { 0.0 };
         out.out_per_fragment_ms[i] = per_fragment_ms;
-        out.out_busy_ms[i] = busy_ms;
-        out.out_response_ms[i] = response_ms;
-        out.out_fact_pages[i] = fact_pages;
-        out.out_bitmap_pages[i] = bitmap_pages;
-        out.out_total_ios[i] = total_ios;
-        out.acc_io_ms[i] += inp.share * busy_ms;
-        out.acc_response_ms[i] += inp.share * response_ms;
-        out.acc_ios[i] += inp.share * total_ios;
-        out.acc_pages[i] += inp.share * (fact_pages + bitmap_pages);
+        out.out_fact_pages[i] = fragments * fact_pages_pf;
+        out.out_bitmap_pages[i] = fragments * bitmap_pages_pf;
+        out.out_total_ios[i] = fragments * ios_pf;
     }
 }
 
@@ -464,10 +408,8 @@ pub fn yao_pass(rows: &[u64], pages: &[u64], k: &[f64], hits: &mut [f64]) {
 // ---------------------------------------------------------------------
 
 /// The AVX2 arithmetic pass: one 4-lane block per iteration, separate
-/// `vmulpd` + `vaddpd` (never FMA), ordered compares + `vblendvpd` for
-/// the selects, `vroundpd`-based `ceil` (exact), and mask-AND for the
-/// zero-response early-out (`x & 0 == +0.0`, the scalar early-return
-/// value).
+/// `vmulpd` + `vaddpd` (never FMA), and ordered compares + `vblendvpd`
+/// for the access-path select.
 ///
 /// # Safety
 ///
@@ -483,10 +425,6 @@ unsafe fn avx2_cost_pass(inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>) 
     let zero = _mm256_setzero_pd();
     let one = _mm256_set1_pd(1.0);
     let rpms = _mm256_set1_pd(inp.random_page_ms);
-    let disks = _mm256_set1_pd(inp.disks);
-    let procs = _mm256_set1_pd(inp.processors);
-    let ovh = _mm256_set1_pd(inp.overhead);
-    let share = _mm256_set1_pd(inp.share);
 
     let mut i = 0;
     while i < n {
@@ -516,48 +454,22 @@ unsafe fn avx2_cost_pass(inp: &CostPassInput<'_>, out: &mut CostPassOutput<'_>) 
         let fact_pf = _mm256_blendv_pd(touched, fpages, scan_mask);
         let bpages_pf = _mm256_blendv_pd(bitmap_pages_pf, zero, scan_mask);
 
-        let busy = _mm256_mul_pd(frag, pf);
-        // Inlined `estimated_response_ms`, elementwise. min/max
-        // intrinsics match `f64::min`/`max` on this NaN-free,
-        // negative-zero-free domain.
-        let disks_hit = _mm256_max_pd(_mm256_min_pd(frag, disks), one);
-        let waves = _mm256_min_pd(_mm256_ceil_pd(_mm256_div_pd(frag, disks_hit)), frag);
-        let rt_io = _mm256_mul_pd(waves, pf);
-        let rt_proc = _mm256_div_pd(busy, procs);
-        let resp_expr = _mm256_mul_pd(_mm256_max_pd(rt_io, rt_proc), ovh);
-        // Zero-work early-out: response is exactly +0.0 unless both
-        // fragments > 0 and per-fragment time > 0.
-        let live = _mm256_and_pd(
-            _mm256_cmp_pd::<_CMP_GT_OQ>(frag, zero),
-            _mm256_cmp_pd::<_CMP_GT_OQ>(pf, zero),
-        );
-        let resp = _mm256_and_pd(resp_expr, live);
-
-        let fact_pages = _mm256_mul_pd(frag, fact_pf);
-        let bitmap_pages = _mm256_mul_pd(frag, bpages_pf);
-        let total_ios = _mm256_mul_pd(frag, ios_pf);
-
         _mm256_storeu_pd(
             out.out_use_scan.as_mut_ptr().add(i),
             _mm256_and_pd(one, scan_mask),
         );
         _mm256_storeu_pd(out.out_per_fragment_ms.as_mut_ptr().add(i), pf);
-        _mm256_storeu_pd(out.out_busy_ms.as_mut_ptr().add(i), busy);
-        _mm256_storeu_pd(out.out_response_ms.as_mut_ptr().add(i), resp);
-        _mm256_storeu_pd(out.out_fact_pages.as_mut_ptr().add(i), fact_pages);
-        _mm256_storeu_pd(out.out_bitmap_pages.as_mut_ptr().add(i), bitmap_pages);
-        _mm256_storeu_pd(out.out_total_ios.as_mut_ptr().add(i), total_ios);
-
-        let acc = |col: &mut [f64], term: __m256d| {
-            let p = col.as_mut_ptr().add(i);
-            _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), term));
-        };
-        acc(out.acc_io_ms, _mm256_mul_pd(share, busy));
-        acc(out.acc_response_ms, _mm256_mul_pd(share, resp));
-        acc(out.acc_ios, _mm256_mul_pd(share, total_ios));
-        acc(
-            out.acc_pages,
-            _mm256_mul_pd(share, _mm256_add_pd(fact_pages, bitmap_pages)),
+        _mm256_storeu_pd(
+            out.out_fact_pages.as_mut_ptr().add(i),
+            _mm256_mul_pd(frag, fact_pf),
+        );
+        _mm256_storeu_pd(
+            out.out_bitmap_pages.as_mut_ptr().add(i),
+            _mm256_mul_pd(frag, bpages_pf),
+        );
+        _mm256_storeu_pd(
+            out.out_total_ios.as_mut_ptr().add(i),
+            _mm256_mul_pd(frag, ios_pf),
         );
 
         i += LANES;
@@ -605,7 +517,7 @@ mod tests {
         cols
     }
 
-    fn run_backend(backend: KernelBackend, cols: &[Vec<f64>], share: f64) -> Vec<Vec<f64>> {
+    fn run_backend(backend: KernelBackend, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let n = cols[0].len();
         let inp = CostPassInput {
             fragments: &cols[0],
@@ -619,43 +531,19 @@ mod tests {
             vector_pages: &cols[8],
             bitmap_vectors: &cols[9],
             random_page_ms: 10.3,
-            disks: 16.0,
-            processors: 16.0,
-            overhead: 1.05,
-            share,
         };
-        let mut outs: Vec<Vec<f64>> = vec![vec![0.0; n]; 7];
-        // Accumulators pre-seeded with a prior-class term, to check the
-        // += path too.
-        let mut accs: Vec<Vec<f64>> = (0..4)
-            .map(|c| (0..n).map(|i| (c * n + i) as f64 * 0.5).collect())
-            .collect();
-        {
-            let (o0, rest) = outs.split_at_mut(1);
-            let (o1, rest) = rest.split_at_mut(1);
-            let (o2, rest) = rest.split_at_mut(1);
-            let (o3, rest) = rest.split_at_mut(1);
-            let (o4, rest) = rest.split_at_mut(1);
-            let (o5, o6) = rest.split_at_mut(1);
-            let (a0, arest) = accs.split_at_mut(1);
-            let (a1, arest) = arest.split_at_mut(1);
-            let (a2, a3) = arest.split_at_mut(1);
+        // Outputs pre-filled with garbage: every slot must be overwritten.
+        let mut outs: Vec<Vec<f64>> = vec![vec![-7.5; n]; 5];
+        if let [o0, o1, o2, o3, o4] = &mut outs[..] {
             let mut out = CostPassOutput {
-                out_use_scan: &mut o0[0],
-                out_per_fragment_ms: &mut o1[0],
-                out_busy_ms: &mut o2[0],
-                out_response_ms: &mut o3[0],
-                out_fact_pages: &mut o4[0],
-                out_bitmap_pages: &mut o5[0],
-                out_total_ios: &mut o6[0],
-                acc_io_ms: &mut a0[0],
-                acc_response_ms: &mut a1[0],
-                acc_ios: &mut a2[0],
-                acc_pages: &mut a3[0],
+                out_use_scan: o0,
+                out_per_fragment_ms: o1,
+                out_fact_pages: o2,
+                out_bitmap_pages: o3,
+                out_total_ios: o4,
             };
             backend.cost_pass(&inp, &mut out);
         }
-        outs.extend(accs);
         outs
     }
 
@@ -665,9 +553,10 @@ mod tests {
         // fall back to the scalar kernel rather than fault.
         for seed in 0..8u64 {
             let cols = synth_input(seed, 64);
-            let reference = run_backend(KernelBackend::Scalar, &cols, 0.37);
+            let reference = run_backend(KernelBackend::Scalar, &cols);
+            assert!(reference.iter().flatten().all(|v| *v != -7.5));
             for backend in [KernelBackend::detect(), KernelBackend::Avx2] {
-                let got = run_backend(backend, &cols, 0.37);
+                let got = run_backend(backend, &cols);
                 for (c, (a, b)) in reference.iter().zip(&got).enumerate() {
                     for i in 0..a.len() {
                         assert_eq!(
@@ -685,13 +574,13 @@ mod tests {
     }
 
     fn unpadded(backend: KernelBackend) {
-        run_backend(backend, &synth_input(1, 5), 0.5);
+        run_backend(backend, &synth_input(1, 5));
     }
 
     fn mismatched(backend: KernelBackend) {
         let mut cols = synth_input(1, 8);
         cols[9].truncate(LANES);
-        run_backend(backend, &cols, 0.5);
+        run_backend(backend, &cols);
     }
 
     #[test]

@@ -21,14 +21,17 @@
 //! * [`access`] — the per-query access-plan estimator,
 //! * [`response`] — declustered response-time estimation,
 //! * [`model`] — the [`CostModel`] facade evaluating whole candidates
-//!   against a weighted query mix,
+//!   against a weighted query mix, and [`combine_class_costs`], which
+//!   weighs unweighted per-class rows ([`ClassCost`]) into a
+//!   [`CandidateCost`] and derives response time,
 //! * [`tables`] — per-dimension cost tables precomputed once per model
 //!   ([`CostTables`]),
-//! * [`batch`] — SoA batched evaluation of whole candidate chunks
-//!   ([`evaluate_chunk`]), bit-identical to the scalar path,
-//! * [`kernel`] — lane-structured costing kernels: the scalar
-//!   reference and, where the CPU has it, AVX2, bit-identical by
-//!   construction.
+//! * [`batch`] — SoA batched evaluation of whole candidate chunks into
+//!   class rows ([`evaluate_chunk_rows`]) or, weighed, into costs
+//!   ([`evaluate_chunk_kernel`]), bit-identical to the scalar path,
+//! * [`kernel`] — lane-structured costing kernels pricing the class
+//!   rows: the scalar reference and, where the CPU has it, AVX2,
+//!   bit-identical by construction.
 
 //!
 //! # Example
@@ -65,10 +68,7 @@ pub mod tables;
 pub mod yao;
 
 pub use access::{AccessPath, QueryCost};
-pub use batch::{
-    evaluate_chunk, evaluate_chunk_kernel, evaluate_chunk_rows, evaluate_chunk_with, ChunkBatch,
-    PerQueryDetail,
-};
+pub use batch::{evaluate_chunk_kernel, evaluate_chunk_rows, ChunkBatch, PerQueryDetail};
 pub use contention::{contention_estimate, load_curve, ContentionEstimate, LoadPoint};
 pub use kernel::{
     yao_pass, AlignedF64Col, CostPassInput, CostPassOutput, KernelBackend, KernelChoice, LANES,

@@ -1,4 +1,11 @@
 //! The cost-model facade: evaluating whole candidates against a mix.
+//!
+//! A candidate is priced per query class into an unweighted
+//! [`ClassCost`] row, and [`combine_class_costs`] weighs the rows by the
+//! mix shares and derives each class's declustered response time. That
+//! function is the production path for every weighted aggregate, fresh
+//! or memoized; [`CostModel::evaluate_layout`] is the scalar reference
+//! the batched path is tested against.
 
 use warlock_bitmap::BitmapScheme;
 use warlock_fragment::{FragmentLayout, Fragmentation};
@@ -35,13 +42,12 @@ pub struct CandidateCost {
 ///
 /// Per-class costs never see the class's workload share (the share
 /// enters only the weighted accumulation), and the disk count enters
-/// only the response time, which is derived from `fragments` and
-/// `per_fragment_ms` at recombination. So these rows are invariant under
-/// pure mix re-weights and under disk-count changes. The advisor's
-/// evaluation cache stores them keyed by
-/// [`CostModel::structure_fingerprint`] and recombines them under the
-/// current shares and disks with [`combine_class_costs`] —
-/// bit-identical to a cold evaluation at the new mix and disk count.
+/// only the response time, which [`combine_class_costs`] derives from
+/// `fragments` and `per_fragment_ms`. So these rows are invariant under
+/// pure mix re-weights and under disk-count changes. The batched
+/// evaluator produces them, and the advisor's evaluation cache stores
+/// them keyed by [`CostModel::structure_fingerprint`] — a memoized row
+/// weighs into the same bits as a fresh one.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassCost {
     /// Expected fragments the class accesses.
@@ -51,13 +57,12 @@ pub struct ClassCost {
     pub per_fragment_ms: f64,
     /// Physical I/Os of the class.
     pub total_ios: f64,
-    /// Pages read by the class (`fact_pages + bitmap_pages`, summed in
-    /// the kernel's order).
+    /// Pages read by the class (`fact_pages + bitmap_pages`).
     pub pages: f64,
 }
 
 impl ClassCost {
-    /// Device busy time of the class, in milliseconds: the kernels'
+    /// Device busy time of the class, in milliseconds: the scalar path's
     /// unfused `fragments * per_fragment_ms`.
     #[inline]
     pub fn busy_ms(&self) -> f64 {
@@ -77,26 +82,29 @@ pub fn combined_io_cost_ms(classes: &[ClassCost], shares: &[f64]) -> f64 {
     io_cost_ms
 }
 
-/// Recombines per-class unweighted rows under `shares` and `system`'s
-/// disks, processors and coordination overhead into the aggregate
-/// [`CandidateCost`] fields, using the exact accumulation sequence of
-/// every costing backend (`acc += share * value`, one term per class in
-/// mix order, from `0.0`) and the response model's
-/// [`estimated_response_ms`], which the kernels inline — so the result
-/// is bit-identical to evaluating the candidate fresh under a mix with
-/// those shares on that system.
-/// `per_query` detail is not reconstructible from the rows and is left
-/// empty (the ranking pipeline re-derives it for the ranked handful).
+/// Weighs per-class unweighted rows under `shares` into the aggregate
+/// [`CandidateCost`] fields, deriving each class's response time with
+/// [`estimated_response_ms`] on `num_disks` disks, `processors`
+/// processors and coordination `overhead` (a system's
+/// [`total_processors`](warlock_storage::Architecture::total_processors)
+/// and [`overhead_factor`](warlock_storage::Architecture::overhead_factor)).
+/// It accumulates exactly as the scalar
+/// [`CostModel::evaluate_layout`] does (`acc += share * value`, one term
+/// per class in mix order, from `0.0`), so the result is bit-identical
+/// to evaluating the candidate there under a mix with those shares on
+/// that system. `per_query` detail is not reconstructible from the rows
+/// and is left empty (the ranking pipeline re-derives it for the ranked
+/// handful).
 pub fn combine_class_costs(
     fragmentation: Fragmentation,
     num_fragments: u64,
     classes: &[ClassCost],
     shares: &[f64],
-    system: &SystemConfig,
+    num_disks: u32,
+    processors: u32,
+    overhead: f64,
 ) -> CandidateCost {
     debug_assert_eq!(classes.len(), shares.len());
-    let processors = system.architecture.total_processors();
-    let overhead = system.architecture.overhead_factor();
     let mut io_cost_ms = 0.0;
     let mut response_ms = 0.0;
     let mut total_ios = 0.0;
@@ -105,7 +113,7 @@ pub fn combine_class_costs(
         let class_response_ms = estimated_response_ms(
             row.fragments,
             row.per_fragment_ms,
-            system.num_disks,
+            num_disks,
             processors,
             overhead,
         );
@@ -171,25 +179,12 @@ impl<'a> CostModel<'a> {
         Ok(self)
     }
 
-    /// A cheap fingerprint of every input that determines this model's
-    /// outputs: schema, system, bitmap scheme, weighted mix and fact
-    /// index. Two models with equal fingerprints produce bit-identical
-    /// [`CandidateCost`]s for the same candidate.
-    ///
-    /// The value is only meaningful within one process (it hashes the
-    /// `Debug` representations); it exists so sessions can memoize
-    /// evaluations across what-if variations without deep comparisons.
-    pub fn fingerprint(&self) -> u128 {
-        crate::fingerprint128(&format!(
-            "{:?}|{:?}|{:?}|{:?}|{}",
-            self.schema, self.system, self.scheme, self.mix, self.fact_index
-        ))
-    }
-
-    /// Like [`CostModel::fingerprint`], but **excluding the mix
+    /// A cheap fingerprint of every model input **except the mix
     /// weights and the disk count**: it hashes the schema, every field
     /// of the system but `num_disks`, the scheme, the fact index and the
-    /// mix's classes in mix order, with every share dropped.
+    /// mix's classes in mix order, with every share dropped. The value
+    /// is only meaningful within one process (it hashes the `Debug`
+    /// representations).
     ///
     /// Two models with equal structure fingerprints produce
     /// bit-identical *per-class* costs ([`ClassCost`]) for the same
@@ -305,8 +300,8 @@ impl<'a> CostModel<'a> {
 
 /// Hashes any input into a 128-bit value via two independently salted
 /// passes of the standard hasher. The shared widening primitive behind
-/// [`CostModel::fingerprint`] and the advisor's cache keys; only
-/// meaningful within one process.
+/// [`CostModel::structure_fingerprint`] and the advisor's cache keys;
+/// only meaningful within one process.
 pub fn fingerprint128<H: std::hash::Hash + ?Sized>(input: &H) -> u128 {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
@@ -415,31 +410,6 @@ mod tests {
         assert_send_sync::<SystemConfig>();
         assert_send_sync::<BitmapScheme>();
         assert_send_sync::<QueryMix>();
-    }
-
-    #[test]
-    fn fingerprint_tracks_every_input() {
-        let f = fixture();
-        let base = CostModel::new(&f.schema, &f.system, &f.scheme, &f.mix).fingerprint();
-        assert_eq!(
-            base,
-            CostModel::new(&f.schema, &f.system, &f.scheme, &f.mix).fingerprint(),
-            "fingerprint must be deterministic"
-        );
-        let mut other_system = f.system;
-        other_system.num_disks += 1;
-        assert_ne!(
-            base,
-            CostModel::new(&f.schema, &other_system, &f.scheme, &f.mix).fingerprint()
-        );
-        let reduced = f
-            .scheme
-            .without_dimension(warlock_schema::DimensionId(0))
-            .unwrap();
-        assert_ne!(
-            base,
-            CostModel::new(&f.schema, &f.system, &reduced, &f.mix).fingerprint()
-        );
     }
 
     #[test]

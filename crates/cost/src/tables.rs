@@ -5,7 +5,7 @@
 //! prefetch and contention constants — is invariant across an entire
 //! chunk of candidates. [`CostTables`] hoists those quantities out of the
 //! per-candidate loop: one build per [`CostModel`], then the
-//! batch evaluator ([`crate::batch::evaluate_chunk`]) turns each query
+//! batch evaluator ([`crate::batch::evaluate_chunk_rows`]) turns each query
 //! match into table lookups instead of re-running occupancy statistics
 //! per (candidate, class) pair.
 //!

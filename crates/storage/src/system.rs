@@ -29,7 +29,9 @@ pub enum Architecture {
 }
 
 impl Architecture {
-    /// Total processors available for intra-query parallelism.
+    /// Total processors available for intra-query parallelism. A Shared
+    /// Disk product beyond `u32` saturates (a valid [`SystemConfig`]
+    /// has none, see [`SystemConfig::validate`]).
     pub fn total_processors(&self) -> u32 {
         match *self {
             Self::SharedEverything { processors } => processors.max(1),
@@ -37,7 +39,7 @@ impl Architecture {
                 nodes,
                 processors_per_node,
                 ..
-            } => (nodes * processors_per_node).max(1),
+            } => nodes.saturating_mul(processors_per_node).max(1),
         }
     }
 
@@ -123,6 +125,18 @@ impl SystemConfig {
                 return Err("bitmap prefetch granule must be >= 1 page".into());
             }
         }
+        if let Architecture::SharedDisk {
+            nodes,
+            processors_per_node,
+            ..
+        } = self.architecture
+        {
+            if nodes.checked_mul(processors_per_node).is_none() {
+                return Err(format!(
+                    "{nodes} nodes × {processors_per_node} processors per node overflows the processor count"
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -178,6 +192,15 @@ mod tests {
             Architecture::SharedEverything { processors: 0 }.total_processors(),
             1
         );
+        // An overflowing Shared Disk product saturates instead of
+        // panicking or wrapping, and does not validate.
+        let huge = Architecture::shared_disk(65_536, 65_537);
+        assert_eq!(huge.total_processors(), u32::MAX);
+        let mut system = SystemConfig::default_2001(16);
+        system.architecture = huge;
+        assert!(system.validate().unwrap_err().contains("overflows"));
+        system.architecture = Architecture::shared_disk(65_536, 65_535);
+        assert!(system.validate().is_ok());
     }
 
     #[test]

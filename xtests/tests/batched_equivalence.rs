@@ -1,8 +1,10 @@
-//! Batched-vs-scalar costing equivalence: [`evaluate_chunk_with`] over
-//! any chunking of a candidate stream must reproduce the scalar
+//! Batched-vs-scalar costing equivalence: [`evaluate_chunk_kernel`]
+//! over any chunking of a candidate stream must reproduce the scalar
 //! `CostModel::evaluate_layout` **bit for bit** — aggregates and
-//! per-class detail — for arbitrary valid schemas, mixes and systems,
-//! at any chunk size (including single-candidate chunks); and a session
+//! per-class detail — for arbitrary valid schemas, mixes and systems
+//! (disk counts, and Shared Everything or Shared Disk architectures
+//! whose processor counts and coordination overhead move the response
+//! time), at any chunk size (including single-candidate chunks); and a session
 //! re-ranked at another `max_dimensionality` runs cold under its own
 //! memo key and matches a fresh session bit for bit.
 
@@ -11,8 +13,8 @@ use proptest::prelude::*;
 use warlock::prelude::*;
 use warlock_bitmap::{BitmapScheme, SchemeConfig};
 use warlock_cost::{
-    evaluate_chunk_kernel, evaluate_chunk_with, CandidateCost, ChunkBatch, CostModel, CostTables,
-    KernelBackend, PerQueryDetail,
+    evaluate_chunk_kernel, CandidateCost, ChunkBatch, CostModel, CostTables, KernelBackend,
+    PerQueryDetail,
 };
 use warlock_fragment::{
     enumerate_candidates_ranged, CandidateSource, FragmentLayout, Fragmentation, LayoutScratch,
@@ -39,7 +41,19 @@ fn random_inputs(seed: u64) -> (StarSchema, QueryMix, SystemConfig) {
         },
     )
     .mix(&schema);
-    let system = SystemConfig::default_2001(1 + (seed % 24) as u32);
+    // 1–24 disks; half Shared Everything with 1–64 processors (few
+    // processors make the processor bound win the response time), half
+    // Shared Disk with 1–8 nodes of 1–8 processors and its 1.05
+    // coordination overhead.
+    let mut system = SystemConfig::default_2001(1 + (seed % 24) as u32);
+    let draw = (seed / 24).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+    system.architecture = if draw.is_multiple_of(2) {
+        Architecture::SharedEverything {
+            processors: 1 + ((draw >> 1) % 64) as u32,
+        }
+    } else {
+        Architecture::shared_disk(1 + ((draw >> 1) % 8) as u32, 1 + ((draw >> 4) % 8) as u32)
+    };
     (schema, mix, system)
 }
 
@@ -118,7 +132,12 @@ proptest! {
                 );
                 batch.push(layout, &mut scratch);
             }
-            let batched = evaluate_chunk_with(&tables, &mut batch, PerQueryDetail::Full);
+            let batched = evaluate_chunk_kernel(
+                &tables,
+                &mut batch,
+                PerQueryDetail::Full,
+                KernelBackend::detect(),
+            );
             prop_assert!(batch.is_empty());
             prop_assert_eq!(batched.len(), group.len());
             for (b, frag) in batched.iter().zip(group) {
@@ -197,7 +216,12 @@ proptest! {
                 model.fact_index(),
             );
             batch.push(layout, &mut scratch);
-            let lean = evaluate_chunk_with(&tables, &mut batch, PerQueryDetail::Omit);
+            let lean = evaluate_chunk_kernel(
+                &tables,
+                &mut batch,
+                PerQueryDetail::Omit,
+                KernelBackend::detect(),
+            );
             let scalar = model.evaluate(&frag);
             prop_assert!(lean[0].per_query.is_empty());
             prop_assert_eq!(lean[0].io_cost_ms.to_bits(), scalar.io_cost_ms.to_bits());
