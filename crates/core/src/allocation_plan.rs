@@ -4,20 +4,24 @@
 //! of fact table and bitmap fragments down to single fragments as well as
 //! the resulting disk occupancy and access distribution. Furthermore, a
 //! disk access profile per query class is visualized." (§3.3)
+//!
+//! A plan costs nothing itself: each class's per-fragment service time
+//! comes from the per-class detail of a cost the engine priced once —
+//! the ranked candidate's own, or the engine's single-candidate
+//! `evaluate` for an arbitrary candidate.
 
 use warlock_alloc::{
     allocate, partition_coaccess, profile_response_ms, Allocation, AllocationPolicy, CoAccessGraph,
     DiskAccessProfile, OccupancyStats,
 };
-use warlock_bitmap::{estimate, BitmapScheme};
-use warlock_cost::CostModel;
-use warlock_fragment::{FragmentLayout, Fragmentation};
+use warlock_bitmap::estimate;
+use warlock_cost::CandidateCost;
+use warlock_fragment::FragmentLayout;
 use warlock_schema::StarSchema;
 use warlock_skew::SkewModel;
-use warlock_storage::SystemConfig;
-use warlock_workload::{QueryClass, QueryMix};
+use warlock_workload::QueryClass;
 
-use crate::error::WarlockError;
+use crate::engine::Inputs;
 
 /// Disk access profile of one query class on the planned allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,32 +54,6 @@ pub struct AllocationPlan {
     pub per_class: Vec<ClassDiskProfile>,
 }
 
-impl AllocationPlan {
-    /// Builds the plan: skew-aware fragment sizes (fact + bitmaps), the
-    /// policy-selected placement, and per-class access profiles over a
-    /// representative query instance (the first `n` member values of every
-    /// predicate).
-    ///
-    /// # Errors
-    ///
-    /// [`WarlockError::Internal`] if the (already validated) fact index
-    /// is rejected by the cost model.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build(
-        schema: &StarSchema,
-        system: &SystemConfig,
-        scheme: &BitmapScheme,
-        mix: &QueryMix,
-        skew: &SkewModel,
-        fragmentation: &Fragmentation,
-        policy: AllocationPolicy,
-        fact_index: usize,
-    ) -> Result<Self, WarlockError> {
-        PlanInputs::new(schema, system, scheme, mix, skew, fragmentation, fact_index)
-            .map(|inputs| inputs.place(policy))
-    }
-}
-
 /// Accessed fragments of one query class on one candidate.
 struct ClassAccess {
     name: String,
@@ -100,19 +78,22 @@ pub(crate) struct PlanInputs {
 }
 
 impl PlanInputs {
-    /// Derives the placement-independent part of a plan; see
-    /// [`AllocationPlan::build`].
-    pub(crate) fn new(
-        schema: &StarSchema,
-        system: &SystemConfig,
-        scheme: &BitmapScheme,
-        mix: &QueryMix,
-        skew: &SkewModel,
-        fragmentation: &Fragmentation,
-        fact_index: usize,
-    ) -> Result<Self, WarlockError> {
-        let layout = FragmentLayout::new(schema, fragmentation.clone(), fact_index);
-        let row_bytes = u64::from(schema.fact_row_bytes(fact_index));
+    /// Derives the placement-independent part of a candidate's plans:
+    /// skew-aware fragment sizes (fact + bitmaps) and, per class, the
+    /// fragments a representative query instance (the first `n` member
+    /// values of every predicate) accesses. `cost` is the candidate's
+    /// cost under `inputs` with its per-class detail; nothing is costed
+    /// here, and the candidate must have passed the engine's checks.
+    pub(crate) fn new(inputs: Inputs<'_>, skew: &SkewModel, cost: &CandidateCost) -> Self {
+        let Inputs {
+            schema,
+            system,
+            mix,
+            config,
+            scheme,
+        } = inputs;
+        let layout = FragmentLayout::new(schema, cost.fragmentation.clone(), config.fact_index);
+        let row_bytes = u64::from(schema.fact_row_bytes(config.fact_index));
         let page = system.page;
         let vectors = scheme.total_vectors_stored();
 
@@ -132,15 +113,9 @@ impl PlanInputs {
             })
             .collect();
 
-        // The cost model and representative per-class fragment sets come
-        // before placement: the graph-partition policy builds its
-        // co-access graph from them, and the profiles reuse them after.
-        let model = CostModel::new(schema, system, scheme, mix)
-            .with_fact_index(fact_index)
-            .map_err(|e| {
-                WarlockError::internal(format!("validated fact index rejected in planning: {e}"))
-            })?;
-        let cost = model.evaluate_layout(&layout);
+        // The representative per-class fragment sets come before
+        // placement: the graph-partition policy builds its co-access
+        // graph from them, and the profiles reuse them after.
         let avg_rows = layout.uniform_rows_per_fragment().max(1.0);
 
         // Per-class weighted fragment accesses of a representative bound
@@ -162,8 +137,8 @@ impl PlanInputs {
             })
             .collect();
 
-        Ok(Self {
-            label: fragmentation.label(schema),
+        Self {
+            label: cost.fragmentation.label(schema),
             num_disks: system.num_disks,
             processors: system.architecture.total_processors(),
             overhead: system.architecture.overhead_factor(),
@@ -171,7 +146,7 @@ impl PlanInputs {
             fact_bytes,
             bitmap_bytes,
             classes,
-        })
+        }
     }
 
     /// Places the fragments under `policy` and profiles every class on
@@ -286,47 +261,48 @@ pub fn representative_fragments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warlock_bitmap::SchemeConfig;
-    use warlock_fragment::SkewModelExt;
+    use crate::{AdvisorConfig, Warlock};
+    use warlock_fragment::Fragmentation;
     use warlock_schema::{apb1_like_schema, Apb1Config};
     use warlock_skew::DimensionSkew;
+    use warlock_storage::SystemConfig;
     use warlock_workload::{apb1_like_mix, DimensionPredicate};
 
-    struct Fx {
-        schema: StarSchema,
-        system: SystemConfig,
-        scheme: BitmapScheme,
-        mix: QueryMix,
+    /// Zipf(1) on the first APB-1 dimension, uniform elsewhere.
+    fn zipf_product() -> Option<Vec<DimensionSkew>> {
+        Some(vec![
+            DimensionSkew::zipf(1.0),
+            DimensionSkew::UNIFORM,
+            DimensionSkew::UNIFORM,
+            DimensionSkew::UNIFORM,
+        ])
     }
 
-    fn fx() -> Fx {
-        let schema = apb1_like_schema(Apb1Config::default()).unwrap();
-        let mix = apb1_like_mix().unwrap();
-        let scheme = BitmapScheme::derive(&schema, &mix, SchemeConfig::default());
-        let system = SystemConfig::default_2001(16);
-        Fx {
-            schema,
-            system,
-            scheme,
-            mix,
-        }
+    /// The plan of `pairs` under `policy` on the APB-1-like warehouse
+    /// (16 disks) with the given skew.
+    fn plan(
+        skew: Option<Vec<DimensionSkew>>,
+        pairs: &[(u16, u16)],
+        policy: AllocationPolicy,
+    ) -> AllocationPlan {
+        Warlock::builder()
+            .schema(apb1_like_schema(Apb1Config::default()).unwrap())
+            .system(SystemConfig::default_2001(16))
+            .mix(apb1_like_mix().unwrap())
+            .config(AdvisorConfig {
+                skew,
+                allocation_policy: policy,
+                ..Default::default()
+            })
+            .build()
+            .unwrap()
+            .plan_candidate(&Fragmentation::from_pairs(pairs).unwrap())
+            .unwrap()
     }
 
     #[test]
     fn uniform_plan_uses_round_robin_and_balances() {
-        let f = fx();
-        let skew = f.schema.uniform_skew_model();
-        let plan = AllocationPlan::build(
-            &f.schema,
-            &f.system,
-            &f.scheme,
-            &f.mix,
-            &skew,
-            &Fragmentation::from_pairs(&[(2, 2), (3, 0)]).unwrap(),
-            AllocationPolicy::default(),
-            0,
-        )
-        .unwrap();
+        let plan = plan(None, &[(2, 2), (3, 0)], AllocationPolicy::default());
         assert!(!plan.used_greedy);
         // 216 fragments over 16 disks: 14 vs 13.5 mean → 1.037 inherent.
         assert!(plan.occupancy.imbalance < 1.05);
@@ -337,25 +313,12 @@ mod tests {
 
     #[test]
     fn skewed_plan_switches_to_greedy_and_stays_balanced() {
-        let f = fx();
-        let skew = f.schema.skew_model(&[
-            DimensionSkew::zipf(1.0),
-            DimensionSkew::UNIFORM,
-            DimensionSkew::UNIFORM,
-            DimensionSkew::UNIFORM,
-        ]);
-        let frag = Fragmentation::from_pairs(&[(0, 1), (2, 2)]).unwrap(); // line × month
-        let plan = AllocationPlan::build(
-            &f.schema,
-            &f.system,
-            &f.scheme,
-            &f.mix,
-            &skew,
-            &frag,
+        // line × month
+        let plan = plan(
+            zipf_product(),
+            &[(0, 1), (2, 2)],
             AllocationPolicy::default(),
-            0,
-        )
-        .unwrap();
+        );
         assert!(plan.used_greedy);
         // Greedy keeps occupancy within a few percent even under zipf(1).
         assert!(
@@ -367,54 +330,15 @@ mod tests {
 
     #[test]
     fn round_robin_under_skew_is_worse() {
-        let f = fx();
-        let skew = f.schema.skew_model(&[
-            DimensionSkew::zipf(1.0),
-            DimensionSkew::UNIFORM,
-            DimensionSkew::UNIFORM,
-            DimensionSkew::UNIFORM,
-        ]);
-        let frag = Fragmentation::from_pairs(&[(0, 1), (2, 2)]).unwrap();
-        let rr = AllocationPlan::build(
-            &f.schema,
-            &f.system,
-            &f.scheme,
-            &f.mix,
-            &skew,
-            &frag,
-            AllocationPolicy::RoundRobin,
-            0,
-        )
-        .unwrap();
-        let greedy = AllocationPlan::build(
-            &f.schema,
-            &f.system,
-            &f.scheme,
-            &f.mix,
-            &skew,
-            &frag,
-            AllocationPolicy::GreedySize,
-            0,
-        )
-        .unwrap();
+        let pairs = [(0, 1), (2, 2)];
+        let rr = plan(zipf_product(), &pairs, AllocationPolicy::RoundRobin);
+        let greedy = plan(zipf_product(), &pairs, AllocationPolicy::GreedySize);
         assert!(greedy.occupancy.imbalance <= rr.occupancy.imbalance + 1e-12);
     }
 
     #[test]
     fn profiles_report_declustering() {
-        let f = fx();
-        let skew = f.schema.uniform_skew_model();
-        let plan = AllocationPlan::build(
-            &f.schema,
-            &f.system,
-            &f.scheme,
-            &f.mix,
-            &skew,
-            &Fragmentation::from_pairs(&[(2, 2), (3, 0)]).unwrap(),
-            AllocationPolicy::default(),
-            0,
-        )
-        .unwrap();
+        let plan = plan(None, &[(2, 2), (3, 0)], AllocationPolicy::default());
         // q06 (channel+month) touches exactly 1 fragment; q04 (year+line)
         // spreads over many.
         let q06 = plan
@@ -436,20 +360,14 @@ mod tests {
 
     #[test]
     fn graph_policy_builds_a_partition_plan() {
-        let f = fx();
-        let skew = f.schema.uniform_skew_model();
-        let frag = Fragmentation::from_pairs(&[(2, 2), (3, 0)]).unwrap();
-        let plan = AllocationPlan::build(
-            &f.schema,
-            &f.system,
-            &f.scheme,
-            &f.mix,
-            &skew,
-            &frag,
-            AllocationPolicy::GraphPartition { seed: 0 },
-            0,
-        )
-        .unwrap();
+        let rebuild = || {
+            plan(
+                None,
+                &[(2, 2), (3, 0)],
+                AllocationPolicy::GraphPartition { seed: 0 },
+            )
+        };
+        let plan = rebuild();
         // The APB-1-like mix has plenty of co-access, so the plan comes
         // from the partitioner proper, covers every fragment once, and
         // stays balanced.
@@ -470,33 +388,21 @@ mod tests {
             plan.occupancy.imbalance
         );
         // Byte-identical across rebuilds (same inputs, same seed).
-        let again = AllocationPlan::build(
-            &f.schema,
-            &f.system,
-            &f.scheme,
-            &f.mix,
-            &skew,
-            &frag,
-            AllocationPolicy::GraphPartition { seed: 0 },
-            0,
-        )
-        .unwrap();
-        assert_eq!(plan, again);
+        assert_eq!(plan, rebuild());
     }
 
     #[test]
     fn representative_fragments_expand_and_collapse() {
-        let f = fx();
-        let layout =
-            FragmentLayout::new(&f.schema, Fragmentation::from_pairs(&[(2, 2)]).unwrap(), 0);
+        let schema = apb1_like_schema(Apb1Config::default()).unwrap();
+        let layout = FragmentLayout::new(&schema, Fragmentation::from_pairs(&[(2, 2)]).unwrap(), 0);
         // Quarter query (coarser): 1 value → 3 months.
         let q = warlock_workload::QueryClass::new("q").with(2, DimensionPredicate::point(1));
         assert_eq!(
-            representative_fragments(&f.schema, &layout, &q),
+            representative_fragments(&schema, &layout, &q),
             vec![0, 1, 2]
         );
         // Unreferenced: all 24.
         let q = warlock_workload::QueryClass::new("q").with(3, DimensionPredicate::point(0));
-        assert_eq!(representative_fragments(&f.schema, &layout, &q).len(), 24);
+        assert_eq!(representative_fragments(&schema, &layout, &q).len(), 24);
     }
 }

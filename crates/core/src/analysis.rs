@@ -3,15 +3,16 @@
 //! "It comprises a database statistic (#pages, #fragments, fragment
 //! sizes), I/O access statistic (#accessed fragments and pages, #I/Os),
 //! I/O response times and a prefetch granule suggestion." (§3.3)
+//!
+//! An analysis costs nothing itself: it reads the per-class detail of
+//! a cost the engine priced once — the ranked candidate's own, or the
+//! engine's single-candidate `evaluate` for an arbitrary candidate.
 
-use warlock_bitmap::{estimate, BitmapScheme};
-use warlock_cost::{AccessPath, CostModel};
-use warlock_fragment::{FragmentLayout, Fragmentation};
-use warlock_schema::StarSchema;
-use warlock_storage::SystemConfig;
-use warlock_workload::QueryMix;
+use warlock_bitmap::estimate;
+use warlock_cost::{AccessPath, CandidateCost};
+use warlock_fragment::FragmentLayout;
 
-use crate::error::WarlockError;
+use crate::engine::Inputs;
 
 /// Per-query-class analysis rows of one fragmentation.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,30 +67,21 @@ pub struct FragmentationAnalysis {
 }
 
 impl FragmentationAnalysis {
-    /// Builds the analysis of `fragmentation` under the given inputs.
-    ///
-    /// # Errors
-    ///
-    /// [`WarlockError::Internal`] if `fact_index` — validated when the
-    /// session was built — is rejected by the cost model; a bug in
-    /// WARLOCK, surfaced as an error so services degrade per-request.
-    pub fn build(
-        schema: &StarSchema,
-        system: &SystemConfig,
-        scheme: &BitmapScheme,
-        mix: &QueryMix,
-        fragmentation: &Fragmentation,
-        fact_index: usize,
-    ) -> Result<Self, WarlockError> {
-        let layout = FragmentLayout::new(schema, fragmentation.clone(), fact_index);
-        let model = CostModel::new(schema, system, scheme, mix)
-            .with_fact_index(fact_index)
-            .map_err(|e| {
-                WarlockError::internal(format!("validated fact index rejected in analysis: {e}"))
-            })?;
-        let cost = model.evaluate_layout(&layout);
-
-        let row_bytes = schema.fact_row_bytes(fact_index);
+    /// Derives the analysis of a candidate from its layout and its
+    /// `cost` under `inputs`, which must carry the per-class detail —
+    /// a ranked candidate's cost or [`crate::engine::evaluate`]'s. Nothing is
+    /// costed here; the candidate must have passed the engine's checks
+    /// (its layout is rebuilt for the database statistic).
+    pub(crate) fn new(inputs: Inputs<'_>, cost: &CandidateCost) -> Self {
+        let Inputs {
+            schema,
+            system,
+            mix,
+            config,
+            scheme,
+        } = inputs;
+        let layout = FragmentLayout::new(schema, cost.fragmentation.clone(), config.fact_index);
+        let row_bytes = schema.fact_row_bytes(config.fact_index);
         let fragment_rows = (layout.uniform_rows_per_fragment().round() as u64).max(1);
         let fragment_pages = system.page.pages_for_rows(fragment_rows, row_bytes).max(1);
         let total_fact_pages = fragment_pages * layout.num_fragments();
@@ -125,8 +117,8 @@ impl FragmentationAnalysis {
             })
             .collect();
 
-        Ok(Self {
-            label: fragmentation.label(schema),
+        Self {
+            label: cost.fragmentation.label(schema),
             num_fragments: layout.num_fragments(),
             fragment_rows,
             fragment_pages,
@@ -137,28 +129,32 @@ impl FragmentationAnalysis {
             weighted_busy_ms: cost.io_cost_ms,
             weighted_response_ms: cost.response_ms,
             per_class,
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warlock_bitmap::SchemeConfig;
+    use crate::Warlock;
+    use warlock_fragment::Fragmentation;
     use warlock_schema::{apb1_like_schema, Apb1Config};
+    use warlock_storage::SystemConfig;
     use warlock_workload::apb1_like_mix;
 
     fn analysis(pairs: &[(u16, u16)]) -> FragmentationAnalysis {
-        let schema = apb1_like_schema(Apb1Config::default()).unwrap();
-        let mix = apb1_like_mix().unwrap();
-        let scheme = BitmapScheme::derive(&schema, &mix, SchemeConfig::default());
-        let system = SystemConfig::default_2001(16);
+        let session = Warlock::builder()
+            .schema(apb1_like_schema(Apb1Config::default()).unwrap())
+            .system(SystemConfig::default_2001(16))
+            .mix(apb1_like_mix().unwrap())
+            .build()
+            .unwrap();
         let frag = if pairs.is_empty() {
             Fragmentation::none()
         } else {
             Fragmentation::from_pairs(pairs).unwrap()
         };
-        FragmentationAnalysis::build(&schema, &system, &scheme, &mix, &frag, 0).unwrap()
+        session.analyze_candidate(&frag).unwrap()
     }
 
     #[test]

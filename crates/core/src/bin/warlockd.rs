@@ -50,11 +50,10 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
-use std::panic::AssertUnwindSafe;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use warlock::http::{serve_http, ShutdownSignal};
+use warlock::http::{accept_until_shutdown, serve_http, ShutdownSignal};
 use warlock::registry::Registry;
 use warlock::service::{Service, ServiceReply};
 use warlock::Warlock;
@@ -271,19 +270,18 @@ fn serve<R: BufRead, W: Write>(
                 if line.trim().is_empty() {
                     continue;
                 }
-                // A panicking request (a bug) must not take the server
-                // down: degrade to an internal-error response for this
-                // client, in the envelope version the request spoke and
-                // echoing its id.
-                std::panic::catch_unwind(AssertUnwindSafe(|| service.handle_line(&line)))
-                    .unwrap_or_else(|_| {
-                        ServiceReply::error_for_request(
+                // A panicking request (a bug), JSON parsing included,
+                // must not take the server down: it degrades to an
+                // internal-error response in the request's envelope.
+                ServiceReply::catch_panic(
+                    || service.handle_line(&line),
+                    || {
+                        (
                             ServiceReply::request_version(&line),
                             ServiceReply::request_id(&line),
-                            "internal",
-                            "request handler panicked",
                         )
-                    })
+                    },
+                )
             }
         };
         // The line and its newline leave in one write: split in two, the
@@ -314,9 +312,6 @@ fn serve_tcp(
     max_request_bytes: usize,
     shutdown: &Arc<ShutdownSignal>,
 ) {
-    if let Ok(addr) = listener.local_addr() {
-        shutdown.register(addr);
-    }
     eprintln!(
         "warlockd: listening on {}",
         listener
@@ -324,28 +319,19 @@ fn serve_tcp(
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "<unknown>".into())
     );
-    for stream in listener.incoming() {
-        if shutdown.is_stopped() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
+    let service = Arc::clone(service);
+    // A connection serves requests until its peer leaves; a clean
+    // shutdown request returns `true` once its response is flushed,
+    // which stops every transport and lets main exit 0.
+    accept_until_shutdown(listener, shutdown, move |stream| {
         // Replies are whole lines in one write, so there is nothing for
         // Nagle's algorithm to coalesce — only a delayed ACK to wait on.
         let _ = stream.set_nodelay(true);
-        let service = Arc::clone(service);
-        let shutdown = Arc::clone(shutdown);
-        std::thread::spawn(move || {
-            let reader = match stream.try_clone() {
-                Ok(s) => BufReader::new(s),
-                Err(_) => return,
-            };
-            if serve(&service, reader, stream, max_request_bytes) {
-                // A clean shutdown request: the response is flushed;
-                // stop every transport and let main exit 0.
-                shutdown.trigger();
-            }
-        });
-    }
+        let Ok(reader) = stream.try_clone() else {
+            return false;
+        };
+        serve(&service, BufReader::new(reader), stream, max_request_bytes)
+    });
 }
 
 fn main() -> ExitCode {

@@ -3,10 +3,20 @@
 //!
 //! The owned [`crate::Warlock`] session facade and the `warlockd`
 //! service both delegate here, so the pipeline has
-//! exactly one implementation. Candidates are pulled lazily from a
-//! [`CandidateSource`] in fixed-size chunks (never materializing the
-//! space). The source walks bounded by `max_fragments`: a subtree whose
-//! every candidate has too many fragments is stepped over whole (see
+//! exactly one implementation. A run reads one [`Inputs`] view of
+//! borrowed inputs; the session hands out its snapshot's, and a what-if
+//! is the same [`run`] over that view with one field replaced.
+//!
+//! This module is also the one place a candidate's per-class detail
+//! is costed: the finish step prices each ranked candidate once, and
+//! [`evaluate`] prices an arbitrary (checked) candidate once. Analyses,
+//! allocation plans and policy verdicts derive from that cost and
+//! never build a cost model of their own.
+//!
+//! Candidates are pulled lazily from a [`CandidateSource`] in
+//! fixed-size chunks (never materializing the space). The source walks
+//! bounded by `max_fragments`: a subtree whose every candidate has too
+//! many fragments is stepped over whole (see
 //! [`CandidateSource::stride`]), adding its exact size to `enumerated`
 //! and to the `too_many_fragments` exclusions and one run-length cell
 //! to the memo column, without becoming a `Fragmentation`, pool work or
@@ -53,8 +63,6 @@ use warlock_storage::SystemConfig;
 use warlock_workload::QueryMix;
 
 use crate::advisor::{AdvisorReport, ExcludedCandidate, ExcludedSummary, RankedCandidate};
-use crate::allocation_plan::{AllocationPlan, PlanInputs};
-use crate::analysis::FragmentationAnalysis;
 use crate::cache::{Column, ColumnReader, EvalCache, Slot};
 use crate::config::AdvisorConfig;
 use crate::error::WarlockError;
@@ -101,8 +109,21 @@ pub(crate) struct EvalEnv<'a> {
     pub pool: &'a exec::WorkerPool,
 }
 
+/// The borrowed inputs of one pipeline run: what a session snapshot
+/// holds, and what a what-if varies one field of (the system, the
+/// scheme, or the mix together with its re-derived scheme).
+#[derive(Clone, Copy)]
+pub(crate) struct Inputs<'a> {
+    pub schema: &'a StarSchema,
+    pub system: &'a SystemConfig,
+    pub mix: &'a QueryMix,
+    pub config: &'a AdvisorConfig,
+    pub scheme: &'a BitmapScheme,
+}
+
 /// Validates all advisor inputs and derives the bitmap scheme and skew
-/// model the pipeline runs with.
+/// model the pipeline runs with (so it takes the inputs before a scheme
+/// exists, not an [`Inputs`] view).
 pub(crate) fn validate(
     schema: &StarSchema,
     system: &SystemConfig,
@@ -141,30 +162,20 @@ pub(crate) fn validate(
 /// value; for automatic policies it uses a floor of 8 pages — the
 /// smallest sequential run for which positioning amortization is
 /// meaningful on the modeled disks.
-pub(crate) fn threshold_context(
-    schema: &StarSchema,
-    system: &SystemConfig,
-    config: &AdvisorConfig,
-) -> ThresholdContext {
-    let row_bytes = schema.fact_row_bytes(config.fact_index);
+pub(crate) fn threshold_context(inputs: Inputs<'_>) -> ThresholdContext {
+    let row_bytes = inputs.schema.fact_row_bytes(inputs.config.fact_index);
     ThresholdContext {
-        rows_per_page: system.page.rows_per_page(row_bytes),
-        prefetch_pages: system.fact_prefetch.fixed().unwrap_or(8),
-        num_disks: system.num_disks,
+        rows_per_page: inputs.system.page.rows_per_page(row_bytes),
+        prefetch_pages: inputs.system.fact_prefetch.fixed().unwrap_or(8),
+        num_disks: inputs.system.num_disks,
     }
 }
 
 /// Builds the cost model, mapping the (validated-at-build-time) fact
 /// index failure to an internal-invariant error instead of panicking.
-fn cost_model<'a>(
-    schema: &'a StarSchema,
-    system: &'a SystemConfig,
-    scheme: &'a BitmapScheme,
-    mix: &'a QueryMix,
-    config: &AdvisorConfig,
-) -> Result<CostModel<'a>, WarlockError> {
-    CostModel::new(schema, system, scheme, mix)
-        .with_fact_index(config.fact_index)
+fn cost_model(inputs: Inputs<'_>) -> Result<CostModel<'_>, WarlockError> {
+    CostModel::new(inputs.schema, inputs.system, inputs.scheme, inputs.mix)
+        .with_fact_index(inputs.config.fact_index)
         .map_err(|e| WarlockError::internal(format!("validated fact index rejected: {e}")))
 }
 
@@ -275,6 +286,12 @@ const MAX_GROUP_SIZE: usize = 64;
 struct EvalScratch {
     layout: LayoutScratch,
     batch: ChunkBatch,
+    /// Calls that used this arena, for the arena tests.
+    #[cfg(test)]
+    uses: u32,
+    /// The thread that first used this arena, for the arena tests.
+    #[cfg(test)]
+    owner: Option<std::thread::ThreadId>,
 }
 
 /// How the pipeline resolved one candidate before the merge loop
@@ -367,14 +384,14 @@ fn evaluate_group(
 /// [`WarlockError::CandidateBudget`] when the exact predicted space
 /// exceeds `config.max_candidates` (if set) — before any enumeration
 /// or evaluation work is done.
-pub(crate) fn run(
-    schema: &StarSchema,
-    system: &SystemConfig,
-    mix: &QueryMix,
-    config: &AdvisorConfig,
-    scheme: &BitmapScheme,
-    env: EvalEnv<'_>,
-) -> Result<AdvisorReport, WarlockError> {
+pub(crate) fn run(inputs: Inputs<'_>, env: EvalEnv<'_>) -> Result<AdvisorReport, WarlockError> {
+    let Inputs {
+        schema,
+        system,
+        mix,
+        config,
+        scheme,
+    } = inputs;
     let mut source =
         CandidateSource::ranged(schema, config.max_dimensionality, &config.range_options)
             .bounded(config.thresholds.max_fragments);
@@ -385,8 +402,8 @@ pub(crate) fn run(
             budget: config.max_candidates,
         });
     }
-    let ctx = threshold_context(schema, system, config);
-    let model = cost_model(schema, system, scheme, mix, config)?;
+    let ctx = threshold_context(inputs);
+    let model = cost_model(inputs)?;
     // The run's own memo column from an earlier run, or else the one
     // this run writes.
     let memo = env
@@ -500,7 +517,7 @@ pub(crate) fn run(
             let group_size = todo.len().div_ceil(workers).clamp(1, MAX_GROUP_SIZE);
             let groups: Vec<&[usize]> = todo.chunks(group_size).collect();
             let fresh = env.pool.map(workers, &groups, |group| {
-                exec::with_scratch(|scratch: &mut EvalScratch| {
+                exec::with_scratch(|scratch| {
                     evaluate_group(schema, config, ctx, tables, backend, &chunk, group, scratch)
                 })
             });
@@ -602,21 +619,18 @@ pub(crate) fn run(
 
     let mut ranked_costs = rank.finish();
     ranked_costs.truncate(config.top_n);
-    // The hot path costs candidates without per-query detail; re-derive
-    // it for the ranked handful through the scalar model, whose
-    // aggregates are bit-identical to the batched evaluator's.
-    for cost in &mut ranked_costs {
-        if cost.per_query.is_empty() {
-            *cost = model.evaluate(&cost.fragmentation);
-        }
-    }
+    // The hot path costs candidates without per-query detail; derive it
+    // for the ranked handful through the scalar model, whose aggregates
+    // are bit-identical to the batched evaluator's. This is the only
+    // time a ranked candidate's detail is costed: its analysis, plan
+    // and policy verdict all read this cost.
     let ranked = ranked_costs
         .into_iter()
         .enumerate()
         .map(|(i, cost)| RankedCandidate {
             rank: i + 1,
             label: cost.fragmentation.label(schema),
-            cost,
+            cost: model.evaluate(&cost.fragmentation),
         })
         .collect();
 
@@ -627,95 +641,6 @@ pub(crate) fn run(
         enumerated,
         scheme: scheme.clone(),
     })
-}
-
-/// Labels a what-if knob, spelling out clamping instead of hiding it:
-/// requesting `0` disks runs with 1 disk, and the label must say so.
-fn clamped_label(what: &str, requested: u32, effective: u32, unit: &str) -> String {
-    if requested == effective {
-        format!("{what} = {requested}{unit}")
-    } else {
-        format!("{what} = {effective}{unit} (requested {requested}, clamped)")
-    }
-}
-
-/// What-if variation: `num_disks` disks. Returns the variation label and
-/// the re-run report, for [`crate::Warlock::what_if_disks`].
-pub(crate) fn vary_disks(
-    schema: &StarSchema,
-    system: &SystemConfig,
-    mix: &QueryMix,
-    config: &AdvisorConfig,
-    scheme: &BitmapScheme,
-    num_disks: u32,
-    env: EvalEnv<'_>,
-) -> Result<(String, AdvisorReport), WarlockError> {
-    let effective = num_disks.max(1);
-    let mut system = *system;
-    system.num_disks = effective;
-    let report = run(schema, &system, mix, config, scheme, env)?;
-    Ok((clamped_label("disks", num_disks, effective, ""), report))
-}
-
-/// What-if variation: prefetch fixed at `pages` for fact tables and
-/// bitmaps alike.
-pub(crate) fn vary_fixed_prefetch(
-    schema: &StarSchema,
-    system: &SystemConfig,
-    mix: &QueryMix,
-    config: &AdvisorConfig,
-    scheme: &BitmapScheme,
-    pages: u32,
-    env: EvalEnv<'_>,
-) -> Result<(String, AdvisorReport), WarlockError> {
-    use warlock_storage::PrefetchPolicy;
-    let effective = pages.max(1);
-    let mut system = *system;
-    system.fact_prefetch = PrefetchPolicy::Fixed(effective);
-    system.bitmap_prefetch = PrefetchPolicy::Fixed(effective);
-    let report = run(schema, &system, mix, config, scheme, env)?;
-    Ok((
-        clamped_label("prefetch", pages, effective, " pages"),
-        report,
-    ))
-}
-
-/// What-if variation: the bitmap indexes of `dimension` dropped. Fails
-/// with the typed `UnknownDimension` schema error when the scheme (one
-/// entry per schema dimension) has no such dimension.
-pub(crate) fn vary_without_bitmap_dimension(
-    schema: &StarSchema,
-    system: &SystemConfig,
-    mix: &QueryMix,
-    config: &AdvisorConfig,
-    scheme: &BitmapScheme,
-    dimension: warlock_schema::DimensionId,
-    env: EvalEnv<'_>,
-) -> Result<(String, AdvisorReport), WarlockError> {
-    let scheme = scheme.without_dimension(dimension)?;
-    let report = run(schema, system, mix, config, &scheme, env)?;
-    Ok((format!("no bitmaps on dimension {dimension}"), report))
-}
-
-/// What-if variation: query class `name` removed from the workload.
-/// The bitmap scheme is derived from the mix, so it is re-derived for
-/// the reduced workload (as the original advisor did). Fails with
-/// [`WarlockError::UnknownClass`] when the class is unknown or removing
-/// it would empty the mix.
-pub(crate) fn vary_without_class(
-    schema: &StarSchema,
-    system: &SystemConfig,
-    mix: &QueryMix,
-    config: &AdvisorConfig,
-    name: &str,
-    env: EvalEnv<'_>,
-) -> Result<(String, AdvisorReport), WarlockError> {
-    let mix = mix
-        .without_class(name)
-        .ok_or_else(|| WarlockError::UnknownClass { name: name.into() })?;
-    let scheme = BitmapScheme::derive(schema, &mix, config.scheme);
-    let report = run(schema, system, &mix, config, &scheme, env)?;
-    Ok((format!("without class {name}"), report))
 }
 
 /// Guards every single-candidate entry point: the fragmentation must
@@ -734,75 +659,14 @@ fn check_candidate(schema: &StarSchema, fragmentation: &Fragmentation) -> Result
     Ok(())
 }
 
-/// Evaluates a single candidate outside the ranking pipeline (no
-/// thresholds, no memo).
+/// Prices a single candidate outside the ranking pipeline (no
+/// thresholds, no memo), with the same per-class detail the ranked
+/// candidates carry — the one cost an analysis, a plan or a policy
+/// verdict of an arbitrary candidate derives from.
 pub(crate) fn evaluate(
-    schema: &StarSchema,
-    system: &SystemConfig,
-    mix: &QueryMix,
-    config: &AdvisorConfig,
-    scheme: &BitmapScheme,
+    inputs: Inputs<'_>,
     fragmentation: &Fragmentation,
 ) -> Result<CandidateCost, WarlockError> {
-    check_candidate(schema, fragmentation)?;
-    Ok(cost_model(schema, system, scheme, mix, config)?.evaluate(fragmentation))
-}
-
-/// Produces the detailed Fig.-2-style statistic for one candidate.
-pub(crate) fn analyze(
-    schema: &StarSchema,
-    system: &SystemConfig,
-    mix: &QueryMix,
-    config: &AdvisorConfig,
-    scheme: &BitmapScheme,
-    fragmentation: &Fragmentation,
-) -> Result<FragmentationAnalysis, WarlockError> {
-    check_candidate(schema, fragmentation)?;
-    FragmentationAnalysis::build(
-        schema,
-        system,
-        scheme,
-        mix,
-        fragmentation,
-        config.fact_index,
-    )
-}
-
-/// Computes the physical allocation plan for one candidate.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_allocation(
-    schema: &StarSchema,
-    system: &SystemConfig,
-    mix: &QueryMix,
-    config: &AdvisorConfig,
-    scheme: &BitmapScheme,
-    skew: &SkewModel,
-    fragmentation: &Fragmentation,
-) -> Result<AllocationPlan, WarlockError> {
-    plan_inputs(schema, system, mix, config, scheme, skew, fragmentation)
-        .map(|inputs| inputs.place(config.allocation_policy))
-}
-
-/// The placement-independent inputs of `fragmentation`'s allocation
-/// plans, to place under one or more policies.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_inputs(
-    schema: &StarSchema,
-    system: &SystemConfig,
-    mix: &QueryMix,
-    config: &AdvisorConfig,
-    scheme: &BitmapScheme,
-    skew: &SkewModel,
-    fragmentation: &Fragmentation,
-) -> Result<PlanInputs, WarlockError> {
-    check_candidate(schema, fragmentation)?;
-    PlanInputs::new(
-        schema,
-        system,
-        scheme,
-        mix,
-        skew,
-        fragmentation,
-        config.fact_index,
-    )
+    check_candidate(inputs.schema, fragmentation)?;
+    Ok(cost_model(inputs)?.evaluate(fragmentation))
 }

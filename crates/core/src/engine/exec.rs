@@ -24,41 +24,34 @@
 //!   tiny inputs) runs inline without touching the pool at all, which
 //!   keeps the pinned `WARLOCK_PARALLELISM=1` lane strictly serial.
 
-use std::any::{Any, TypeId};
-use std::cell::{RefCell, UnsafeCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::{Cell, UnsafeCell};
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use super::EvalScratch;
+
 thread_local! {
-    /// Per-thread scratch arenas, keyed by type. Pool threads persist
-    /// across jobs, so an arena acquired here lives for the worker's
-    /// lifetime and its buffers amortize to zero steady-state allocation.
-    static SCRATCH: RefCell<HashMap<TypeId, Box<dyn Any>>> = RefCell::new(HashMap::new());
+    /// This thread's evaluation arena. Pool threads persist across jobs,
+    /// so an arena acquired here lives for the worker's lifetime and its
+    /// buffers amortize to zero steady-state allocation.
+    static SCRATCH: Cell<Option<EvalScratch>> = const { Cell::new(None) };
 }
 
-/// Runs `f` with this thread's scratch arena of type `S`, creating it on
-/// first use and returning it to the thread-local store afterwards (with
-/// whatever capacity it grew). The arena is *removed* from the store for
-/// the duration of the call, so re-entrant use of the same type sees a
-/// fresh default instead of aliasing — and a panicking `f` simply drops
-/// the arena rather than leaving it in a torn state.
-pub(crate) fn with_scratch<S: Default + 'static, R>(f: impl FnOnce(&mut S) -> R) -> R {
-    SCRATCH.with(|cell| {
-        let mut boxed: Box<dyn Any> = cell
-            .borrow_mut()
-            .remove(&TypeId::of::<S>())
-            .unwrap_or_else(|| Box::new(S::default()));
-        let scratch = boxed
-            .downcast_mut::<S>()
-            .expect("scratch store keyed by TypeId");
-        let result = f(scratch);
-        cell.borrow_mut().insert(TypeId::of::<S>(), boxed);
-        result
-    })
+/// Runs `f` with this thread's evaluation arena, creating it on first
+/// use and returning it to the thread-local slot afterwards (with
+/// whatever capacity it grew). The arena is *taken out* of the slot for
+/// the duration of the call, so a re-entrant call sees a fresh default
+/// instead of aliasing — and a panicking `f` simply drops the arena
+/// rather than leaving it in a torn state.
+pub(super) fn with_scratch<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
+    let mut scratch = SCRATCH.take().unwrap_or_default();
+    let result = f(&mut scratch);
+    SCRATCH.set(Some(scratch));
+    result
 }
 
 /// Environment variable overriding the automatic worker count (only
@@ -460,43 +453,44 @@ mod tests {
 
     #[test]
     fn scratch_persists_per_thread_and_nests_fresh() {
-        #[derive(Default)]
-        struct Counter(u64);
-
-        // Same thread, same type: state persists between calls.
-        with_scratch(|c: &mut Counter| c.0 += 1);
-        let seen = with_scratch(|c: &mut Counter| {
-            c.0 += 1;
-            c.0
-        });
-        assert_eq!(seen, 2);
-        // Re-entrant use of the same type gets a fresh default, not an
-        // alias of the outer arena.
-        let (outer, inner) = with_scratch(|c: &mut Counter| {
-            c.0 += 1;
-            let inner = with_scratch(|nested: &mut Counter| {
-                nested.0 += 10;
-                nested.0
+        // Run on a thread of its own, so the arena starts empty.
+        std::thread::spawn(|| {
+            // Same thread: state persists between calls.
+            with_scratch(|s| s.uses += 1);
+            assert_eq!(with_scratch(|s| s.uses), 1);
+            // A re-entrant call gets a fresh default, not an alias of
+            // the outer arena, and the outer arena is what stays.
+            let (outer, inner) = with_scratch(|s| {
+                s.uses += 1;
+                (s.uses, with_scratch(|nested| nested.uses))
             });
-            (c.0, inner)
-        });
-        assert_eq!((outer, inner), (3, 10));
+            assert_eq!((outer, inner), (2, 0));
+            assert_eq!(with_scratch(|s| s.uses), 2);
+            // A panicking call drops its arena instead of returning it.
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                with_scratch(|s| {
+                    s.uses += 1;
+                    panic!("torn arena");
+                })
+            }));
+            assert!(panicked.is_err());
+            assert_eq!(with_scratch(|s| s.uses), 0);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
     fn scratch_arenas_are_per_worker_thread() {
-        #[derive(Default)]
-        struct Tag(Option<std::thread::ThreadId>);
-
         let pool = WorkerPool::new();
         let items: Vec<u32> = (0..64).collect();
         // Every claimed item must observe a scratch bound to its own
         // thread — an arena created on one worker never migrates.
         pool.map(4, &items, |&x| {
-            with_scratch(|t: &mut Tag| {
+            with_scratch(|s| {
                 let me = std::thread::current().id();
-                match t.0 {
-                    None => t.0 = Some(me),
+                match s.owner {
+                    None => s.owner = Some(me),
                     Some(owner) => assert_eq!(owner, me, "scratch crossed threads"),
                 }
             });

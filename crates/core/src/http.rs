@@ -118,6 +118,34 @@ impl HttpError {
     }
 }
 
+/// The accept loop of every network transport: accepts connections on
+/// `listener` until `shutdown` trips, handling each on a thread of its
+/// own. A handler returning `true` — its client asked the whole server
+/// to stop and was answered — trips `shutdown`, which wakes this loop
+/// and every other registered one.
+pub fn accept_until_shutdown<H>(listener: TcpListener, shutdown: &Arc<ShutdownSignal>, handle: H)
+where
+    H: Fn(TcpStream) -> bool + Send + Sync + 'static,
+{
+    if let Ok(addr) = listener.local_addr() {
+        shutdown.register(addr);
+    }
+    let handle = Arc::new(handle);
+    for stream in listener.incoming() {
+        if shutdown.is_stopped() {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        let handle = Arc::clone(&handle);
+        let shutdown = Arc::clone(shutdown);
+        std::thread::spawn(move || {
+            if handle(stream) {
+                shutdown.trigger();
+            }
+        });
+    }
+}
+
 /// Serves the v2 protocol over HTTP until `shutdown` trips (from a
 /// request on this transport or any other). One thread per connection;
 /// request bodies above `max_request_bytes` are answered with `413` and
@@ -128,22 +156,9 @@ pub fn serve_http(
     max_request_bytes: usize,
     shutdown: Arc<ShutdownSignal>,
 ) {
-    if let Ok(addr) = listener.local_addr() {
-        shutdown.register(addr);
-    }
-    for stream in listener.incoming() {
-        if shutdown.is_stopped() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let service = Arc::clone(&service);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            if handle_connection(&service, stream, max_request_bytes) {
-                shutdown.trigger();
-            }
-        });
-    }
+    accept_until_shutdown(listener, &shutdown, move |stream| {
+        handle_connection(&service, stream, max_request_bytes)
+    });
 }
 
 /// Handles one connection (one request); returns `true` when the client
@@ -227,20 +242,14 @@ fn dispatch(service: &Service, request: &HttpRequest) -> Result<ServiceReply, Ht
     request.extend(members.into_iter().filter(|(k, _)| k != "v" && k != "op"));
     let request = Json::Obj(request);
     // A panicking request (a bug) must not drop the connection without
-    // a response: degrade to a typed 500 echoing the request's id, like
-    // the line transports do.
-    Ok(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        service.handle_request(&request)
-    }))
-    .unwrap_or_else(|_| {
-        let id = request.get("id").cloned().unwrap_or(Json::Null);
-        ServiceReply::error_for_request(
-            PROTOCOL_VERSION,
-            id,
-            "internal",
-            "request handler panicked",
-        )
-    }))
+    // a response: it degrades to a typed 500 echoing the request's id.
+    Ok(ServiceReply::catch_panic(
+        || service.handle_request(&request),
+        || {
+            let id = request.get("id").cloned().unwrap_or(Json::Null);
+            (PROTOCOL_VERSION, id)
+        },
+    ))
 }
 
 /// Reads one HTTP request: a bounded head, then a `Content-Length`

@@ -20,11 +20,11 @@
 //! [`Warlock::invalidate`]) starts a fresh snapshot with no verdict.
 
 use warlock_alloc::AllocationScheme;
+use warlock_cost::CandidateCost;
 use warlock_fragment::Fragmentation;
 use warlock_sim::{judge_head_to_head, ClassLoad, PolicyEntrant};
 
-use crate::allocation_plan::AllocationPlan;
-use crate::engine;
+use crate::allocation_plan::{AllocationPlan, PlanInputs};
 use crate::error::WarlockError;
 use crate::session::Warlock;
 
@@ -109,25 +109,24 @@ impl Warlock {
         self.top_recommendation().cloned()
     }
 
-    /// Judges the policies on the top-ranked candidate, uncached: the
-    /// computation behind [`Warlock::recommend_policy`].
+    /// Judges the policies on the top-ranked candidate's ranked cost,
+    /// uncached: the computation behind [`Warlock::recommend_policy`].
     pub(crate) fn judge_top(&self) -> Result<PolicyRecommendation, WarlockError> {
-        let report = self.rank()?;
-        let top = report.top().map(|r| r.cost.fragmentation.clone()).ok_or(
-            WarlockError::RankOutOfRange {
-                rank: 1,
-                available: 0,
-            },
-        )?;
-        self.recommend_policy_for(&top)
+        Ok(self.judge(self.ranked_cost(1)?))
     }
 
     /// Judges the contending policies on an explicit candidate. Not
-    /// cached: every call places and replays afresh.
+    /// cached: every call prices, places and replays afresh.
     pub fn recommend_policy_for(
         &self,
         fragmentation: &Fragmentation,
     ) -> Result<PolicyRecommendation, WarlockError> {
+        Ok(self.judge(&self.evaluate(fragmentation)?))
+    }
+
+    /// Judges the contending policies on the candidate `cost` prices
+    /// under this session's snapshot.
+    fn judge(&self, cost: &CandidateCost) -> PolicyRecommendation {
         use warlock_alloc::AllocationPolicy;
         let s = self.snapshot();
         // The graph entrant inherits the configured seed when the
@@ -143,17 +142,9 @@ impl Warlock {
         ];
         let shares: Vec<f64> = s.mix().iter().map(|(_, share)| share).collect();
 
-        // Sizes, costs and class accesses do not depend on the policy:
-        // derive them once and place them three ways.
-        let inputs = engine::plan_inputs(
-            s.schema(),
-            s.system(),
-            s.mix(),
-            s.config(),
-            s.scheme(),
-            s.skew(),
-            fragmentation,
-        )?;
+        // Sizes and class accesses do not depend on the policy: derive
+        // them once and place them three ways.
+        let inputs = PlanInputs::new(s.inputs(), s.skew(), cost);
         let plans: Vec<(&str, AllocationPlan)> = contenders
             .into_iter()
             .map(|(name, policy)| (name, inputs.place(policy)))
@@ -195,14 +186,14 @@ impl Warlock {
                 }
             })
             .collect();
-        Ok(PolicyRecommendation {
+        PolicyRecommendation {
             label: plans[0].1.label.clone(),
             recommended: verdicts
                 .first()
                 .map(|v| v.policy.clone())
                 .unwrap_or_default(),
             verdicts,
-        })
+        }
     }
 }
 

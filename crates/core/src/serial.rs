@@ -1133,19 +1133,14 @@ impl crate::Warlock {
     /// The complete machine-readable advisory for the current inputs:
     /// the ranking plus the top candidate's analysis, allocation plan
     /// and judged allocation-policy recommendation (the snapshot's
-    /// cached verdict, see [`crate::Warlock::recommend_policy`]). Ranks
-    /// first if necessary.
+    /// cached verdict, see [`crate::Warlock::recommend_policy`]), all
+    /// derived from the top candidate's ranked cost. Ranks first if
+    /// necessary.
     pub fn session_report(&self) -> Result<SessionReport, WarlockError> {
-        let top = self.rank()?.top().map(|r| r.cost.fragmentation.clone());
-        let analysis = top
-            .as_ref()
-            .map(|f| self.analyze_candidate(f))
-            .transpose()?;
-        let allocation = top.as_ref().map(|f| self.plan_candidate(f)).transpose()?;
-        let recommendation = top
-            .as_ref()
-            .map(|_| self.top_recommendation())
-            .transpose()?;
+        let top = self.rank()?.top().is_some();
+        let analysis = top.then(|| self.analyze(1)).transpose()?;
+        let allocation = top.then(|| self.plan_allocation(1)).transpose()?;
+        let recommendation = top.then(|| self.top_recommendation()).transpose()?;
         Ok(SessionReport::new(
             self.rank()?,
             analysis.as_ref(),

@@ -134,6 +134,22 @@ impl ServiceReply {
         }
     }
 
+    /// Runs one request's handler and returns its reply. A panicking
+    /// handler (a bug) must neither take a transport down nor leave its
+    /// client unanswered: it degrades to a typed `internal` error in the
+    /// envelope `envelope` names — the request's version and `id`, so
+    /// v1 clients get `"v":1` and pipelining clients can match it. The
+    /// one panic fallback of every transport.
+    pub fn catch_panic(
+        handle: impl FnOnce() -> ServiceReply,
+        envelope: impl FnOnce() -> (i64, Json),
+    ) -> ServiceReply {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(handle)).unwrap_or_else(|_| {
+            let (version, id) = envelope();
+            Self::error_for_request(version, id, "internal", "request handler panicked")
+        })
+    }
+
     /// The version a raw request line claims to speak, for shaping
     /// replies the service itself never produced (panic fallbacks).
     /// Unparseable lines report the current version.
@@ -1080,11 +1096,14 @@ mod tests {
     #[test]
     fn panic_fallback_replies_echo_the_request_version_and_id() {
         let line = r#"{"v":1,"id":{"seq":7},"op":"rank"}"#;
-        let reply = ServiceReply::error_for_request(
-            ServiceReply::request_version(line),
-            ServiceReply::request_id(line),
-            "internal",
-            "request handler panicked",
+        let reply = ServiceReply::catch_panic(
+            || panic!("handler bug"),
+            || {
+                (
+                    ServiceReply::request_version(line),
+                    ServiceReply::request_id(line),
+                )
+            },
         );
         assert_eq!(reply.error_kind, Some("internal"));
         let json = warlock_json::parse(&reply.line).unwrap();

@@ -4,8 +4,12 @@
 //! interactive GUI session: it **owns** its inputs (schema, system,
 //! weighted mix, configuration), validates them once at build time, and
 //! then serves rankings, per-candidate analyses, allocation plans and
-//! what-if variations from one long-lived handle. Construction goes
-//! through [`Warlock::builder`]:
+//! what-if variations from one long-lived handle. Every request is a
+//! direct call into the pipeline: a ranked candidate's analysis, plan
+//! and policy verdict read the cost the ranking already holds, an
+//! arbitrary candidate is priced once and derived the same way, and a
+//! what-if re-runs the pipeline over the snapshot's inputs with one of
+//! them replaced. Construction goes through [`Warlock::builder`]:
 //!
 //! ```
 //! use warlock::prelude::*;
@@ -60,14 +64,14 @@ use warlock_storage::SystemConfig;
 use warlock_workload::QueryMix;
 
 use crate::advisor::AdvisorReport;
-use crate::allocation_plan::AllocationPlan;
+use crate::allocation_plan::{AllocationPlan, PlanInputs};
 use crate::analysis::FragmentationAnalysis;
 use crate::cache::{EvalCache, EvalCacheStats};
 use crate::config::AdvisorConfig;
 use crate::config_file::parse_config;
 use crate::engine;
 use crate::engine::exec::WorkerPool;
-use crate::engine::EvalEnv;
+use crate::engine::{EvalEnv, Inputs};
 use crate::error::WarlockError;
 use crate::optimizer::{AdviceEvent, DriftStatus, OptimizerState};
 use crate::policy_judge::PolicyRecommendation;
@@ -112,6 +116,29 @@ impl Snapshot {
             skew,
             ranking: OnceLock::new(),
             recommendation: OnceLock::new(),
+        }
+    }
+
+    /// Validates the inputs and derives the scheme and skew model of a
+    /// new snapshot.
+    fn validated(
+        schema: StarSchema,
+        system: SystemConfig,
+        mix: QueryMix,
+        config: AdvisorConfig,
+    ) -> Result<Self, WarlockError> {
+        let (scheme, skew) = engine::validate(&schema, &system, &mix, &config)?;
+        Ok(Self::new(schema, system, mix, config, scheme, skew))
+    }
+
+    /// The pipeline's view of this snapshot's inputs.
+    pub(crate) fn inputs(&self) -> Inputs<'_> {
+        Inputs {
+            schema: &self.schema,
+            system: &self.system,
+            mix: &self.mix,
+            config: &self.config,
+            scheme: &self.scheme,
         }
     }
 
@@ -335,9 +362,8 @@ impl WarlockBuilder {
         if let Some(policy) = self.allocation_policy {
             config.allocation_policy = policy;
         }
-        let (scheme, skew) = engine::validate(&schema, &system, &mix, &config)?;
         Ok(Warlock {
-            snapshot: Arc::new(Snapshot::new(schema, system, mix, config, scheme, skew)),
+            snapshot: Arc::new(Snapshot::validated(schema, system, mix, config)?),
             shared: Arc::new(Shared::default()),
         })
     }
@@ -481,15 +507,8 @@ impl Warlock {
     /// (clones are unaffected).
     pub fn set_config(&mut self, config: AdvisorConfig) -> Result<(), WarlockError> {
         let s = &*self.snapshot;
-        let (scheme, skew) = engine::validate(&s.schema, &s.system, &s.mix, &config)?;
-        self.swap_snapshot(Snapshot::new(
-            s.schema.clone(),
-            s.system,
-            s.mix.clone(),
-            config,
-            scheme,
-            skew,
-        ));
+        let snapshot = Snapshot::validated(s.schema.clone(), s.system, s.mix.clone(), config)?;
+        self.swap_snapshot(snapshot);
         Ok(())
     }
 
@@ -506,16 +525,12 @@ impl Warlock {
         &mut self,
         parsed: crate::config_file::ParsedConfig,
     ) -> Result<(), WarlockError> {
-        let (scheme, skew) =
-            engine::validate(&parsed.schema, &parsed.system, &parsed.mix, &parsed.advisor)?;
-        self.swap_snapshot(Snapshot::new(
+        self.swap_snapshot(Snapshot::validated(
             parsed.schema,
             parsed.system,
             parsed.mix,
             parsed.advisor,
-            scheme,
-            skew,
-        ));
+        )?);
         Ok(())
     }
 
@@ -569,11 +584,7 @@ impl Warlock {
 
     /// The threshold context derived from the system configuration.
     pub fn threshold_context(&self) -> warlock_fragment::ThresholdContext {
-        engine::threshold_context(
-            &self.snapshot.schema,
-            &self.snapshot.system,
-            &self.snapshot.config,
-        )
+        engine::threshold_context(self.snapshot.inputs())
     }
 
     /// Runs the prediction pipeline, ignoring and leaving untouched the
@@ -581,15 +592,7 @@ impl Warlock {
     /// read, and gains this run's column if it held none — see
     /// [`Warlock::cache_stats`]).
     pub fn run(&self) -> Result<AdvisorReport, WarlockError> {
-        let s = &*self.snapshot;
-        engine::run(
-            &s.schema,
-            &s.system,
-            &s.mix,
-            &s.config,
-            &s.scheme,
-            self.shared.env(),
-        )
+        engine::run(self.snapshot.inputs(), self.shared.env())
     }
 
     /// The ranked recommendation list, computed on first call and
@@ -642,28 +645,31 @@ impl Warlock {
         self.shared.cache.stats()
     }
 
-    fn ranked_fragmentation(&self, rank: usize) -> Result<Fragmentation, WarlockError> {
+    /// The cost of the candidate at 1-based `rank`, ranking first if
+    /// necessary: the ranked cost itself, per-class detail included, so
+    /// nothing is re-costed.
+    pub(crate) fn ranked_cost(&self, rank: usize) -> Result<&CandidateCost, WarlockError> {
         let report = self.rank()?;
         let available = report.ranked.len();
         report
             .ranked
             .get(rank.wrapping_sub(1))
-            .map(|r| r.cost.fragmentation.clone())
+            .map(|r| &r.cost)
             .ok_or(WarlockError::RankOutOfRange { rank, available })
     }
 
     /// The Fig.-2-style detailed query statistic of the candidate at
     /// 1-based `rank`, ranking first if necessary.
     pub fn analyze(&self, rank: usize) -> Result<FragmentationAnalysis, WarlockError> {
-        let fragmentation = self.ranked_fragmentation(rank)?;
-        self.analyze_candidate(&fragmentation)
+        let cost = self.ranked_cost(rank)?;
+        Ok(FragmentationAnalysis::new(self.snapshot.inputs(), cost))
     }
 
     /// The physical allocation plan of the candidate at 1-based `rank`,
     /// ranking first if necessary.
     pub fn plan_allocation(&self, rank: usize) -> Result<AllocationPlan, WarlockError> {
-        let fragmentation = self.ranked_fragmentation(rank)?;
-        self.plan_candidate(&fragmentation)
+        let inputs = PlanInputs::new(self.snapshot.inputs(), self.skew(), self.ranked_cost(rank)?);
+        Ok(inputs.place(self.config().allocation_policy))
     }
 
     /// Evaluates an arbitrary candidate outside the ranking pipeline:
@@ -671,15 +677,7 @@ impl Warlock {
     /// call (the memo serves ranking runs only, so `cache_stats` does
     /// not count evaluations).
     pub fn evaluate(&self, fragmentation: &Fragmentation) -> Result<CandidateCost, WarlockError> {
-        let s = &*self.snapshot;
-        engine::evaluate(
-            &s.schema,
-            &s.system,
-            &s.mix,
-            &s.config,
-            &s.scheme,
-            fragmentation,
-        )
+        engine::evaluate(self.snapshot.inputs(), fragmentation)
     }
 
     /// The detailed query statistic of an arbitrary candidate.
@@ -687,15 +685,8 @@ impl Warlock {
         &self,
         fragmentation: &Fragmentation,
     ) -> Result<FragmentationAnalysis, WarlockError> {
-        let s = &*self.snapshot;
-        engine::analyze(
-            &s.schema,
-            &s.system,
-            &s.mix,
-            &s.config,
-            &s.scheme,
-            fragmentation,
-        )
+        let cost = self.evaluate(fragmentation)?;
+        Ok(FragmentationAnalysis::new(self.snapshot.inputs(), &cost))
     }
 
     /// The physical allocation plan of an arbitrary candidate.
@@ -703,28 +694,25 @@ impl Warlock {
         &self,
         fragmentation: &Fragmentation,
     ) -> Result<AllocationPlan, WarlockError> {
-        let s = &*self.snapshot;
-        engine::plan_allocation(
-            &s.schema,
-            &s.system,
-            &s.mix,
-            &s.config,
-            &s.scheme,
-            &s.skew,
-            fragmentation,
-        )
+        let cost = self.evaluate(fragmentation)?;
+        let inputs = PlanInputs::new(self.snapshot.inputs(), self.skew(), &cost);
+        Ok(inputs.place(self.config().allocation_policy))
     }
 
     // ------------------------------------------------------------------
-    // What-if tuning (§3.3): each variation re-runs the pipeline against
-    // modified inputs without touching the snapshot, and reports the
-    // delta against the snapshot's (cached) baseline ranking. All
-    // variations take `&self` — clones explore them concurrently.
+    // What-if tuning (§3.3): each variation re-runs the pipeline over the
+    // snapshot's inputs with one of them replaced, without touching the
+    // snapshot, and reports the delta against the snapshot's (cached)
+    // baseline ranking. All variations take `&self` — clones explore
+    // them concurrently.
 
-    fn with_delta(
+    /// Runs the pipeline over `inputs` and compares it with the baseline.
+    fn what_if(
         &self,
-        (variation, report): (String, AdvisorReport),
+        variation: String,
+        inputs: Inputs<'_>,
     ) -> Result<(AdvisorReport, TuningDelta), WarlockError> {
+        let report = engine::run(inputs, self.shared.env())?;
         let delta = TuningDelta::between(variation, self.rank()?, &report);
         Ok((report, delta))
     }
@@ -734,17 +722,18 @@ impl Warlock {
         &self,
         num_disks: u32,
     ) -> Result<(AdvisorReport, TuningDelta), WarlockError> {
-        let s = &*self.snapshot;
-        let varied = engine::vary_disks(
-            &s.schema,
-            &s.system,
-            &s.mix,
-            &s.config,
-            &s.scheme,
-            num_disks,
-            self.shared.env(),
-        )?;
-        self.with_delta(varied)
+        let effective = num_disks.max(1);
+        let system = SystemConfig {
+            num_disks: effective,
+            ..*self.system()
+        };
+        self.what_if(
+            clamped_label("disks", num_disks, effective, ""),
+            Inputs {
+                system: &system,
+                ..self.snapshot.inputs()
+            },
+        )
     }
 
     /// What if prefetching were fixed at `pages` for both fact tables
@@ -753,17 +742,20 @@ impl Warlock {
         &self,
         pages: u32,
     ) -> Result<(AdvisorReport, TuningDelta), WarlockError> {
-        let s = &*self.snapshot;
-        let varied = engine::vary_fixed_prefetch(
-            &s.schema,
-            &s.system,
-            &s.mix,
-            &s.config,
-            &s.scheme,
-            pages,
-            self.shared.env(),
-        )?;
-        self.with_delta(varied)
+        let effective = pages.max(1);
+        let prefetch = warlock_storage::PrefetchPolicy::Fixed(effective);
+        let system = SystemConfig {
+            fact_prefetch: prefetch,
+            bitmap_prefetch: prefetch,
+            ..*self.system()
+        };
+        self.what_if(
+            clamped_label("prefetch", pages, effective, " pages"),
+            Inputs {
+                system: &system,
+                ..self.snapshot.inputs()
+            },
+        )
     }
 
     /// What if the bitmap indexes of `dimension` were dropped (space
@@ -776,20 +768,19 @@ impl Warlock {
         &self,
         dimension: DimensionId,
     ) -> Result<(AdvisorReport, TuningDelta), WarlockError> {
-        let s = &*self.snapshot;
-        let varied = engine::vary_without_bitmap_dimension(
-            &s.schema,
-            &s.system,
-            &s.mix,
-            &s.config,
-            &s.scheme,
-            dimension,
-            self.shared.env(),
-        )?;
-        self.with_delta(varied)
+        let scheme = self.scheme().without_dimension(dimension)?;
+        self.what_if(
+            format!("no bitmaps on dimension {dimension}"),
+            Inputs {
+                scheme: &scheme,
+                ..self.snapshot.inputs()
+            },
+        )
     }
 
-    /// What if query class `name` vanished from the workload?
+    /// What if query class `name` vanished from the workload? The
+    /// bitmap scheme is derived from the mix, so it is re-derived for
+    /// the reduced workload (as the original advisor did).
     ///
     /// # Errors
     ///
@@ -799,16 +790,19 @@ impl Warlock {
         &self,
         name: &str,
     ) -> Result<(AdvisorReport, TuningDelta), WarlockError> {
-        let s = &*self.snapshot;
-        let varied = engine::vary_without_class(
-            &s.schema,
-            &s.system,
-            &s.mix,
-            &s.config,
-            name,
-            self.shared.env(),
-        )?;
-        self.with_delta(varied)
+        let mix = self
+            .mix()
+            .without_class(name)
+            .ok_or_else(|| WarlockError::UnknownClass { name: name.into() })?;
+        let scheme = BitmapScheme::derive(self.schema(), &mix, self.config().scheme);
+        self.what_if(
+            format!("without class {name}"),
+            Inputs {
+                mix: &mix,
+                scheme: &scheme,
+                ..self.snapshot.inputs()
+            },
+        )
     }
 
     // ------------------------------------------------------------------
@@ -974,6 +968,16 @@ impl Warlock {
     }
 }
 
+/// Labels a what-if knob, spelling out clamping instead of hiding it:
+/// requesting `0` disks runs with 1 disk, and the label must say so.
+fn clamped_label(what: &str, requested: u32, effective: u32, unit: &str) -> String {
+    if requested == effective {
+        format!("{what} = {requested}{unit}")
+    } else {
+        format!("{what} = {effective}{unit} (requested {requested}, clamped)")
+    }
+}
+
 /// The mix an auto re-advise adopts: the configured classes, in
 /// configured order, re-weighted by their decayed observed weights.
 /// Observed classes the configuration does not define are ignored —
@@ -1041,6 +1045,49 @@ mod tests {
 
     #[test]
     fn analyze_and_plan_by_rank() {
+        // Reading the ranked cost is the same as pricing the candidate
+        // afresh, for every rank, worker count and chunk size, on the
+        // demo configuration and on a ranged one.
+        let demo = crate::config_file::demo_config();
+        let ranged = AdvisorConfig {
+            range_options: vec![2, 3],
+            ..demo.advisor.clone()
+        };
+        for config in [&demo.advisor, &ranged] {
+            for workers in [1, 0] {
+                for chunk in [1, 17, 0] {
+                    let s = Warlock::builder()
+                        .schema(demo.schema.clone())
+                        .system(demo.system)
+                        .mix(demo.mix.clone())
+                        .config(config.clone())
+                        .parallelism(workers)
+                        .chunk_size(chunk)
+                        .build()
+                        .unwrap();
+                    let at = format!(
+                        "ranges={:?} workers={workers} chunk={chunk}",
+                        config.range_options
+                    );
+                    let ranked = s.rank().unwrap().ranked.clone();
+                    assert!(!ranked.is_empty(), "{at}");
+                    for r in &ranked {
+                        let f = &r.cost.fragmentation;
+                        let analysis = s.analyze(r.rank).unwrap();
+                        assert_eq!(analysis, s.analyze_candidate(f).unwrap(), "{at}");
+                        let plan = s.plan_allocation(r.rank).unwrap();
+                        assert_eq!(plan, s.plan_candidate(f).unwrap(), "{at}");
+                    }
+                    let top = &ranked[0].cost.fragmentation;
+                    assert_eq!(
+                        s.recommend_policy().unwrap(),
+                        s.recommend_policy_for(top).unwrap(),
+                        "{at}"
+                    );
+                }
+            }
+        }
+
         let s = session();
         let analysis = s.analyze(1).unwrap();
         let top = s.rank().unwrap().top().unwrap().clone();

@@ -188,6 +188,18 @@ fn u64_overflowing_fragment_counts_are_typed_exclusions_not_wraps() {
     assert_eq!(s.evaluate(&monster).unwrap_err(), expected);
     assert_eq!(s.analyze_candidate(&monster).unwrap_err(), expected);
     assert_eq!(s.plan_candidate(&monster).unwrap_err(), expected);
+    assert_eq!(s.recommend_policy_for(&monster).unwrap_err(), expected);
+
+    // A candidate on a dimension the schema lacks is a typed candidate
+    // error from every single-candidate entry point too, not a panic.
+    let stray = Fragmentation::from_pairs(&[(99, 0)]).unwrap();
+    let unknown = WarlockError::Candidate(CandidateError::UnknownAttribute {
+        level_ref: stray.attributes()[0],
+    });
+    assert_eq!(s.evaluate(&stray).unwrap_err(), unknown);
+    assert_eq!(s.analyze_candidate(&stray).unwrap_err(), unknown);
+    assert_eq!(s.plan_candidate(&stray).unwrap_err(), unknown);
+    assert_eq!(s.recommend_policy_for(&stray).unwrap_err(), unknown);
 }
 
 #[test]
