@@ -19,14 +19,14 @@
 //! many fragments is stepped over whole (see
 //! [`CandidateSource::stride`]), adding its exact size to `enumerated`
 //! and to the `too_many_fragments` exclusions and one run-length cell
-//! to the memo column, without becoming a `Fragmentation`, pool work or
+//! to the memo column, without becoming a `Fragmentation`, crew work or
 //! a merge-loop iteration. Each pulled candidate is resolved in order
 //! against the run's memo column from the [`EvalCache`] (one
 //! enumeration-ordered column per run, not a per-candidate keyed map),
 //! cheap structural pre-exclusion culls the remaining candidates whose
 //! fragment count already disqualifies them before any layout or cost
-//! work, and the rest fan out over a persistent [`exec::WorkerPool`],
-//! whose workers apply every threshold but the disk-count one and price
+//! work, and the rest fan out over the run's [`exec::Crew`] of scoped
+//! threads, which apply every threshold but the disk-count one and price
 //! the survivors into unweighted, disk-free class rows. Chunk results
 //! merge in enumeration order, and every costed candidate, fresh or
 //! memoized, takes one path: its rows go into the column being written,
@@ -47,6 +47,8 @@
 //! invariant failures surface as [`WarlockError::Internal`] instead of
 //! panicking, so a worker bug in a long-lived service degrades to a
 //! failed request.
+
+use std::sync::{Arc, OnceLock};
 
 use warlock_bitmap::BitmapScheme;
 use warlock_cost::{
@@ -77,7 +79,7 @@ pub(crate) mod exec;
 pub(crate) const CHUNK_SIZE_ENV: &str = "WARLOCK_CHUNK_SIZE";
 
 /// Default evaluation chunk size under `chunk_size = 0`: large enough
-/// to keep every worker of a wide pool busy per round, small enough
+/// to keep every thread of a wide crew busy per round, small enough
 /// that pipeline memory stays a rounding error next to the survivors.
 const DEFAULT_CHUNK_SIZE: usize = 4096;
 
@@ -97,16 +99,6 @@ pub(crate) fn effective_chunk_size(requested: usize) -> usize {
         }
     }
     DEFAULT_CHUNK_SIZE
-}
-
-/// The execution environment a pipeline run borrows from its session:
-/// the shared evaluation memo and the persistent worker pool.
-#[derive(Clone, Copy)]
-pub(crate) struct EvalEnv<'a> {
-    /// The run memo (one column per run); `None` disables memoization.
-    pub cache: Option<&'a EvalCache>,
-    /// The persistent evaluation pool work fans out over.
-    pub pool: &'a exec::WorkerPool,
 }
 
 /// The borrowed inputs of one pipeline run: what a session snapshot
@@ -147,6 +139,15 @@ pub(crate) fn validate(
                     "{} skew configs for {} dimensions",
                     configs.len(),
                     schema.num_dimensions()
+                )));
+            }
+            if let Some(bad) = configs
+                .iter()
+                .find(|skew| !(skew.theta.is_finite() && skew.theta >= 0.0))
+            {
+                return Err(WarlockError::Skew(format!(
+                    "skew theta must be finite and non-negative, got {}",
+                    bad.theta
                 )));
             }
             schema.skew_model(configs)
@@ -202,7 +203,7 @@ fn run_fingerprint(model: &CostModel<'_>, config: &AdvisorConfig) -> u128 {
 
 /// Cheap structural pre-exclusion: decides from the fragment count
 /// alone — no layout, no costing — whether a candidate is out. Runs on
-/// the submitting thread before any pool work, so enormous candidates
+/// the submitting thread before any crew work, so enormous candidates
 /// (including those whose count does not even fit `u64`) never occupy
 /// a worker. The exact `u128` count is reported, never a wrapped one.
 fn pre_exclude(
@@ -278,10 +279,10 @@ fn merge_skipped(
 /// that the per-class table lookups amortize.
 const MAX_GROUP_SIZE: usize = 64;
 
-/// Per-worker reusable evaluation arenas: layout construction buffers
-/// and the SoA chunk batch. Acquired once per pool thread via
-/// [`exec::with_scratch`], so both amortize to zero steady-state
-/// allocation.
+/// Reusable evaluation arenas: layout construction buffers and the SoA
+/// chunk batch (with its persistent Yao memo). Kept on the
+/// process-wide [`exec::ARENAS`] stack across runs and sessions, so
+/// both amortize to zero steady-state allocation.
 #[derive(Debug, Default)]
 struct EvalScratch {
     layout: LayoutScratch,
@@ -289,7 +290,7 @@ struct EvalScratch {
     /// Calls that used this arena, for the arena tests.
     #[cfg(test)]
     uses: u32,
-    /// The thread that first used this arena, for the arena tests.
+    /// The thread holding this arena, for the arena tests.
     #[cfg(test)]
     owner: Option<std::thread::ThreadId>,
 }
@@ -301,7 +302,7 @@ enum Outcome {
     /// Served from the run's memo column; a costed slot's rows are in
     /// the column.
     Hit(Slot),
-    /// Resolved by this run, structurally or by the pool; a costed
+    /// Resolved by this run, structurally or by a group; a costed
     /// slot's rows are in the chunk's fresh rows.
     Miss(Slot),
 }
@@ -318,9 +319,9 @@ struct GroupEval {
 /// every threshold but the disk-count one per candidate (layouts built
 /// into the recycled scratch), then a single batched pass pricing every
 /// survivor's class rows. Pure in its inputs, so it can run on any
-/// worker. Callers must have passed every candidate through
-/// [`pre_exclude`] first (the layout would panic on a `u64`-overflowing
-/// fragment count otherwise), and must apply
+/// thread of the run's crew. Callers must have passed every candidate
+/// through [`pre_exclude`] first (the layout would panic on a
+/// `u64`-overflowing fragment count otherwise), and must apply
 /// [`Thresholds::check_declustering`](warlock_fragment::Thresholds::check_declustering)
 /// to its costed slots.
 #[allow(clippy::too_many_arguments)]
@@ -370,12 +371,12 @@ fn evaluate_group(
 /// `max_fragments`, in chunks of [`AdvisorConfig::chunk_size`]; each
 /// skipped subtree is counted and recorded whole, and each candidate is
 /// resolved against the run's memo column, structurally pre-excluded,
-/// or fanned out over the environment's persistent worker pool (up to
+/// or fanned out over the run's crew of scoped threads (up to
 /// `config.parallelism` workers, see [`exec`]), and everything merges
 /// **in enumeration order** into the streaming rank accumulator and the
 /// bounded exclusion summary — so the report is bit-identical at any worker count and chunk size, and
 /// pipeline memory is O(chunk + phase-1 survivors), never O(candidate
-/// space). When the environment carries a cache, a run without a
+/// space). When the session passes a cache, a run without a
 /// column of its own writes one in the merge loop and commits it once
 /// at the end, so re-runs with unchanged inputs skip re-evaluation.
 ///
@@ -383,8 +384,12 @@ fn evaluate_group(
 ///
 /// [`WarlockError::CandidateBudget`] when the exact predicted space
 /// exceeds `config.max_candidates` (if set) — before any enumeration
-/// or evaluation work is done.
-pub(crate) fn run(inputs: Inputs<'_>, env: EvalEnv<'_>) -> Result<AdvisorReport, WarlockError> {
+/// or evaluation work is done. [`WarlockError::System`] when the disk
+/// timing prices a ranked candidate at a non-finite cost.
+pub(crate) fn run(
+    inputs: Inputs<'_>,
+    cache: Option<&EvalCache>,
+) -> Result<AdvisorReport, WarlockError> {
     let Inputs {
         schema,
         system,
@@ -406,9 +411,7 @@ pub(crate) fn run(inputs: Inputs<'_>, env: EvalEnv<'_>) -> Result<AdvisorReport,
     let model = cost_model(inputs)?;
     // The run's own memo column from an earlier run, or else the one
     // this run writes.
-    let memo = env
-        .cache
-        .map(|cache| (cache, run_fingerprint(&model, config)));
+    let memo = cache.map(|cache| (cache, run_fingerprint(&model, config)));
     let mut reader = memo.and_then(|(cache, fp)| cache.open(fp));
     // Current mix shares, in mix order — the order class rows are
     // gathered in, so rows weigh positionally — and the response inputs
@@ -427,10 +430,18 @@ pub(crate) fn run(inputs: Inputs<'_>, env: EvalEnv<'_>) -> Result<AdvisorReport,
     // bit-identical, so the choice never participates in cache
     // fingerprints.
     let backend = KernelBackend::detect();
-    // Precomputed cost tables for the batched evaluator, built lazily on
-    // the first cache-miss candidate — a fully warm run never pays for
-    // the build.
-    let tables: std::cell::OnceCell<CostTables> = std::cell::OnceCell::new();
+    // Precomputed cost tables for the batched evaluator, built lazily by
+    // the first group costed — a fully warm run never pays for the
+    // build.
+    let tables = OnceLock::new();
+    let task = |(chunk, group): (Arc<Vec<Fragmentation>>, Vec<usize>)| {
+        let tables = tables.get_or_init(|| CostTables::build(&model, &config.range_options));
+        exec::ARENAS.with(|scratch| {
+            evaluate_group(
+                schema, config, ctx, tables, backend, &chunk, &group, scratch,
+            )
+        })
+    };
     // Clamp to the exact space so an absurd (possibly client-supplied)
     // chunk size cannot pre-allocate beyond what will ever be pulled.
     let chunk_size = effective_chunk_size(config.chunk_size)
@@ -453,166 +464,174 @@ pub(crate) fn run(inputs: Inputs<'_>, env: EvalEnv<'_>) -> Result<AdvisorReport,
     // enumeration order.
     let mut fresh_rows: Vec<ClassCost> = Vec::new();
 
-    loop {
-        // Pull the next chunk from the lazy source, resolving each
-        // candidate as it comes: memo hit, structural pre-exclusion, or
-        // fresh work for the pool. A skipped subtree is answered by the
-        // memo as a whole and merged at its place in the chunk.
-        chunk.clear();
-        outcomes.clear();
-        todo.clear();
-        skipped.clear();
-        while chunk.len() < chunk_size && skipped.len() < chunk_size {
-            match source.stride() {
-                None => break,
-                Some(Stride::One) => {
-                    let candidate = source
-                        .current()
-                        .ok_or_else(|| WarlockError::internal("stride left no candidate"))?;
-                    let outcome = match reader.as_mut().and_then(ColumnReader::next) {
-                        Some(slot) => {
-                            hits += 1;
-                            Some(Outcome::Hit(slot))
+    std::thread::scope(|scope| -> Result<(), WarlockError> {
+        let mut crew = exec::Crew::new(scope, workers, &task);
+        loop {
+            // Pull the next chunk from the lazy source, resolving each
+            // candidate as it comes: memo hit, structural pre-exclusion, or
+            // fresh work for the crew. A skipped subtree is answered by the
+            // memo as a whole and merged at its place in the chunk.
+            chunk.clear();
+            outcomes.clear();
+            todo.clear();
+            skipped.clear();
+            while chunk.len() < chunk_size && skipped.len() < chunk_size {
+                match source.stride() {
+                    None => break,
+                    Some(Stride::One) => {
+                        let candidate = source
+                            .current()
+                            .ok_or_else(|| WarlockError::internal("stride left no candidate"))?;
+                        let outcome = match reader.as_mut().and_then(ColumnReader::next) {
+                            Some(slot) => {
+                                hits += 1;
+                                Some(Outcome::Hit(slot))
+                            }
+                            None => pre_exclude(schema, config, &candidate)
+                                .map(|reason| Outcome::Miss(Slot::Excluded(reason))),
+                        };
+                        if outcome.is_none() {
+                            todo.push(chunk.len());
                         }
-                        None => pre_exclude(schema, config, &candidate)
-                            .map(|reason| Outcome::Miss(Slot::Excluded(reason))),
-                    };
-                    if outcome.is_none() {
-                        todo.push(chunk.len());
+                        outcomes.push(outcome);
+                        chunk.push(candidate);
                     }
-                    outcomes.push(outcome);
-                    chunk.push(candidate);
-                }
-                Some(Stride::Subtree(candidates)) => {
-                    if let Some(reader) = reader.as_mut() {
-                        hits += reader.skip(candidates) as u64;
+                    Some(Stride::Subtree(candidates)) => {
+                        if let Some(reader) = reader.as_mut() {
+                            hits += reader.skip(candidates) as u64;
+                        }
+                        let mut samples = Vec::new();
+                        if samples_due > 0 {
+                            samples.extend(source.subtree().take(samples_due));
+                            samples_due -= samples.len();
+                        }
+                        enumerated += usize::try_from(candidates).map_err(|_| {
+                            WarlockError::internal("skipped subtree larger than usize")
+                        })?;
+                        skipped.push(Skipped {
+                            at: chunk.len(),
+                            candidates,
+                            samples,
+                        });
                     }
-                    let mut samples = Vec::new();
-                    if samples_due > 0 {
-                        samples.extend(source.subtree().take(samples_due));
-                        samples_due -= samples.len();
-                    }
-                    enumerated += usize::try_from(candidates)
-                        .map_err(|_| WarlockError::internal("skipped subtree larger than usize"))?;
-                    skipped.push(Skipped {
-                        at: chunk.len(),
-                        candidates,
-                        samples,
-                    });
                 }
             }
-        }
-        if chunk.is_empty() && skipped.is_empty() {
-            break;
-        }
-        enumerated += chunk.len();
-
-        // Fan the uncached evaluations out over the pool in contiguous
-        // groups (one SoA batch per group, costed through the shared
-        // tables); results come back in `todo` order regardless of
-        // worker scheduling.
-        fresh_rows.clear();
-        if !todo.is_empty() {
-            let tables = tables.get_or_init(|| CostTables::build(&model, &config.range_options));
-            let group_size = todo.len().div_ceil(workers).clamp(1, MAX_GROUP_SIZE);
-            let groups: Vec<&[usize]> = todo.chunks(group_size).collect();
-            let fresh = env.pool.map(workers, &groups, |group| {
-                exec::with_scratch(|scratch| {
-                    evaluate_group(schema, config, ctx, tables, backend, &chunk, group, scratch)
-                })
-            });
-            // Rebase each group's row indices onto the chunk's rows.
-            for (group, eval) in groups.iter().zip(fresh) {
-                let base = (fresh_rows.len() / classes.max(1)) as u32;
-                for (&i, slot) in group.iter().zip(eval.slots) {
-                    outcomes[i] = Some(Outcome::Miss(match slot {
-                        Slot::Costed { num_fragments, row } => Slot::Costed {
-                            num_fragments,
-                            row: base + row,
-                        },
-                        excluded => excluded,
-                    }));
-                }
-                fresh_rows.extend_from_slice(&eval.rows);
+            if chunk.is_empty() && skipped.is_empty() {
+                break;
             }
-        }
+            enumerated += chunk.len();
 
-        // Merge in enumeration order. Every outcome goes into the column
-        // being written; a costed one, fresh or memoized, then meets the
-        // disk threshold — the last check, so precedence is that of
-        // `Thresholds::check` — and its rows are weighed under the
-        // current shares and disks. Only the phase-1 key is weighed up
-        // front; the whole cost is built only if the ranking may retain
-        // it. The rank accumulator's horizon is every candidate not yet
-        // merged (the rest of this chunk plus whatever the source still
-        // holds) — an upper bound on future costs, which keeps the
-        // streaming ranking exact.
-        let after_chunk = source.remaining();
-        let chunk_len = chunk.len();
-        let mut skips = skipped.drain(..).peekable();
-        for (i, (fragmentation, outcome)) in chunk.drain(..).zip(outcomes.drain(..)).enumerate() {
-            while let Some(skip) = skips.next_if(|skip| skip.at == i) {
+            // Fan the uncached evaluations out over the crew in contiguous
+            // groups (one SoA batch per group, costed through the shared
+            // tables); results come back in `todo` order regardless of
+            // thread scheduling.
+            fresh_rows.clear();
+            if !todo.is_empty() {
+                let group_size = todo.len().div_ceil(workers).clamp(1, MAX_GROUP_SIZE);
+                // The crew shares the chunk for the batch, so each group
+                // clones its own candidates on the thread that costs them.
+                let shared = Arc::new(std::mem::take(&mut chunk));
+                let fresh = crew.map(
+                    todo.chunks(group_size)
+                        .map(|group| (Arc::clone(&shared), group.to_vec()))
+                        .collect(),
+                );
+                chunk = Arc::try_unwrap(shared)
+                    .map_err(|_| WarlockError::internal("a crew thread kept the chunk"))?;
+                // Rebase each group's row indices onto the chunk's rows.
+                for (group, eval) in todo.chunks(group_size).zip(fresh) {
+                    let base = (fresh_rows.len() / classes.max(1)) as u32;
+                    for (&i, slot) in group.iter().zip(eval.slots) {
+                        outcomes[i] = Some(Outcome::Miss(match slot {
+                            Slot::Costed { num_fragments, row } => Slot::Costed {
+                                num_fragments,
+                                row: base + row,
+                            },
+                            excluded => excluded,
+                        }));
+                    }
+                    fresh_rows.extend_from_slice(&eval.rows);
+                }
+            }
+
+            // Merge in enumeration order. Every outcome goes into the column
+            // being written; a costed one, fresh or memoized, then meets the
+            // disk threshold — the last check, so precedence is that of
+            // `Thresholds::check` — and its rows are weighed under the
+            // current shares and disks. Only the phase-1 key is weighed up
+            // front; the whole cost is built only if the ranking may retain
+            // it. The rank accumulator's horizon is every candidate not yet
+            // merged (the rest of this chunk plus whatever the source still
+            // holds) — an upper bound on future costs, which keeps the
+            // streaming ranking exact.
+            let after_chunk = source.remaining();
+            let chunk_len = chunk.len();
+            let mut skips = skipped.drain(..).peekable();
+            for (i, (fragmentation, outcome)) in chunk.drain(..).zip(outcomes.drain(..)).enumerate()
+            {
+                while let Some(skip) = skips.next_if(|skip| skip.at == i) {
+                    merge_skipped(schema, config, skip, &mut writer, &mut excluded)?;
+                }
+                let remaining = after_chunk + (chunk_len - 1 - i) as u128;
+                let costed = match outcome
+                    .ok_or_else(|| WarlockError::internal("candidate evaluation left no outcome"))?
+                {
+                    Outcome::Hit(Slot::Excluded(reason))
+                    | Outcome::Miss(Slot::Excluded(reason)) => Err(reason),
+                    Outcome::Hit(Slot::Costed { num_fragments, row }) => {
+                        let column = reader
+                            .as_ref()
+                            .ok_or_else(|| WarlockError::internal("memo hit without a column"))?;
+                        Ok((num_fragments, column.rows(row)))
+                    }
+                    Outcome::Miss(Slot::Costed { num_fragments, row }) => {
+                        let start = row as usize * classes;
+                        let rows = fresh_rows.get(start..start + classes).ok_or_else(|| {
+                            WarlockError::internal("costed candidate without rows")
+                        })?;
+                        Ok((num_fragments, rows))
+                    }
+                };
+                if let Some(column) = &mut writer {
+                    match costed {
+                        Ok((num_fragments, rows)) => column.push_costed(num_fragments, rows),
+                        Err(reason) => column.push_excluded(reason),
+                    }
+                }
+                let survivor = costed.and_then(|(num_fragments, rows)| {
+                    config
+                        .thresholds
+                        .check_declustering(&fragmentation, num_fragments, system.num_disks)
+                        .map(|()| (num_fragments, rows))
+                });
+                match survivor {
+                    Err(reason) => excluded.record(reason, || ExcludedCandidate {
+                        label: fragmentation.label(schema),
+                        fragmentation,
+                        reason,
+                    }),
+                    Ok((num_fragments, rows)) => {
+                        evaluated += 1;
+                        rank.push_with(combined_io_cost_ms(rows, &shares), remaining, || {
+                            combine_class_costs(
+                                fragmentation,
+                                num_fragments,
+                                rows,
+                                &shares,
+                                system.num_disks,
+                                processors,
+                                overhead,
+                            )
+                        });
+                    }
+                }
+            }
+            for skip in skips {
                 merge_skipped(schema, config, skip, &mut writer, &mut excluded)?;
             }
-            let remaining = after_chunk + (chunk_len - 1 - i) as u128;
-            let costed = match outcome
-                .ok_or_else(|| WarlockError::internal("candidate evaluation left no outcome"))?
-            {
-                Outcome::Hit(Slot::Excluded(reason)) | Outcome::Miss(Slot::Excluded(reason)) => {
-                    Err(reason)
-                }
-                Outcome::Hit(Slot::Costed { num_fragments, row }) => {
-                    let column = reader
-                        .as_ref()
-                        .ok_or_else(|| WarlockError::internal("memo hit without a column"))?;
-                    Ok((num_fragments, column.rows(row)))
-                }
-                Outcome::Miss(Slot::Costed { num_fragments, row }) => {
-                    let start = row as usize * classes;
-                    let rows = fresh_rows
-                        .get(start..start + classes)
-                        .ok_or_else(|| WarlockError::internal("costed candidate without rows"))?;
-                    Ok((num_fragments, rows))
-                }
-            };
-            if let Some(column) = &mut writer {
-                match costed {
-                    Ok((num_fragments, rows)) => column.push_costed(num_fragments, rows),
-                    Err(reason) => column.push_excluded(reason),
-                }
-            }
-            let survivor = costed.and_then(|(num_fragments, rows)| {
-                config
-                    .thresholds
-                    .check_declustering(&fragmentation, num_fragments, system.num_disks)
-                    .map(|()| (num_fragments, rows))
-            });
-            match survivor {
-                Err(reason) => excluded.record(reason, || ExcludedCandidate {
-                    label: fragmentation.label(schema),
-                    fragmentation,
-                    reason,
-                }),
-                Ok((num_fragments, rows)) => {
-                    evaluated += 1;
-                    rank.push_with(combined_io_cost_ms(rows, &shares), remaining, || {
-                        combine_class_costs(
-                            fragmentation,
-                            num_fragments,
-                            rows,
-                            &shares,
-                            system.num_disks,
-                            processors,
-                            overhead,
-                        )
-                    });
-                }
-            }
         }
-        for skip in skips {
-            merge_skipped(schema, config, skip, &mut writer, &mut excluded)?;
-        }
-    }
+        Ok(())
+    })?;
     if let Some((cache, fp)) = memo {
         cache.commit(fp, writer, hits, enumerated as u64 - hits);
     }
@@ -627,12 +646,14 @@ pub(crate) fn run(inputs: Inputs<'_>, env: EvalEnv<'_>) -> Result<AdvisorReport,
     let ranked = ranked_costs
         .into_iter()
         .enumerate()
-        .map(|(i, cost)| RankedCandidate {
-            rank: i + 1,
-            label: cost.fragmentation.label(schema),
-            cost: model.evaluate(&cost.fragmentation),
+        .map(|(i, cost)| {
+            Ok(RankedCandidate {
+                rank: i + 1,
+                label: cost.fragmentation.label(schema),
+                cost: check_finite(schema, model.evaluate(&cost.fragmentation))?,
+            })
         })
-        .collect();
+        .collect::<Result<_, WarlockError>>()?;
 
     Ok(AdvisorReport {
         ranked,
@@ -659,6 +680,38 @@ fn check_candidate(schema: &StarSchema, fragmentation: &Fragmentation) -> Result
     Ok(())
 }
 
+/// Passes a priced cost through, or returns a typed
+/// [`WarlockError::System`] when a figure of it is not finite: a valid
+/// but extreme disk timing (say, a seek of `1e308` ms) prices to `inf`,
+/// which no report, plan or verdict can carry.
+fn check_finite(schema: &StarSchema, cost: CandidateCost) -> Result<CandidateCost, WarlockError> {
+    let per_class = cost.per_query.iter().flat_map(|q| {
+        [
+            q.fragments_accessed,
+            q.fact_pages,
+            q.bitmap_pages,
+            q.total_ios,
+            q.busy_ms,
+            q.per_fragment_ms,
+            q.response_ms,
+            q.selected_rows,
+        ]
+    });
+    let figures = [
+        cost.io_cost_ms,
+        cost.response_ms,
+        cost.total_ios,
+        cost.total_pages,
+    ];
+    if figures.into_iter().chain(per_class).all(f64::is_finite) {
+        return Ok(cost);
+    }
+    Err(WarlockError::System(format!(
+        "the disk timing prices candidate `{}` at a non-finite cost",
+        cost.fragmentation.label(schema)
+    )))
+}
+
 /// Prices a single candidate outside the ranking pipeline (no
 /// thresholds, no memo), with the same per-class detail the ranked
 /// candidates carry — the one cost an analysis, a plan or a policy
@@ -668,5 +721,5 @@ pub(crate) fn evaluate(
     fragmentation: &Fragmentation,
 ) -> Result<CandidateCost, WarlockError> {
     check_candidate(inputs.schema, fragmentation)?;
-    Ok(cost_model(inputs)?.evaluate(fragmentation))
+    check_finite(inputs.schema, cost_model(inputs)?.evaluate(fragmentation))
 }

@@ -1,58 +1,22 @@
-//! Deterministic fan-out of independent per-candidate work over a
-//! persistent worker pool.
+//! Deterministic fan-out of one run's independent candidate groups over
+//! a crew of scoped threads, and the process's evaluation arenas.
 //!
-//! The prediction pipeline evaluates every enumerated fragmentation
-//! against the full query mix — an embarrassingly parallel workload
-//! (paper §3.2 ranks hundreds of independent candidates). Earlier
-//! revisions spawned fresh [`std::thread::scope`] workers per run, which
-//! is measurable overhead on sub-millisecond warm pipelines and hostile
-//! to a long-lived service. [`WorkerPool`] keeps the workers alive
-//! instead, with **no external dependencies**:
-//!
-//! - Work items are claimed dynamically (an atomic cursor per job), so
-//!   expensive candidate clusters spread over whichever workers are
-//!   free; results are written into per-index slots and returned in
-//!   input order, so the output is **bit-identical to the serial path**
-//!   regardless of worker count or scheduling.
-//! - The pool accepts jobs from many threads at once: concurrent
-//!   sessions (e.g. `warlockd` connections running simultaneous
-//!   what-ifs) enqueue independent jobs and idle workers drain whichever
-//!   job has work left. A submitter participates in its own job, so
-//!   progress never depends on pool threads being available.
-//! - Threads are spawned lazily up to the largest requested worker
-//!   count and parked on a condvar between jobs; `workers <= 1` (or
-//!   tiny inputs) runs inline without touching the pool at all, which
-//!   keeps the pinned `WARLOCK_PARALLELISM=1` lane strictly serial.
+//! Only a cold run has fresh work to share, so a [`Crew`] lives for one
+//! run, inside its [`std::thread::scope`], which joins every helper
+//! before the run returns, on errors too. Helpers claim groups through
+//! the batch's atomic cursor and answer them by index, so results are in
+//! input order and **bit-identical to the serial path** at any worker
+//! count. [`ARENAS`] keeps the evaluation arenas warm across runs and
+//! sessions.
 
-use std::cell::{Cell, UnsafeCell};
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Scope};
 
 use super::EvalScratch;
-
-thread_local! {
-    /// This thread's evaluation arena. Pool threads persist across jobs,
-    /// so an arena acquired here lives for the worker's lifetime and its
-    /// buffers amortize to zero steady-state allocation.
-    static SCRATCH: Cell<Option<EvalScratch>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with this thread's evaluation arena, creating it on first
-/// use and returning it to the thread-local slot afterwards (with
-/// whatever capacity it grew). The arena is *taken out* of the slot for
-/// the duration of the call, so a re-entrant call sees a fresh default
-/// instead of aliasing — and a panicking `f` simply drops the arena
-/// rather than leaving it in a torn state.
-pub(super) fn with_scratch<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
-    let mut scratch = SCRATCH.take().unwrap_or_default();
-    let result = f(&mut scratch);
-    SCRATCH.set(Some(scratch));
-    result
-}
 
 /// Environment variable overriding the automatic worker count (only
 /// consulted when [`crate::AdvisorConfig::parallelism`] is `0` = auto).
@@ -67,381 +31,306 @@ pub(crate) fn effective_parallelism(requested: usize) -> usize {
     if requested >= 1 {
         return requested;
     }
-    if let Ok(v) = std::env::var(PARALLELISM_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
+    std::env::var(PARALLELISM_ENV)
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .or_else(|| thread::available_parallelism().ok().map(NonZeroUsize::get))
         .unwrap_or(1)
 }
 
-/// A lifetime-erased pointer to a job's per-index task. Only
-/// dereferenced while the submitting [`WorkerPool::map`] frame is alive
-/// (see the safety argument there).
-#[derive(Clone, Copy)]
-struct TaskPtr(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointee is `Sync` (shared-callable from any thread), and
-// `map` guarantees it outlives every dereference.
-unsafe impl Send for TaskPtr {}
-unsafe impl Sync for TaskPtr {}
-
+/// A stack of evaluation arenas, each held by one thread at a time.
 #[derive(Default)]
-struct Progress {
-    /// Indices whose task call has returned (or unwound).
-    finished: usize,
-    /// First panic payload raised by any task, re-raised by the submitter.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
+pub(crate) struct Arenas(Mutex<Vec<EvalScratch>>);
 
-/// One `map` call in flight: a task, an index cursor, and completion
-/// tracking. Workers claim indices until the cursor passes `count`.
-struct Job {
-    task: TaskPtr,
-    count: usize,
-    /// Most threads allowed to execute this job, counting the
-    /// submitter — the `workers` cap the caller configured. A pool
-    /// grown to 8 threads by one session must still run a
-    /// `parallelism = 2` job on at most 2 of them.
-    limit: usize,
-    /// Threads currently registered as executors of this job.
-    executors: AtomicUsize,
-    next: AtomicUsize,
-    progress: Mutex<Progress>,
-    done_cv: Condvar,
-}
+/// The evaluation arenas every run draws from. A Yao memo entry is a
+/// pure function of its key, so an arena warmed by one session serves
+/// any other; the stack never holds more arenas than were in use at once.
+pub(super) static ARENAS: Arenas = Arenas(Mutex::new(Vec::new()));
 
-impl Job {
-    /// Claims the next unprocessed index, if any remain.
-    fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.count).then_some(i)
+impl Arenas {
+    /// Runs `f` with an arena popped off the stack (a fresh one when it
+    /// is empty) and pushes it back afterwards, with whatever capacity
+    /// it grew. A panicking `f` drops its arena, never returning it
+    /// half-written.
+    pub(super) fn with<R>(&self, f: impl FnOnce(&mut EvalScratch) -> R) -> R {
+        let mut arena = self.stack().pop().unwrap_or_default();
+        let result = f(&mut arena);
+        self.stack().push(arena);
+        result
     }
 
-    /// Whether every index has been handed out (not necessarily finished).
-    fn exhausted(&self) -> bool {
-        self.next.load(Ordering::Relaxed) >= self.count
-    }
-
-    /// Registers the calling thread as an executor, refusing once the
-    /// configured worker cap is reached. Registrations are never given
-    /// back — an executor only stops when the job has no claims left.
-    fn register(&self) -> bool {
-        let mut current = self.executors.load(Ordering::Relaxed);
-        loop {
-            if current >= self.limit {
-                return false;
-            }
-            match self.executors.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    /// Runs claimed indices until none remain, recording completion (and
-    /// any panic) per index so the submitter can wait for the last one.
-    fn run_claims(&self) {
-        while let Some(i) = self.claim() {
-            // SAFETY: the submitter blocks in `map` until `finished`
-            // reaches `count`, and `finished` is bumped only after this
-            // call returns — the task cannot dangle while running.
-            let task = unsafe { &*self.task.0 };
-            let result = catch_unwind(AssertUnwindSafe(|| task(i)));
-            let mut progress = self.progress.lock().expect("job progress poisoned");
-            if let Err(payload) = result {
-                progress.panic.get_or_insert(payload);
-            }
-            progress.finished += 1;
-            if progress.finished == self.count {
-                self.done_cv.notify_all();
-            }
-        }
+    /// The stack. Only `pop` and `push` run under its lock, so poison leaves it whole.
+    fn stack(&self) -> MutexGuard<'_, Vec<EvalScratch>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-#[derive(Default)]
-struct Queue {
-    jobs: VecDeque<Arc<Job>>,
-    shutdown: bool,
-}
+/// One batch of a crew: its items, each claimed once through the cursor.
+struct Batch<T>(Vec<Mutex<Option<T>>>, AtomicUsize);
 
-struct PoolShared {
-    queue: Mutex<Queue>,
-    work_cv: Condvar,
-}
-
-fn worker_loop(shared: Arc<PoolShared>) {
-    loop {
-        let job = {
-            let mut q = shared.queue.lock().expect("pool queue poisoned");
-            loop {
-                if q.shutdown {
-                    return;
-                }
-                // Drop fully-claimed jobs from the front (completion is
-                // tracked on the job itself, the queue is only for
-                // discovery), then pick the oldest job with work left
-                // that still has an executor slot under its worker cap.
-                while q.jobs.front().is_some_and(|j| j.exhausted()) {
-                    q.jobs.pop_front();
-                }
-                if let Some(job) = q.jobs.iter().find(|j| !j.exhausted() && j.register()) {
-                    break job.clone();
-                }
-                q = shared.work_cv.wait(q).expect("pool queue poisoned");
-            }
-        };
-        job.run_claims();
+impl<T> Batch<T> {
+    /// Claims the next unclaimed item and its index, if any remain.
+    fn claim(&self) -> Option<(usize, T)> {
+        // Relaxed: the cursor publishes no data; each item's mutex does.
+        let i = self.1.fetch_add(1, Ordering::Relaxed);
+        let slot = self.0.get(i)?;
+        let item = slot.lock().unwrap_or_else(PoisonError::into_inner).take()?;
+        Some((i, item))
     }
 }
 
-/// A per-index result slot, written by exactly one worker and read by
-/// the submitter after the job completes.
-struct Slot<U>(UnsafeCell<Option<U>>);
+/// A claimed item's index and what its task call returned or raised.
+type Answer<U> = (usize, thread::Result<U>);
 
-// SAFETY: each index is claimed exactly once (atomic cursor), so each
-// slot has a single writer; the submitter reads only after every index
-// finished.
-unsafe impl<U: Send> Sync for Slot<U> {}
+/// A started crew: each helper's batch channel, and the answer channel.
+type Helpers<T, U> = (Vec<Sender<Arc<Batch<T>>>>, Receiver<Answer<U>>);
 
-/// A persistent, multi-submitter evaluation pool. See the [module
-/// docs](self). Owned by the shared state of a [`crate::Warlock`]
-/// session (all clones reuse it).
-pub(crate) struct WorkerPool {
-    shared: Arc<PoolShared>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+/// The helper threads of one run. See the [module docs](self).
+pub(crate) struct Crew<'scope, 'env, T, U, F> {
+    scope: &'scope Scope<'scope, 'env>,
+    task: &'scope F,
+    workers: usize,
+    /// `None` until the crew starts.
+    helpers: Option<Helpers<T, U>>,
 }
 
-impl Default for WorkerPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let threads = self.threads.lock().map(|t| t.len()).unwrap_or(0);
-        f.debug_struct("WorkerPool")
-            .field("threads", &threads)
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// An empty pool; threads are spawned on first parallel use.
-    pub(crate) fn new() -> Self {
+impl<'scope, 'env, T: Send + 'scope, U: Send + 'scope, F: Fn(T) -> U + Sync>
+    Crew<'scope, 'env, T, U, F>
+{
+    /// A crew of up to `workers` threads, the caller included, running
+    /// `task` on the threads of `scope`. Starts no thread yet.
+    pub(crate) fn new(scope: &'scope Scope<'scope, 'env>, workers: usize, task: &'scope F) -> Self {
         Self {
-            shared: Arc::new(PoolShared {
-                queue: Mutex::new(Queue::default()),
-                work_cv: Condvar::new(),
-            }),
-            threads: Mutex::new(Vec::new()),
+            scope,
+            task,
+            workers,
+            helpers: None,
         }
     }
 
-    /// Number of live pool threads (the submitter itself is always an
-    /// additional worker).
-    #[cfg(test)]
-    pub(crate) fn threads(&self) -> usize {
-        self.threads.lock().expect("pool threads poisoned").len()
-    }
-
-    /// Grows the pool to at least `target` parked threads.
-    fn ensure_threads(&self, target: usize) {
-        let mut threads = self.threads.lock().expect("pool threads poisoned");
-        while threads.len() < target {
-            let shared = self.shared.clone();
-            let handle = std::thread::Builder::new()
+    /// Spawns up to `count` helpers, stopping at the first that cannot
+    /// be spawned.
+    fn start(&self, count: usize) -> Helpers<T, U> {
+        let (answer, answers) = channel();
+        let mut helpers = Vec::with_capacity(count);
+        for _ in 0..count {
+            let (helper, batches) = channel::<Arc<Batch<T>>>();
+            let (answer, task) = (answer.clone(), self.task);
+            // Answer each claimed item of every batch until the crew hangs up.
+            let help = move || {
+                for batch in batches {
+                    while let Some((i, item)) = batch.claim() {
+                        let _ = answer.send((i, catch_unwind(AssertUnwindSafe(|| task(item)))));
+                    }
+                }
+            };
+            let spawned = thread::Builder::new()
                 .name("warlock-eval".into())
-                .spawn(move || worker_loop(shared))
-                .expect("spawn evaluation worker");
-            threads.push(handle);
+                .spawn_scoped(self.scope, help);
+            if spawned.is_err() {
+                break;
+            }
+            helpers.push(helper);
         }
+        #[cfg(test)]
+        tests::started(helpers.len());
+        (helpers, answers)
     }
 
-    /// Applies `f` to every item and returns the results **in input
-    /// order**, using up to `workers` threads (the calling thread plus
-    /// pool workers). `workers <= 1` (or tiny inputs) runs inline
-    /// without touching the pool. A panic in any worker propagates to
-    /// the caller after the job fully drains.
-    pub(crate) fn map<T, U, F>(&self, workers: usize, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
+    /// Applies the task to every item and returns the results **in
+    /// input order**. The crew's first batch of two or more items starts
+    /// `min(workers, items) − 1` helpers; a batch without helpers or of
+    /// one item runs on the calling thread alone. A panic in an item
+    /// reaches the caller once the whole batch is answered.
+    pub(crate) fn map(&mut self, items: Vec<T>) -> Vec<U> {
         let count = items.len();
-        let workers = workers.clamp(1, count.max(1));
-        if workers == 1 || count <= 1 {
-            return items.iter().map(f).collect();
+        if self.helpers.is_none() && count >= 2 && self.workers >= 2 {
+            self.helpers = Some(self.start(self.workers.min(count) - 1));
         }
-        self.ensure_threads(workers - 1);
-
-        let slots: Vec<Slot<U>> = (0..count).map(|_| Slot(UnsafeCell::new(None))).collect();
-        let task = |i: usize| {
-            let value = f(&items[i]);
-            // SAFETY: index `i` is claimed exactly once; no other thread
-            // touches this slot until the job completes.
-            unsafe { *slots[i].0.get() = Some(value) };
+        let (helpers, answers) = match &self.helpers {
+            Some((helpers, answers)) if count >= 2 && !helpers.is_empty() => (helpers, answers),
+            _ => return items.into_iter().map(self.task).collect(),
         };
-        let task: &(dyn Fn(usize) + Sync) = &task;
-        // SAFETY: the 'static lifetime is a lie the blocking below makes
-        // true — this frame does not return until `finished == count`,
-        // and `finished` reaches `count` only after every task call has
-        // returned (or unwound), so no worker can observe a dangling
-        // `task`, `items`, `f` or `slots`.
-        let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
-        let job = Arc::new(Job {
-            task: TaskPtr(task as *const _),
-            count,
-            limit: workers,
-            // The submitter below is executor #1.
-            executors: AtomicUsize::new(1),
-            next: AtomicUsize::new(0),
-            progress: Mutex::new(Progress::default()),
-            done_cv: Condvar::new(),
-        });
-        {
-            let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-            q.jobs.push_back(job.clone());
+        let items = items.into_iter().map(Some).map(Mutex::new).collect();
+        let batch = Arc::new(Batch(items, AtomicUsize::new(0)));
+        for helper in helpers {
+            let _ = helper.send(Arc::clone(&batch));
         }
-        self.shared.work_cv.notify_all();
-
-        // The submitting thread is a worker too: help until claims run
-        // dry, then wait for stragglers still executing their last item.
-        job.run_claims();
-        let mut progress = job.progress.lock().expect("job progress poisoned");
-        while progress.finished < job.count {
-            progress = job.done_cv.wait(progress).expect("job progress poisoned");
+        let mut results: Vec<Option<thread::Result<U>>> = (0..count).map(|_| None).collect();
+        let mut answered = 0;
+        while let Some((i, item)) = batch.claim() {
+            results[i] = Some(catch_unwind(AssertUnwindSafe(|| (self.task)(item))));
+            answered += 1;
         }
-        if let Some(payload) = progress.panic.take() {
-            drop(progress);
-            std::panic::resume_unwind(payload);
+        for (i, answer) in answers.iter().take(count - answered) {
+            results[i] = Some(answer);
         }
-        drop(progress);
-
-        slots
-            .into_iter()
-            .map(|s| s.0.into_inner().expect("claimed index left no result"))
-            .collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-            q.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
-        let threads = std::mem::take(&mut *self.threads.lock().expect("pool threads poisoned"));
-        for handle in threads {
-            let _ = handle.join();
-        }
+        // Every item is answered (or its helpers hung up) before the
+        // first panic, in input order, is re-raised.
+        let answer = |result: Option<_>| match result.expect("crew helpers hung up mid-batch") {
+            Ok(value) => value,
+            Err(payload) => resume_unwind(payload),
+        };
+        results.into_iter().map(answer).collect()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+
+    thread_local! {
+        /// Crews started on this thread, and the helpers they spawned.
+        pub(crate) static STARTED: std::cell::Cell<(usize, usize)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
+
+    /// Counts a crew start with `helpers` helpers.
+    pub(super) fn started(helpers: usize) {
+        STARTED.set((STARTED.get().0 + 1, STARTED.get().1 + helpers));
+    }
+
+    /// Runs every batch through one crew of `workers` in one scope,
+    /// returning the results and the threads the items ran on.
+    fn run_crew<U: Send>(
+        workers: usize,
+        batches: Vec<Vec<u64>>,
+        task: impl Fn(u64) -> U + Sync,
+    ) -> (Vec<Vec<U>>, HashSet<ThreadId>) {
+        let seen = Mutex::new(HashSet::new());
+        let task = |x| {
+            seen.lock().unwrap().insert(thread::current().id());
+            task(x)
+        };
+        let results = thread::scope(|scope| {
+            let mut crew = Crew::new(scope, workers, &task);
+            batches.into_iter().map(|b| crew.map(b)).collect()
+        });
+        (results, seen.into_inner().unwrap())
+    }
+
+    /// An item slow enough that a sleeping caller cannot drain a batch
+    /// alone.
+    fn slow(x: u64) -> u64 {
+        thread::sleep(std::time::Duration::from_millis(1));
+        x * x
+    }
 
     #[test]
     fn preserves_input_order_for_any_worker_count() {
-        let pool = WorkerPool::new();
         let items: Vec<u64> = (0..101).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
         for workers in [1, 2, 3, 4, 7, 16, 101, 500] {
-            assert_eq!(
-                pool.map(workers, &items, |&x| x * x),
-                expected,
-                "W={workers}"
-            );
+            let (results, _) = run_crew(workers, vec![items.clone(); 3], |x| x * x);
+            assert!(results.iter().all(|r| *r == expected), "W={workers}");
         }
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        let pool = WorkerPool::new();
-        assert_eq!(pool.map(8, &Vec::<u32>::new(), |&x| x), Vec::<u32>::new());
-        assert_eq!(pool.map(8, &[42], |&x| x + 1), vec![43]);
-        // Neither touched the pool.
-        assert_eq!(pool.threads(), 0);
-    }
-
-    #[test]
-    fn threads_persist_across_jobs() {
-        let pool = WorkerPool::new();
-        let items: Vec<u32> = (0..64).collect();
-        let expected: Vec<u32> = items.iter().map(|x| x + 1).collect();
-        for _ in 0..5 {
-            assert_eq!(pool.map(4, &items, |&x| x + 1), expected);
-        }
-        // 4 workers = 3 pool threads + the submitter; runs reuse them.
-        assert_eq!(pool.threads(), 3);
+        let me = thread::current().id();
+        STARTED.set((0, 0));
+        // Batches of at most one item never start the crew.
+        let (results, seen) = run_crew(8, vec![vec![], vec![6], vec![7]], |x| x + 1);
+        assert_eq!(results, vec![vec![], vec![7], vec![8]]);
+        assert_eq!(seen, HashSet::from([me]));
+        // Neither does a single worker, on any batch.
+        let (results, seen) = run_crew(1, vec![(0..64).collect(); 3], slow);
+        assert_eq!(results[2].len(), 64);
+        assert_eq!(seen, HashSet::from([me]));
+        assert_eq!(STARTED.get(), (0, 0));
     }
 
     #[test]
     fn actually_runs_on_multiple_threads() {
-        use std::collections::HashSet;
-        let pool = WorkerPool::new();
-        let seen = Mutex::new(HashSet::new());
-        // Enough items that a sleeping submitter cannot drain them alone.
-        let items: Vec<u32> = (0..64).collect();
-        pool.map(4, &items, |&x| {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            seen.lock().unwrap().insert(std::thread::current().id());
-            x
-        });
-        assert!(seen.lock().unwrap().len() > 1, "work never left one thread");
-    }
-
-    #[test]
-    fn worker_cap_holds_on_an_oversized_pool() {
-        use std::collections::HashSet;
-        let pool = WorkerPool::new();
-        let items: Vec<u32> = (0..64).collect();
-        // Grow the pool well past the later request.
-        pool.map(8, &items, |&x| x);
-        assert_eq!(pool.threads(), 7);
-        // A 2-worker job on the 7-thread pool must execute on at most
-        // 2 threads (the submitter plus one pool worker).
-        let seen = Mutex::new(HashSet::new());
-        pool.map(2, &items, |&x| {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            seen.lock().unwrap().insert(std::thread::current().id());
-            x
-        });
-        let executors = seen.lock().unwrap().len();
-        assert!(executors <= 2, "2-worker job ran on {executors} threads");
-    }
-
-    #[test]
-    fn concurrent_submitters_share_the_pool() {
-        let pool = WorkerPool::new();
-        let items: Vec<u64> = (0..200).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * 3).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let pool = &pool;
-                    let items = &items;
-                    scope.spawn(move || pool.map(3, items, |&x| x * 3))
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), expected);
+        // Items 0 and 1 meet at a barrier, so whichever thread claimed
+        // one waits until another thread claims the other.
+        let meet = std::sync::Barrier::new(2);
+        let (_, seen) = run_crew(4, vec![(0..64).collect()], |x| {
+            if x < 2 {
+                meet.wait();
             }
         });
+        assert!(seen.len() > 1, "work never left the caller");
+    }
+
+    #[test]
+    fn a_crew_starts_once_with_at_most_workers_minus_one_helpers() {
+        STARTED.set((0, 0));
+        // Every batch of one crew shares the helpers of its one start.
+        let (_, seen) = run_crew(3, vec![(0..64).collect(); 4], slow);
+        assert_eq!(STARTED.get(), (1, 2));
+        assert!(
+            seen.len() <= 3,
+            "a 3-worker crew ran on {} threads",
+            seen.len()
+        );
+        // A crew started on a two-item batch keeps its one helper for
+        // the later, larger batches.
+        STARTED.set((0, 0));
+        let (_, seen) = run_crew(8, vec![vec![1, 2], (0..64).collect()], slow);
+        assert_eq!(STARTED.get(), (1, 1));
+        assert!(
+            seen.len() <= 2,
+            "a 1-helper crew ran on {} threads",
+            seen.len()
+        );
+    }
+
+    #[test]
+    fn panics_reach_the_caller_after_the_batch_and_drop_the_arena() {
+        let arenas = Arenas::default();
+        let done = AtomicUsize::new(0);
+        let boom = catch_unwind(AssertUnwindSafe(|| {
+            run_crew(4, vec![(0..16).collect()], |x| {
+                arenas.with(|s| {
+                    if x == 9 {
+                        s.uses = u32::MAX;
+                        panic!("worker boom");
+                    }
+                    s.uses += 1;
+                });
+                done.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        let payload = boom.expect_err("panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker boom"));
+        // Every other item was answered, and the torn arena is gone.
+        assert_eq!(done.into_inner(), 15);
+        assert!(arenas.stack().iter().all(|s| s.uses < 16));
+    }
+
+    #[test]
+    fn arenas_persist_and_nest_fresh() {
+        let arenas = Arenas::default();
+        arenas.with(|s| s.uses += 1);
+        assert_eq!(arenas.with(|s| s.uses), 1);
+        // A nested call gets another arena, not an alias of the outer,
+        // and both stay on the stack.
+        let (outer, inner) = arenas.with(|s| (s.uses, arenas.with(|nested| nested.uses)));
+        assert_eq!((outer, inner), (1, 0));
+        assert_eq!(arenas.stack().len(), 2);
+    }
+
+    #[test]
+    fn arenas_are_held_by_one_thread_at_a_time() {
+        let arenas = Arenas::default();
+        run_crew(4, vec![(0..64).collect(); 2], |_| {
+            arenas.with(|s| {
+                let me = thread::current().id();
+                assert_eq!(s.owner.replace(me), None, "arena held by two threads");
+                thread::sleep(std::time::Duration::from_micros(200));
+                s.uses += 1;
+                s.owner = None;
+            })
+        });
+        // At most one arena per worker, and none lost its counts.
+        let stack = arenas.stack();
+        assert!(stack.len() <= 4, "{} arenas for 4 workers", stack.len());
+        assert_eq!(stack.iter().map(|s| s.uses).sum::<u32>(), 128);
     }
 
     #[test]
@@ -449,74 +338,5 @@ mod tests {
         assert_eq!(effective_parallelism(1), 1);
         assert_eq!(effective_parallelism(6), 6);
         assert!(effective_parallelism(0) >= 1);
-    }
-
-    #[test]
-    fn scratch_persists_per_thread_and_nests_fresh() {
-        // Run on a thread of its own, so the arena starts empty.
-        std::thread::spawn(|| {
-            // Same thread: state persists between calls.
-            with_scratch(|s| s.uses += 1);
-            assert_eq!(with_scratch(|s| s.uses), 1);
-            // A re-entrant call gets a fresh default, not an alias of
-            // the outer arena, and the outer arena is what stays.
-            let (outer, inner) = with_scratch(|s| {
-                s.uses += 1;
-                (s.uses, with_scratch(|nested| nested.uses))
-            });
-            assert_eq!((outer, inner), (2, 0));
-            assert_eq!(with_scratch(|s| s.uses), 2);
-            // A panicking call drops its arena instead of returning it.
-            let panicked = catch_unwind(AssertUnwindSafe(|| {
-                with_scratch(|s| {
-                    s.uses += 1;
-                    panic!("torn arena");
-                })
-            }));
-            assert!(panicked.is_err());
-            assert_eq!(with_scratch(|s| s.uses), 0);
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn scratch_arenas_are_per_worker_thread() {
-        let pool = WorkerPool::new();
-        let items: Vec<u32> = (0..64).collect();
-        // Every claimed item must observe a scratch bound to its own
-        // thread — an arena created on one worker never migrates.
-        pool.map(4, &items, |&x| {
-            with_scratch(|s| {
-                let me = std::thread::current().id();
-                match s.owner {
-                    None => s.owner = Some(me),
-                    Some(owner) => assert_eq!(owner, me, "scratch crossed threads"),
-                }
-            });
-            x
-        });
-    }
-
-    #[test]
-    fn worker_panics_propagate_and_pool_survives() {
-        let pool = WorkerPool::new();
-        let items: Vec<u32> = (0..16).collect();
-        let boom = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.map(4, &items, |&x| {
-                if x == 9 {
-                    panic!("worker boom");
-                }
-                x
-            })
-        }));
-        let payload = boom.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "worker boom");
-        // The pool is still usable after a panicked job.
-        assert_eq!(
-            pool.map(4, &items, |&x| x + 1),
-            items.iter().map(|x| x + 1).collect::<Vec<_>>()
-        );
     }
 }

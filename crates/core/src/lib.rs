@@ -59,9 +59,9 @@
 //! ```
 //!
 //! [`Warlock`] is `Clone`: clones share an immutable, `Arc`-backed
-//! [`session::Snapshot`] plus the evaluation cache and the persistent
-//! worker pool, while mutators (`set_system`/`set_mix`/`set_config`)
-//! are copy-on-write snapshot swaps — see [`session`]. The [`registry`]
+//! [`session::Snapshot`] plus the evaluation cache, while mutators
+//! (`set_system`/`set_mix`/`set_config`) are copy-on-write snapshot
+//! swaps — see [`session`]. The [`registry`]
 //! module holds any number of **named** sessions (load/unload/
 //! hot-reload), and the [`service`] module (with the `warlockd` binary)
 //! dispatches a versioned JSON protocol over it — newline-delimited
@@ -76,6 +76,7 @@
 //! layer ([`service`]) and report rendering/serialization ([`report`],
 //! [`serial`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod advisor;

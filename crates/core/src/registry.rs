@@ -5,7 +5,7 @@
 //! a placement service carries many. [`Registry`] holds any number of
 //! independently configured [`Warehouse`]s, each wrapping its own
 //! [`Warlock`] session (own `Arc`'d snapshot, own shared evaluation
-//! cache and worker pool), keyed by name:
+//! cache), keyed by name:
 //!
 //! - [`Registry::load`] reads a configuration file into a new named
 //!   warehouse; [`Registry::unload`] removes one.
@@ -64,7 +64,7 @@ impl Warehouse {
         self.path.as_deref()
     }
 
-    /// A clone of the warehouse's session: snapshot, cache and pool are
+    /// A clone of the warehouse's session: snapshot and cache are
     /// shared with it, so work done on the clone warms the warehouse.
     ///
     /// Lock poisoning is deliberately ignored here and in the write

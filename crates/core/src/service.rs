@@ -7,8 +7,8 @@
 //! scale for **many warehouses at once**: it is a thin dispatcher over a
 //! [`Registry`] of named [`Warlock`] sessions. Read requests resolve
 //! their warehouse, clone its session handle (cheap — clones share the
-//! immutable snapshot, the evaluation cache and the worker pool) and
-//! evaluate **without holding any lock**, so concurrent what-ifs run
+//! immutable snapshot and the evaluation cache) and evaluate **without
+//! holding any lock**, so concurrent what-ifs run
 //! truly in parallel and a variation priced for one client is warm for
 //! every other. Mutating ops (`set_mix`, `set_budget`, `reload`) swap
 //! one warehouse's session to a new snapshot under a brief write lock;

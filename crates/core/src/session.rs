@@ -34,12 +34,12 @@
 //!   plus the lazily computed baseline ranking and allocation-policy
 //!   verdict;
 //! - shared mutable state — the cross-clone `EvalCache` (one memo
-//!   column per ranking run) and the persistent evaluation worker pool.
+//!   column per ranking run) and the resident optimizer's state.
 //!
 //! `Warlock` is therefore [`Clone`], and cloning is cheap: clones
-//! **share** the snapshot, the cache and the pool. Every read-side
-//! method (`rank`, `analyze`, `evaluate`, `what_if_*`, …) takes
-//! `&self`, so clones on different threads explore what-ifs
+//! **share** the snapshot and the cache. Every read-side method
+//! (`rank`, `analyze`, `evaluate`, `what_if_*`, …) takes `&self`, so
+//! clones on different threads explore what-ifs
 //! concurrently with no aliasing and no locks held across an
 //! evaluation — and a variation priced on one clone is warm in the
 //! shared cache for every other clone.
@@ -70,8 +70,7 @@ use crate::cache::{EvalCache, EvalCacheStats};
 use crate::config::AdvisorConfig;
 use crate::config_file::parse_config;
 use crate::engine;
-use crate::engine::exec::WorkerPool;
-use crate::engine::{EvalEnv, Inputs};
+use crate::engine::Inputs;
 use crate::error::WarlockError;
 use crate::optimizer::{AdviceEvent, DriftStatus, OptimizerState};
 use crate::policy_judge::PolicyRecommendation;
@@ -193,24 +192,16 @@ impl Snapshot {
 }
 
 /// State every clone of one session family shares: the evaluation
-/// memo, the persistent worker pool, and the resident optimizer's
-/// observed-workload state (statistics window, drift detector, advice
-/// events — `None` until the first [`Warlock::observe`]).
+/// memo and the resident optimizer's observed-workload state
+/// (statistics window, drift detector, advice events — `None` until
+/// the first [`Warlock::observe`]).
 #[derive(Debug, Default)]
 pub(crate) struct Shared {
     pub(crate) cache: EvalCache,
-    pub(crate) pool: WorkerPool,
     pub(crate) optimizer: std::sync::Mutex<Option<OptimizerState>>,
 }
 
 impl Shared {
-    pub(crate) fn env(&self) -> EvalEnv<'_> {
-        EvalEnv {
-            cache: Some(&self.cache),
-            pool: &self.pool,
-        }
-    }
-
     /// The resident optimizer's state. A panic while the lock was held
     /// (say, inside an auto re-advise) poisons it; the state is then
     /// reset to `None` — the observed-traffic window, drift detector
@@ -518,9 +509,9 @@ impl Warlock {
     /// handle move to the new snapshot. On any error the session keeps
     /// serving its previous snapshot unchanged. Clones — including
     /// in-flight readers — finish on the old snapshot; the shared
-    /// evaluation cache and worker pool are kept (entries are keyed by
-    /// input fingerprints, so reverting to a previously served
-    /// configuration is warm).
+    /// evaluation cache is kept (entries are keyed by input
+    /// fingerprints, so reverting to a previously served configuration
+    /// is warm).
     pub fn reload_from_parsed(
         &mut self,
         parsed: crate::config_file::ParsedConfig,
@@ -592,7 +583,7 @@ impl Warlock {
     /// read, and gains this run's column if it held none — see
     /// [`Warlock::cache_stats`]).
     pub fn run(&self) -> Result<AdvisorReport, WarlockError> {
-        engine::run(self.snapshot.inputs(), self.shared.env())
+        engine::run(self.snapshot.inputs(), Some(&self.shared.cache))
     }
 
     /// The ranked recommendation list, computed on first call and
@@ -712,7 +703,7 @@ impl Warlock {
         variation: String,
         inputs: Inputs<'_>,
     ) -> Result<(AdvisorReport, TuningDelta), WarlockError> {
-        let report = engine::run(inputs, self.shared.env())?;
+        let report = engine::run(inputs, Some(&self.shared.cache))?;
         let delta = TuningDelta::between(variation, self.rank()?, &report);
         Ok((report, delta))
     }
@@ -1475,6 +1466,44 @@ mod tests {
                 build(workers).run().unwrap(),
                 reference,
                 "W={workers} diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cold_run_starts_one_crew_and_a_warm_run_none() {
+        use crate::engine::exec::tests::STARTED;
+        let schema = apb1_like_schema(Apb1Config::default()).unwrap();
+        let mix = apb1_like_mix().unwrap();
+        let build = |workers: usize| {
+            Warlock::builder()
+                .schema(schema.clone())
+                .system(SystemConfig::default_2001(16))
+                .mix(mix.clone())
+                .parallelism(workers)
+                .chunk_size(64)
+                .build()
+                .unwrap()
+        };
+        // Many chunks with fresh work, one crew: at most `workers − 1`
+        // helpers, started once. A warm re-run and a serial run start
+        // no thread.
+        for workers in [1, 4] {
+            let s = build(workers);
+            STARTED.set((0, 0));
+            let cold = s.run().unwrap();
+            let (crews, helpers) = STARTED.get();
+            if workers == 1 {
+                assert_eq!((crews, helpers), (0, 0));
+            } else {
+                assert_eq!(crews, 1);
+                assert!((1..workers).contains(&helpers), "{helpers} helpers");
+            }
+            assert_eq!(s.run().unwrap(), cold);
+            assert_eq!(
+                STARTED.get(),
+                (crews, helpers),
+                "a warm run started threads"
             );
         }
     }

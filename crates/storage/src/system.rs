@@ -109,11 +109,14 @@ impl SystemConfig {
         if self.num_disks == 0 {
             return Err("system needs at least one disk".into());
         }
-        if self.disk.transfer_mb_per_s <= 0.0 {
-            return Err("transfer rate must be positive".into());
+        // Written so that NaN, which fails every comparison, is rejected.
+        let transfer = self.disk.transfer_mb_per_s;
+        if !(transfer.is_finite() && transfer > 0.0) {
+            return Err("transfer rate must be finite and positive".into());
         }
-        if self.disk.avg_seek_ms < 0.0 || self.disk.avg_rotational_ms < 0.0 {
-            return Err("positioning times must be non-negative".into());
+        let positioning = [self.disk.avg_seek_ms, self.disk.avg_rotational_ms];
+        if !positioning.iter().all(|ms| ms.is_finite() && *ms >= 0.0) {
+            return Err("positioning times must be finite and non-negative".into());
         }
         if let PrefetchPolicy::Fixed(p) = self.fact_prefetch {
             if p == 0 {

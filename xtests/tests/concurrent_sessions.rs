@@ -12,6 +12,11 @@ use warlock_schema::{random_schema, RandomSchemaConfig};
 use warlock_workload::{GeneratorConfig, WorkloadGenerator};
 
 fn session_for(seed: u64) -> Warlock {
+    session_with(seed, 1)
+}
+
+/// The session of `seed` costing on up to `workers` threads.
+fn session_with(seed: u64, workers: usize) -> Warlock {
     let schema = random_schema(seed, RandomSchemaConfig::default()).unwrap();
     let mix = WorkloadGenerator::new(
         seed.wrapping_mul(0x9e37_79b9),
@@ -27,7 +32,7 @@ fn session_for(seed: u64) -> Warlock {
         .schema(schema)
         .system(SystemConfig::default_2001(disks))
         .mix(mix)
-        .parallelism(1)
+        .parallelism(workers)
         .build()
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
 }
@@ -64,11 +69,13 @@ proptest! {
 
     /// N clones on N threads, each running an interleaved rotation of
     /// the op stream, must reproduce a single serial session bit for
-    /// bit.
+    /// bit — also when each clone's cold runs fan out over a crew of
+    /// their own, all drawing arenas from the one process-wide stack.
     #[test]
     fn interleaved_clone_what_ifs_match_serial(
         seed in 0u64..2048,
         clones in 2usize..5,
+        workers_log2 in 0u32..3,
     ) {
         // The reference: one serial session applying every op in order.
         let serial = session_for(seed);
@@ -83,7 +90,7 @@ proptest! {
         // The race: clones of one fresh session, each starting the
         // rotation at a different offset so the interleaving differs
         // per thread.
-        let shared = session_for(seed);
+        let shared = session_with(seed, 1 << workers_log2);
         let results: Vec<Vec<(Op, AdvisorReport, TuningDelta)>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..clones)

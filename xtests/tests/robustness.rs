@@ -151,3 +151,66 @@ fn degenerate_configurations_are_handled() {
         assert!((r.cost.response_ms - r.cost.io_cost_ms).abs() < 1e-6);
     }
 }
+
+#[test]
+fn every_float_config_key_builds_or_fails_typed() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use warlock::config_file::{demo_config, render_config};
+    use warlock::SessionReport;
+
+    let demo = render_config(&demo_config());
+    // Each key's line in the demo config (`skew` has none, so it goes
+    // under the first dimension's levels), rewritten to carry `value`.
+    let with = |key: &str, value: &str| -> String {
+        let (line, replacement) = match key {
+            "skew" => {
+                let levels = demo.lines().find(|l| l.starts_with("levels = ")).unwrap();
+                (levels.to_string(), format!("{levels}\nskew = {value}"))
+            }
+            "allocation_policy" => (
+                "allocation_policy = auto".to_string(),
+                format!("allocation_policy = auto:{value}"),
+            ),
+            _ => {
+                let prefix = format!("{key} = ");
+                let line = demo.lines().find(|l| l.starts_with(&prefix)).unwrap();
+                (line.to_string(), format!("{prefix}{value}"))
+            }
+        };
+        assert!(demo.contains(&line), "{key}");
+        demo.replacen(&line, &replacement, 1)
+    };
+    let keys = [
+        "seek_ms",
+        "rotational_ms",
+        "transfer_mb_s",
+        "capacity_gb",
+        "top_x_percent",
+        "density",
+        "weight",
+        "allocation_policy",
+        "skew",
+    ];
+    let values = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-308"];
+    let mut panicked = Vec::new();
+    for key in keys {
+        for value in values {
+            let text = with(key, value);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                Warlock::from_config_str(&text).and_then(|session| session.session_report())
+            }));
+            match outcome {
+                Err(_) => panicked.push(format!("{key} = {value}")),
+                // A typed error is a fine answer to an absurd value.
+                Ok(Err(_)) => {}
+                Ok(Ok(report)) => {
+                    let json = report.to_json().pretty();
+                    let parsed = SessionReport::from_json_str(&json)
+                        .unwrap_or_else(|e| panic!("{key} = {value}: {e}\n{json}"));
+                    assert_eq!(parsed, report, "{key} = {value} does not round-trip");
+                }
+            }
+        }
+    }
+    assert!(panicked.is_empty(), "panicked on: {panicked:?}");
+}
