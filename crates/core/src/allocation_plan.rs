@@ -22,6 +22,7 @@ use warlock_skew::SkewModel;
 use warlock_workload::QueryClass;
 
 use crate::engine::Inputs;
+use crate::WarlockError;
 
 /// Disk access profile of one query class on the planned allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +85,12 @@ impl PlanInputs {
     /// values of every predicate) accesses. `cost` is the candidate's
     /// cost under `inputs` with its per-class detail; nothing is costed
     /// here, and the candidate must have passed the engine's checks.
-    pub(crate) fn new(inputs: Inputs<'_>, skew: &SkewModel, cost: &CandidateCost) -> Self {
+    /// Fragments of `u64::MAX` bytes or more are a [`WarlockError::System`].
+    pub(crate) fn new(
+        inputs: Inputs<'_>,
+        skew: &SkewModel,
+        cost: &CandidateCost,
+    ) -> Result<Self, WarlockError> {
         let Inputs {
             schema,
             system,
@@ -98,7 +104,8 @@ impl PlanInputs {
         let vectors = scheme.total_vectors_stored();
 
         // Per-fragment bytes: fact pages + bitmap pages, both from the
-        // fragment's (possibly skewed) row count.
+        // fragment's (possibly skewed) row count. Sums saturate, so a
+        // total of `u64::MAX` marks fragments too large to count.
         let rows = layout.fragment_rows(schema, skew);
         let mut fact_bytes = 0u64;
         let mut bitmap_bytes = 0u64;
@@ -106,12 +113,20 @@ impl PlanInputs {
             .iter()
             .map(|&r| {
                 let fact = page.bytes_for_pages(page.pages_for_rows(r, row_bytes as u32));
-                let bitmap = page.bytes_for_pages(vectors * estimate::vector_pages(r, page));
-                fact_bytes += fact;
-                bitmap_bytes += bitmap;
-                fact + bitmap
+                let bitmap_pages = vectors.saturating_mul(estimate::vector_pages(r, page));
+                let bitmap = page.bytes_for_pages(bitmap_pages);
+                fact_bytes = fact_bytes.saturating_add(fact);
+                bitmap_bytes = bitmap_bytes.saturating_add(bitmap);
+                fact.saturating_add(bitmap)
             })
             .collect();
+        // Every byte sum a placement makes (per disk, per cluster) is at
+        // most this total, so it must not have saturated.
+        let label = cost.fragmentation.label(schema);
+        if fact_bytes.saturating_add(bitmap_bytes) == u64::MAX {
+            let message = format!("the fragments of {label} hold more bytes than a u64 counts");
+            return Err(WarlockError::System(message));
+        }
 
         // The representative per-class fragment sets come before
         // placement: the graph-partition policy builds its co-access
@@ -137,8 +152,8 @@ impl PlanInputs {
             })
             .collect();
 
-        Self {
-            label: cost.fragmentation.label(schema),
+        Ok(Self {
+            label,
             num_disks: system.num_disks,
             processors: system.architecture.total_processors(),
             overhead: system.architecture.overhead_factor(),
@@ -146,7 +161,7 @@ impl PlanInputs {
             fact_bytes,
             bitmap_bytes,
             classes,
-        }
+        })
     }
 
     /// Places the fragments under `policy` and profiles every class on

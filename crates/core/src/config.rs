@@ -6,6 +6,12 @@ use warlock_cost::KernelChoice;
 use warlock_fragment::Thresholds;
 use warlock_skew::DimensionSkew;
 
+/// The largest worker count [`AdvisorConfig::parallelism`] (and the
+/// `WARLOCK_PARALLELISM` environment variable under `auto`) may ask for. A
+/// cold run starts up to one helper thread per worker, so the bound caps
+/// the threads one run can start; the tests and benchmarks use at most 8.
+pub const MAX_PARALLELISM: usize = 256;
+
 /// All knobs of one advisor run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdvisorConfig {
@@ -31,9 +37,9 @@ pub struct AdvisorConfig {
     pub fact_index: usize,
     /// Worker threads for candidate evaluation: `0` = auto (all available
     /// cores, overridable via the `WARLOCK_PARALLELISM` environment
-    /// variable), `1` = strictly serial, `n` = exactly `n` workers. Any
-    /// setting produces bit-identical reports; the knob only trades
-    /// wall-clock time for threads.
+    /// variable), `1` = strictly serial, `n` = exactly `n` workers, at
+    /// most [`MAX_PARALLELISM`]. Any setting produces bit-identical
+    /// reports; the knob only trades wall-clock time for threads.
     pub parallelism: usize,
     /// Hard budget on the candidate space a single pipeline run may
     /// enumerate: `0` = unlimited, `n` = runs whose exact predicted
@@ -111,6 +117,12 @@ impl AdvisorConfig {
             return Err(format!(
                 "top_x_percent must be in (0, 100], got {}",
                 self.top_x_percent
+            ));
+        }
+        if self.parallelism > MAX_PARALLELISM {
+            return Err(format!(
+                "parallelism must be auto or at most {MAX_PARALLELISM} workers, got {}",
+                self.parallelism
             ));
         }
         if self.top_n == 0 {
@@ -214,6 +226,19 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err(), "zero half-life");
+        let c = AdvisorConfig {
+            parallelism: MAX_PARALLELISM + 1,
+            ..Default::default()
+        };
+        assert!(
+            c.validate().unwrap_err().contains("256"),
+            "too many workers"
+        );
+        let c = AdvisorConfig {
+            parallelism: MAX_PARALLELISM,
+            ..Default::default()
+        };
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -17,26 +17,29 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, Scope};
 
 use super::EvalScratch;
+use crate::config::MAX_PARALLELISM;
 
 /// Environment variable overriding the automatic worker count (only
 /// consulted when [`crate::AdvisorConfig::parallelism`] is `0` = auto).
 /// CI uses it to pin a serial lane without editing configurations.
 pub(crate) const PARALLELISM_ENV: &str = "WARLOCK_PARALLELISM";
 
-/// Resolves a configured parallelism knob to a concrete worker count:
-/// `n >= 1` is taken literally; `0` means auto — the `WARLOCK_PARALLELISM`
-/// environment variable if set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`].
+/// Resolves a configured parallelism knob to a concrete worker count,
+/// at most [`MAX_PARALLELISM`]: `n >= 1` is taken literally; `0` means
+/// auto — the `WARLOCK_PARALLELISM` environment variable if set to a
+/// positive integer, otherwise [`std::thread::available_parallelism`].
 pub(crate) fn effective_parallelism(requested: usize) -> usize {
-    if requested >= 1 {
-        return requested;
-    }
-    std::env::var(PARALLELISM_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .or_else(|| thread::available_parallelism().ok().map(NonZeroUsize::get))
-        .unwrap_or(1)
+    let workers = if requested >= 1 {
+        requested
+    } else {
+        std::env::var(PARALLELISM_ENV)
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .or_else(|| thread::available_parallelism().ok().map(NonZeroUsize::get))
+            .unwrap_or(1)
+    };
+    workers.min(MAX_PARALLELISM)
 }
 
 /// A stack of evaluation arenas, each held by one thread at a time.
@@ -337,6 +340,8 @@ pub(crate) mod tests {
     fn effective_parallelism_resolution() {
         assert_eq!(effective_parallelism(1), 1);
         assert_eq!(effective_parallelism(6), 6);
-        assert!(effective_parallelism(0) >= 1);
+        assert!((1..=MAX_PARALLELISM).contains(&effective_parallelism(0)));
+        assert_eq!(effective_parallelism(MAX_PARALLELISM + 1), MAX_PARALLELISM);
+        assert_eq!(effective_parallelism(usize::MAX), MAX_PARALLELISM);
     }
 }

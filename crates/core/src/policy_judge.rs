@@ -112,7 +112,7 @@ impl Warlock {
     /// Judges the policies on the top-ranked candidate's ranked cost,
     /// uncached: the computation behind [`Warlock::recommend_policy`].
     pub(crate) fn judge_top(&self) -> Result<PolicyRecommendation, WarlockError> {
-        Ok(self.judge(self.ranked_cost(1)?))
+        self.judge(self.ranked_cost(1)?)
     }
 
     /// Judges the contending policies on an explicit candidate. Not
@@ -121,12 +121,12 @@ impl Warlock {
         &self,
         fragmentation: &Fragmentation,
     ) -> Result<PolicyRecommendation, WarlockError> {
-        Ok(self.judge(&self.evaluate(fragmentation)?))
+        self.judge(&self.evaluate(fragmentation)?)
     }
 
     /// Judges the contending policies on the candidate `cost` prices
     /// under this session's snapshot.
-    fn judge(&self, cost: &CandidateCost) -> PolicyRecommendation {
+    fn judge(&self, cost: &CandidateCost) -> Result<PolicyRecommendation, WarlockError> {
         use warlock_alloc::AllocationPolicy;
         let s = self.snapshot();
         // The graph entrant inherits the configured seed when the
@@ -144,7 +144,7 @@ impl Warlock {
 
         // Sizes and class accesses do not depend on the policy: derive
         // them once and place them three ways.
-        let inputs = PlanInputs::new(s.inputs(), s.skew(), cost);
+        let inputs = PlanInputs::new(s.inputs(), s.skew(), cost)?;
         let plans: Vec<(&str, AllocationPlan)> = contenders
             .into_iter()
             .map(|(name, policy)| (name, inputs.place(policy)))
@@ -186,14 +186,14 @@ impl Warlock {
                 }
             })
             .collect();
-        PolicyRecommendation {
+        Ok(PolicyRecommendation {
             label: plans[0].1.label.clone(),
             recommended: verdicts
                 .first()
                 .map(|v| v.policy.clone())
                 .unwrap_or_default(),
             verdicts,
-        }
+        })
     }
 }
 

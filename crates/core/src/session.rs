@@ -659,7 +659,8 @@ impl Warlock {
     /// The physical allocation plan of the candidate at 1-based `rank`,
     /// ranking first if necessary.
     pub fn plan_allocation(&self, rank: usize) -> Result<AllocationPlan, WarlockError> {
-        let inputs = PlanInputs::new(self.snapshot.inputs(), self.skew(), self.ranked_cost(rank)?);
+        let cost = self.ranked_cost(rank)?;
+        let inputs = PlanInputs::new(self.snapshot.inputs(), self.skew(), cost)?;
         Ok(inputs.place(self.config().allocation_policy))
     }
 
@@ -686,7 +687,7 @@ impl Warlock {
         fragmentation: &Fragmentation,
     ) -> Result<AllocationPlan, WarlockError> {
         let cost = self.evaluate(fragmentation)?;
-        let inputs = PlanInputs::new(self.snapshot.inputs(), self.skew(), &cost);
+        let inputs = PlanInputs::new(self.snapshot.inputs(), self.skew(), &cost)?;
         Ok(inputs.place(self.config().allocation_policy))
     }
 
@@ -1165,7 +1166,8 @@ mod tests {
         let enumerated = s.rank().unwrap().enumerated;
         let cold = s.cache_stats();
         assert_eq!(cold.misses as usize, enumerated);
-        for (i, disks) in [1u32, 8, 64, 100_000].into_iter().enumerate() {
+        let most = warlock_storage::MAX_DISKS;
+        for (i, disks) in [1u32, 8, 64, most].into_iter().enumerate() {
             let (report, _) = s.what_if_disks(disks).unwrap();
             let stats = s.cache_stats();
             assert_eq!(stats.misses, cold.misses, "{disks} disks re-costed");

@@ -37,4 +37,4 @@ mod system;
 
 pub use disk::DiskParams;
 pub use page::PageConfig;
-pub use system::{Architecture, PrefetchPolicy, SystemConfig};
+pub use system::{Architecture, PrefetchPolicy, SystemConfig, MAX_DISKS};

@@ -46,10 +46,10 @@ impl PageConfig {
         bytes.div_ceil(u64::from(self.page_bytes))
     }
 
-    /// Total bytes occupied by `pages` pages.
+    /// Total bytes occupied by `pages` pages, saturating at `u64::MAX`.
     #[inline]
     pub fn bytes_for_pages(&self, pages: u64) -> u64 {
-        pages * u64::from(self.page_bytes)
+        pages.saturating_mul(u64::from(self.page_bytes))
     }
 }
 

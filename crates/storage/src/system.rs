@@ -65,6 +65,16 @@ impl Architecture {
     }
 }
 
+/// The largest disk count a valid [`SystemConfig`] may declare.
+///
+/// Memory grows with the disk count downstream: planning an allocation
+/// (`PlanInputs::place` in the advisor) keeps per-disk occupancy and heat,
+/// the disk simulator (`warlock_sim::disksim`) a queue and busy time per
+/// disk, and the policy judge (`warlock_sim::judge`) per-disk busy times.
+/// The bound keeps a configured count from becoming a multi-gigabyte
+/// allocation; the largest disk count the tests and benchmarks use is 128.
+pub const MAX_DISKS: u32 = 1 << 16;
+
 /// Complete system description: the disk complement, page configuration,
 /// prefetch policy and architecture.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,15 +109,16 @@ impl SystemConfig {
         }
     }
 
-    /// Total usable capacity of the disk complement, in bytes.
-    pub fn total_capacity_bytes(&self) -> u64 {
-        u64::from(self.num_disks) * self.disk.capacity_bytes
-    }
-
     /// Validates internal consistency.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_disks == 0 {
             return Err("system needs at least one disk".into());
+        }
+        if self.num_disks > MAX_DISKS {
+            return Err(format!(
+                "{} disks exceed the bound of {MAX_DISKS}",
+                self.num_disks
+            ));
         }
         // Written so that NaN, which fails every comparison, is rejected.
         let transfer = self.disk.transfer_mb_per_s;
@@ -227,7 +238,6 @@ mod tests {
         let s = SystemConfig::default_2001(16);
         assert!(s.validate().is_ok());
         assert_eq!(s.num_disks, 16);
-        assert_eq!(s.total_capacity_bytes(), 16 * 18 * (1 << 30));
     }
 
     #[test]
@@ -252,6 +262,11 @@ mod tests {
             ..SystemConfig::default_2001(1)
         };
         assert!(bad.validate().is_err());
+        let at_bound = SystemConfig::default_2001(MAX_DISKS);
+        assert!(at_bound.validate().is_ok());
+        let beyond = SystemConfig::default_2001(MAX_DISKS + 1);
+        assert!(beyond.validate().unwrap_err().contains("65536"));
+        assert!(SystemConfig::default_2001(u32::MAX).validate().is_err());
     }
 
     #[test]

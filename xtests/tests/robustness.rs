@@ -152,11 +152,33 @@ fn degenerate_configurations_are_handled() {
     }
 }
 
+/// Builds a session from `text` and its session report, and requires a
+/// typed error or a report that round-trips through JSON: never a panic.
+/// Returns the error, if any, or `Err(())` on a panic.
+fn builds_or_fails_typed(what: &str, text: &str) -> Result<Option<warlock::WarlockError>, ()> {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use warlock::SessionReport;
+
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        Warlock::from_config_str(text).and_then(|session| session.session_report())
+    }));
+    match outcome {
+        Err(_) => Err(()),
+        // A typed error is a fine answer to an absurd value.
+        Ok(Err(e)) => Ok(Some(e)),
+        Ok(Ok(report)) => {
+            let json = report.to_json().pretty();
+            let parsed = SessionReport::from_json_str(&json)
+                .unwrap_or_else(|e| panic!("{what}: {e}\n{json}"));
+            assert_eq!(parsed, report, "{what} does not round-trip");
+            Ok(None)
+        }
+    }
+}
+
 #[test]
 fn every_float_config_key_builds_or_fails_typed() {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use warlock::config_file::{demo_config, render_config};
-    use warlock::SessionReport;
 
     let demo = render_config(&demo_config());
     // Each key's line in the demo config (`skew` has none, so it goes
@@ -195,20 +217,79 @@ fn every_float_config_key_builds_or_fails_typed() {
     let mut panicked = Vec::new();
     for key in keys {
         for value in values {
-            let text = with(key, value);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                Warlock::from_config_str(&text).and_then(|session| session.session_report())
-            }));
-            match outcome {
-                Err(_) => panicked.push(format!("{key} = {value}")),
-                // A typed error is a fine answer to an absurd value.
-                Ok(Err(_)) => {}
-                Ok(Ok(report)) => {
-                    let json = report.to_json().pretty();
-                    let parsed = SessionReport::from_json_str(&json)
-                        .unwrap_or_else(|e| panic!("{key} = {value}: {e}\n{json}"));
-                    assert_eq!(parsed, report, "{key} = {value} does not round-trip");
+            let what = format!("{key} = {value}");
+            match builds_or_fails_typed(&what, &with(key, value)) {
+                Err(()) => panicked.push(what),
+                // No capacity but the smallest fits a disk, and even that
+                // one is below one byte; each is refused naming the key.
+                Ok(error) if key == "capacity_gb" && value != "1e-308" => {
+                    let error = error.unwrap_or_else(|| panic!("{what} was accepted"));
+                    assert!(error.to_string().contains("capacity_gb"), "{what}: {error}");
                 }
+                Ok(_) => {}
+            }
+        }
+    }
+    assert!(panicked.is_empty(), "panicked on: {panicked:?}");
+}
+
+#[test]
+fn every_integer_config_key_builds_or_fails_typed() {
+    use warlock::config_file::{demo_config, render_config};
+
+    let demo = render_config(&demo_config());
+    // Each integer key, as the line of the demo config it replaces and
+    // that line rewritten to set the key; `{}` stands for the value. Keys
+    // the demo does not write come with the keys they need.
+    let keys = [
+        (
+            "levels = base:9",
+            "levels = base:9\nskew = 0.5\nskew_shuffle = {}",
+        ),
+        ("density = 0.01", "rows = {}"),
+        ("disks = 16", "disks = {}"),
+        ("page_bytes = 8192", "page_bytes = {}"),
+        (
+            "architecture = shared_everything",
+            "architecture = shared_disk\nnodes = {}",
+        ),
+        ("processors = 16", "processors = {}"),
+        ("prefetch = auto", "prefetch = {}"),
+        ("max_dimensionality = 4", "max_dimensionality = {}"),
+        ("top_n = 10", "top_n = {}"),
+        ("min_keep = 10", "min_keep = {}"),
+        ("max_fragments = 1048576", "max_fragments = {}"),
+        (
+            "allocation_policy = auto",
+            "allocation_policy = graph\ngraph_seed = {}",
+        ),
+        ("parallelism = auto", "parallelism = {}"),
+        ("max_candidates = unlimited", "max_candidates = {}"),
+        ("chunk_size = auto", "chunk_size = {}"),
+        ("[advisor]", "[advisor]\nrange_options = {}"),
+    ];
+    let values = ["0", "1", "4294967295", "18446744073709551615"];
+    let mut panicked = Vec::new();
+    for (line, set) in keys {
+        assert!(demo.contains(line), "{line}");
+        for value in values {
+            let what = set.replace("{}", value);
+            let text = demo.replacen(line, &what, 1);
+            match builds_or_fails_typed(&what, &text) {
+                Err(()) => panicked.push(what),
+                // Too many disks or workers to afford is refused before
+                // anything is allocated or started, naming the key's line.
+                Ok(error) if value != "0" && value != "1" => {
+                    if what.starts_with("disks") || what.starts_with("parallelism") {
+                        let error = error.unwrap_or_else(|| panic!("{what} was accepted"));
+                        let at = text.lines().position(|l| l == what).unwrap() + 1;
+                        assert!(
+                            error.to_string().contains(&format!("line {at}:")),
+                            "{error}"
+                        );
+                    }
+                }
+                Ok(_) => {}
             }
         }
     }

@@ -210,8 +210,10 @@ proptest! {
         let mut config = AdvisorConfig::default();
         config.thresholds.require_full_declustering = full_declustering;
         // One disk, a middling count, and more disks than any candidate
-        // within `max_fragments` has fragments.
-        let above = u32::try_from(config.thresholds.max_fragments + 1).unwrap();
+        // within `max_fragments` has fragments: the most disks a system
+        // may have, over a fragment limit just below it.
+        let above = warlock::storage::MAX_DISKS;
+        config.thresholds.max_fragments = u64::from(above) - 1;
         for workers in [1usize, 0] {
             for chunk in [1usize, 17, 0] {
                 let session = session_on(seed, workers, chunk, 16, config.clone());
