@@ -1383,6 +1383,178 @@ mod tests {
         assert!(AdviceEvent::from_json(&unknown).is_err());
     }
 
+    /// Parses `text` with `T::from_json`, rendering the error.
+    fn read<T: FromJson>(text: &str) -> Result<T, String> {
+        T::from_json(&warlock_json::parse(text).unwrap()).map_err(|e| e.to_string())
+    }
+
+    /// Every presence rule of the wire types accepts and rejects
+    /// exactly these documents, with exactly these messages.
+    #[test]
+    fn presence_rules_accept_and_reject_exactly_these_documents() {
+        use crate::cache::EvalCacheStats;
+        use crate::registry::WarehouseStats;
+
+        // Required: absent and mistyped members are shape errors.
+        let attr = |body: &str| read::<FragmentationAttr>(&format!("{{{body}}}"));
+        assert_eq!(
+            attr(r#""dimension":1,"level":0"#).unwrap_err(),
+            "json: missing object member `range`"
+        );
+        assert_eq!(
+            attr(r#""dimension":1,"level":null,"range":1"#).unwrap_err(),
+            "json: `level` is not an unsigned integer"
+        );
+        assert_eq!(
+            attr(r#""dimension":65536,"level":0,"range":1"#).unwrap_err(),
+            "json: `dimension` out of range for u16"
+        );
+        assert_eq!(
+            read::<DiskRow>(r#"{"bytes":1,"fragments":4294967296}"#).unwrap_err(),
+            "json: `fragments` out of range for u32"
+        );
+        assert_eq!(
+            read::<ExclusionRow>(r#"{"label":"x","reason":7}"#).unwrap_err(),
+            "json: `reason` is not a string"
+        );
+        assert_eq!(
+            read::<ExcludedSummaryRow>(r#"{"total":0,"groups":{}}"#).unwrap_err(),
+            "json: `groups` is not an array"
+        );
+        assert_eq!(
+            read::<crate::optimizer::DriftStatus>(
+                r#"{"state":"calm","score":0,"drift_enter":0.25,"drift_exit":0.1,
+                "observed_queries":0,"tracked_classes":0,"auto_advise":false,"events_emitted":0}"#
+            )
+            .unwrap_err(),
+            "json: `state` must be `stable` or `drifting`, got `calm`"
+        );
+        assert_eq!(
+            read::<crate::optimizer::DriftStatus>(
+                r#"{"state":"stable","score":0,"drift_enter":0.25,"drift_exit":0.1,
+                "observed_queries":0,"tracked_classes":0,"auto_advise":1,"events_emitted":0}"#
+            )
+            .unwrap_err(),
+            "json: `auto_advise` is not a boolean"
+        );
+
+        // Required but nullable: null reads as `None`, absence is an
+        // error.
+        let report = session().session_report().unwrap();
+        let Json::Obj(pairs) = report.to_json() else {
+            panic!("session report is an object")
+        };
+        let with = |key: &str, value: Option<Json>| {
+            let members = pairs
+                .iter()
+                .filter_map(|(k, v)| match (k == key, &value) {
+                    (false, _) => Some((k.clone(), v.clone())),
+                    (true, Some(replacement)) => Some((k.clone(), replacement.clone())),
+                    (true, None) => None,
+                })
+                .collect();
+            SessionReport::from_json_str(&Json::Obj(members).render()).map_err(|e| e.to_string())
+        };
+        for key in ["analysis", "allocation"] {
+            assert_eq!(
+                with(key, None).unwrap_err(),
+                format!("json: missing object member `{key}`")
+            );
+        }
+        let nulled = with("analysis", Some(Json::Null)).unwrap();
+        assert_eq!((nulled.analysis, nulled.allocation.is_some()), (None, true));
+        assert_eq!(
+            with("allocation", Some(Json::Int(3))).unwrap_err(),
+            "json: missing object member `label`"
+        );
+        let stats = |path: &str, enumerated: &str| {
+            read::<WarehouseStats>(&format!(
+                r#"{{"name":"eu",{path}"space_size":9,{enumerated}
+                "cache_stats":{{"entries":0,"hits":0,"misses":0}}}}"#
+            ))
+        };
+        let cold = stats(r#""path":null,"#, r#""enumerated":null,"#).unwrap();
+        assert_eq!((cold.path, cold.enumerated), (None, None));
+        assert_eq!(
+            stats("", r#""enumerated":null,"#).unwrap_err(),
+            "json: missing object member `path`"
+        );
+        assert_eq!(
+            stats(r#""path":null,"#, "").unwrap_err(),
+            "json: missing object member `enumerated`"
+        );
+        assert_eq!(
+            stats(r#""path":1,"#, r#""enumerated":null,"#).unwrap_err(),
+            "json: `path` is not a string"
+        );
+        assert_eq!(
+            stats(r#""path":null,"#, r#""enumerated":-1,"#).unwrap_err(),
+            "json: `enumerated` is not an unsigned integer"
+        );
+        assert_eq!(
+            read::<WarehouseStats>(
+                r#"{"name":"eu","path":null,"space_size":-1,"enumerated":null,"cache_stats":{}}"#
+            )
+            .unwrap_err(),
+            "json: `space_size` is not a non-negative number"
+        );
+        let huge = read::<WarehouseStats>(
+            r#"{"name":"eu","path":null,"space_size":1e30,"enumerated":null,
+            "cache_stats":{"entries":0,"hits":0,"misses":0}}"#,
+        )
+        .unwrap();
+        assert_eq!(huge.space_size, 1e30 as u128);
+
+        // Absent or null: both read as `None`; a present value must
+        // parse.
+        assert_eq!(with("recommendation", None).unwrap().recommendation, None);
+        assert_eq!(
+            with("recommendation", Some(Json::Null))
+                .unwrap()
+                .recommendation,
+            None
+        );
+        assert_eq!(
+            with(
+                "recommendation",
+                Some(Json::object([("label", Json::Int(1))]))
+            )
+            .unwrap_err(),
+            "json: `label` is not a string"
+        );
+        let observation = |text: &str| {
+            observation_from_json(&warlock_json::parse(text).unwrap()).map_err(|e| e.to_string())
+        };
+        assert_eq!(
+            observation(r#"{"class":"q","count":1,"mean_latency_ms":null}"#).unwrap(),
+            observation(r#"{"class":"q","count":1}"#).unwrap()
+        );
+        assert_eq!(
+            observation(r#"{"class":"q","count":1,"mean_latency_ms":"x"}"#).unwrap_err(),
+            "json: `mean_latency_ms` is not a number"
+        );
+
+        // Absent reads as the default; a present value must parse.
+        assert_eq!(
+            read::<EvalCacheStats>(r#"{"entries":1,"hits":2,"misses":3}"#).unwrap(),
+            EvalCacheStats {
+                entries: 1,
+                hits: 2,
+                misses: 3,
+                ..Default::default()
+            }
+        );
+        assert_eq!(
+            read::<EvalCacheStats>(r#"{"entries":1,"hits":2,"misses":3,"evicted":null}"#)
+                .unwrap_err(),
+            "json: `evicted` is not an unsigned integer"
+        );
+        assert_eq!(
+            read::<EvalCacheStats>(r#"{"hits":2,"misses":3}"#).unwrap_err(),
+            "json: missing object member `entries`"
+        );
+    }
+
     #[test]
     fn out_of_range_integers_are_shape_errors_not_truncated() {
         // Regression: `{"dimension": 65536}` must not wrap to dimension 0
