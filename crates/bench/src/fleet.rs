@@ -13,80 +13,88 @@
 
 use warlock::config_file::parse_config;
 use warlock::{SessionReport, Warlock};
-use warlock_json::{Json, ToJson};
+use warlock_json::{json_struct, ToJson};
 use warlock_scenarios::{generate_fleet, Scenario, ScenarioSpace};
 
 /// Every `sample_stride`-th scenario additionally re-ranks with forced
 /// chunked-streaming settings and asserts bit-identical reports.
 pub const SAMPLE_STRIDE: u32 = 5;
 
-/// The deterministic outputs of one scenario run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRecord {
-    /// Scenario index within the fleet.
-    pub id: u32,
-    /// Stable label, e.g. `s007-deep/hot_spot/drifting`.
-    pub label: String,
-    /// Coverage-grid class label, e.g. `deep/hot_spot/drifting`.
-    pub class: String,
-    /// Disks in the generated system configuration.
-    pub disks: u32,
-    /// Exact candidate-space size.
-    pub candidates: u64,
-    /// Candidates that passed the thresholds and were ranked.
-    pub evaluated: u64,
-    /// Candidates excluded by a structural check or a threshold.
-    pub excluded: u64,
-    /// Label of the top-ranked candidate.
-    pub top_label: String,
-    /// Fragments of the top-ranked candidate.
-    pub fragments: u64,
-    /// Hit fraction of the evaluation memo over rank, report,
-    /// allocation and the two what-if calls.
-    pub cache_hit_rate: f64,
-    /// The policy judge's verdicts for the top candidate, best first.
-    pub policy_order: Vec<String>,
-    /// Max-over-mean mix-weighted disk heat of the winner's allocation
-    /// under the greedy size-based policy.
-    pub greedy_heat_imbalance: f64,
-    /// The same heat imbalance under the co-access graph partitioner.
-    pub graph_heat_imbalance: f64,
-    /// Simulated replay makespan of the graph policy over greedy's
-    /// (< 1 means the partitioner wins head-to-head; 0 when greedy's
-    /// makespan is 0).
-    pub graph_makespan_ratio: f64,
-    /// Observation batches of the scenario's seeded drift trajectory
-    /// replayed before the resident optimizer fired its first auto
-    /// re-advise (0 for non-drifting scenarios, or when none fired).
-    pub drift_detect_batches: u64,
+json_struct! {
+    /// The deterministic outputs of one scenario run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioRecord {
+        /// Stable label, e.g. `s007-deep/hot_spot/drifting`. It leads the
+        /// rendered object, so [`golden_mismatch`] can name the scenario of
+        /// any later line.
+        pub label: String,
+        /// Scenario index within the fleet.
+        pub id: u32,
+        /// Coverage-grid class label, e.g. `deep/hot_spot/drifting`.
+        pub class: String,
+        /// Disks in the generated system configuration.
+        pub disks: u32,
+        /// Exact candidate-space size.
+        pub candidates: u64,
+        /// Candidates that passed the thresholds and were ranked.
+        pub evaluated: u64,
+        /// Candidates excluded by a structural check or a threshold.
+        pub excluded: u64,
+        /// Label of the top-ranked candidate.
+        pub top_label: String,
+        /// Fragments of the top-ranked candidate.
+        pub fragments: u64,
+        /// Hit fraction of the evaluation memo over rank, report,
+        /// allocation and the two what-if calls.
+        pub cache_hit_rate: f64,
+        /// The policy judge's verdicts for the top candidate, best first.
+        pub policy_order: Vec<String>,
+        /// Max-over-mean mix-weighted disk heat of the winner's allocation
+        /// under the greedy size-based policy.
+        pub greedy_heat_imbalance: f64,
+        /// The same heat imbalance under the co-access graph partitioner.
+        pub graph_heat_imbalance: f64,
+        /// Simulated replay makespan of the graph policy over greedy's
+        /// (< 1 means the partitioner wins head-to-head; 0 when greedy's
+        /// makespan is 0).
+        pub graph_makespan_ratio: f64,
+        /// Observation batches of the scenario's seeded drift trajectory
+        /// replayed before the resident optimizer fired its first auto
+        /// re-advise (0 for non-drifting scenarios, or when none fired).
+        pub drift_detect_batches: u64,
+    }
 }
 
-/// One failed cross-cutting invariant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InvariantFailure {
-    /// Label of the offending scenario.
-    pub scenario: String,
-    /// Which invariant broke.
-    pub invariant: String,
-    /// Human-readable detail.
-    pub detail: String,
+json_struct! {
+    /// One failed cross-cutting invariant.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct InvariantFailure {
+        /// Label of the offending scenario.
+        pub scenario: String,
+        /// Which invariant broke.
+        pub invariant: String,
+        /// Human-readable detail.
+        pub detail: String,
+    }
 }
 
-/// The fleet's outputs, rendered as the golden by
-/// [`FleetReport::to_json_string`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetReport {
-    /// Fleet seed.
-    pub seed: u64,
-    /// Scenarios generated.
-    pub count: u32,
-    /// FNV-1a fingerprint of every rendered scenario config, in fleet
-    /// order — byte-identical scenario sets have equal fingerprints.
-    pub fingerprint: String,
-    /// Failed invariants (empty on a healthy run).
-    pub failures: Vec<InvariantFailure>,
-    /// Per-scenario outputs, in fleet order (failed scenarios omitted).
-    pub scenarios: Vec<ScenarioRecord>,
+json_struct! {
+    /// The fleet's outputs, rendered as the golden by
+    /// [`FleetReport::to_json_string`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FleetReport {
+        /// Fleet seed.
+        pub seed: u64,
+        /// Scenarios generated.
+        pub count: u32,
+        /// FNV-1a fingerprint of every rendered scenario config, in fleet
+        /// order — byte-identical scenario sets have equal fingerprints.
+        pub fingerprint: String,
+        /// Failed invariants (empty on a healthy run).
+        pub failures: Vec<InvariantFailure>,
+        /// Per-scenario outputs, in fleet order (failed scenarios omitted).
+        pub scenarios: Vec<ScenarioRecord>,
+    }
 }
 
 /// FNV-1a over the rendered configs — the fleet's identity.
@@ -330,57 +338,9 @@ pub fn run_fleet(seed: u64, count: u32, space: &ScenarioSpace) -> Result<FleetRe
 
 impl FleetReport {
     /// Serializes the report (pretty, trailing newline — the committed
-    /// golden form). Each scenario object opens with its `label`, so
-    /// [`golden_mismatch`] can name the scenario of any later line.
+    /// golden form).
     pub fn to_json_string(&self) -> String {
-        let scenarios: Vec<Json> = self
-            .scenarios
-            .iter()
-            .map(|m| {
-                Json::object([
-                    ("label", Json::Str(m.label.clone())),
-                    ("id", Json::Int(i64::from(m.id))),
-                    ("class", Json::Str(m.class.clone())),
-                    ("disks", Json::Int(i64::from(m.disks))),
-                    ("candidates", Json::Int(m.candidates as i64)),
-                    ("evaluated", Json::Int(m.evaluated as i64)),
-                    ("excluded", Json::Int(m.excluded as i64)),
-                    ("top_label", Json::Str(m.top_label.clone())),
-                    ("fragments", Json::Int(m.fragments as i64)),
-                    ("cache_hit_rate", Json::Num(m.cache_hit_rate)),
-                    (
-                        "policy_order",
-                        Json::Arr(m.policy_order.iter().cloned().map(Json::Str).collect()),
-                    ),
-                    ("greedy_heat_imbalance", Json::Num(m.greedy_heat_imbalance)),
-                    ("graph_heat_imbalance", Json::Num(m.graph_heat_imbalance)),
-                    ("graph_makespan_ratio", Json::Num(m.graph_makespan_ratio)),
-                    (
-                        "drift_detect_batches",
-                        Json::Int(m.drift_detect_batches as i64),
-                    ),
-                ])
-            })
-            .collect();
-        let failures: Vec<Json> = self
-            .failures
-            .iter()
-            .map(|f| {
-                Json::object([
-                    ("scenario", Json::Str(f.scenario.clone())),
-                    ("invariant", Json::Str(f.invariant.clone())),
-                    ("detail", Json::Str(f.detail.clone())),
-                ])
-            })
-            .collect();
-        let mut text = Json::object([
-            ("seed", Json::Int(self.seed as i64)),
-            ("count", Json::Int(i64::from(self.count))),
-            ("fingerprint", Json::Str(self.fingerprint.clone())),
-            ("failures", Json::Arr(failures)),
-            ("scenarios", Json::Arr(scenarios)),
-        ])
-        .pretty();
+        let mut text = self.to_json().pretty();
         text.push('\n');
         text
     }
@@ -488,6 +448,19 @@ mod tests {
             .collect();
         assert_eq!(drifting.len(), 1, "expected exactly one drifting member");
         assert!(drifting[0].class.ends_with("/drifting"));
+    }
+
+    #[test]
+    fn counts_beyond_i64_render_as_floats_not_wrapped() {
+        let mut report = small_report();
+        report.scenarios[0].candidates = u64::MAX;
+        let parsed = warlock_json::parse(&report.to_json_string()).unwrap();
+        let candidates = parsed.get("scenarios").unwrap().as_array().unwrap()[0]
+            .get("candidates")
+            .unwrap()
+            .as_f64()
+            .unwrap();
+        assert_eq!(candidates, u64::MAX as f64);
     }
 
     #[test]

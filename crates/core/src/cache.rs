@@ -56,23 +56,25 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use warlock_cost::ClassCost;
 use warlock_fragment::Exclusion;
 
-/// Observable counters of an [`EvalCache`](crate::Warlock::cache_stats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EvalCacheStats {
-    /// Memoized candidate outcomes currently held: the candidates the
-    /// columns cover (a skipped subtree counts each of its candidates).
-    pub entries: usize,
-    /// Ranked candidates answered from a memo column since the session
-    /// was built (or the cache last cleared).
-    pub hits: u64,
-    /// Ranked candidates that required a fresh pipeline pass.
-    pub misses: u64,
-    /// Memo columns currently held.
-    pub columns: usize,
-    /// Columns evicted to admit another.
-    pub evicted: u64,
-    /// Column commits the admission rule declined.
-    pub refused: u64,
+warlock_json::json_struct! {
+    /// Observable counters of an [`EvalCache`](crate::Warlock::cache_stats).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct EvalCacheStats {
+        /// Memoized candidate outcomes currently held: the candidates the
+        /// columns cover (a skipped subtree counts each of its candidates).
+        pub entries: usize,
+        /// Ranked candidates answered from a memo column since the session
+        /// was built (or the cache last cleared).
+        pub hits: u64,
+        /// Ranked candidates that required a fresh pipeline pass.
+        pub misses: u64,
+        /// Memo columns currently held.
+        pub columns: usize = Default,
+        /// Columns evicted to admit another.
+        pub evicted: u64 = Default,
+        /// Column commits the admission rule declined.
+        pub refused: u64 = Default,
+    }
 }
 
 /// Memo budget: candidates covered by columns. A full APB-1-like run

@@ -61,29 +61,54 @@ impl AdviceEvent {
     }
 }
 
-/// A point-in-time report of the resident optimizer, returned by
-/// [`Warlock::observe`](crate::Warlock::observe) and
-/// [`Warlock::drift_status`](crate::Warlock::drift_status).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftStatus {
-    /// The detector's current state.
-    pub state: DriftState,
-    /// The current drift score in `[0, 1]` — normalized L1 distance
-    /// between the observed and configured mix shares (`0.0` when no
-    /// traffic has been observed).
-    pub score: f64,
-    /// The configured enter threshold.
-    pub drift_enter: f64,
-    /// The configured exit threshold.
-    pub drift_exit: f64,
-    /// Total queries ingested since the session family was built.
-    pub observed_queries: u64,
-    /// Distinct query classes the statistics window tracks.
-    pub tracked_classes: usize,
-    /// Whether crossing the enter threshold triggers auto re-advising.
-    pub auto_advise: bool,
-    /// Total advice events ever emitted (the latest event's `seq`).
-    pub events_emitted: u64,
+/// [`DriftState`] on the wire: `"stable"` or `"drifting"`.
+mod drift_state {
+    use warlock_json::{FromJson, Json, JsonError};
+    use warlock_workload::DriftState;
+
+    pub(super) fn to_json(state: &DriftState) -> Json {
+        Json::Str(match state {
+            DriftState::Stable => "stable".into(),
+            DriftState::Drifting => "drifting".into(),
+        })
+    }
+
+    pub(super) fn from_member(value: &Json, key: &str) -> Result<DriftState, JsonError> {
+        match String::from_member(value, key)?.as_str() {
+            "stable" => Ok(DriftState::Stable),
+            "drifting" => Ok(DriftState::Drifting),
+            other => Err(JsonError::shape(format!(
+                "`{key}` must be `stable` or `drifting`, got `{other}`"
+            ))),
+        }
+    }
+}
+
+warlock_json::json_struct! {
+    /// A point-in-time report of the resident optimizer, returned by
+    /// [`Warlock::observe`](crate::Warlock::observe) and
+    /// [`Warlock::drift_status`](crate::Warlock::drift_status).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DriftStatus {
+        /// The detector's current state.
+        pub state: DriftState => drift_state,
+        /// The current drift score in `[0, 1]` — normalized L1 distance
+        /// between the observed and configured mix shares (`0.0` when no
+        /// traffic has been observed).
+        pub score: f64,
+        /// The configured enter threshold.
+        pub drift_enter: f64,
+        /// The configured exit threshold.
+        pub drift_exit: f64,
+        /// Total queries ingested since the session family was built.
+        pub observed_queries: u64,
+        /// Distinct query classes the statistics window tracks.
+        pub tracked_classes: usize,
+        /// Whether crossing the enter threshold triggers auto re-advising.
+        pub auto_advise: bool,
+        /// Total advice events ever emitted (the latest event's `seq`).
+        pub events_emitted: u64,
+    }
 }
 
 /// The mutable resident-optimizer state of one session family, held in

@@ -35,35 +35,39 @@ const JUDGE_STREAMS: usize = 4;
 /// frequency-weighted by mix share).
 const JUDGE_ROUNDS: usize = 2;
 
-/// The judged outcome of one allocation policy on one workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyVerdict {
-    /// Policy name (`round_robin` | `greedy` | `graph`).
-    pub policy: String,
-    /// The scheme the policy actually produced (`graph` degrades to
-    /// `greedy-by-size` when the mix has no co-access signal).
-    pub scheme: String,
-    /// Simulated time the last replay stream finished — the ranking key.
-    pub makespan_ms: f64,
-    /// Max over mean simulated disk busy time (1.0 = balanced).
-    pub busy_imbalance: f64,
-    /// Max over mean mix-weighted access heat per disk.
-    pub heat_imbalance: f64,
-    /// Max over mean byte occupancy per disk.
-    pub occupancy_imbalance: f64,
-    /// Mean simulated query response time.
-    pub mean_response_ms: f64,
+warlock_json::json_struct! {
+    /// The judged outcome of one allocation policy on one workload.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PolicyVerdict {
+        /// Policy name (`round_robin` | `greedy` | `graph`).
+        pub policy: String,
+        /// The scheme the policy actually produced (`graph` degrades to
+        /// `greedy-by-size` when the mix has no co-access signal).
+        pub scheme: String,
+        /// Simulated time the last replay stream finished — the ranking key.
+        pub makespan_ms: f64,
+        /// Max over mean simulated disk busy time (1.0 = balanced).
+        pub busy_imbalance: f64,
+        /// Max over mean mix-weighted access heat per disk.
+        pub heat_imbalance: f64,
+        /// Max over mean byte occupancy per disk.
+        pub occupancy_imbalance: f64,
+        /// Mean simulated query response time.
+        pub mean_response_ms: f64,
+    }
 }
 
-/// The advisor's per-workload policy recommendation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyRecommendation {
-    /// Label of the judged fragmentation candidate.
-    pub label: String,
-    /// Name of the winning policy.
-    pub recommended: String,
-    /// All verdicts, ranked best (lowest makespan) first.
-    pub verdicts: Vec<PolicyVerdict>,
+warlock_json::json_struct! {
+    /// The advisor's per-workload policy recommendation.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PolicyRecommendation {
+        /// Label of the judged fragmentation candidate.
+        pub label: String,
+        /// Name of the winning policy.
+        pub recommended: String,
+        /// All verdicts, ranked best (lowest makespan) first.
+        pub verdicts: Vec<PolicyVerdict>,
+    }
 }
 
 /// Scheme names shared with [`crate::serial::AllocationReport`].

@@ -107,22 +107,24 @@ impl Warehouse {
     }
 }
 
-/// A point-in-time health summary of one [`Warehouse`], as reported by
-/// [`Registry::stats`] and the `list_warehouses` wire op (serialized in
-/// [`crate::serial`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarehouseStats {
-    /// The warehouse's registry name.
-    pub name: String,
-    /// The configuration file it (re)loads from, if any.
-    pub path: Option<String>,
-    /// Exact candidate-space size of the current snapshot.
-    pub space_size: u128,
-    /// Candidates enumerated by the cached baseline ranking, or `None`
-    /// until one was computed.
-    pub enumerated: Option<u64>,
-    /// The warehouse's shared evaluation-cache counters.
-    pub cache: EvalCacheStats,
+warlock_json::json_struct! {
+    /// A point-in-time health summary of one [`Warehouse`], as reported by
+    /// [`Registry::stats`] and the `list_warehouses` wire op (serialized in
+    /// [`crate::serial`]).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WarehouseStats {
+        /// The warehouse's registry name.
+        pub name: String,
+        /// The configuration file it (re)loads from, if any.
+        pub path: Option<String>,
+        /// Exact candidate-space size of the current snapshot.
+        pub space_size: u128,
+        /// Candidates enumerated by the cached baseline ranking, or `None`
+        /// until one was computed.
+        pub enumerated: Option<u64>,
+        /// The warehouse's shared evaluation-cache counters.
+        pub cache: EvalCacheStats as "cache_stats",
+    }
 }
 
 /// A concurrent map of named [`Warehouse`]s with one configurable

@@ -77,7 +77,7 @@ use warlock_workload::QueryMix;
 
 use crate::error::WarlockError;
 use crate::registry::{Registry, Warehouse};
-use crate::serial::{u128_json, FragmentationAttr};
+use crate::serial::FragmentationAttr;
 use crate::session::Warlock;
 
 /// The current wire protocol version `warlockd` speaks.
@@ -263,7 +263,7 @@ fn warehouse_ping(version: i64, warehouse: &Warehouse) -> Json {
         fields.push(("warehouse", warehouse.name().to_json()));
     }
     fields.extend([
-        ("space_size", u128_json(session.candidate_space_size())),
+        ("space_size", session.candidate_space_size().to_json()),
         ("enumerated", enumerated),
         ("cache_stats", session.cache_stats().to_json()),
     ]);
@@ -279,6 +279,11 @@ fn cost_json(cost: &warlock_cost::CandidateCost, label: String) -> Json {
         ("total_ios", cost.total_ios.to_json()),
         ("total_pages", cost.total_pages.to_json()),
     ])
+}
+
+/// A what-if reply: the delta against the baseline, then the report.
+fn what_if_json((report, delta): (crate::AdvisorReport, crate::TuningDelta)) -> Json {
+    Json::object([("delta", delta.to_json()), ("report", report.to_json())])
 }
 
 impl Service {
@@ -335,39 +340,22 @@ impl Service {
     }
 
     fn reply(&self, version: i64, id: Json, outcome: OpResult, shutdown: bool) -> ServiceReply {
-        let (line, error_kind) = match outcome {
-            Ok(result) => (
-                Json::object([
+        match outcome {
+            Ok(result) => ServiceReply {
+                line: Json::object([
                     ("v", Json::Int(version)),
                     ("id", id),
                     ("ok", Json::Bool(true)),
                     ("result", result),
-                ]),
-                None,
-            ),
+                ])
+                .render(),
+                shutdown,
+                error_kind: None,
+            },
             Err(e) => {
                 let (kind, message) = e.kind_and_message();
-                (
-                    Json::object([
-                        ("v", Json::Int(version)),
-                        ("id", id),
-                        ("ok", Json::Bool(false)),
-                        (
-                            "error",
-                            Json::object([
-                                ("kind", kind.to_json()),
-                                ("message", message.to_json()),
-                            ]),
-                        ),
-                    ]),
-                    Some(kind),
-                )
+                ServiceReply::error_for_request(version, id, kind, &message)
             }
-        };
-        ServiceReply {
-            line: line.render(),
-            shutdown,
-            error_kind,
         }
     }
 
@@ -541,41 +529,26 @@ impl Service {
                 let disks = u32::try_from(u64_param(&params, "disks")?)
                     .map_err(|_| bad("bad_request", "`params.disks` out of range"))?;
                 let session = self.registry.resolve(route)?.session();
-                let (report, delta) = session.what_if_disks(disks)?;
-                Ok(Json::object([
-                    ("delta", delta.to_json()),
-                    ("report", report.to_json()),
-                ]))
+                Ok(what_if_json(session.what_if_disks(disks)?))
             }
             "what_if_prefetch" => {
                 let pages = u32::try_from(u64_param(&params, "pages")?)
                     .map_err(|_| bad("bad_request", "`params.pages` out of range"))?;
                 let session = self.registry.resolve(route)?.session();
-                let (report, delta) = session.what_if_fixed_prefetch(pages)?;
-                Ok(Json::object([
-                    ("delta", delta.to_json()),
-                    ("report", report.to_json()),
-                ]))
+                Ok(what_if_json(session.what_if_fixed_prefetch(pages)?))
             }
             "what_if_without_bitmap_dimension" => {
                 let dimension = u16::try_from(u64_param(&params, "dimension")?)
                     .map_err(|_| bad("bad_request", "`params.dimension` out of range"))?;
                 let session = self.registry.resolve(route)?.session();
-                let (report, delta) = session
-                    .what_if_without_bitmap_dimension(warlock_schema::DimensionId(dimension))?;
-                Ok(Json::object([
-                    ("delta", delta.to_json()),
-                    ("report", report.to_json()),
-                ]))
+                Ok(what_if_json(session.what_if_without_bitmap_dimension(
+                    warlock_schema::DimensionId(dimension),
+                )?))
             }
             "what_if_without_class" => {
                 let name = str_param(&params, "class")?;
                 let session = self.registry.resolve(route)?.session();
-                let (report, delta) = session.what_if_without_class(name)?;
-                Ok(Json::object([
-                    ("delta", delta.to_json()),
-                    ("report", report.to_json()),
-                ]))
+                Ok(what_if_json(session.what_if_without_class(name)?))
             }
             "set_mix" => self.set_mix(&*self.registry.resolve(route)?, &params),
             "set_budget" => self.set_budget(&*self.registry.resolve(route)?, &params),
@@ -678,7 +651,7 @@ impl Service {
         Ok(Json::object([
             ("max_candidates", session.config().max_candidates.to_json()),
             ("chunk_size", session.config().chunk_size.to_json()),
-            ("space_size", u128_json(session.candidate_space_size())),
+            ("space_size", session.candidate_space_size().to_json()),
         ]))
     }
 }

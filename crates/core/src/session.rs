@@ -2008,8 +2008,7 @@ mod tests {
         assert_eq!(s.recommend_policy().unwrap(), cold);
         let top = s.rank().unwrap().top().unwrap().cost.fragmentation.clone();
         assert_eq!(s.recommend_policy_for(&top).unwrap(), cold);
-        let row = crate::serial::PolicyRecommendationRow::from(&cold);
-        assert_eq!(s.session_report().unwrap().recommendation, Some(row));
+        assert_eq!(s.session_report().unwrap().recommendation, Some(cold));
     }
 
     #[test]

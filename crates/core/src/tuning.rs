@@ -11,21 +11,23 @@
 
 use crate::advisor::AdvisorReport;
 
-/// Summary of one what-if variation against the baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TuningDelta {
-    /// What was varied (human-readable).
-    pub variation: String,
-    /// Baseline top candidate label.
-    pub baseline_top: String,
-    /// Variation top candidate label.
-    pub variation_top: String,
-    /// Baseline weighted response of the top candidate (ms).
-    pub baseline_response_ms: f64,
-    /// Variation weighted response of the top candidate (ms).
-    pub variation_response_ms: f64,
-    /// Whether the recommended fragmentation changed.
-    pub recommendation_changed: bool,
+warlock_json::json_struct! {
+    /// Summary of one what-if variation against the baseline.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TuningDelta {
+        /// What was varied (human-readable).
+        pub variation: String,
+        /// Baseline top candidate label.
+        pub baseline_top: String,
+        /// Variation top candidate label.
+        pub variation_top: String,
+        /// Baseline weighted response of the top candidate (ms).
+        pub baseline_response_ms: f64,
+        /// Variation weighted response of the top candidate (ms).
+        pub variation_response_ms: f64,
+        /// Whether the recommended fragmentation changed.
+        pub recommendation_changed: bool,
+    }
 }
 
 impl TuningDelta {

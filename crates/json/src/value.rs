@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::parse::JsonError;
+use crate::FromJson;
 
 /// A JSON document. Object member order is preserved (reports render
 /// fields in a stable, documented order).
@@ -43,6 +44,12 @@ impl Json {
     pub fn req(&self, key: &str) -> Result<&Json, JsonError> {
         self.get(key)
             .ok_or_else(|| JsonError::shape(format!("missing object member `{key}`")))
+    }
+
+    /// The required object member `key`, parsed with
+    /// [`FromJson::from_member`].
+    pub fn member<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
+        T::from_member(self.req(key)?, key)
     }
 
     /// The value as `f64` (integers widen).
