@@ -58,7 +58,7 @@ use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
 use warlock_alloc::AllocationPolicy;
-use warlock_schema::{Dimension, FactTable, StarSchema};
+use warlock_schema::{Dimension, FactTable, SchemaError, StarSchema};
 use warlock_skew::DimensionSkew;
 use warlock_storage::{Architecture, PageConfig, PrefetchPolicy, SystemConfig, MAX_DISKS};
 use warlock_workload::{DimensionPredicate, QueryClass, QueryMix};
@@ -628,7 +628,24 @@ fn assemble(
             (None, None) => return fail(line, format!("fact `{}` needs rows or density", f.name)),
         });
     }
-    let schema = schema.build().map_err(at_line(0))?;
+    let schema = schema.build().map_err(|e| {
+        let line = match &e {
+            // The second section of that name.
+            SchemaError::DuplicateName { name } => dimensions
+                .iter()
+                .map(|d| (&d.name, d.line))
+                .chain(facts.iter().map(|f| (&f.name, f.line)))
+                .filter(|(n, _)| *n == name)
+                .nth(1)
+                .map_or(0, |(_, line)| line),
+            SchemaError::EmptyFactTable { fact } => facts
+                .iter()
+                .find(|f| &f.name == fact)
+                .map_or(0, |f| f.line_of(&["rows", "density"])),
+            _ => 0,
+        };
+        ConfigFileError::at(line, e.to_string())
+    })?;
 
     let mut mix = QueryMix::builder();
     for q in &queries {
@@ -649,7 +666,10 @@ fn assemble(
         }
         mix = mix.class(class, weight);
     }
-    let mix = mix.build().map_err(at_line(0))?;
+    // Weights are non-negative by their key domain, so the mix can only
+    // fail here by weighing nothing: blame the last weight set.
+    let weights = queries.iter().map(|q| q.line_of(&["weight"]));
+    let mix = mix.build().map_err(at_line(weights.max().unwrap_or(0)))?;
 
     // With every key in its domain, validation can only fail on the
     // architecture's processor count here and drift exit <= enter below.
@@ -1396,6 +1416,37 @@ chunk_size = auto
         let e = parse_config(&sample).unwrap_err();
         assert_eq!(e.line, line, "{e}");
         assert!(e.message.contains("overflows the processor count"), "{e}");
+
+        // Errors of the whole schema or mix name the key or section
+        // that caused them.
+        let sample = SAMPLE.replace("density = 0.01", "density = 0.000001");
+        let line = sample.lines().position(|l| l == "density = 0.000001");
+        let e = parse_config(&sample).unwrap_err();
+        assert_eq!(Some(e.line), line.map(|l| l + 1), "{e}");
+        assert_eq!(e.message, "fact table `sales` has zero rows");
+
+        let sample = SAMPLE.replace("[dimension time]", "[dimension product]");
+        let line = sample
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| *l == "[dimension product]")
+            .last()
+            .map(|(i, _)| i);
+        let e = parse_config(&sample).unwrap_err();
+        assert_eq!(Some(e.line), line.map(|l| l + 1), "{e}");
+        assert_eq!(e.message, "duplicate name `product`");
+
+        let sample = SAMPLE.replace("weight = 3", "weight = 0");
+        let sample = sample.replace("weight = 1", "weight = 0");
+        let line = sample
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| *l == "weight = 0")
+            .last()
+            .map(|(i, _)| i);
+        let e = parse_config(&sample).unwrap_err();
+        assert_eq!(Some(e.line), line.map(|l| l + 1), "{e}");
+        assert_eq!(e.message, "query mix is empty or has zero total weight");
     }
 
     /// A small deterministic generator for [`drawn_config`] (splitmix64).

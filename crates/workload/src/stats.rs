@@ -99,7 +99,8 @@ impl StatsWindow {
         self.half_life
     }
 
-    /// Total queries ever ingested (not decayed).
+    /// Total queries ever ingested (not decayed), saturating at
+    /// `u64::MAX`.
     #[inline]
     pub fn observed_queries(&self) -> u64 {
         self.observed
@@ -144,7 +145,7 @@ impl StatsWindow {
                 stat.latency_sum += latency * count;
             }
         }
-        self.observed += obs.count;
+        self.observed = self.observed.saturating_add(obs.count);
     }
 
     /// The decayed weight of `class` (0.0 when untracked).
@@ -215,6 +216,13 @@ mod tests {
         let shares = w.shares();
         let total: f64 = shares.iter().map(|(_, s)| s).sum();
         assert!((total - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_query_count_saturates_instead_of_wrapping() {
+        let mut w = StatsWindow::new(100.0);
+        w.ingest(&[obs("a", u64::MAX / 2), obs("a", u64::MAX / 2), obs("b", 5)]);
+        assert_eq!(w.observed_queries(), u64::MAX);
     }
 
     #[test]
