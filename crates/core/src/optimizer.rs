@@ -67,10 +67,11 @@ mod drift_state {
     use warlock_workload::DriftState;
 
     pub(super) fn to_json(state: &DriftState) -> Json {
-        Json::Str(match state {
-            DriftState::Stable => "stable".into(),
-            DriftState::Drifting => "drifting".into(),
-        })
+        let name = match state {
+            DriftState::Stable => "stable",
+            DriftState::Drifting => "drifting",
+        };
+        Json::Str(name.into())
     }
 
     pub(super) fn from_member(value: &Json, key: &str) -> Result<DriftState, JsonError> {

@@ -109,8 +109,7 @@ impl Warehouse {
 
 warlock_json::json_struct! {
     /// A point-in-time health summary of one [`Warehouse`], as reported by
-    /// [`Registry::stats`] and the `list_warehouses` wire op (serialized in
-    /// [`crate::serial`]).
+    /// [`Registry::stats`] and the `list_warehouses` wire op.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct WarehouseStats {
         /// The warehouse's registry name.
