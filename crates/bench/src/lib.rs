@@ -95,6 +95,22 @@ pub const FIT: Shape = Shape {
     max_fragments: 1 << 16,
 };
 
+/// The warehouse of the `tuning-spill` benchmark workload: 7
+/// dimensions, 4 to 5 levels deep, 15,527 candidates, 2·10⁹ fact rows.
+pub const SPILL: Shape = Shape {
+    fanouts: &[
+        &[4, 6, 2, 3, 2],
+        &[6, 4, 3, 2],
+        &[2, 6, 4, 2, 3],
+        &[3, 4, 6, 2],
+        &[4, 2, 6, 3],
+        &[6, 3, 4, 2, 2],
+        &[2, 4, 6, 3],
+    ],
+    fact_rows: 2_000_000_000,
+    max_fragments: 1 << 16,
+};
+
 /// The enumeration-bound warehouse of the `cold-advise` benchmark
 /// workload: 45,278 candidates, most of them over its `max_fragments`
 /// of 4096.
@@ -284,6 +300,11 @@ mod tests {
         assert_eq!(s.candidate_space_size(), 45_278);
         let report = s.rank().unwrap();
         assert_eq!(report.excluded.count_of("too_many_fragments"), 38_479);
+    }
+
+    #[test]
+    fn the_spill_shape_is_the_benchmark_space() {
+        assert_eq!(shaped_session(&SPILL).candidate_space_size(), 15_527);
     }
 
     #[test]

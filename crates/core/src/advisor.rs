@@ -14,6 +14,8 @@
 //! the report stays small and deterministic at any worker count and
 //! chunk size.
 
+use std::convert::Infallible;
+
 use warlock_bitmap::BitmapScheme;
 use warlock_cost::CandidateCost;
 use warlock_fragment::{Exclusion, Fragmentation};
@@ -63,32 +65,42 @@ impl ExcludedSummary {
     /// reason's sample list has room, so callers can defer building
     /// the (label-carrying) sample record.
     pub fn record(&mut self, reason: Exclusion, sample: impl FnOnce() -> ExcludedCandidate) {
-        self.total += 1;
-        let group = self.group(reason.kind());
-        group.count += 1;
-        if group.samples.len() < Self::SAMPLES_PER_REASON {
-            group.samples.push(sample());
-        }
+        let Ok(()) = self.try_record::<Infallible>(reason, || Ok(sample()));
     }
 
-    /// Records `count` exclusions of one reason `kind` at once — a
-    /// subtree the bounded walk stepped over. Samples are drawn from
-    /// `samples` (the subtree's first candidates, in enumeration order)
-    /// only while the reason's sample list has room.
-    pub(crate) fn record_many(
+    /// [`record`](Self::record) for a sample that may fail to build:
+    /// its error fails the call.
+    pub(crate) fn try_record<E>(
+        &mut self,
+        reason: Exclusion,
+        sample: impl FnOnce() -> Result<ExcludedCandidate, E>,
+    ) -> Result<(), E> {
+        self.record_many(reason.kind(), 1, std::iter::once_with(sample))
+    }
+
+    /// Records `count` exclusions of one reason `kind` at once (a
+    /// subtree the bounded walk stepped over, say). Samples are drawn
+    /// from `samples` (the excluded candidates, in enumeration order)
+    /// lazily and only while the reason's sample list has room, so a
+    /// caller can build each sample from a handle, and the first sample
+    /// that fails to build fails the call.
+    pub(crate) fn record_many<E>(
         &mut self,
         kind: &'static str,
         count: usize,
-        samples: impl IntoIterator<Item = ExcludedCandidate>,
-    ) {
+        samples: impl IntoIterator<Item = Result<ExcludedCandidate, E>>,
+    ) -> Result<(), E> {
         if count == 0 {
-            return;
+            return Ok(());
         }
         self.total += count;
         let group = self.group(kind);
         group.count += count;
         let room = Self::SAMPLES_PER_REASON - group.samples.len();
-        group.samples.extend(samples.into_iter().take(room));
+        for sample in samples.into_iter().take(room) {
+            group.samples.push(sample?);
+        }
+        Ok(())
     }
 
     /// The group of `kind`, opened on first sight.

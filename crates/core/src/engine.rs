@@ -14,32 +14,43 @@
 //! never build a cost model of their own.
 //!
 //! Candidates are pulled lazily from a [`CandidateSource`] in
-//! fixed-size chunks (never materializing the space). The source walks
-//! bounded by `max_fragments`: a subtree whose every candidate has too
-//! many fragments is stepped over whole (see
-//! [`CandidateSource::stride`]), adding its exact size to `enumerated`
-//! and to the `too_many_fragments` exclusions and one run-length cell
-//! to the memo column, without becoming a `Fragmentation`, crew work or
-//! a merge-loop iteration. Each pulled candidate is resolved in order
+//! fixed-size chunks (never materializing the space), as the cursor's
+//! digits: no candidate becomes a heap object on its way through the
+//! pipeline. The source walks bounded by `max_fragments`: a subtree
+//! whose every candidate has too many fragments is stepped over whole
+//! (see [`CandidateSource::stride`]), adding its exact size to
+//! `enumerated` and to the `too_many_fragments` exclusions and one
+//! run-length cell to the memo column, without crew work or a
+//! merge-loop iteration. Each pulled candidate is resolved in order
 //! against the run's memo column from the [`EvalCache`] (one
-//! enumeration-ordered column per run, not a per-candidate keyed map),
-//! cheap structural pre-exclusion culls the remaining candidates whose
-//! fragment count already disqualifies them before any layout or cost
-//! work, and the rest fan out over the run's [`exec::Crew`] of scoped
-//! threads, which apply every threshold but the disk-count one and price
-//! the survivors into unweighted, disk-free class rows. Chunk results
-//! merge in enumeration order, and every costed candidate, fresh or
-//! memoized, takes one path: its rows go into the column being written,
-//! the disk threshold applies, and the survivors are weighed by
-//! [`combine_class_costs`] into a
-//! [`StreamingRank`](crate::ranking::StreamingRank) accumulator (which
-//! retains only the phase-1 survivors). The exclusions go into a bounded
+//! enumeration-ordered column per run, not a per-candidate keyed map).
+//! A candidate the column does not answer is written into the chunk's
+//! flat [`DigitChunk`], where cheap structural pre-exclusion reads its
+//! fragment count; the rest fan out over the run's [`exec::Crew`] of
+//! scoped threads, which lay each out from its borrowed
+//! [`Digits`](warlock_fragment::Digits), apply every threshold but the
+//! disk-count one and price the survivors into unweighted, disk-free
+//! class rows.
+//!
+//! Chunk results merge in enumeration order, and every costed
+//! candidate, fresh or memoized, takes one path: its rows go into the
+//! column being written, the disk threshold applies, and the survivors
+//! are ranked on keys. [`combined_io_cost_ms`] weighs the phase-1 key,
+//! and only a candidate that may still be retained gets its response
+//! time ([`combined_response_ms`]); the [`KeyedRank`] accumulator keeps
+//! the keys of the phase-1 survivors with each one's enumeration
+//! position as its handle. The exclusions go into a bounded
 //! [`ExcludedSummary`], and the disk-free outcomes — on a run without a
 //! column of its own — into the column it commits once at the end. So
-//! one column serves every disk count, and the report is
-//! **bit-identical** to the historical materialized pass at any worker
-//! count and chunk size while peak memory is O(chunk + survivors +
-//! column).
+//! one column serves every disk count.
+//!
+//! A [`Fragmentation`] is built for three groups only, each from its
+//! position through [`CandidateSource::candidate_at`] or from its
+//! digits: the final top N (for the label and the detailed cost), the
+//! few exclusion samples per reason the summary keeps, and the
+//! candidates a crew group lays out. The report is **bit-identical** to
+//! the historical materialized pass at any worker count and chunk size,
+//! while peak memory is O(chunk + survivors' keys + column).
 //!
 //! [`AdvisorConfig::max_candidates`] turns an over-broad run into a
 //! typed [`WarlockError::CandidateBudget`] up front (the source
@@ -48,16 +59,17 @@
 //! panicking, so a worker bug in a long-lived service degrades to a
 //! failed request.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use warlock_bitmap::BitmapScheme;
 use warlock_cost::{
-    combine_class_costs, combined_io_cost_ms, evaluate_chunk_rows, CandidateCost, ChunkBatch,
+    combined_io_cost_ms, combined_response_ms, evaluate_chunk_rows, CandidateCost, ChunkBatch,
     ClassCost, CostModel, CostTables, KernelBackend,
 };
 use warlock_fragment::{
-    CandidateError, CandidateSource, Exclusion, FragmentLayout, Fragmentation, LayoutScratch,
-    SkewModelExt, Stride, ThresholdContext,
+    CandidateError, CandidateSource, DigitChunk, Exclusion, FragmentLayout, Fragmentation,
+    LayoutScratch, SkewModelExt, Stride, ThresholdContext,
 };
 use warlock_schema::StarSchema;
 use warlock_skew::SkewModel;
@@ -68,7 +80,7 @@ use crate::advisor::{AdvisorReport, ExcludedCandidate, ExcludedSummary, RankedCa
 use crate::cache::{Column, ColumnReader, EvalCache, Slot};
 use crate::config::AdvisorConfig;
 use crate::error::WarlockError;
-use crate::ranking::StreamingRank;
+use crate::ranking::{KeyedRank, RankKeys};
 
 pub(crate) mod exec;
 
@@ -188,8 +200,8 @@ fn cost_model(inputs: Inputs<'_>) -> Result<CostModel<'_>, WarlockError> {
 /// column's positions follow). Built on
 /// [`CostModel::structure_fingerprint`], which leaves out the mix
 /// *weights* and the disk count: the column is independent of both
-/// (they enter only at merge, through [`combine_class_costs`] and the
-/// disk threshold), so a pure re-weight — the resident optimizer's auto
+/// (they enter only at merge, through the ranking keys and the disk
+/// threshold), so a pure re-weight — the resident optimizer's auto
 /// re-advise — and a `what_if_disks` stay warm and re-cost nothing.
 fn run_fingerprint(model: &CostModel<'_>, config: &AdvisorConfig) -> u128 {
     warlock_cost::fingerprint128(&(
@@ -201,17 +213,13 @@ fn run_fingerprint(model: &CostModel<'_>, config: &AdvisorConfig) -> u128 {
     ))
 }
 
-/// Cheap structural pre-exclusion: decides from the fragment count
-/// alone — no layout, no costing — whether a candidate is out. Runs on
-/// the submitting thread before any crew work, so enormous candidates
-/// (including those whose count does not even fit `u64`) never occupy
-/// a worker. The exact `u128` count is reported, never a wrapped one.
-fn pre_exclude(
-    schema: &StarSchema,
-    config: &AdvisorConfig,
-    fragmentation: &Fragmentation,
-) -> Option<Exclusion> {
-    let raw_count = fragmentation.num_fragments(schema);
+/// Cheap structural pre-exclusion: decides from a candidate's exact
+/// fragment count alone — no layout, no costing — whether it is out.
+/// Runs on the submitting thread before any crew work, so enormous
+/// candidates (including those whose count does not even fit `u64`)
+/// never occupy a worker. The exact `u128` count is reported, never a
+/// wrapped one.
+fn pre_exclude(config: &AdvisorConfig, raw_count: u128) -> Option<Exclusion> {
     if raw_count > u128::from(u64::MAX) {
         return Some(Exclusion::FragmentCountOverflow {
             fragments: raw_count,
@@ -226,26 +234,50 @@ fn pre_exclude(
     None
 }
 
+/// The candidate at enumeration position `ordinal` of the run's walk:
+/// how a ranked candidate or an exclusion sample, held only by its
+/// position, becomes a [`Fragmentation`].
+fn candidate_at(source: &CandidateSource, ordinal: u128) -> Result<Fragmentation, WarlockError> {
+    source
+        .candidate_at(ordinal)
+        .ok_or_else(|| WarlockError::internal("a ranked or sampled position is past the space"))
+}
+
+/// The exclusion sample of `fragmentation`.
+fn sample(
+    schema: &StarSchema,
+    fragmentation: Fragmentation,
+    reason: Exclusion,
+) -> ExcludedCandidate {
+    ExcludedCandidate {
+        label: fragmentation.label(schema),
+        fragmentation,
+        reason,
+    }
+}
+
 /// A subtree the bounded walk stepped over, at its place among a
 /// chunk's candidates.
 struct Skipped {
     /// How many of the chunk's candidates precede it.
     at: usize,
+    /// The enumeration position of its first candidate.
+    first: u128,
     /// Its exact candidate count.
     candidates: u128,
-    /// Its first candidates in enumeration order, as many as the
-    /// `too_many_fragments` samples may still need.
-    samples: Vec<Fragmentation>,
 }
 
 /// Merges a skipped subtree: one run cell in the column being written
 /// and `candidates` `too_many_fragments` exclusions (the walk skips only
 /// subtrees whose every candidate has more fragments than
-/// `max_fragments`, none of them beyond `u64`).
+/// `max_fragments`, none of them beyond `u64`). Only the samples the
+/// summary still has room for are built, from the subtree's first
+/// positions.
 fn merge_skipped(
     schema: &StarSchema,
     config: &AdvisorConfig,
-    skipped: Skipped,
+    source: &CandidateSource,
+    skipped: &Skipped,
     writer: &mut Option<Column>,
     excluded: &mut ExcludedSummary,
 ) -> Result<(), WarlockError> {
@@ -254,24 +286,18 @@ fn merge_skipped(
     }
     let count = usize::try_from(skipped.candidates)
         .map_err(|_| WarlockError::internal("skipped subtree larger than usize"))?;
-    let samples = skipped
-        .samples
-        .into_iter()
-        .map(
-            |fragmentation| match pre_exclude(schema, config, &fragmentation) {
-                Some(reason @ Exclusion::TooManyFragments { .. }) => Ok(ExcludedCandidate {
-                    label: fragmentation.label(schema),
-                    fragmentation,
-                    reason,
-                }),
-                _ => Err(WarlockError::internal(
-                    "a skipped candidate is within max_fragments",
-                )),
-            },
-        )
-        .collect::<Result<Vec<_>, _>>()?;
-    excluded.record_many("too_many_fragments", count, samples);
-    Ok(())
+    let samples = (skipped.first..skipped.first + skipped.candidates).map(|ordinal| {
+        let fragmentation = candidate_at(source, ordinal)?;
+        match pre_exclude(config, fragmentation.num_fragments(schema)) {
+            Some(reason @ Exclusion::TooManyFragments { .. }) => {
+                Ok(sample(schema, fragmentation, reason))
+            }
+            _ => Err(WarlockError::internal(
+                "a skipped candidate is within max_fragments",
+            )),
+        }
+    });
+    excluded.record_many("too_many_fragments", count, samples)
 }
 
 /// Largest number of candidates one worker batches per costing call.
@@ -307,6 +333,18 @@ enum Outcome {
     Miss(Slot),
 }
 
+/// One candidate the walk stepped onto, as the merge loop needs it: no
+/// heap object, only its position (from which a ranked candidate or an
+/// exclusion sample is built back) and how it was resolved.
+struct Pulled {
+    /// Its enumeration position.
+    ordinal: u64,
+    /// Whether it is not the unfragmented baseline, for the disk check.
+    fragmented: bool,
+    /// `None` while a crew group still prices it.
+    outcome: Option<Outcome>,
+}
+
 /// One worker group's results: a slot per group entry, in group order,
 /// and the class rows of its costed entries, flat and in the same order
 /// (a costed slot's `row` counts from the group's first).
@@ -315,13 +353,14 @@ struct GroupEval {
     rows: Vec<ClassCost>,
 }
 
-/// The worker-side pipeline step for one group of candidates: layout →
-/// every threshold but the disk-count one per candidate (layouts built
-/// into the recycled scratch), then a single batched pass pricing every
-/// survivor's class rows. Pure in its inputs, so it can run on any
-/// thread of the run's crew. Callers must have passed every candidate
-/// through [`pre_exclude`] first (the layout would panic on a
-/// `u64`-overflowing fragment count otherwise), and must apply
+/// The worker-side pipeline step for one group of candidates, the
+/// entries `group` of `fresh`: layout → every threshold but the
+/// disk-count one per candidate (layouts built into the recycled
+/// scratch), then a single batched pass pricing every survivor's class
+/// rows. Pure in its inputs, so it can run on any thread of the run's
+/// crew. Callers must have passed every candidate through
+/// [`pre_exclude`] first (the layout would panic on a `u64`-overflowing
+/// fragment count otherwise), and must apply
 /// [`Thresholds::check_declustering`](warlock_fragment::Thresholds::check_declustering)
 /// to its costed slots.
 #[allow(clippy::too_many_arguments)]
@@ -331,17 +370,16 @@ fn evaluate_group(
     ctx: ThresholdContext,
     tables: &CostTables,
     backend: KernelBackend,
-    chunk: &[Fragmentation],
-    group: &[usize],
+    fresh: &DigitChunk,
+    group: Range<usize>,
     scratch: &mut EvalScratch,
 ) -> GroupEval {
     let slots = group
-        .iter()
-        .map(|&i| {
-            let layout = FragmentLayout::new_in(
+        .map(|j| {
+            let layout = FragmentLayout::new_in_digits(
                 &mut scratch.layout,
                 schema,
-                chunk[i].clone(),
+                fresh.get(j),
                 config.fact_index,
             );
             match config.thresholds.check_layout(&layout, ctx) {
@@ -373,12 +411,13 @@ fn evaluate_group(
 /// resolved against the run's memo column, structurally pre-excluded,
 /// or fanned out over the run's crew of scoped threads (up to
 /// `config.parallelism` workers, see [`exec`]), and everything merges
-/// **in enumeration order** into the streaming rank accumulator and the
-/// bounded exclusion summary — so the report is bit-identical at any worker count and chunk size, and
-/// pipeline memory is O(chunk + phase-1 survivors), never O(candidate
-/// space). When the session passes a cache, a run without a
-/// column of its own writes one in the merge loop and commits it once
-/// at the end, so re-runs with unchanged inputs skip re-evaluation.
+/// **in enumeration order** into the keyed rank accumulator and the
+/// bounded exclusion summary — so the report is bit-identical at any
+/// worker count and chunk size, and pipeline memory is O(chunk +
+/// phase-1 survivors), never O(candidate space). When the session
+/// passes a cache, a run without a column of its own writes one in the
+/// merge loop and commits it once at the end, so re-runs with unchanged
+/// inputs skip re-evaluation.
 ///
 /// # Errors
 ///
@@ -415,7 +454,7 @@ pub(crate) fn run(
     let mut reader = memo.and_then(|(cache, fp)| cache.open(fp));
     // Current mix shares, in mix order — the order class rows are
     // gathered in, so rows weigh positionally — and the response inputs
-    // `combine_class_costs` reads.
+    // the ranking keys read.
     let shares: Vec<f64> = mix.iter().map(|(_, share)| share).collect();
     let classes = shares.len();
     let processors = system.architecture.total_processors();
@@ -434,12 +473,10 @@ pub(crate) fn run(
     // the first group costed — a fully warm run never pays for the
     // build.
     let tables = OnceLock::new();
-    let task = |(chunk, group): (Arc<Vec<Fragmentation>>, Vec<usize>)| {
+    let task = |(fresh, group): (Arc<DigitChunk>, Range<usize>)| {
         let tables = tables.get_or_init(|| CostTables::build(&model, &config.range_options));
         exec::ARENAS.with(|scratch| {
-            evaluate_group(
-                schema, config, ctx, tables, backend, &chunk, &group, scratch,
-            )
+            evaluate_group(schema, config, ctx, tables, backend, &fresh, group, scratch)
         })
     };
     // Clamp to the exact space so an absurd (possibly client-supplied)
@@ -448,18 +485,16 @@ pub(crate) fn run(
         .min(usize::try_from(space).unwrap_or(usize::MAX))
         .max(1);
 
-    let mut rank = StreamingRank::new(config.top_x_percent, config.min_keep);
+    let mut rank = KeyedRank::new(config.top_x_percent, config.min_keep);
     let mut excluded = ExcludedSummary::new();
     let mut enumerated = 0usize;
     let mut evaluated = 0usize;
-    let mut chunk: Vec<Fragmentation> = Vec::with_capacity(chunk_size);
-    let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(chunk_size);
-    let mut todo: Vec<usize> = Vec::new();
+    let mut pulled: Vec<Pulled> = Vec::with_capacity(chunk_size);
     let mut skipped: Vec<Skipped> = Vec::new();
-    // Samples the skipped subtrees may still owe the exclusion summary:
-    // its first `too_many_fragments` samples, drawn from every subtree
-    // pulled so far, cannot reach past this many of their candidates.
-    let mut samples_due = ExcludedSummary::SAMPLES_PER_REASON;
+    // The digits of the chunk's candidates the crew prices, in pull
+    // order, and where each sits in `pulled`.
+    let mut fresh = DigitChunk::new();
+    let mut todo: Vec<usize> = Vec::new();
     // The class rows of the chunk's freshly costed candidates, in
     // enumeration order.
     let mut fresh_rows: Vec<ClassCost> = Vec::new();
@@ -469,57 +504,64 @@ pub(crate) fn run(
         loop {
             // Pull the next chunk from the lazy source, resolving each
             // candidate as it comes: memo hit, structural pre-exclusion, or
-            // fresh work for the crew. A skipped subtree is answered by the
-            // memo as a whole and merged at its place in the chunk.
-            chunk.clear();
-            outcomes.clear();
-            todo.clear();
+            // fresh work for the crew. Only fresh work is written out, as
+            // digits; a skipped subtree is answered by the memo as a whole
+            // and merged at its place in the chunk.
+            pulled.clear();
             skipped.clear();
-            while chunk.len() < chunk_size && skipped.len() < chunk_size {
+            fresh.clear();
+            todo.clear();
+            while pulled.len() < chunk_size && skipped.len() < chunk_size {
+                let ordinal = source.position();
                 match source.stride() {
                     None => break,
                     Some(Stride::One) => {
-                        let candidate = source
-                            .current()
-                            .ok_or_else(|| WarlockError::internal("stride left no candidate"))?;
                         let outcome = match reader.as_mut().and_then(ColumnReader::next) {
                             Some(slot) => {
                                 hits += 1;
                                 Some(Outcome::Hit(slot))
                             }
-                            None => pre_exclude(schema, config, &candidate)
-                                .map(|reason| Outcome::Miss(Slot::Excluded(reason))),
+                            None => {
+                                let digits = source.push_digits(&mut fresh).ok_or_else(|| {
+                                    WarlockError::internal("stride left no candidate")
+                                })?;
+                                match pre_exclude(config, digits.num_fragments(schema)) {
+                                    Some(reason) => {
+                                        fresh.pop();
+                                        Some(Outcome::Miss(Slot::Excluded(reason)))
+                                    }
+                                    None => {
+                                        todo.push(pulled.len());
+                                        None
+                                    }
+                                }
+                            }
                         };
-                        if outcome.is_none() {
-                            todo.push(chunk.len());
-                        }
-                        outcomes.push(outcome);
-                        chunk.push(candidate);
+                        pulled.push(Pulled {
+                            ordinal,
+                            fragmented: source.fragmented(),
+                            outcome,
+                        });
                     }
                     Some(Stride::Subtree(candidates)) => {
                         if let Some(reader) = reader.as_mut() {
                             hits += reader.skip(candidates) as u64;
                         }
-                        let mut samples = Vec::new();
-                        if samples_due > 0 {
-                            samples.extend(source.subtree().take(samples_due));
-                            samples_due -= samples.len();
-                        }
                         enumerated += usize::try_from(candidates).map_err(|_| {
                             WarlockError::internal("skipped subtree larger than usize")
                         })?;
                         skipped.push(Skipped {
-                            at: chunk.len(),
+                            at: pulled.len(),
+                            first: u128::from(ordinal),
                             candidates,
-                            samples,
                         });
                     }
                 }
             }
-            if chunk.is_empty() && skipped.is_empty() {
+            if pulled.is_empty() && skipped.is_empty() {
                 break;
             }
-            enumerated += chunk.len();
+            enumerated += pulled.len();
 
             // Fan the uncached evaluations out over the crew in contiguous
             // groups (one SoA batch per group, costed through the shared
@@ -528,21 +570,25 @@ pub(crate) fn run(
             fresh_rows.clear();
             if !todo.is_empty() {
                 let group_size = todo.len().div_ceil(workers).clamp(1, MAX_GROUP_SIZE);
-                // The crew shares the chunk for the batch, so each group
-                // clones its own candidates on the thread that costs them.
-                let shared = Arc::new(std::mem::take(&mut chunk));
-                let fresh = crew.map(
-                    todo.chunks(group_size)
-                        .map(|group| (Arc::clone(&shared), group.to_vec()))
+                // The crew shares the chunk's digits; each group lays its
+                // candidates out on the thread that costs them.
+                let shared = Arc::new(std::mem::take(&mut fresh));
+                let fresh_groups = crew.map(
+                    (0..todo.len())
+                        .step_by(group_size)
+                        .map(|start| {
+                            let end = (start + group_size).min(todo.len());
+                            (Arc::clone(&shared), start..end)
+                        })
                         .collect(),
                 );
-                chunk = Arc::try_unwrap(shared)
+                fresh = Arc::try_unwrap(shared)
                     .map_err(|_| WarlockError::internal("a crew thread kept the chunk"))?;
                 // Rebase each group's row indices onto the chunk's rows.
-                for (group, eval) in todo.chunks(group_size).zip(fresh) {
+                for (group, eval) in todo.chunks(group_size).zip(fresh_groups) {
                     let base = (fresh_rows.len() / classes.max(1)) as u32;
                     for (&i, slot) in group.iter().zip(eval.slots) {
-                        outcomes[i] = Some(Outcome::Miss(match slot {
+                        pulled[i].outcome = Some(Outcome::Miss(match slot {
                             Slot::Costed { num_fragments, row } => Slot::Costed {
                                 num_fragments,
                                 row: base + row,
@@ -558,22 +604,22 @@ pub(crate) fn run(
             // being written; a costed one, fresh or memoized, then meets the
             // disk threshold — the last check, so precedence is that of
             // `Thresholds::check` — and its rows are weighed under the
-            // current shares and disks. Only the phase-1 key is weighed up
-            // front; the whole cost is built only if the ranking may retain
-            // it. The rank accumulator's horizon is every candidate not yet
-            // merged (the rest of this chunk plus whatever the source still
-            // holds) — an upper bound on future costs, which keeps the
-            // streaming ranking exact.
+            // current shares and disks into its ranking keys. Only the
+            // phase-1 key is weighed up front; the response time only if
+            // the ranking may retain it. The rank accumulator's horizon is
+            // every candidate not yet merged (the rest of this chunk plus
+            // whatever the source still holds) — an upper bound on future
+            // costs, which keeps the streaming ranking exact.
             let after_chunk = source.remaining();
-            let chunk_len = chunk.len();
-            let mut skips = skipped.drain(..).peekable();
-            for (i, (fragmentation, outcome)) in chunk.drain(..).zip(outcomes.drain(..)).enumerate()
-            {
+            let chunk_len = pulled.len();
+            let mut skips = skipped.iter().peekable();
+            for (i, candidate) in pulled.drain(..).enumerate() {
                 while let Some(skip) = skips.next_if(|skip| skip.at == i) {
-                    merge_skipped(schema, config, skip, &mut writer, &mut excluded)?;
+                    merge_skipped(schema, config, &source, skip, &mut writer, &mut excluded)?;
                 }
                 let remaining = after_chunk + (chunk_len - 1 - i) as u128;
-                let costed = match outcome
+                let costed = match candidate
+                    .outcome
                     .ok_or_else(|| WarlockError::internal("candidate evaluation left no outcome"))?
                 {
                     Outcome::Hit(Slot::Excluded(reason))
@@ -601,33 +647,36 @@ pub(crate) fn run(
                 let survivor = costed.and_then(|(num_fragments, rows)| {
                     config
                         .thresholds
-                        .check_declustering(&fragmentation, num_fragments, system.num_disks)
+                        .check_declustering(candidate.fragmented, num_fragments, system.num_disks)
                         .map(|()| (num_fragments, rows))
                 });
                 match survivor {
-                    Err(reason) => excluded.record(reason, || ExcludedCandidate {
-                        label: fragmentation.label(schema),
-                        fragmentation,
-                        reason,
-                    }),
+                    Err(reason) => excluded.try_record(reason, || {
+                        candidate_at(&source, candidate.ordinal.into())
+                            .map(|fragmentation| sample(schema, fragmentation, reason))
+                    })?,
                     Ok((num_fragments, rows)) => {
                         evaluated += 1;
-                        rank.push_with(combined_io_cost_ms(rows, &shares), remaining, || {
-                            combine_class_costs(
-                                fragmentation,
+                        let io_cost_ms = combined_io_cost_ms(rows, &shares);
+                        rank.push_with(io_cost_ms, remaining, || {
+                            let keys = RankKeys {
+                                io_cost_ms,
+                                response_ms: combined_response_ms(
+                                    rows,
+                                    &shares,
+                                    system.num_disks,
+                                    processors,
+                                    overhead,
+                                ),
                                 num_fragments,
-                                rows,
-                                &shares,
-                                system.num_disks,
-                                processors,
-                                overhead,
-                            )
+                            };
+                            (keys, candidate.ordinal)
                         });
                     }
                 }
             }
             for skip in skips {
-                merge_skipped(schema, config, skip, &mut writer, &mut excluded)?;
+                merge_skipped(schema, config, &source, skip, &mut writer, &mut excluded)?;
             }
         }
         Ok(())
@@ -636,21 +685,23 @@ pub(crate) fn run(
         cache.commit(fp, writer, hits, enumerated as u64 - hits);
     }
 
-    let mut ranked_costs = rank.finish();
-    ranked_costs.truncate(config.top_n);
-    // The hot path costs candidates without per-query detail; derive it
-    // for the ranked handful through the scalar model, whose aggregates
-    // are bit-identical to the batched evaluator's. This is the only
-    // time a ranked candidate's detail is costed: its analysis, plan
-    // and policy verdict all read this cost.
-    let ranked = ranked_costs
+    // Only the reported candidates become objects: each ranked position
+    // is built back into its candidate and priced once, with the
+    // per-query detail the hot path never derives, through the scalar
+    // model (whose aggregates are bit-identical to the batched
+    // evaluator's). This is the only time a ranked candidate's detail is
+    // costed: its analysis, plan and policy verdict all read this cost.
+    let mut ranked_positions = rank.finish();
+    ranked_positions.truncate(config.top_n);
+    let ranked = ranked_positions
         .into_iter()
         .enumerate()
-        .map(|(i, cost)| {
+        .map(|(i, ordinal)| {
+            let fragmentation = candidate_at(&source, ordinal.into())?;
             Ok(RankedCandidate {
                 rank: i + 1,
-                label: cost.fragmentation.label(schema),
-                cost: check_finite(schema, model.evaluate(&cost.fragmentation))?,
+                label: fragmentation.label(schema),
+                cost: check_finite(schema, model.evaluate(&fragmentation))?,
             })
         })
         .collect::<Result<_, WarlockError>>()?;

@@ -110,7 +110,7 @@ pub use error::WarlockError;
 pub use http::ShutdownSignal;
 pub use optimizer::{AdviceEvent, DriftStatus};
 pub use policy_judge::{PolicyRecommendation, PolicyVerdict};
-pub use ranking::{twofold_rank, StreamingRank};
+pub use ranking::{twofold_rank, KeyedRank, RankKeys, StreamingRank};
 pub use registry::{Registry, Warehouse, WarehouseStats};
 pub use serial::SessionReport;
 pub use service::{Service, ServiceReply, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};

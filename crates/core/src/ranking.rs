@@ -6,15 +6,22 @@
 //! fragmentations are ranked with respect to the overall I/O response time
 //! they achieve." (§3.2)
 //!
-//! Two implementations share the same semantics:
+//! The ranking orders candidates by their [`RankKeys`] alone — phase 1
+//! by `(io_cost_ms, response_ms, num_fragments)`, phase 2 by
+//! `(response_ms, io_cost_ms, num_fragments)`, ties in either phase by
+//! push order — so it never needs the candidates themselves:
 //!
+//! * [`KeyedRank`] — the one streaming implementation: keys are pushed
+//!   one at a time, each with a caller-chosen handle (the engine pushes a
+//!   candidate's enumeration position, 8 bytes), and only the phase-1
+//!   survivors are retained. [`finish`](KeyedRank::finish) returns the
+//!   survivors' handles in phase-2 order, so the caller builds objects
+//!   for those alone.
+//! * [`StreamingRank`] — [`KeyedRank`] over whole [`CandidateCost`]s,
+//!   whose keys it reads off each cost.
 //! * [`twofold_rank`] — the materialized reference: takes every cost at
-//!   once, sorts twice. O(n) memory.
-//! * [`StreamingRank`] — the bounded-memory accumulator the streaming
-//!   pipeline uses: costs are pushed one at a time and only the
-//!   phase-1 survivors are retained, so memory never holds the full
-//!   cost vector. Its output is **bit-identical** to [`twofold_rank`]
-//!   over the same push sequence.
+//!   once, sorts twice. O(n) memory. Both accumulators are
+//!   **bit-identical** to it over the same push sequence.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -55,51 +62,87 @@ pub fn twofold_rank(
     costs
 }
 
+/// What the twofold ranking orders a candidate by.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RankKeys {
+    /// The phase-1 key: workload-weighted device busy time per query.
+    pub io_cost_ms: f64,
+    /// The phase-2 key: workload-weighted response time per query.
+    pub response_ms: f64,
+    /// The last tie-break before push order: fewer fragments first.
+    pub num_fragments: u64,
+}
+
+impl RankKeys {
+    /// The keys of an evaluated candidate.
+    pub fn of(cost: &CandidateCost) -> Self {
+        Self {
+            io_cost_ms: cost.io_cost_ms,
+            response_ms: cost.response_ms,
+            num_fragments: cost.num_fragments,
+        }
+    }
+}
+
 /// One retained phase-1 survivor. The heap is a max-heap on the
-/// phase-1 key (worst survivor on top, ready for eviction); `idx` is
+/// phase-1 order (worst survivor on top, ready for eviction); `idx` is
 /// the push order, reproducing the stable-sort tie-break of the
 /// materialized reference.
 #[derive(Debug, Clone)]
-struct Survivor {
-    cost: CandidateCost,
+struct Survivor<H> {
+    keys: RankKeys,
     idx: usize,
+    handle: H,
 }
 
-impl Survivor {
+impl<H> Survivor<H> {
     /// The phase-1 ordering: I/O cost, then response, then fragment
     /// count, then push order — a total order, so the "leading X%" set
     /// is uniquely determined.
     fn phase1_cmp(&self, other: &Self) -> Ordering {
-        self.cost
+        self.keys
             .io_cost_ms
-            .total_cmp(&other.cost.io_cost_ms)
-            .then(self.cost.response_ms.total_cmp(&other.cost.response_ms))
-            .then(self.cost.num_fragments.cmp(&other.cost.num_fragments))
+            .total_cmp(&other.keys.io_cost_ms)
+            .then(self.keys.response_ms.total_cmp(&other.keys.response_ms))
+            .then(self.keys.num_fragments.cmp(&other.keys.num_fragments))
+            .then(self.idx.cmp(&other.idx))
+    }
+
+    /// The phase-2 ordering: response, then I/O cost, then fragment
+    /// count, then push order (the stable-sort order of the
+    /// materialized reference).
+    fn phase2_cmp(&self, other: &Self) -> Ordering {
+        self.keys
+            .response_ms
+            .total_cmp(&other.keys.response_ms)
+            .then(self.keys.io_cost_ms.total_cmp(&other.keys.io_cost_ms))
+            .then(self.keys.num_fragments.cmp(&other.keys.num_fragments))
             .then(self.idx.cmp(&other.idx))
     }
 }
 
-impl PartialEq for Survivor {
+impl<H> PartialEq for Survivor<H> {
     fn eq(&self, other: &Self) -> bool {
         self.phase1_cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Survivor {}
-impl PartialOrd for Survivor {
+impl<H> Eq for Survivor<H> {}
+impl<H> PartialOrd for Survivor<H> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Survivor {
+impl<H> Ord for Survivor<H> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.phase1_cmp(other)
     }
 }
 
 /// A bounded-memory accumulator reproducing [`twofold_rank`] exactly
-/// over a stream of candidate costs.
+/// over a stream of [`RankKeys`], each pushed with a handle `H` to its
+/// candidate.
 ///
-/// Costs are [`push`](Self::push)ed in enumeration order together with
+/// Keys are [`push`](Self::push)ed in enumeration order together with
 /// an upper bound on how many more *may* still arrive (the streaming
 /// pipeline knows this exactly from
 /// [`CandidateSource::remaining`](warlock_fragment::CandidateSource::remaining)).
@@ -109,20 +152,20 @@ impl Ord for Survivor {
 /// ranked below that bound is discarded immediately. The retention
 /// capacity therefore *shrinks* toward the exact `⌈seen·X%⌉` phase-1
 /// survivor count as the stream drains, and peak memory is
-/// `O(max(min_keep, ⌈bound·X%⌉))` — never the full cost vector.
+/// `O(max(min_keep, ⌈bound·X%⌉))` keys and handles.
 ///
 /// Overestimating `remaining` is always safe (it only delays
 /// evictions); underestimating it can evict a candidate the exact
 /// ranking would have kept.
 #[derive(Debug, Clone)]
-pub struct StreamingRank {
+pub struct KeyedRank<H> {
     top_x_percent: f64,
     min_keep: usize,
     pushed: usize,
-    heap: BinaryHeap<Survivor>,
+    heap: BinaryHeap<Survivor<H>>,
 }
 
-impl StreamingRank {
+impl<H> KeyedRank<H> {
     /// An empty accumulator with the twofold-ranking knobs of
     /// [`twofold_rank`].
     pub fn new(top_x_percent: f64, min_keep: usize) -> Self {
@@ -139,60 +182,66 @@ impl StreamingRank {
         ((n as f64 * self.top_x_percent / 100.0).ceil() as usize).max(self.min_keep)
     }
 
-    /// Feeds the next evaluated candidate. `remaining` is an upper
-    /// bound on how many more costs may still be pushed; `0` means this
+    /// Feeds the next candidate's keys and handle. `remaining` is an
+    /// upper bound on how many more may still be pushed; `0` means this
     /// is definitely the last one.
-    pub fn push(&mut self, cost: CandidateCost, remaining: u128) {
-        let idx = self.pushed;
-        self.pushed += 1;
-        self.heap.push(Survivor { cost, idx });
-        let capacity = self.capacity_after(self.pushed, remaining);
-        while self.heap.len() > capacity {
-            self.heap.pop();
-        }
+    pub fn push(&mut self, keys: RankKeys, handle: H, remaining: u128) {
+        self.push_with(keys.io_cost_ms, remaining, || (keys, handle));
     }
 
-    /// [`push`](Self::push) for a cost that is expensive to build:
-    /// `io_cost_ms` is its phase-1 key, and `make` builds the cost only
-    /// if it may be retained. When the heap already holds the capacity
-    /// this push would see and `io_cost_ms` ranks strictly above the
-    /// worst survivor's, [`push`](Self::push) would pop the newcomer
-    /// right back out, so the push is counted and the heap trimmed
-    /// without running `make`. Ties fall through to a full push (the
-    /// later keys decide them), so the result is exactly
-    /// [`push`](Self::push)'s.
+    /// [`push`](Self::push) for keys that are expensive to derive:
+    /// `io_cost_ms` is the phase-1 key, and `make` derives the keys
+    /// (with that same `io_cost_ms`) and the handle only if the
+    /// candidate may be retained.
+    ///
+    /// A push keeps the `capacity` best of the survivors and the
+    /// newcomer. So the survivors are first trimmed to the capacity this
+    /// push sees; below it, the newcomer joins them. At it, the newcomer
+    /// takes the worst survivor's place if it ranks ahead of it, and is
+    /// dropped otherwise — without running `make` when `io_cost_ms`
+    /// alone ranks it behind (ties fall through to the later keys).
     pub fn push_with(
         &mut self,
         io_cost_ms: f64,
         remaining: u128,
-        make: impl FnOnce() -> CandidateCost,
+        make: impl FnOnce() -> (RankKeys, H),
     ) {
-        let capacity = self.capacity_after(self.pushed + 1, remaining);
-        let doomed = self.heap.len() >= capacity
-            && self.heap.peek().is_some_and(|worst| {
-                io_cost_ms.total_cmp(&worst.cost.io_cost_ms) == Ordering::Greater
-            });
-        if !doomed {
-            return self.push(make(), remaining);
-        }
+        let idx = self.pushed;
         self.pushed += 1;
+        let capacity = self.capacity_after(self.pushed, remaining);
         while self.heap.len() > capacity {
             self.heap.pop();
         }
+        if self.heap.len() < capacity {
+            let (keys, handle) = make();
+            self.heap.push(Survivor { keys, idx, handle });
+            return;
+        }
+        let Some(mut worst) = self.heap.peek_mut() else {
+            return;
+        };
+        if io_cost_ms.total_cmp(&worst.keys.io_cost_ms) == Ordering::Greater {
+            return;
+        }
+        let (keys, handle) = make();
+        let newcomer = Survivor { keys, idx, handle };
+        if newcomer < *worst {
+            *worst = newcomer;
+        }
     }
 
-    /// The retention capacity once `pushed` costs are in with at most
-    /// `remaining` to come: the keep count of the largest population
-    /// the stream can still reach. Saturates for astronomically large
-    /// bounds, which simply disables eviction until the horizon shrinks
-    /// into range.
+    /// The retention capacity once `pushed` candidates are in with at
+    /// most `remaining` to come: the keep count of the largest
+    /// population the stream can still reach. Saturates for
+    /// astronomically large bounds, which simply disables eviction
+    /// until the horizon shrinks into range.
     fn capacity_after(&self, pushed: usize, remaining: u128) -> usize {
         let bound = usize::try_from(u128::from(pushed as u64).saturating_add(remaining))
             .unwrap_or(usize::MAX);
         self.keep_for(bound)
     }
 
-    /// Costs pushed so far.
+    /// Candidates pushed so far.
     #[inline]
     pub fn seen(&self) -> usize {
         self.pushed
@@ -205,26 +254,72 @@ impl StreamingRank {
     }
 
     /// Finishes the stream: trims to the exact phase-1 keep count and
-    /// returns the survivors in phase-2 order — bit-identical to
-    /// [`twofold_rank`] over the same pushes.
-    pub fn finish(mut self) -> Vec<CandidateCost> {
+    /// returns the survivors' handles in phase-2 order — the order
+    /// [`twofold_rank`] puts the same pushes in.
+    pub fn finish(mut self) -> Vec<H> {
         let keep = self.keep_for(self.pushed).min(self.pushed);
         while self.heap.len() > keep {
             self.heap.pop();
         }
-        let mut survivors: Vec<Survivor> = self.heap.into_vec();
-        // Phase 2: response-time ranking; ties fall back to the other
-        // metric, then fewer fragments, then enumeration order (the
-        // stable-sort order of the materialized reference).
-        survivors.sort_by(|a, b| {
-            a.cost
-                .response_ms
-                .total_cmp(&b.cost.response_ms)
-                .then(a.cost.io_cost_ms.total_cmp(&b.cost.io_cost_ms))
-                .then(a.cost.num_fragments.cmp(&b.cost.num_fragments))
-                .then(a.idx.cmp(&b.idx))
+        let mut survivors = self.heap.into_vec();
+        survivors.sort_by(Survivor::phase2_cmp);
+        survivors.into_iter().map(|s| s.handle).collect()
+    }
+}
+
+/// [`KeyedRank`] over whole evaluated candidates: each
+/// [`CandidateCost`] is its own handle, ranked by the [`RankKeys`] read
+/// off it. Its output is **bit-identical** to [`twofold_rank`] over the
+/// same push sequence.
+#[derive(Debug, Clone)]
+pub struct StreamingRank(KeyedRank<CandidateCost>);
+
+impl StreamingRank {
+    /// An empty accumulator with the twofold-ranking knobs of
+    /// [`twofold_rank`].
+    pub fn new(top_x_percent: f64, min_keep: usize) -> Self {
+        Self(KeyedRank::new(top_x_percent, min_keep))
+    }
+
+    /// Feeds the next evaluated candidate. `remaining` is an upper
+    /// bound on how many more costs may still be pushed; `0` means this
+    /// is definitely the last one.
+    pub fn push(&mut self, cost: CandidateCost, remaining: u128) {
+        self.0.push(RankKeys::of(&cost), cost, remaining);
+    }
+
+    /// [`push`](Self::push) for a cost that is expensive to build:
+    /// `io_cost_ms` is its phase-1 key, and `make` builds the cost only
+    /// if it may be retained (see [`KeyedRank::push_with`]).
+    pub fn push_with(
+        &mut self,
+        io_cost_ms: f64,
+        remaining: u128,
+        make: impl FnOnce() -> CandidateCost,
+    ) {
+        self.0.push_with(io_cost_ms, remaining, || {
+            let cost = make();
+            (RankKeys::of(&cost), cost)
         });
-        survivors.into_iter().map(|s| s.cost).collect()
+    }
+
+    /// Costs pushed so far.
+    #[inline]
+    pub fn seen(&self) -> usize {
+        self.0.seen()
+    }
+
+    /// Candidates currently retained (the phase-1 survivor bound).
+    #[inline]
+    pub fn retained(&self) -> usize {
+        self.0.retained()
+    }
+
+    /// Finishes the stream: trims to the exact phase-1 keep count and
+    /// returns the survivors in phase-2 order — bit-identical to
+    /// [`twofold_rank`] over the same pushes.
+    pub fn finish(self) -> Vec<CandidateCost> {
+        self.0.finish()
     }
 }
 

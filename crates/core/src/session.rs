@@ -86,6 +86,11 @@ pub struct Snapshot {
     schema: StarSchema,
     system: SystemConfig,
     mix: QueryMix,
+    /// The mix the session was built, [`set_mix`](Warlock::set_mix)'d or
+    /// reloaded with: the class set an auto re-advise re-weights. It
+    /// differs from `mix` once a re-advise adopted an observed mix,
+    /// which leaves out the classes without traffic.
+    classes: Arc<QueryMix>,
     config: AdvisorConfig,
     scheme: BitmapScheme,
     skew: SkewModel,
@@ -102,6 +107,7 @@ impl Snapshot {
         schema: StarSchema,
         system: SystemConfig,
         mix: QueryMix,
+        classes: Arc<QueryMix>,
         config: AdvisorConfig,
         scheme: BitmapScheme,
         skew: SkewModel,
@@ -109,6 +115,7 @@ impl Snapshot {
         Self {
             schema,
             system,
+            classes,
             mix,
             config,
             scheme,
@@ -119,15 +126,18 @@ impl Snapshot {
     }
 
     /// Validates the inputs and derives the scheme and skew model of a
-    /// new snapshot.
+    /// new snapshot whose re-weightable class set is `classes`.
     fn validated(
         schema: StarSchema,
         system: SystemConfig,
         mix: QueryMix,
+        classes: Arc<QueryMix>,
         config: AdvisorConfig,
     ) -> Result<Self, WarlockError> {
         let (scheme, skew) = engine::validate(&schema, &system, &mix, &config)?;
-        Ok(Self::new(schema, system, mix, config, scheme, skew))
+        Ok(Self::new(
+            schema, system, mix, classes, config, scheme, skew,
+        ))
     }
 
     /// The pipeline's view of this snapshot's inputs.
@@ -148,6 +158,7 @@ impl Snapshot {
             self.schema.clone(),
             self.system,
             self.mix.clone(),
+            Arc::clone(&self.classes),
             self.config.clone(),
             self.scheme.clone(),
             self.skew.clone(),
@@ -353,8 +364,9 @@ impl WarlockBuilder {
         if let Some(policy) = self.allocation_policy {
             config.allocation_policy = policy;
         }
+        let classes = Arc::new(mix.clone());
         Ok(Warlock {
-            snapshot: Arc::new(Snapshot::validated(schema, system, mix, config)?),
+            snapshot: Arc::new(Snapshot::validated(schema, system, mix, classes, config)?),
             shared: Arc::new(Shared::default()),
         })
     }
@@ -468,6 +480,7 @@ impl Warlock {
             s.schema.clone(),
             system,
             s.mix.clone(),
+            Arc::clone(&s.classes),
             s.config.clone(),
             s.scheme.clone(),
             s.skew.clone(),
@@ -477,8 +490,16 @@ impl Warlock {
 
     /// Replaces the query mix, revalidating it against the schema,
     /// re-deriving the bitmap scheme and swapping this handle to a
-    /// fresh snapshot (clones are unaffected).
+    /// fresh snapshot (clones are unaffected). The new mix's classes are
+    /// the ones an auto re-advise re-weights from then on.
     pub fn set_mix(&mut self, mix: QueryMix) -> Result<(), WarlockError> {
+        let classes = Arc::new(mix.clone());
+        self.swap_mix(mix, classes)
+    }
+
+    /// [`set_mix`](Self::set_mix), with `classes` as the class set an
+    /// auto re-advise re-weights.
+    fn swap_mix(&mut self, mix: QueryMix, classes: Arc<QueryMix>) -> Result<(), WarlockError> {
         let s = &*self.snapshot;
         mix.validate(&s.schema)?;
         let scheme = BitmapScheme::derive(&s.schema, &mix, s.config.scheme);
@@ -486,6 +507,7 @@ impl Warlock {
             s.schema.clone(),
             s.system,
             mix,
+            classes,
             s.config.clone(),
             scheme,
             s.skew.clone(),
@@ -498,7 +520,13 @@ impl Warlock {
     /// (clones are unaffected).
     pub fn set_config(&mut self, config: AdvisorConfig) -> Result<(), WarlockError> {
         let s = &*self.snapshot;
-        let snapshot = Snapshot::validated(s.schema.clone(), s.system, s.mix.clone(), config)?;
+        let snapshot = Snapshot::validated(
+            s.schema.clone(),
+            s.system,
+            s.mix.clone(),
+            Arc::clone(&s.classes),
+            config,
+        )?;
         self.swap_snapshot(snapshot);
         Ok(())
     }
@@ -516,10 +544,12 @@ impl Warlock {
         &mut self,
         parsed: crate::config_file::ParsedConfig,
     ) -> Result<(), WarlockError> {
+        let classes = Arc::new(parsed.mix.clone());
         self.swap_snapshot(Snapshot::validated(
             parsed.schema,
             parsed.system,
             parsed.mix,
+            classes,
             parsed.advisor,
         )?);
         Ok(())
@@ -547,6 +577,7 @@ impl Warlock {
             s.schema.clone(),
             s.system,
             s.mix.clone(),
+            Arc::clone(&s.classes),
             s.config.clone(),
             scheme,
             s.skew.clone(),
@@ -869,14 +900,15 @@ impl Warlock {
     /// the event log is untouched, but this handle may already hold the
     /// observed mix; the caller restores its snapshot.
     fn readvise(&mut self, state: &mut OptimizerState, score: f64) -> Result<(), WarlockError> {
-        let observed = observed_mix(&self.snapshot.mix, &state.window)?;
+        let classes = Arc::clone(&self.snapshot.classes);
+        let observed = observed_mix(&classes, &state.window)?;
         // Peek the old recommendation — never force-rank a mix the
         // session is about to abandon.
         let old = self
             .ranking()
             .and_then(|r| r.top())
             .map(|t| t.label.clone());
-        self.set_mix(observed)?;
+        self.swap_mix(observed, Arc::clone(&classes))?;
         let new = self
             .rank()?
             .top()
@@ -970,14 +1002,16 @@ fn clamped_label(what: &str, requested: u32, effective: u32, unit: &str) -> Stri
     }
 }
 
-/// The mix an auto re-advise adopts: the configured classes, in
-/// configured order, re-weighted by their decayed observed weights.
-/// Observed classes the configuration does not define are ignored —
-/// there are no predicates to cost them with (they still push the
-/// drift score up). Configured classes the traffic no longer exercises
-/// drop out of the mix (zero weights are structural). Fails with the
-/// typed `EmptyMix` workload error when no configured class has any
-/// observed weight.
+/// The mix an auto re-advise adopts: the configured classes (the mix the
+/// session was built, `set_mix`'d or reloaded with, not an earlier
+/// re-advise's), in configured order, re-weighted by their decayed
+/// observed weights. Observed classes the configuration does not define
+/// are ignored — there are no predicates to cost them with (they still
+/// push the drift score up). Configured classes the traffic no longer
+/// exercises drop out of the adopted mix (zero weights are structural),
+/// and come back as soon as a later re-advise sees their traffic. Fails
+/// with the typed `EmptyMix` workload error when no configured class
+/// has any observed weight.
 fn observed_mix(
     configured: &QueryMix,
     window: &warlock_workload::StatsWindow,
@@ -1897,6 +1931,39 @@ mod tests {
         );
         assert_eq!(s.advice_events(0).len(), 1);
         assert_ne!(s.mix(), &baseline_mix, "the observed mix was adopted");
+    }
+
+    #[test]
+    fn a_class_without_traffic_comes_back_when_its_traffic_does() {
+        let mut s = resident_session();
+        s.rank().unwrap();
+        let names = |s: &Warlock| -> Vec<String> {
+            s.mix().iter().map(|(c, _)| c.name().to_owned()).collect()
+        };
+        // Traffic on two of the ten classes: the adopted mix is theirs.
+        s.observe(&[
+            ClassObservation::new("q01_month_store_code", 50),
+            ClassObservation::new("q02_month_class", 50),
+        ])
+        .unwrap();
+        assert_eq!(names(&s), ["q01_month_store_code", "q02_month_class"]);
+        // Traffic moves to a class the adopted mix left out: the next
+        // re-advise re-weights the configured classes, so it comes back.
+        let status = s
+            .observe(&[ClassObservation::new("q04_year_line", 10_000)])
+            .unwrap();
+        assert_eq!(status.events_emitted, 2);
+        assert_eq!(
+            names(&s),
+            ["q01_month_store_code", "q02_month_class", "q04_year_line"]
+        );
+        assert!(status.score < 0.01, "still drifting at {}", status.score);
+        // A configuration change keeps the configured class set.
+        s.set_auto_advise(false).unwrap();
+        s.set_auto_advise(true).unwrap();
+        s.observe(&[ClassObservation::new("q10_year_full_slice", 1_000_000)])
+            .unwrap();
+        assert!(names(&s).contains(&"q10_year_full_slice".to_owned()));
     }
 
     #[test]

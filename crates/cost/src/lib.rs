@@ -74,7 +74,8 @@ pub use kernel::{
     yao_pass, AlignedF64Col, CostPassInput, CostPassOutput, KernelBackend, KernelChoice, LANES,
 };
 pub use model::{
-    combine_class_costs, combined_io_cost_ms, fingerprint128, CandidateCost, ClassCost, CostModel,
+    combine_class_costs, combined_io_cost_ms, combined_response_ms, fingerprint128, CandidateCost,
+    ClassCost, CostModel,
 };
 pub use prefetch::effective_prefetch;
 pub use response::estimated_response_ms;

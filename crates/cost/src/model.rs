@@ -82,6 +82,32 @@ pub fn combined_io_cost_ms(classes: &[ClassCost], shares: &[f64]) -> f64 {
     io_cost_ms
 }
 
+/// The `response_ms` [`combine_class_costs`] yields for these rows
+/// under `shares` on `num_disks` disks, `processors` processors and
+/// coordination `overhead`, without deriving anything else — what the
+/// twofold ranking's second phase compares.
+pub fn combined_response_ms(
+    classes: &[ClassCost],
+    shares: &[f64],
+    num_disks: u32,
+    processors: u32,
+    overhead: f64,
+) -> f64 {
+    debug_assert_eq!(classes.len(), shares.len());
+    let mut response_ms = 0.0;
+    for (row, &share) in classes.iter().zip(shares) {
+        response_ms += share
+            * estimated_response_ms(
+                row.fragments,
+                row.per_fragment_ms,
+                num_disks,
+                processors,
+                overhead,
+            );
+    }
+    response_ms
+}
+
 /// Weighs per-class unweighted rows under `shares` into the aggregate
 /// [`CandidateCost`] fields, deriving each class's response time with
 /// [`estimated_response_ms`] on `num_disks` disks, `processors`
@@ -105,28 +131,17 @@ pub fn combine_class_costs(
     overhead: f64,
 ) -> CandidateCost {
     debug_assert_eq!(classes.len(), shares.len());
-    let mut io_cost_ms = 0.0;
-    let mut response_ms = 0.0;
     let mut total_ios = 0.0;
     let mut total_pages = 0.0;
     for (row, &share) in classes.iter().zip(shares) {
-        let class_response_ms = estimated_response_ms(
-            row.fragments,
-            row.per_fragment_ms,
-            num_disks,
-            processors,
-            overhead,
-        );
-        io_cost_ms += share * row.busy_ms();
-        response_ms += share * class_response_ms;
         total_ios += share * row.total_ios;
         total_pages += share * row.pages;
     }
     CandidateCost {
         fragmentation,
         num_fragments,
-        io_cost_ms,
-        response_ms,
+        io_cost_ms: combined_io_cost_ms(classes, shares),
+        response_ms: combined_response_ms(classes, shares, num_disks, processors, overhead),
         total_ios,
         total_pages,
         per_query: Vec::new(),

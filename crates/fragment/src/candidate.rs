@@ -198,13 +198,19 @@ impl Fragmentation {
         self.ranges.iter().all(|&r| r == 1)
     }
 
+    /// A borrowed view of the candidate's digits.
+    #[inline]
+    pub fn digits(&self) -> Digits<'_> {
+        Digits {
+            attributes: &self.attributes,
+            ranges: &self.ranges,
+        }
+    }
+
     /// Effective fragment-coordinate cardinality of attribute `i`:
     /// `cardinality(level) / range`.
     pub fn effective_cardinality(&self, schema: &StarSchema, i: usize) -> u64 {
-        let card = schema
-            .cardinality(self.attributes[i])
-            .expect("validated candidate");
-        card / self.ranges[i]
+        self.digits().effective_cardinality(schema, i)
     }
 
     /// Effective cardinality of the attribute on `dimension`, if that
@@ -243,23 +249,7 @@ impl Fragmentation {
 
     /// Validates the attributes (and range divisibility) against a schema.
     pub fn validate(&self, schema: &StarSchema) -> Result<(), CandidateError> {
-        for (&r, &range) in self.attributes.iter().zip(&self.ranges) {
-            let Ok(dim) = schema.dimension(r.dimension) else {
-                return Err(CandidateError::UnknownAttribute { level_ref: r });
-            };
-            if dim.level(r.level).is_err() {
-                return Err(CandidateError::UnknownAttribute { level_ref: r });
-            }
-            let fanout = dim.fanout(r.level).expect("level exists");
-            if range == 0 || !fanout.is_multiple_of(range) {
-                return Err(CandidateError::BadRange {
-                    level_ref: r,
-                    range,
-                    fanout,
-                });
-            }
-        }
-        Ok(())
+        self.digits().validate(schema)
     }
 
     /// Total number of fragments: the product of *effective*
@@ -268,13 +258,7 @@ impl Fragmentation {
     /// products overflow 64 bits only in pathological schemas, but can
     /// still be very large.
     pub fn num_fragments(&self, schema: &StarSchema) -> u128 {
-        self.attributes
-            .iter()
-            .zip(&self.ranges)
-            .map(|(&r, &range)| {
-                (schema.cardinality(r).expect("validated candidate") / range) as u128
-            })
-            .product()
+        self.digits().num_fragments(schema)
     }
 
     /// Human-readable label like `product.class × time.month`; ranged
@@ -298,6 +282,78 @@ impl Fragmentation {
             })
             .collect();
         parts.join(" × ")
+    }
+}
+
+/// A borrowed view of one candidate's digits: its fragmentation
+/// attributes, sorted by dimension, and their range sizes. What a
+/// [`Fragmentation`] holds, without owning it, so a pipeline can test,
+/// count and lay out a candidate it keeps in a shared buffer (see
+/// [`DigitChunk`](crate::DigitChunk)) and build the owned
+/// [`Fragmentation`] only for the few it reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Digits<'a> {
+    attributes: &'a [LevelRef],
+    ranges: &'a [u64],
+}
+
+impl<'a> Digits<'a> {
+    /// A view of `attributes` (sorted by dimension, no duplicates) and
+    /// their range sizes, one per attribute.
+    pub(crate) fn new(attributes: &'a [LevelRef], ranges: &'a [u64]) -> Self {
+        debug_assert_eq!(attributes.len(), ranges.len());
+        Self { attributes, ranges }
+    }
+
+    /// The fragmentation attributes, sorted by dimension.
+    #[inline]
+    pub(crate) fn attributes(self) -> &'a [LevelRef] {
+        self.attributes
+    }
+
+    /// The owned candidate.
+    pub(crate) fn to_fragmentation(self) -> Fragmentation {
+        Fragmentation::from_parts(self.attributes.to_vec(), self.ranges.to_vec())
+    }
+
+    /// See [`Fragmentation::effective_cardinality`].
+    pub(crate) fn effective_cardinality(self, schema: &StarSchema, i: usize) -> u64 {
+        let card = schema
+            .cardinality(self.attributes[i])
+            .expect("validated candidate");
+        card / self.ranges[i]
+    }
+
+    /// See [`Fragmentation::validate`].
+    pub(crate) fn validate(self, schema: &StarSchema) -> Result<(), CandidateError> {
+        for (&r, &range) in self.attributes.iter().zip(self.ranges) {
+            let Ok(dim) = schema.dimension(r.dimension) else {
+                return Err(CandidateError::UnknownAttribute { level_ref: r });
+            };
+            if dim.level(r.level).is_err() {
+                return Err(CandidateError::UnknownAttribute { level_ref: r });
+            }
+            let fanout = dim.fanout(r.level).expect("level exists");
+            if range == 0 || !fanout.is_multiple_of(range) {
+                return Err(CandidateError::BadRange {
+                    level_ref: r,
+                    range,
+                    fanout,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// See [`Fragmentation::num_fragments`].
+    pub fn num_fragments(self, schema: &StarSchema) -> u128 {
+        self.attributes
+            .iter()
+            .zip(self.ranges)
+            .map(|(&r, &range)| {
+                (schema.cardinality(r).expect("validated candidate") / range) as u128
+            })
+            .product()
     }
 }
 

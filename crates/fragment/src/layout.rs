@@ -1,7 +1,7 @@
 //! Derived fragment structure of one candidate: counts, logical order and
 //! sizes.
 
-use crate::Fragmentation;
+use crate::{Digits, Fragmentation};
 use warlock_schema::StarSchema;
 use warlock_skew::SkewModel;
 
@@ -76,14 +76,44 @@ impl FragmentLayout {
         fragmentation: Fragmentation,
         fact_index: usize,
     ) -> Self {
-        fragmentation
+        let mut layout = Self::build(scratch, schema, fragmentation.digits(), fact_index);
+        layout.fragmentation = fragmentation;
+        layout
+    }
+
+    /// Like [`new_in`](Self::new_in), but for a candidate held as a
+    /// borrowed [`Digits`] view: the layout's owned [`Fragmentation`]
+    /// is built from the view, once its structure checked out.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`new`](Self::new).
+    pub fn new_in_digits(
+        scratch: &mut LayoutScratch,
+        schema: &StarSchema,
+        digits: Digits<'_>,
+        fact_index: usize,
+    ) -> Self {
+        let mut layout = Self::build(scratch, schema, digits, fact_index);
+        layout.fragmentation = digits.to_fragmentation();
+        layout
+    }
+
+    /// The layout of `digits`, holding the baseline (no heap object) in
+    /// place of its owned candidate.
+    fn build(
+        scratch: &mut LayoutScratch,
+        schema: &StarSchema,
+        digits: Digits<'_>,
+        fact_index: usize,
+    ) -> Self {
+        digits
             .validate(schema)
             .expect("fragmentation must validate against the schema");
         scratch.reset();
         let mut radices = std::mem::take(&mut scratch.radices);
         radices.extend(
-            (0..fragmentation.dimensionality())
-                .map(|i| fragmentation.effective_cardinality(schema, i)),
+            (0..digits.attributes().len()).map(|i| digits.effective_cardinality(schema, i)),
         );
         let total: u128 = radices.iter().map(|&r| r as u128).product();
         assert!(
@@ -96,7 +126,7 @@ impl FragmentLayout {
             strides[i] = strides[i + 1] * radices[i + 1];
         }
         Self {
-            fragmentation,
+            fragmentation: Fragmentation::none(),
             radices,
             strides,
             num_fragments: total as u64,
@@ -460,6 +490,22 @@ mod tests {
             assert_eq!(fresh, reused, "scratch-built layout diverged for {frag:?}");
             let back = reused.recycle(&mut scratch);
             assert_eq!(&back, frag, "recycle must return the same fragmentation");
+        }
+    }
+
+    #[test]
+    fn a_layout_of_digits_is_the_layout_of_the_candidate() {
+        let s = schema();
+        let mut scratch = LayoutScratch::new();
+        for frag in [
+            Fragmentation::from_pairs(&[(0, 0), (2, 1), (3, 0)]).unwrap(),
+            Fragmentation::none(),
+            Fragmentation::from_ranged_pairs(&[(2, 2, 3), (3, 0, 1)]).unwrap(),
+        ] {
+            let owned = FragmentLayout::new(&s, frag.clone(), 0);
+            let viewed = FragmentLayout::new_in_digits(&mut scratch, &s, frag.digits(), 0);
+            assert_eq!(owned, viewed);
+            assert_eq!(viewed.recycle(&mut scratch), frag);
         }
     }
 

@@ -9,7 +9,10 @@
 //!
 //! * [`Fragmentation`] — one MDHF candidate (a set of fragmentation
 //!   attributes) plus enumeration of all "point" candidates
-//!   ([`enumerate_candidates`]),
+//!   ([`enumerate_candidates`]); [`Digits`] is the same candidate
+//!   borrowed, as [`CandidateSource`] pulls it into a [`DigitChunk`],
+//!   and [`CandidateSource::candidate_at`] builds it back from its
+//!   enumeration position,
 //! * [`FragmentLayout`] — derived per-candidate structure: fragment counts,
 //!   the logical fragment order (mixed-radix coordinates), uniform and
 //!   skewed fragment sizes,
@@ -48,9 +51,9 @@ mod source;
 mod thresholds;
 
 pub use candidate::{
-    enumerate_candidates, enumerate_candidates_ranged, CandidateError, Fragmentation,
+    enumerate_candidates, enumerate_candidates_ranged, CandidateError, Digits, Fragmentation,
 };
 pub use layout::{apportion, FragmentLayout, LayoutScratch, SkewModelExt};
 pub use matching::{expected_distinct_groups, DimensionMatch, QueryMatch};
-pub use source::{CandidateCursor, CandidateSource, Stride};
+pub use source::{CandidateCursor, CandidateSource, DigitChunk, Stride};
 pub use thresholds::{Exclusion, ThresholdContext, Thresholds};

@@ -1,10 +1,11 @@
 //! Lazy, resumable enumeration of fragmentation candidates:
-//! [`CandidateSource`], whose docs give the enumeration order, and its
-//! bounded walk ([`CandidateSource::bounded`]).
+//! [`CandidateSource`], whose docs give the enumeration order, its
+//! bounded walk ([`CandidateSource::bounded`]), and [`DigitChunk`], the
+//! flat buffer a pipeline pulls candidates' digits into.
 
 use warlock_schema::{LevelRef, StarSchema};
 
-use crate::candidate::{CandidateError, Fragmentation};
+use crate::candidate::{CandidateError, Digits, Fragmentation};
 
 /// A snapshot of a [`CandidateSource`]'s position: everything needed to
 /// continue the enumeration where it stopped. Obtained from
@@ -55,6 +56,62 @@ impl Stride {
             Self::One => 1,
             Self::Subtree(size) => size,
         }
+    }
+}
+
+/// The digits of a run of candidates in one flat buffer, filled by
+/// [`CandidateSource::push_digits`] and read back as [`Digits`] views:
+/// a chunk of candidates with no heap object per candidate.
+#[derive(Debug, Clone, Default)]
+pub struct DigitChunk {
+    attributes: Vec<LevelRef>,
+    ranges: Vec<u64>,
+    /// Where each candidate's digits end in `attributes` and `ranges`.
+    ends: Vec<usize>,
+}
+
+impl DigitChunk {
+    /// An empty chunk; its buffers grow on first use and are kept.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Candidates held.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the chunk holds no candidate.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Drops every candidate, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.attributes.clear();
+        self.ranges.clear();
+        self.ends.clear();
+    }
+
+    /// Drops the last candidate.
+    pub fn pop(&mut self) {
+        self.ends.pop();
+        let end = self.ends.last().copied().unwrap_or(0);
+        self.attributes.truncate(end);
+        self.ranges.truncate(end);
+    }
+
+    /// The digits of candidate `i`, in push order.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range.
+    pub fn get(&self, i: usize) -> Digits<'_> {
+        let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
+        let end = self.ends[i];
+        Digits::new(&self.attributes[start..end], &self.ranges[start..end])
     }
 }
 
@@ -335,18 +392,104 @@ impl CandidateSource {
 
     /// The fragmentation described by the current digits.
     fn fragmentation(&self) -> Fragmentation {
-        let mut attributes = Vec::new();
-        let mut ranges = Vec::new();
+        let mut chunk = DigitChunk::new();
+        self.write_digits(&mut chunk);
+        Fragmentation::from_parts(chunk.attributes, chunk.ranges)
+    }
+
+    /// Appends the current digits to `chunk`'s buffers, without closing
+    /// the candidate.
+    fn write_digits(&self, chunk: &mut DigitChunk) {
         let mut used = 0usize;
         for (d, choice) in self.cursor.choices.iter().enumerate() {
             if let Some(level) = *choice {
-                attributes.push(LevelRef::new(d as u16, level));
+                chunk.attributes.push(LevelRef::new(d as u16, level));
                 let counter = self.cursor.range_counters.get(used).copied().unwrap_or(0);
-                ranges.push(self.sizes[d][usize::from(level)][counter]);
+                chunk
+                    .ranges
+                    .push(self.sizes[d][usize::from(level)][counter]);
                 used += 1;
             }
         }
-        Fragmentation::from_parts(attributes, ranges)
+    }
+
+    /// Appends the digits of the candidate the last step stopped at to
+    /// `chunk` — [`Self::current`] without a heap object — and returns
+    /// them. Returns `None`, appending nothing, where [`Self::current`]
+    /// is `None`.
+    pub fn push_digits<'c>(&self, chunk: &'c mut DigitChunk) -> Option<Digits<'c>> {
+        if !(self.cursor.started && !self.cursor.exhausted && !self.cursor.pruned) {
+            return None;
+        }
+        self.write_digits(chunk);
+        chunk.ends.push(chunk.attributes.len());
+        Some(chunk.get(chunk.len() - 1))
+    }
+
+    /// Whether the candidate the last step stopped at fragments the
+    /// fact table, i.e. is not the unfragmented baseline. Reads the
+    /// cursor only (one range counter per used digit).
+    #[inline]
+    pub fn fragmented(&self) -> bool {
+        !self.cursor.range_counters.is_empty()
+    }
+
+    /// The candidate at enumeration position `ordinal` (counting from 0,
+    /// skipped subtrees included, so the candidate [`Self::current`]
+    /// returns sits at [`Self::position`] − 1), or `None` past the end.
+    /// Independent of the current position: it unranks `ordinal`
+    /// through the completion counts, digit by digit.
+    ///
+    /// # Unranking
+    ///
+    /// The candidates sharing a prefix of point digits are contiguous
+    /// (range counters spin fastest), and there are `width ×
+    /// completions[d + 1][used]` of them, `width` being the product of
+    /// the prefix attributes' admissible range-size counts. So each
+    /// digit, "unused" first, claims one block of that size, and what is
+    /// left of `ordinal` at the end indexes the range combinations, last
+    /// attribute fastest.
+    pub fn candidate_at(&self, ordinal: u128) -> Option<Fragmentation> {
+        if ordinal >= self.space_size() {
+            return None;
+        }
+        let cap = self.max_dimensionality.min(self.sizes.len());
+        let mut rest = ordinal;
+        let mut width = 1u128;
+        let mut attributes = Vec::new();
+        for (d, levels) in self.sizes.iter().enumerate() {
+            let used = attributes.len();
+            let unused = width.saturating_mul(self.completions[d + 1][used]);
+            if rest < unused {
+                continue;
+            }
+            rest -= unused;
+            let (level, count) = (used < cap)
+                .then(|| {
+                    levels.iter().enumerate().find_map(|(l, sizes)| {
+                        let count = sizes.len() as u128;
+                        let block = width
+                            .saturating_mul(count)
+                            .saturating_mul(self.completions[d + 1][used + 1]);
+                        if rest < block {
+                            return Some((l, count));
+                        }
+                        rest -= block;
+                        None
+                    })
+                })
+                .flatten()?;
+            attributes.push(LevelRef::new(d as u16, level as u16));
+            width = width.saturating_mul(count);
+        }
+        let mut ranges = vec![0u64; attributes.len()];
+        for (range, attribute) in ranges.iter_mut().zip(&attributes).rev() {
+            let sizes = &self.sizes[attribute.dimension.index()][attribute.level.index()];
+            let count = sizes.len() as u128;
+            *range = sizes[(rest % count) as usize];
+            rest /= count;
+        }
+        Some(Fragmentation::from_parts(attributes, ranges))
     }
 
     /// Advances the range-counter odometer (last attribute fastest).
@@ -906,6 +1049,64 @@ mod tests {
             matched += 1;
         }
         assert!(matched > 0);
+    }
+
+    #[test]
+    fn candidate_at_unranks_every_position() {
+        let s = schema();
+        for options in [&[][..], &[2, 3, 5], &[12, 2]] {
+            for max_dim in [0, 1, 2, 4, 9] {
+                let source = CandidateSource::ranged(&s, max_dim, options);
+                let all: Vec<_> = source.clone().collect();
+                for (i, candidate) in all.iter().enumerate() {
+                    assert_eq!(
+                        source.candidate_at(i as u128).as_ref(),
+                        Some(candidate),
+                        "max_dim={max_dim} options={options:?} at {i}"
+                    );
+                }
+                assert_eq!(source.candidate_at(all.len() as u128), None);
+                assert_eq!(source.candidate_at(u128::MAX), None);
+            }
+        }
+    }
+
+    #[test]
+    fn pushed_digits_are_the_current_candidate() {
+        let s = schema();
+        let mut source = CandidateSource::ranged(&s, 3, &[2, 3]).bounded(900);
+        let mut chunk = DigitChunk::new();
+        let mut expected = Vec::new();
+        assert!(
+            source.push_digits(&mut chunk).is_none(),
+            "nothing before the first step"
+        );
+        while let Some(stride) = source.stride() {
+            let pushed = source.push_digits(&mut chunk);
+            assert_eq!(pushed.is_some(), stride == Stride::One);
+            if let Some(current) = source.current() {
+                assert_eq!(source.fragmented(), !current.is_none());
+                let position = u128::from(source.position()) - 1;
+                assert_eq!(source.candidate_at(position).as_ref(), Some(&current));
+                assert_eq!(pushed, Some(current.digits()));
+                expected.push(current);
+            }
+        }
+        assert!(
+            source.push_digits(&mut chunk).is_none(),
+            "nothing once exhausted"
+        );
+        assert_eq!(chunk.len(), expected.len());
+        for (i, candidate) in expected.iter().enumerate() {
+            assert_eq!(chunk.get(i).to_fragmentation(), *candidate);
+            assert_eq!(chunk.get(i).num_fragments(&s), candidate.num_fragments(&s));
+        }
+        chunk.pop();
+        let last = expected.len() - 2;
+        assert_eq!(chunk.len(), last + 1);
+        assert_eq!(chunk.get(last), expected[last].digits());
+        chunk.clear();
+        assert!(chunk.is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::{FragmentLayout, Fragmentation};
+use crate::FragmentLayout;
 
 /// Environment numbers a threshold check needs; passed as plain values so
 /// this crate stays decoupled from the storage crate.
@@ -140,7 +140,7 @@ impl Thresholds {
     pub fn check(&self, layout: &FragmentLayout, ctx: ThresholdContext) -> Result<(), Exclusion> {
         self.check_layout(layout, ctx)?;
         self.check_declustering(
-            layout.fragmentation(),
+            !layout.fragmentation().is_none(),
             layout.num_fragments(),
             ctx.num_disks,
         )
@@ -187,19 +187,17 @@ impl Thresholds {
     }
 
     /// The disk-count check alone: with `require_full_declustering`, a
-    /// fragmented candidate of `fragments` fragments must cover all
-    /// `num_disks` disks. Needs only the fragmentation and its count, so
-    /// it also applies to a candidate whose costs come from a memo.
+    /// `fragmented` candidate (any but the unfragmented baseline) of
+    /// `fragments` fragments must cover all `num_disks` disks. Needs no
+    /// layout, not even the candidate, so it also applies to one whose
+    /// costs come from a memo.
     pub fn check_declustering(
         &self,
-        fragmentation: &Fragmentation,
+        fragmented: bool,
         fragments: u64,
         num_disks: u32,
     ) -> Result<(), Exclusion> {
-        if self.require_full_declustering
-            && !fragmentation.is_none()
-            && fragments < u64::from(num_disks)
-        {
+        if self.require_full_declustering && fragmented && fragments < u64::from(num_disks) {
             return Err(Exclusion::FewerFragmentsThanDisks {
                 fragments,
                 disks: num_disks,
@@ -213,6 +211,8 @@ impl Thresholds {
 mod tests {
     use super::*;
     use warlock_schema::{apb1_like_schema, Apb1Config};
+
+    use crate::Fragmentation;
 
     fn layout(pairs: &[(u16, u16)]) -> FragmentLayout {
         let schema = apb1_like_schema(Apb1Config::default()).unwrap();
@@ -289,13 +289,14 @@ mod tests {
         let division = layout(&[(0, 0)]);
         assert!(t.check_layout(&division, ctx()).is_ok());
         assert_eq!(
-            t.check_declustering(division.fragmentation(), 5, 16),
+            t.check_declustering(true, 5, 16),
             Err(Exclusion::FewerFragmentsThanDisks {
                 fragments: 5,
                 disks: 16
             })
         );
-        assert!(t.check_declustering(division.fragmentation(), 5, 5).is_ok());
+        assert!(t.check_declustering(true, 5, 5).is_ok());
+        assert!(t.check_declustering(false, 1, 16).is_ok());
         // An earlier reason wins over the disk check: class × month is
         // below the granule whatever the disk count.
         let tiny = layout(&[(0, 4), (2, 2)]);

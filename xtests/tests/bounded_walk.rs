@@ -202,6 +202,66 @@ fn skips_any(session: &Warlock) -> bool {
     std::iter::from_fn(|| source.stride()).any(|stride| stride != Stride::One)
 }
 
+/// Ranks `seed`'s session under `limit` cold, re-ranks it warm, then
+/// asks a warm `what_if_disks(disks)`, and checks both warm reports —
+/// exclusion samples of every reason included — against a cold run of
+/// a fresh session. Returns whether the walk skipped a subtree and
+/// whether the what-if sampled a `fewer_fragments_than_disks`
+/// exclusion, so a sweep can show it met both.
+fn assert_warm_samples_match_cold(
+    seed: u64,
+    max_dimensionality: usize,
+    limit: u64,
+    ranged: bool,
+    disks: u32,
+    chunk: usize,
+) -> (bool, bool) {
+    let s = session(seed, max_dimensionality, limit, ranged, 0, chunk);
+    let cold = s.rank().unwrap().clone();
+    let misses = s.cache_stats().misses;
+    assert_bit_identical(&s.run().unwrap(), &cold);
+    let (warm, _) = s.what_if_disks(disks).unwrap();
+    assert_eq!(s.cache_stats().misses, misses, "the what-if was not warm");
+    let mut fresh = session(seed, max_dimensionality, limit, ranged, 0, chunk);
+    fresh
+        .set_system(SystemConfig {
+            num_disks: disks,
+            ..*fresh.system()
+        })
+        .unwrap();
+    let reference = fresh.run().unwrap();
+    for (a, b) in warm
+        .excluded
+        .groups()
+        .iter()
+        .zip(reference.excluded.groups())
+    {
+        assert_eq!(a, b, "seed {seed}: the {} group differs", b.kind);
+    }
+    assert_bit_identical(&warm, &reference);
+    let disk_samples = warm
+        .excluded
+        .samples()
+        .any(|sample| sample.reason.kind() == "fewer_fragments_than_disks");
+    (skips_any(&s), disk_samples)
+}
+
+#[test]
+fn warm_what_if_samples_cover_skipped_subtrees_and_the_disk_check() {
+    let mut both = 0;
+    for seed in 0..48 {
+        for chunk in [1usize, 0] {
+            let (skipped, disk_samples) =
+                assert_warm_samples_match_cold(seed, 3, 100, true, 48, chunk);
+            both += usize::from(skipped && disk_samples);
+        }
+    }
+    assert!(
+        both > 0,
+        "no case both skipped a subtree and sampled the disk check"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -286,6 +346,20 @@ proptest! {
                 prop_assert_eq!(after_warm.entries, cold.enumerated);
             }
         }
+    }
+
+    #[test]
+    fn warm_and_what_if_samples_match_a_cold_run(
+        seed in 0u64..4096,
+        max_dimensionality in 1usize..4,
+        limit_pick in 0usize..LIMITS.len(),
+        ranged in any::<bool>(),
+        disks in 1u32..64,
+        chunk_pick in 0usize..3,
+    ) {
+        let chunk = [1usize, 17, 0][chunk_pick];
+        let limit = LIMITS[limit_pick];
+        assert_warm_samples_match_cold(seed, max_dimensionality, limit, ranged, disks, chunk);
     }
 
     #[test]

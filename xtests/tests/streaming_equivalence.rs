@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 
 use warlock::prelude::*;
-use warlock::StreamingRank;
 use warlock::{AdvisorReport, ExcludedCandidate, ExcludedSummary, RankedCandidate};
+use warlock::{KeyedRank, RankKeys, StreamingRank};
 use warlock_cost::{CandidateCost, CostModel};
 use warlock_fragment::{enumerate_candidates_ranged, Exclusion, FragmentLayout, Fragmentation};
 use warlock_schema::{random_schema, RandomSchemaConfig};
@@ -256,5 +256,64 @@ proptest! {
             prop_assert_eq!(mixed.retained(), eager.retained());
         }
         prop_assert_eq!(mixed.finish(), eager.finish());
+    }
+}
+
+proptest! {
+    // A cheap property over a large tie-heavy input space: many cases.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn keyed_rank_is_twofold_rank(
+        picks in proptest::collection::vec((0usize..6, 0usize..6, 0u64..3), 0..300),
+        lazy in proptest::collection::vec(any::<bool>(), 300),
+        x_pick in 0usize..4,
+        min_keep in 0usize..12,
+        slack_pick in 0usize..4,
+    ) {
+        // Few distinct keys, so ties on `io_cost_ms` are the rule and
+        // `response_ms`, the fragment count and the push index decide;
+        // the signed zeros and `+inf` sit among them.
+        const KEYS: [f64; 6] = [-0.0, 0.0, 1.0, 2.5, f64::INFINITY, 1.0];
+        let x = [1.0, 10.0, 37.5, 100.0][x_pick];
+        // Up to a horizon too large for `usize`, which holds eviction off.
+        let slack = [0, 1, 7, u128::MAX / 2][slack_pick];
+        let keys: Vec<RankKeys> = picks
+            .iter()
+            .map(|&(io, rt, frags)| RankKeys {
+                io_cost_ms: KEYS[io],
+                response_ms: KEYS[rt],
+                num_fragments: frags,
+            })
+            .collect();
+        // The reference ranks costs that carry their push index.
+        let costs = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| CandidateCost {
+                fragmentation: Fragmentation::none(),
+                num_fragments: k.num_fragments,
+                io_cost_ms: k.io_cost_ms,
+                response_ms: k.response_ms,
+                total_ios: i as f64,
+                total_pages: 0.0,
+                per_query: Vec::new(),
+            })
+            .collect();
+        let reference: Vec<usize> = warlock::twofold_rank(costs, x, min_keep)
+            .iter()
+            .map(|cost| cost.total_ios as usize)
+            .collect();
+        let mut rank = KeyedRank::new(x, min_keep);
+        for (i, (&k, lazy)) in keys.iter().zip(&lazy).enumerate() {
+            let remaining = (keys.len() - i - 1) as u128 + slack;
+            if *lazy {
+                rank.push_with(k.io_cost_ms, remaining, || (k, i));
+            } else {
+                rank.push(k, i, remaining);
+            }
+            prop_assert_eq!(rank.seen(), i + 1);
+        }
+        prop_assert_eq!(rank.finish(), reference);
     }
 }
